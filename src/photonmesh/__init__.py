@@ -36,9 +36,11 @@ from .fock import (
     apply_linear,
     canonical_global_phase,
     decode_qubits,
+    light_cone,
     prepare_computational_basis,
     project_qubit_structure,
     run_program,
+    run_program_pruned,
     truncate_aux,
 )
 from .gates import (
@@ -99,9 +101,11 @@ __all__ = [
     "apply_linear",
     "canonical_global_phase",
     "decode_qubits",
+    "light_cone",
     "prepare_computational_basis",
     "project_qubit_structure",
     "run_program",
+    "run_program_pruned",
     "truncate_aux",
     "GateDescriptor",
     "cnot_ps",

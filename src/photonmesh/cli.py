@@ -215,8 +215,13 @@ def cmd_simulate(args) -> int:
     n = circuit.qubit_count
     labels = [format(i, f"0{n}b") for i in range(2**n)]
     if args.dump_state:
+        # sim.final_state is pruned; the dump is the full Fock state.
+        layout = fock.QubitLayout(n)
+        full = fock.run_program(
+            sim.compile_result.program, fock.prepare_computational_basis(bits, layout)
+        )
         with open(args.dump_state, "w", encoding="utf-8") as fh:
-            fh.write(fock.format_state_dump(sim.final_state))
+            fh.write(fock.format_state_dump(full))
     if args.format == "json":
         payload = {
             "input": bits,

@@ -25,14 +25,17 @@ refuses it (:class:`IllegalCascade`) unless explicitly overridden.
 Distinct pairs always compile, but exactness has a sharper boundary.  Each
 post-selected gate leaves failure terms in which one operand's rail pair
 is doubly occupied and the other's is empty; truncation removes the aux
-photons but keeps those terms, relying on the final one-photon-per-pair
-projection to discard them.  That works whenever the gates' interaction
-graph over photons (qubit pairs, tracked through any logical SWAPs) is a
-forest.  If a gate closes a cycle, correlated doubled/empty terms from
-earlier gates can meet inside its six-mode window and rebalance into a
-configuration that passes projection, so the decoded state and success
-probability deviate from the ideal circuit.  The simulator reports that
-outcome faithfully rather than rejecting such circuits.
+photons but keeps those terms.  The simulator drops them as soon as no
+later layer can rebalance them into one photon per rail pair
+(:func:`fock.run_program_pruned`), which gives the same projection as
+carrying them to the end.  That projection is exact whenever the gates'
+interaction graph over photons (qubit pairs, tracked through any logical
+SWAPs) is a forest.  If a gate closes a cycle, correlated doubled/empty
+terms from earlier gates can meet inside its six-mode window and
+rebalance into a configuration that passes projection, so the decoded
+state and success probability deviate from the ideal circuit.  The
+simulator reports that outcome faithfully rather than rejecting such
+circuits.
 """
 
 from __future__ import annotations
@@ -196,6 +199,10 @@ class CompileResult:
 
 @dataclass(frozen=True)
 class SimulationResult:
+    """``final_state`` is the light-cone-pruned output state: it holds only
+    the terms that pass the final projection.  Rerun ``fock.run_program`` on
+    ``compile_result.program`` for the full Fock state."""
+
     amplitudes: np.ndarray
     success_probability: float
     final_state: PhotonicState
@@ -665,7 +672,7 @@ def simulate_circuit(
     if input_bits == "":
         input_bits = "0" * circuit.qubit_count
     state = fock.prepare_computational_basis(input_bits, layout)
-    final = fock.run_program(result.program, state)
+    final = fock.run_program_pruned(result.program, state, layout)
     projected = fock.project_qubit_structure(final, layout)
     amps, prob = decode_logical(projected, layout, result.positions, result.flips)
     return SimulationResult(

@@ -298,35 +298,132 @@ def decode_qubits(
     result: PostSelectionResult, layout: QubitLayout
 ) -> tuple[np.ndarray, float]:
     """Normalized qubit amplitudes (qubit 0 = most significant bit) and the
-    success probability of the projection.  The global phase is fixed by
-    making the largest amplitude real positive."""
+    success probability of the projection: :func:`compiler.decode_logical`
+    with the identity relabeling."""
+    from .compiler import decode_logical  # compiler imports this module
+
     n = layout.qubit_count
-    amps = np.zeros(2**n, dtype=complex)
-    for occ, amp in result.projected_state.terms.items():
-        idx = 0
-        for q in range(n):
-            idx = (idx << 1) | occ[layout.one_mode(q)]
-        amps[idx] += amp
-    norm = np.linalg.norm(amps)
-    if norm == 0.0:
-        raise ValueError("projection left no qubit-structure amplitude")
-    return canonical_global_phase(amps / norm), result.success_probability
+    return decode_logical(result, layout, tuple(range(n)), (0,) * n)
 
 
-def run_program(program: NetworkProgram, state: PhotonicState) -> PhotonicState:
-    """Fold the program steps over ``state`` in order."""
+@dataclass(frozen=True)
+class Partition:
+    """Mode blocks that no later program layer couples to each other, with
+    the photon count each block must hold for a term to pass
+    :func:`project_qubit_structure`.  ``labels[mode]`` is the mode's block."""
+
+    labels: tuple[int, ...]
+    required: tuple[int, ...]
+
+    def restrict(self, state: PhotonicState) -> PhotonicState:
+        """Keep the terms whose block photon counts match ``required``."""
+        kept = {}
+        for occ, amp in state.terms.items():
+            counts = [0] * len(self.required)
+            for mode, n in enumerate(occ):
+                if n:
+                    counts[self.labels[mode]] += n
+            if tuple(counts) == self.required:
+                kept[occ] = amp
+        return PhotonicState(state.mode_count, kept)
+
+
+def light_cone(program: NetworkProgram, layout: QubitLayout) -> tuple[Partition, ...]:
+    """The partition of modes in force after each program step.
+
+    A backward union-find pass: it starts from the final projection (each
+    rail pair one block holding one photon, each aux mode a block holding
+    none) and, walking the steps in reverse, joins modes ``j`` and ``k``
+    wherever a layer has ``matrix[j, k] != 0``, adding the blocks' required
+    counts.  Layers after step ``i`` move photons only inside the blocks of
+    entry ``i``, so a term whose count differs from the requirement in any
+    block can never pass the projection.  Entries are shared objects: a new
+    partition is made only where a layer merges blocks.
+    """
+    if program.mode_count != layout.mode_count:
+        raise ValueError(
+            f"program has {program.mode_count} modes, layout needs {layout.mode_count}"
+        )
+    parent = list(range(layout.mode_count))
+    required = [0] * layout.mode_count
+    for q in range(layout.qubit_count):
+        parent[layout.one_mode(q)] = layout.zero_mode(q)
+        required[layout.zero_mode(q)] = 1
+
+    def root(mode: int) -> int:
+        while parent[mode] != mode:
+            parent[mode] = parent[parent[mode]]
+            mode = parent[mode]
+        return mode
+
+    def snapshot() -> Partition:
+        roots = [root(mode) for mode in range(layout.mode_count)]
+        index = {r: i for i, r in enumerate(dict.fromkeys(roots))}
+        return Partition(
+            tuple(index[r] for r in roots), tuple(required[r] for r in index)
+        )
+
+    current = snapshot()
+    after: list[Partition] = []
+    for step in reversed(program.steps):
+        after.append(current)
+        if not isinstance(step, LinearLayer):
+            continue
+        merged = False
+        for j, k in zip(*np.nonzero(step.matrix)):
+            rj, rk = root(int(j)), root(int(k))
+            if rj != rk:
+                parent[rk] = rj
+                required[rj] += required[rk]
+                merged = True
+        if merged:
+            current = snapshot()
+    return tuple(reversed(after))
+
+
+def _fold(
+    program: NetworkProgram,
+    state: PhotonicState,
+    cone: tuple[Partition, ...] | None,
+) -> PhotonicState:
     if state.mode_count != program.mode_count:
         raise ValueError(
             f"state has {state.mode_count} modes, program needs {program.mode_count}"
         )
-    for step in program.steps:
+    cuts = cone or (None,) * len(program.steps)
+    last = None
+    for step, cut in zip(program.steps, cuts):
         if isinstance(step, LinearLayer):
             state = apply_linear(state, step.matrix)
         elif isinstance(step, TruncateAux):
             state = truncate_aux(state, step.modes)
         else:
             raise TypeError(f"unknown program step {type(step).__name__}")
+        if cut is not last:
+            state = cut.restrict(state)
+            last = cut
     return state
+
+
+def run_program(program: NetworkProgram, state: PhotonicState) -> PhotonicState:
+    """Fold the program steps over ``state`` in order."""
+    return _fold(program, state, None)
+
+
+def run_program_pruned(
+    program: NetworkProgram, state: PhotonicState, layout: QubitLayout
+) -> PhotonicState:
+    """:func:`run_program` that drops, after each step, every term that can
+    never pass :func:`project_qubit_structure` (see :func:`light_cone`).
+
+    The projection of the result equals that of the unpruned fold bit for
+    bit, key order included: a dropped term's descendants never share an
+    occupation with a kept term's, so every kept amplitude is the same sum
+    of the same addends in the same order.  The test is only a necessary
+    condition, so circuits outside the forest envelope keep their
+    deviating output.
+    """
+    return _fold(program, state, light_cone(program, layout))
 
 
 def format_state_dump(state: PhotonicState) -> str:

@@ -180,19 +180,21 @@ def equal_mod_global_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> 
     return bool(np.max(np.abs(a - gamma * b)) <= tol)
 
 
-def _solve_plain(u: np.ndarray) -> MziSetting | None:
+def _solve_plain(u: np.ndarray, real_ratio: bool = False) -> MziSetting | None:
     """Exact plain-MZI settings for ``u`` (phi2 = 0), or None if impossible.
 
     Writing the MZI as ``g * [[s*e^{i dp}, c], [c*e^{i dp}, -s]]`` with
     ``s = sin((theta1-theta2)/2)``, ``c = cos(...)``, ``|g| = 1``, a unitary
     is reachable exactly iff the ratio ``u[1,1] / u[0,1]`` is real (both
-    columns share the phase structure of that form).
+    columns share the phase structure of that form).  ``real_ratio`` skips
+    that test for a ``u`` whose ratio is real by construction: the ratio's
+    size is ``cot`` of half the mixing angle, so near the identity its
+    rounding error alone exceeds any fixed tolerance.
     """
     c_mag = abs(u[0, 1])
     s_mag = abs(u[1, 1])
     if c_mag > _SOLVE_TOL and s_mag > _SOLVE_TOL:
-        ratio = u[1, 1] / u[0, 1]
-        if abs(ratio.imag) > _SOLVE_TOL:
+        if not real_ratio and abs((u[1, 1] / u[0, 1]).imag) > _SOLVE_TOL:
             return None
         g = u[0, 1] / c_mag
         s = -(u[1, 1] / g).real
@@ -238,9 +240,7 @@ def solve_mzi_settings(u: np.ndarray) -> MziSetting:
     phi3 = float(np.angle(u[0, 1]))
     phi4 = float(np.angle(-u[1, 1]))
     v = phase_shifter(-phi3, -phi4) @ u
-    inner = _solve_plain(v)
-    if inner is None:  # pragma: no cover - unreachable by construction
-        raise ValueError("failed to factor unitary into extended MZI phases")
+    inner = _solve_plain(v, real_ratio=True)
     return MziSetting(
         theta1=inner.theta1,
         theta2=inner.theta2,

@@ -191,6 +191,15 @@ def test_compile_reck_scheme(tmp_path):
     assert json.loads(proc.stdout)["scheme"] == "reck"
 
 
+def test_compile_near_identity_rotation(tmp_path):
+    circuit = {"qubits": 1, "gates": [{"g": "RX", "q": 0, "angle": 4.5409924698258664e-05}]}
+    path = write_circuit(tmp_path, circuit)
+    proc = run_cli("compile", path, "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    roles = [slot["role"] for slot in json.loads(proc.stdout)["slots"]]
+    assert any(role.startswith("RX(") for role in roles)
+
+
 def test_gates_list_human_and_name_filter():
     proc = run_cli("gates", "list")
     assert proc.returncode == 0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -301,49 +303,54 @@ def test_cyclic_gate_pattern_compiles_but_contaminates():
     assert sim.success_probability == pytest.approx(0.0242341106538635, abs=1e-12)
 
 
+def _random_circuit(rng, n, gate_count, forest):
+    """Random singles, CZ/CNOTs on unused pairs and logical SWAPs.  With
+    ``forest`` the entanglers keep the photon graph acyclic; without it
+    they may close cycles."""
+    singles = ("I", "X", "Y", "Z", "H", "T", "RZ", "RX", "RY")
+    used_pairs = set()
+    photon = list(range(n))
+    component = list(range(n))
+
+    def find(x):
+        while component[x] != x:
+            x = component[x]
+        return x
+
+    ops = []
+    for _ in range(gate_count):
+        kind = rng.uniform()
+        if kind < 0.55:
+            name = singles[int(rng.integers(0, len(singles)))]
+            entry = {"g": name, "q": int(rng.integers(0, n))}
+            if name in ("RZ", "RX", "RY"):
+                entry["angle"] = float(rng.uniform(-np.pi, np.pi))
+            ops.append(entry)
+            continue
+        a, b = map(int, rng.choice(n, size=2, replace=False))
+        if kind < 0.75:
+            ops.append({"g": "SWAP", "a": a, "b": b})
+            photon[a], photon[b] = photon[b], photon[a]
+            continue
+        roots = find(photon[a]), find(photon[b])
+        if frozenset((a, b)) in used_pairs or (forest and roots[0] == roots[1]):
+            continue
+        used_pairs.add(frozenset((a, b)))
+        component[roots[0]] = roots[1]
+        ops.append({"g": "CZ" if kind < 0.9 else "CNOT", "c": a, "t": b})
+    return parse_circuit({"qubits": n, "gates": ops})
+
+
 def test_random_circuits_match_dense_oracle():
     # random circuits within the exactness envelope: post-selected gates may
     # not reuse a qubit pair, and the photons each gate touches (tracked
     # through logical SWAPs) must form an acyclic interaction graph
     rng = np.random.default_rng(17)
-    singles = ("I", "X", "Y", "Z", "H", "T", "RZ", "RX", "RY")
     total_ps = 0
     for _ in range(8):
         n = 3
-        used_pairs = set()
-        photon = list(range(n))
-        component = list(range(n))
-
-        def find(x):
-            while component[x] != x:
-                x = component[x]
-            return x
-
-        ops = []
-        ps_count = 0
-        for _ in range(6):
-            kind = rng.uniform()
-            if kind < 0.55:
-                name = singles[int(rng.integers(0, len(singles)))]
-                entry = {"g": name, "q": int(rng.integers(0, n))}
-                if name in ("RZ", "RX", "RY"):
-                    entry["angle"] = float(rng.uniform(-np.pi, np.pi))
-                ops.append(entry)
-            else:
-                a, b = map(int, rng.choice(n, size=2, replace=False))
-                if kind < 0.75:
-                    ops.append({"g": "SWAP", "a": a, "b": b})
-                    photon[a], photon[b] = photon[b], photon[a]
-                    continue
-                roots = find(photon[a]), find(photon[b])
-                if frozenset((a, b)) in used_pairs or roots[0] == roots[1]:
-                    continue
-                used_pairs.add(frozenset((a, b)))
-                component[roots[0]] = roots[1]
-                ps_count += 1
-                name = "CZ" if kind < 0.9 else "CNOT"
-                ops.append({"g": name, "c": a, "t": b})
-        circuit = parse_circuit({"qubits": n, "gates": ops})
+        circuit = _random_circuit(rng, n, 6, forest=True)
+        ps_count = sum(op.name in ("CZ", "CNOT") for op in circuit.gates)
         bits = "".join(str(int(rng.integers(0, 2))) for _ in range(n))
         sim = simulate_circuit(circuit, bits)
         oracle = dense_circuit_state(circuit, bits)
@@ -351,6 +358,64 @@ def test_random_circuits_match_dense_oracle():
         assert sim.success_probability == pytest.approx(9.0**-ps_count, abs=1e-9)
         total_ps += ps_count
     assert total_ps >= 6  # the envelope filter must not starve the generator
+
+
+def test_pruned_fold_projects_exactly_like_unpruned_fold():
+    # The light cone only drops terms that can never pass the projection,
+    # so the projected state is bit-identical to the unpruned fold's, key
+    # order included, inside the forest envelope and outside it.
+    rng = np.random.default_rng(23)
+    cyclic = 0
+    for case in range(48):
+        forest = case % 2 == 0
+        options = CompileOptions(
+            place=False,
+            cz_form=("compressed", "swap-sandwich")[case // 2 % 2],
+            restore_swaps=case // 4 % 2 == 0,
+        )
+        n = 3 + case % 3 // 2
+        circuit = _random_circuit(rng, n, 14, forest)
+        program = compile_circuit(circuit, options).program
+        layout = fock.QubitLayout(n)
+        bits = "".join(str(int(rng.integers(0, 2))) for _ in range(n))
+        state = fock.prepare_computational_basis(bits, layout)
+        full = fock.project_qubit_structure(fock.run_program(program, state), layout)
+        pruned = fock.project_qubit_structure(
+            fock.run_program_pruned(program, state, layout), layout
+        )
+        assert list(pruned.projected_state.terms.items()) == list(
+            full.projected_state.terms.items()
+        )
+        assert pruned.success_probability == full.success_probability
+        entanglers = [op.qubits for op in circuit.gates if op.name in ("CZ", "CNOT")]
+        cyclic += len(entanglers) >= n
+    assert cyclic >= 6  # cycle-closing circuits must actually occur
+
+
+def test_simulate_final_state_is_pruned_to_projectable_terms():
+    circuit = bell_circuit()
+    sim = simulate_circuit(circuit)
+    layout = fock.QubitLayout(2)
+    state = fock.prepare_computational_basis("00", layout)
+    full = fock.run_program(sim.compile_result.program, state)
+    projected = fock.project_qubit_structure(full, layout).projected_state
+    assert len(full.terms) > len(projected.terms)
+    assert list(sim.final_state.terms.items()) == list(projected.terms.items())
+
+
+def test_ghz_chain_20_qubits():
+    # Unpruned, the failure terms grow about 2.2x per qubit and n=20 would
+    # take hours; with the light cone only the two GHZ terms remain.
+    n = 20
+    start = time.perf_counter()
+    sim = simulate_circuit(ghz_chain_circuit(n))
+    elapsed = time.perf_counter() - start
+    assert sim.amplitudes[0] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+    assert sim.amplitudes[-1] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+    assert np.sum(np.abs(sim.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-12)
+    assert sim.success_probability * 9.0 ** (n - 1) == pytest.approx(1.0, abs=1e-9)
+    assert len(sim.final_state.terms) == 2
+    assert elapsed < 30.0
 
 
 def test_mesh_column_grids():

@@ -17,9 +17,11 @@ from photonmesh.fock import (
     canonical_global_phase,
     decode_qubits,
     format_state_dump,
+    light_cone,
     prepare_computational_basis,
     project_qubit_structure,
     run_program,
+    run_program_pruned,
     truncate_aux,
 )
 from photonmesh.linalg import bs_general
@@ -198,3 +200,51 @@ def test_format_state_dump_stable_text():
     assert lines[1] == "010,5.000000000000000e-01,0.000000000000000e+00"
     assert lines[2] == "100,-0.000000000000000e+00,-2.500000000000000e-01"
     assert dump.endswith("\n")
+
+
+def test_light_cone_of_identity_layers_merges_nothing():
+    layout = QubitLayout(2)
+    eye = LinearLayer(np.eye(6, dtype=complex))
+    program = NetworkProgram(6, (eye, TruncateAux((0, 3)), eye))
+    cone = light_cone(program, layout)
+    assert len(cone) == 3
+    assert all(cut is cone[0] for cut in cone)
+    # aux singletons holding 0 photons, rail pairs holding 1
+    assert cone[0].labels == (0, 1, 1, 2, 3, 3)
+    assert cone[0].required == (0, 1, 0, 1)
+
+
+def test_light_cone_merges_on_exact_nonzero_coupling():
+    layout = QubitLayout(2)
+    t = np.eye(6, dtype=complex)
+    t[2, 4] = 1e-300  # any nonzero entry couples, however small
+    program = NetworkProgram(6, (LinearLayer(np.eye(6)), LinearLayer(t)))
+    before, last = light_cone(program, layout)
+    assert last.labels == (0, 1, 1, 2, 3, 3)
+    assert before.labels == (0, 1, 1, 2, 1, 1)
+    assert before.required == (0, 2, 0)
+    state = PhotonicState(
+        6,
+        {
+            (0, 0, 1, 0, 1, 0): 0.5j,
+            (0, 1, 1, 0, 0, 0): 0.5 + 0.0j,
+            (0, 2, 0, 1, 0, 0): 1.0 + 0.0j,
+        },
+    )
+    # the merged block may still rebalance two photons; aux 3 may not hold one
+    assert list(before.restrict(state).terms) == [(0, 0, 1, 0, 1, 0), (0, 1, 1, 0, 0, 0)]
+    assert list(last.restrict(state).terms) == [(0, 0, 1, 0, 1, 0)]
+
+
+def test_run_program_pruned_drops_terms_that_cannot_pass():
+    layout = QubitLayout(1)
+    t = np.eye(3, dtype=complex)
+    t[:2, :2] = BS  # mixes the aux mode into rail 0
+    program = NetworkProgram(3, (LinearLayer(np.eye(3)), LinearLayer(t)))
+    state = PhotonicState(3, {(1, 1, 0): 1.0 + 0.0j})
+    full = run_program(program, state)
+    pruned = run_program_pruned(program, state, layout)
+    # two photons where one must come out: dropped before the mixing layer
+    assert len(full.terms) == 2
+    assert pruned.terms == {}
+    assert project_qubit_structure(full, layout).projected_state.terms == {}

@@ -21,7 +21,7 @@ from photonmesh.linalg import (
     solve_mzi_settings,
 )
 
-from helpers import naive_permanent, random_unitary
+from helpers import naive_permanent, random_unitary, rx, ry, rz
 
 
 def test_balanced_beamsplitter_matrix():
@@ -167,6 +167,18 @@ def test_solve_mzi_settings_diagonal_and_antidiagonal():
     ):
         setting = solve_mzi_settings(u)
         assert np.allclose(setting_unitary(setting), u, atol=1e-12)
+
+
+@pytest.mark.parametrize("rotation", [rx, ry, rz])
+@pytest.mark.parametrize(
+    "angle", [4.5409924698258664e-05, 1e-6, -3e-5, 3e-5, 1e-9, -1e-11]
+)
+def test_solve_mzi_settings_near_identity_rotations(rotation, angle):
+    # The column ratio grows like cot(angle/2), so its rounding error alone
+    # used to fail a fixed tolerance in the peeled (extended) path.
+    u = rotation(angle)
+    setting = solve_mzi_settings(u)
+    assert np.max(np.abs(setting_unitary(setting) - u)) < 1e-14
 
 
 def test_solve_mzi_settings_rejects_nonunitary():
