@@ -61,7 +61,7 @@ def constrained_family(gamma11: complex, gamma23: complex, c: complex) -> np.nda
     )
 
 
-def cz_constraint_residual(gamma11: complex, gamma23: complex, c: complex) -> float:
+def cz_constraint_residual(gamma11, gamma23, c) -> float | np.ndarray:
     """Distance of the constrained family from (a multiple of) a unitary.
 
     Returns ``min over s > 0`` of ``max |s^2 M^dag M - I|`` for the family
@@ -69,67 +69,110 @@ def cz_constraint_residual(gamma11: complex, gamma23: complex, c: complex) -> fl
     search is exact; a strictly positive residual means no scaling of
     ``M`` is unitary, hence no post-selected CZ at any success probability
     on a bare 4-mode network with these parameters.
+
+    The arguments broadcast: scalars give a float, arrays give an array of
+    their broadcast shape whose entries equal the scalar calls, as every
+    sample runs the same ternary search in one ``np.where`` step.
     """
-    m = constrained_family(gamma11, gamma23, c)
-    gram = m.conj().T @ m
-    eye = np.eye(4)
+    args = np.broadcast_arrays(
+        *(np.asarray(x, dtype=complex) for x in (gamma11, gamma23, c))
+    )
+    shape = args[0].shape
+    flat = zip(*(a.ravel() for a in args))
+    m = np.array([constrained_family(*p) for p in flat]).reshape(-1, 4, 4)
+    gram = np.matmul(m.conj().swapaxes(1, 2), m).reshape(-1, 16)
+    eye = np.eye(4).ravel()
 
-    def deviation(s2: float) -> float:
-        return float(np.max(np.abs(s2 * gram - eye)))
+    def deviation(s2: np.ndarray) -> np.ndarray:
+        return np.abs(s2[:, None] * gram - eye).max(axis=1)
 
-    lo, hi = 1e-9, 1e9
+    lo, hi = np.full(len(m), 1e-9), np.full(len(m), 1e9)
     for _ in range(300):
         a = lo + (hi - lo) / 3.0
         b = hi - (hi - lo) / 3.0
-        if deviation(a) <= deviation(b):
-            hi = b
-        else:
-            lo = a
-    return deviation(0.5 * (lo + hi))
+        left = deviation(a) <= deviation(b)
+        lo, hi = np.where(left, lo, a), np.where(left, b, hi)
+    out = deviation(0.5 * (lo + hi)).reshape(shape)
+    return float(out) if out.ndim == 0 else out
 
 
-def _mzi2(theta: float, phi: float) -> np.ndarray:
+def _mzi2(theta, phi) -> np.ndarray:
     """Closed form of the plain MZI at (theta1, theta2, phi1, phi2) =
-    (theta, 0, phi, 0)."""
-    half = theta / 2.0
+    (theta, 0, phi, 0), broadcast over ``theta`` and ``phi``: the blocks
+    have their shape plus a trailing ``(2, 2)``."""
+    half = np.asarray(theta, dtype=float) / 2.0
     pref = 1j * np.exp(1j * half)
-    eip = np.exp(1j * phi)
+    eip = np.exp(1j * np.asarray(phi, dtype=float))
     s, c = np.sin(half), np.cos(half)
-    return pref * np.array([[s * eip, c], [c * eip, -s]], dtype=complex)
+    blk = np.empty(np.broadcast_shapes(half.shape, eip.shape) + (2, 2), dtype=complex)
+    blk[..., 0, 0] = s * eip
+    blk[..., 0, 1] = c
+    blk[..., 1, 0] = c * eip
+    blk[..., 1, 1] = -s
+    # Prefactor first: numpy's complex loops round ``blk * pref`` differently.
+    return pref[..., None, None] * blk
 
 
 def _mesh_unitary(params: np.ndarray) -> np.ndarray:
-    u = np.eye(4, dtype=complex)
+    """``(K, 4, 4)`` mesh unitaries of a ``(K, 16)`` parameter stack."""
+    blocks = _mzi2(params[:, 0:12:2], params[:, 1:12:2])
+    u = np.broadcast_to(np.eye(4, dtype=complex), (len(params), 4, 4)).copy()
     for idx, top in enumerate(_SLOT_TOPS):
-        blk = _mzi2(params[2 * idx], params[2 * idx + 1])
-        u[top : top + 2, :] = blk @ u[top : top + 2, :]
-    return np.exp(1j * params[12:16])[:, None] * u
+        u[:, top : top + 2, :] = blocks[:, idx] @ u[:, top : top + 2, :]
+    return np.exp(1j * params[:, 12:16])[:, :, None] * u
 
 
 def _conditional_map(u: np.ndarray) -> np.ndarray:
-    """4x4 two-photon map between computational basis states; entry [k, j]
-    is the amplitude from input j to output k."""
-    uaa = u[np.ix_(_MODE_A, _MODE_A)]
-    ubb = u[np.ix_(_MODE_B, _MODE_B)]
-    uab = u[np.ix_(_MODE_A, _MODE_B)]
-    uba = u[np.ix_(_MODE_B, _MODE_A)]
-    return (uaa * ubb + uab * uba).T
+    """``(K, 4, 4)`` two-photon maps between computational basis states of
+    a ``(K, 4, 4)`` unitary stack; entry [k, j] is the amplitude from input
+    j to output k."""
+    a, b = _MODE_A[:, None], _MODE_B[:, None]
+    raw = u[:, a, _MODE_A] * u[:, b, _MODE_B] + u[:, a, _MODE_B] * u[:, b, _MODE_A]
+    return raw.swapaxes(1, 2)
 
 
-def process_fidelity(m: np.ndarray, target: np.ndarray) -> float:
-    """``|Tr(T^dag M)|^2 / (4 * ||M||_F^2)``: 1 iff M is proportional to T."""
-    total = float(np.sum(np.abs(m) ** 2))
-    if total == 0.0:
-        return 0.0
-    overlap = abs(np.trace(target.conj().T @ m)) ** 2
-    return float(overlap / (4.0 * total))
+def _power(maps: np.ndarray) -> np.ndarray:
+    """``||M||_F^2`` of each map in a ``(K, 4, 4)`` stack, summed column by
+    column: the order in which the transposed maps of
+    :func:`_conditional_map` lie in memory, so the sum rounds as a plain
+    ``np.sum`` over one of them does, whatever the stack size."""
+    cols = np.ascontiguousarray(np.abs(maps.swapaxes(1, 2)) ** 2)
+    return cols.reshape(len(maps), 16).sum(axis=1)
 
 
-def _evaluate(params: np.ndarray, target: np.ndarray) -> tuple[float, float]:
-    m = _conditional_map(_mesh_unitary(params))
-    fidelity = process_fidelity(m, target)
-    success = float(np.sum(np.abs(m) ** 2) / 4.0)
-    return fidelity, success
+def process_fidelity(m: np.ndarray, target: np.ndarray) -> float | np.ndarray:
+    """``|Tr(T^dag M)|^2 / (4 * ||M||_F^2)``: 1 iff M is proportional to T.
+
+    ``m`` is one 4x4 map (giving a float) or a ``(K, 4, 4)`` stack (giving
+    K fidelities, each equal to the call on its slice).
+    """
+    m = np.asarray(m)
+    stack = m if m.ndim == 3 else m[None]
+    total = _power(stack)
+    tr = np.trace(np.matmul(np.asarray(target).conj().T, stack), axis1=1, axis2=2)
+    # libm hypot and pow, as a Python-scalar ``abs(tr) ** 2`` uses; array
+    # ``np.abs`` and ``** 2`` round differently.
+    overlap = np.float_power(np.hypot(tr.real, tr.imag), 2)
+    fid = np.zeros(len(stack))
+    nonzero = total != 0.0
+    fid[nonzero] = overlap[nonzero] / (4.0 * total[nonzero])
+    return fid if m.ndim == 3 else float(fid[0])
+
+
+def _evaluate(params: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Process fidelity and mean success probability per row of a
+    ``(K, 16)`` parameter stack."""
+    maps = _conditional_map(_mesh_unitary(params))
+    return process_fidelity(maps, target), _power(maps) / 4.0
+
+
+def _score(fid: np.ndarray, succ: np.ndarray) -> np.ndarray:
+    return np.where(succ > _SUCCESS_FLOOR, fid, fid * (succ / _SUCCESS_FLOOR))
+
+
+# Sweep slot k tries coordinate k // 2, +step before -step.
+_SLOT_COORD = np.arange(32) // 2
+_SLOT_SIGN = np.where(np.arange(32) % 2 == 0, 1.0, -1.0)
 
 
 def search_cz_in_4x4(
@@ -143,73 +186,115 @@ def search_cz_in_4x4(
     Seeded multi-restart coordinate descent over the 16 mesh phases,
     maximizing process fidelity to ``target`` (default CZ) among
     configurations whose mean success probability exceeds ``1e-6``.
-    The report carries the best such configuration over *every* point the
-    search evaluated, so a negative result means none of them came close.
+    Each sweep tries every coordinate at ``+step`` then ``-step``, moves
+    to the first candidate that raises the score and goes on with the next
+    coordinate from there; a sweep without a move halves the step.
+    The report carries the best such configuration over *every* candidate
+    the descent walked (each point a sweep tried before it moved on), so a
+    negative result means none of them came close.
     ``constraint_residual`` is the smallest family obstruction
     (:func:`cz_constraint_residual`) over 200 seeded parameter samples.
-    Deterministic for fixed ``(restarts, seed)``.
+    Deterministic for fixed ``(restarts, seed)``; ``restarts`` must be at
+    least 1.
+
+    The restarts run in lockstep: each tick evaluates, in one stack, the
+    rest of every active restart's sweep from its current point.  The
+    candidates after a restart's first improving one are dropped unseen,
+    so each restart walks exactly the path it would walk alone.
     """
+    if restarts < 1:
+        raise ValueError("search needs restarts >= 1")
     if target is None:
         target = CZ_TARGET
     target = np.asarray(target, dtype=complex)
     rng = np.random.default_rng(seed)
-    best_fid = 0.0
-    best_succ = 0.0
-    best_params = np.zeros(16)
+    # Row r holds the same draws as the r-th of ``restarts`` size-16 draws.
+    params = rng.uniform(0.0, 2.0 * np.pi, size=(restarts, 16))
 
-    def consider(params: np.ndarray, fid: float, succ: float) -> None:
-        nonlocal best_fid, best_succ, best_params
-        if succ > _SUCCESS_FLOOR and fid > best_fid:
-            best_fid, best_succ = fid, succ
-            best_params = params.copy()
+    # Best walked point per restart: its first strict maximum of fidelity.
+    best_fid = np.zeros(restarts)
+    best_succ = np.zeros(restarts)
+    best_params = np.zeros((restarts, 16))
 
-    def score(fid: float, succ: float) -> float:
-        if succ > _SUCCESS_FLOOR:
-            return fid
-        return fid * (succ / _SUCCESS_FLOOR)
+    def consider(rows, points, fid, succ) -> None:
+        """Fold ``(len(rows), n)`` walked points into the bests of ``rows``;
+        a point with success 0 is no candidate."""
+        usable = np.where(succ > _SUCCESS_FLOOR, fid, -np.inf)
+        first = np.argmax(usable, axis=1)
+        take = np.arange(len(rows))
+        top = usable[take, first]
+        win = top > best_fid[rows]
+        won = rows[win]
+        best_fid[won] = top[win]
+        best_succ[won] = succ[take[win], first[win]]
+        best_params[won] = points[take[win], first[win]]
 
-    for _ in range(max(1, restarts)):
-        params = rng.uniform(0.0, 2.0 * np.pi, size=16)
-        fid, succ = _evaluate(params, target)
-        consider(params, fid, succ)
-        current = score(fid, succ)
-        step = 0.8
-        for _sweep in range(max_sweeps):
-            improved = False
-            for i in range(16):
-                for delta in (step, -step):
-                    cand = params.copy()
-                    cand[i] += delta
-                    f, s = _evaluate(cand, target)
-                    consider(cand, f, s)
-                    sc = score(f, s)
-                    if sc > current:
-                        params, current = cand, sc
-                        improved = True
-                        break
-            if not improved:
-                step *= 0.5
-                if step < 1e-4:
-                    break
+    fid, succ = _evaluate(params, target)
+    consider(np.arange(restarts), params[:, None], fid[:, None], succ[:, None])
+    current = _score(fid, succ)
+    step = np.full(restarts, 0.8)
+    pos = np.zeros(restarts, dtype=int)
+    improved = np.zeros(restarts, dtype=bool)
+    sweeps = np.zeros(restarts, dtype=int)
+    active = np.full(restarts, max_sweeps > 0)
+    while active.any():
+        rows = np.flatnonzero(active)
+        valid = _SLOT_COORD >= pos[rows, None]
+        owner, slot = np.nonzero(valid)
+        batch = params[rows[owner]]
+        batch[np.arange(len(batch)), _SLOT_COORD[slot]] += (
+            step[rows[owner]] * _SLOT_SIGN[slot]
+        )
+        f, s = _evaluate(batch, target)
+        points = np.zeros((len(rows), 32, 16))
+        fid, succ = np.zeros((len(rows), 32)), np.zeros((len(rows), 32))
+        sc = np.full((len(rows), 32), -np.inf)
+        points[owner, slot], fid[owner, slot], succ[owner, slot] = batch, f, s
+        sc[owner, slot] = _score(f, s)
 
-    residual = np.inf
+        # A sweep tried its candidates from its current point until one
+        # raised the score; the ones after that were speculative.
+        better = sc > current[rows, None]
+        moved = better.any(axis=1)
+        last = np.where(moved, np.argmax(better, axis=1), 31)
+        walked = np.arange(32) <= last[:, None]
+        consider(rows, points, fid, np.where(walked, succ, 0.0))
+        hit, at = rows[moved], last[moved]
+        params[hit] = points[moved, at]
+        current[hit] = sc[moved, at]
+        improved[hit] = True
+        pos[rows] = np.where(moved, _SLOT_COORD[last] + 1, 16)
+
+        # End of sweep: halve the step unless it moved, stop below 1e-4.
+        ended = rows[pos[rows] == 16]
+        halve = ended[~improved[ended]]
+        step[halve] *= 0.5
+        sweeps[ended] += 1
+        active[halve[step[halve] < 1e-4]] = False
+        active[ended[sweeps[ended] >= max_sweeps]] = False
+        pos[ended] = 0
+        improved[ended] = False
+
+    # Restarts merge in order with a strict ``>``: the first best wins.
+    winner = int(np.argmax(best_fid))
+
+    samples = []
     sample_rng = np.random.default_rng(seed)
-    drawn = 0
-    while drawn < 200:
+    while len(samples) < 200:
         vals = sample_rng.uniform(-2.0, 2.0, size=6)
         g11 = complex(vals[0], vals[1])
         g23 = complex(vals[2], vals[3])
         c = complex(vals[4], vals[5])
         if min(abs(g11), abs(g23), abs(c)) < 1e-3:
             continue
-        drawn += 1
-        residual = min(residual, cz_constraint_residual(g11, g23, c))
+        samples.append((g11, g23, c))
+    residual = np.min(cz_constraint_residual(*np.array(samples).T))
 
     return FeasibilityReport(
         restarts=restarts,
-        best_process_fidelity=best_fid,
-        best_success_probability=best_succ,
-        best_parameters=tuple(float(x) for x in best_params),
+        best_process_fidelity=float(best_fid[winner]),
+        best_success_probability=float(best_succ[winner]),
+        best_parameters=tuple(float(x) for x in best_params[winner]),
         constraint_residual=float(residual),
     )
 

@@ -6,6 +6,7 @@ import pytest
 from photonmesh import analysis
 from photonmesh.analysis import (
     CZ_TARGET,
+    FeasibilityReport,
     cz_constraint_residual,
     constrained_family,
     ghz_probability_scan,
@@ -13,6 +14,81 @@ from photonmesh.analysis import (
     search_cz_in_4x4,
 )
 from photonmesh.linalg import MziSetting, mzi_unitary
+
+# Reports of the one-restart-at-a-time descent that the lockstep descent
+# replaced, recorded from it: (restarts, seed, target, report).
+PINNED_REPORTS = [
+    (20, 0, None, FeasibilityReport(
+        restarts=20,
+        best_process_fidelity=0.89285714092888,
+        best_success_probability=0.4375000000103148,
+        best_parameters=(
+            6.283195973822965, 4.50019011545952, 3.141536345438234,
+            0.03362827723168083, 3.141590474383599, 1.2842949912403503,
+            6.283191474542418, 2.8924978384210016, 3.1416521716098464,
+            4.154584877775064, 1.04719013411589, 3.242306299487479,
+            1.2392637229117414, 5.0776729651868475, 3.0711196066803472,
+            6.212155991893708,
+        ),
+        constraint_residual=0.5391862920264073,
+    )),
+    (20, 3, None, FeasibilityReport(
+        restarts=20,
+        best_process_fidelity=0.8928571401270049,
+        best_success_probability=0.4374999980623275,
+        best_parameters=(
+            -2.4852937579481784e-05, 5.643978586231114, 2.126172517340132e-05,
+            5.0258344395605, 5.23597002644027, 5.4483882708755536,
+            -5.1519267566911694e-05, 1.5499382925379388, 6.283125306231874,
+            4.571517093917598, 3.1416958450799535, 3.4273067954518974,
+            5.818785164300026, 0.41469450260973595, 1.5984410047463131,
+            4.147221158987992,
+        ),
+        constraint_residual=0.5382420969599013,
+    )),
+    (2, 5, None, FeasibilityReport(
+        restarts=2,
+        best_process_fidelity=0.8928571378238633,
+        best_success_probability=0.4374999996376606,
+        best_parameters=(
+            0.3561762214170153, 1.5139659248966109, 4.261139592949832,
+            1.2668003376947157, 3.1414992960623205, 0.40362760819385757,
+            5.927011327741266, 0.40347120902876316, 4.261173429187548,
+            6.283138231270061, 1.047229729840751, 4.783493783726667,
+            5.4801657496791245, 0.11634710999531439, 5.2711070035876375,
+            -0.7924621657139738,
+        ),
+        constraint_residual=0.5060703780389253,
+    )),
+    (2, 11, None, FeasibilityReport(
+        restarts=2,
+        best_process_fidelity=0.8928571365171949,
+        best_success_probability=0.4375000001372963,
+        best_parameters=(
+            3.141687272545052, 2.9975180237360783, 3.141667311822777,
+            3.1016994743998314, 6.863262166044886, 2.0851661551081495,
+            3.14169048009402, 2.28870358989821, 3.141566378711806,
+            3.813782609069072, 2.278441241575002, 5.489606866096999,
+            5.449617429360144, 0.8090208744161077, 3.7440825099551582,
+            1.7413527167276366,
+        ),
+        constraint_residual=0.5450332859165801,
+    )),
+    (3, 1, np.eye(4), FeasibilityReport(
+        restarts=3,
+        best_process_fidelity=0.999999233652872,
+        best_success_probability=0.9982282643982411,
+        best_parameters=(
+            2.2484588226928, 3.323263281077886, -0.00016864611493019757,
+            2.6510930140414257, 3.1603834110957743, 3.011274250682358,
+            2.2485448017249956, 6.162153563995592, 6.283285974771859,
+            4.853989506659829, 3.0754333141266397, 1.4130009324451387,
+            1.0094063411047631, 6.094221105379693, 2.9734139292113904,
+            0.7280051138837079,
+        ),
+        constraint_residual=0.5301803361559757,
+    )),
+]
 
 
 def test_constrained_family_structure():
@@ -77,6 +153,111 @@ def test_internal_mzi_matches_linalg_closed_form():
         block = analysis._mzi2(theta, phi)
         full = mzi_unitary(MziSetting(theta, 0.0, phi, 0.0))
         assert np.allclose(block, full, atol=1e-12)
+
+
+def test_mzi_stack_equals_scalar_calls():
+    rng = np.random.default_rng(4)
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=(5, 6))
+    phi = rng.uniform(0.0, 2.0 * np.pi, size=(5, 6))
+    blocks = analysis._mzi2(theta, phi)
+    assert blocks.shape == (5, 6, 2, 2)
+    for k in np.ndindex(theta.shape):
+        assert np.array_equal(blocks[k], analysis._mzi2(theta[k], phi[k]))
+
+
+def test_process_fidelity_stack_equals_slices():
+    rng = np.random.default_rng(5)
+    maps = rng.normal(size=(40, 4, 4)) + 1j * rng.normal(size=(40, 4, 4))
+    maps[7] = 0.0
+    params = rng.uniform(0.0, 2.0 * np.pi, size=(40, 16))
+    search_maps = analysis._conditional_map(analysis._mesh_unitary(params))
+    other = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    for stack in (maps, search_maps):
+        for target in (CZ_TARGET, np.eye(4, dtype=complex), other):
+            stacked = process_fidelity(stack, target)
+            assert stacked.shape == (40,)
+            assert stacked.tolist() == [process_fidelity(m, target) for m in stack]
+    fid, succ = analysis._evaluate(params, CZ_TARGET)
+    for k in range(len(params)):
+        assert (fid[k], succ[k]) == analysis._evaluate(params[k : k + 1], CZ_TARGET)
+
+
+def test_constraint_residual_broadcasts_like_scalar_calls():
+    rng = np.random.default_rng(6)
+    vals = rng.uniform(-2.0, 2.0, size=(6, 3, 4))
+    g11, g23, c = vals[0] + 1j * vals[1], vals[2] + 1j * vals[3], vals[4] + 1j * vals[5]
+    stacked = cz_constraint_residual(g11, g23, c)
+    assert stacked.shape == (3, 4)
+    for k in np.ndindex(stacked.shape):
+        assert stacked[k] == cz_constraint_residual(g11[k], g23[k], c[k])
+    # a scalar broadcasts against an array
+    assert cz_constraint_residual(1.0, 1.0, np.full(2, 1.0 / 3.0)).tolist() == [
+        cz_constraint_residual(1.0, 1.0, 1.0 / 3.0)
+    ] * 2
+
+
+def _sequential_descent(restarts, seed, target, max_sweeps):
+    """The descent one restart and one candidate at a time, each candidate
+    scored as a stack of one: (best fidelity, success, parameters)."""
+    rng = np.random.default_rng(seed)
+    floor = analysis._SUCCESS_FLOOR
+    best = (0.0, 0.0, tuple([0.0] * 16))
+
+    def visit(params):
+        nonlocal best
+        fid, succ = (float(x[0]) for x in analysis._evaluate(params[None], target))
+        if succ > floor and fid > best[0]:
+            best = (fid, succ, tuple(float(x) for x in params))
+        return fid if succ > floor else fid * (succ / floor)
+
+    for _ in range(restarts):
+        params = rng.uniform(0.0, 2.0 * np.pi, size=16)
+        current = visit(params)
+        step = 0.8
+        for _sweep in range(max_sweeps):
+            improved = False
+            for i in range(16):
+                for delta in (step, -step):
+                    cand = params.copy()
+                    cand[i] += delta
+                    sc = visit(cand)
+                    if sc > current:
+                        params, current = cand, sc
+                        improved = True
+                        break
+            if not improved:
+                step *= 0.5
+                if step < 1e-4:
+                    break
+    return best
+
+
+@pytest.mark.parametrize(
+    "restarts, seed, target, max_sweeps",
+    [(2, 4, CZ_TARGET, 200), (2, 1, np.eye(4), 30), (5, 9, CZ_TARGET, 3)],
+)
+def test_lockstep_descent_walks_the_sequential_path(restarts, seed, target, max_sweeps):
+    report = search_cz_in_4x4(restarts, seed, target, max_sweeps)
+    assert (
+        report.best_process_fidelity,
+        report.best_success_probability,
+        report.best_parameters,
+    ) == _sequential_descent(restarts, seed, np.asarray(target, dtype=complex), max_sweeps)
+
+
+@pytest.mark.parametrize(
+    "restarts, seed, target, expected",
+    PINNED_REPORTS,
+    ids=[f"restarts{r}-seed{s}" for r, s, _, _ in PINNED_REPORTS],
+)
+def test_search_reproduces_pinned_reports(restarts, seed, target, expected):
+    assert search_cz_in_4x4(restarts=restarts, seed=seed, target=target) == expected
+
+
+def test_search_rejects_nonpositive_restarts():
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="restarts"):
+            search_cz_in_4x4(restarts=bad)
 
 
 def test_search_identity_target_is_reachable():

@@ -253,6 +253,14 @@ def test_analyze_cz4x4_small_run():
     assert len(report["best_parameters"]) == 16
 
 
+def test_analyze_cz4x4_rejects_nonpositive_restarts():
+    for bad in ("0", "-3"):
+        proc = run_cli("analyze", "cz4x4", "--restarts", bad, "--format", "json")
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert "restarts" in proc.stderr
+
+
 def test_thread_cap_environment_validation(tmp_path):
     path = write_circuit(tmp_path, BELL)
     for bad in ("abc", "-1"):
