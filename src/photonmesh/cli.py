@@ -14,22 +14,17 @@ Subcommands
     Measure GHZ chain success probabilities.
 
 Exit codes: 0 success; 2 illegal gate cascade; 3 mesh placement overflow;
-4 malformed input (circuit file, CLI usage, environment).
+4 malformed input (circuit file, CLI usage).
 
 Circuit files are JSON objects like::
 
     {"qubits": 2, "gates": [{"g": "H", "q": 0}, {"g": "CNOT", "c": 0, "t": 1}]}
-
-The ``PHOTONMESH_THREADS`` environment variable caps worker threads
-(0 = automatic).  The engine is single-threaded, so any valid cap is
-honored; invalid values are rejected with exit code 4.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -79,19 +74,6 @@ def _setting_json(setting) -> dict:
         out["phi3"] = setting.phi3
         out["phi4"] = setting.phi4
     return out
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("PHOTONMESH_THREADS")
-    if raw is None:
-        return 0
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise _UsageError(f"PHOTONMESH_THREADS must be an integer, got {raw!r}")
-    if cap < 0:
-        raise _UsageError(f"PHOTONMESH_THREADS must be >= 0, got {cap}")
-    return cap
 
 
 def _load_circuit(path: str) -> compiler.CircuitIR:
@@ -446,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        _thread_cap()
         parser = build_parser()
         args = parser.parse_args(argv)
         return args.func(args)

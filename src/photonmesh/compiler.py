@@ -40,6 +40,7 @@ circuits.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -53,6 +54,7 @@ from .fock import (
     QubitLayout,
     TruncateAux,
 )
+# embed_block and setting_unitary are unused; benchmarks/spans.py wraps them here.
 from .linalg import IDENTITY_SETTING, MziSetting, embed_block, setting_unitary
 
 SINGLE_QUBIT_GATES = ("I", "X", "Y", "Z", "H", "T", "RZ", "RX", "RY")
@@ -334,10 +336,6 @@ def place_in_mesh(
             continue
         if not isinstance(step, LinearLayer):
             raise TypeError(f"unknown program step {type(step).__name__}")
-        if step.blocks is None:
-            raise ValueError(
-                "program layer lacks block structure and cannot be placed"
-            )
         for blk in sorted(step.blocks, key=lambda b: b.top_mode):
             lo, hi = blk.top_mode, blk.top_mode + 1
             col = max(free[lo], free[hi])
@@ -363,9 +361,9 @@ def place_in_mesh(
 def assignment_program(assignment: MeshAssignment) -> NetworkProgram:
     """Rebuild a runnable program from mesh phases alone.
 
-    Every slot of every column is evaluated from its stored setting
+    Every slot of every column becomes a block with its stored setting
     (identity for unused slots), so running this program checks that the
-    placed phase table - not the original gate matrices - reproduces the
+    placed phase table - not the original gate layers - reproduces the
     intended physics.
     """
     assigned = {
@@ -380,13 +378,11 @@ def assignment_program(assignment: MeshAssignment) -> NetworkProgram:
             trunc_after.setdefault(mark.after_column, []).append(mark)
     m = assignment.mode_count
     for col, tops in enumerate(assignment.columns):
-        mat = np.eye(m, dtype=complex)
-        blocks = []
-        for top in tops:
-            setting, role = assigned.get((col, top), (IDENTITY_SETTING, "ID"))
-            mat = mat @ embed_block(setting_unitary(setting).T, top + 1, m)
-            blocks.append(MeshBlock(top, setting, role))
-        steps.append(LinearLayer(mat, tuple(blocks), label=f"column{col}"))
+        blocks = tuple(
+            MeshBlock(top, *assigned.get((col, top), (IDENTITY_SETTING, "ID")))
+            for top in tops
+        )
+        steps.append(LinearLayer(m, blocks, label=f"column{col}"))
         for mark in trunc_after.get(col, ()):
             steps.append(TruncateAux(mark.modes))
     return NetworkProgram(m, tuple(steps))
@@ -450,11 +446,14 @@ class _Emitter:
             gates.layers_to_steps(layers, self.m, offset=offset, label=label)
         )
 
+    @functools.cached_property
+    def swap2_layers(self):
+        """Layers of the ``SWAP2`` network, built on first use."""
+        return gates.swap_networks()["SWAP2"].mzi_layers
+
     def physical_swap(self, p: int, label: str) -> None:
         """SWAP2 between triplets ``p`` and ``p+1``; both photons rail-flip."""
-        self.emit_layers(
-            gates.swap_networks()["SWAP2"].mzi_layers, 3 * p, label
-        )
+        self.emit_layers(self.swap2_layers, 3 * p, label)
         qa, qb = self.qubit_at[p], self.qubit_at[p + 1]
         self.qubit_at[p], self.qubit_at[p + 1] = qb, qa
         self.positions[qa], self.positions[qb] = p + 1, p
@@ -494,7 +493,9 @@ class _Emitter:
             ((gates.device_block(0, g, role),),), top, f"{op.name} q{q}"
         )
 
+    @functools.cached_property
     def cz_layers(self):
+        """Layers of the CZ network in ``options.cz_form``, built on first use."""
         if self.options.cz_form == "compressed":
             return gates.cz_ps_regular().mzi_layers
         if self.options.cz_form == "swap-sandwich":
@@ -526,20 +527,18 @@ class _Emitter:
             self.unflip(a)
             self.unflip(b)
             if op.name == "CZ":
-                self.emit_layers(self.cz_layers(), window, f"CZ q{a}-q{b}")
+                self.emit_layers(self.cz_layers, window, f"CZ q{a}-q{b}")
             else:
                 target = b
                 h_top = window + (1 if self.positions[target] == lo else 4)
                 h_layer = ((gates.device_block(0, gates.single_qubit_matrix("H"), "H"),),)
                 self.emit_layers(h_layer, h_top, f"CNOT H q{target}")
-                self.emit_layers(self.cz_layers(), window, f"CNOT q{a}-q{b}")
+                self.emit_layers(self.cz_layers, window, f"CNOT q{a}-q{b}")
                 self.emit_layers(h_layer, h_top, f"CNOT H q{target}")
             if self.options.emit_truncations:
                 self.steps.append(TruncateAux((window, window + 3)))
         else:  # logical SWAP
-            self.emit_layers(
-                gates.swap_networks()["SWAP2"].mzi_layers, window, f"SWAP q{a}-q{b}"
-            )
+            self.emit_layers(self.swap2_layers, window, f"SWAP q{a}-q{b}")
             # The photons exchange carriers and rail-flip; the logical labels
             # stay with their positions, so the flips cross over.
             fa, fb = self.flips[a], self.flips[b]
@@ -612,7 +611,7 @@ def compile_ghz_swap_variant(
     h_layer = ((gates.device_block(0, gates.single_qubit_matrix("H"), "H"),),)
     # CNOT(0, 1) on triplets 0-1
     em.emit_layers(h_layer, 4, "CNOT H q1")
-    em.emit_layers(em.cz_layers(), 0, "CNOT q0-q1")
+    em.emit_layers(em.cz_layers, 0, "CNOT q0-q1")
     em.emit_layers(h_layer, 4, "CNOT H q1")
     if options.emit_truncations:
         em.steps.append(TruncateAux((0, 3)))
@@ -621,7 +620,7 @@ def compile_ghz_swap_variant(
     # CNOT(0, 2): target q2 now at triplet 1, rail-flipped - no correction
     em.ledger.record(0, 2)
     em.emit_layers(h_layer, 4, "CNOT H q2")
-    em.emit_layers(em.cz_layers(), 0, "CNOT q0-q2")
+    em.emit_layers(em.cz_layers, 0, "CNOT q0-q2")
     em.emit_layers(h_layer, 4, "CNOT H q2")
     if options.emit_truncations:
         em.steps.append(TruncateAux((0, 3)))

@@ -1,14 +1,16 @@
-"""Exact few-photon Fock-space simulation of linear-optical networks.
+"""Exact few-photon Fock-space simulation of MZI-mesh programs.
 
-States are sparse superpositions of occupation-number vectors.  A linear
-layer with matrix ``T`` acts by substituting creation operators,
+States are sparse superpositions of occupation-number vectors.  A program
+layer is its 2x2 blocks, applied in order.  A block on modes ``(a, a+1)``
+whose device unitary is ``U`` substitutes creation operators by ``T = U^T``,
 
-    a_j^dag  ->  sum_k T[j, k] a_k^dag,
+    a_{a+j}^dag  ->  sum_k T[j, k] a_{a+k}^dag   (j, k in {0, 1}),
 
-so the single-photon amplitude map is ``T^T`` and sequential layers
-compose left-to-right: applying ``T1`` then ``T2`` is the single matrix
-``T1 @ T2``.  All matrices in this package (gate networks, printed gate
-forms, program layers) follow this substitution convention.
+so an occupation pair ``(n_a, n_b)`` expands binomially into outputs
+``(p, n_a + n_b - p)`` and no other mode changes.  Dense substitution
+matrices (gate networks, printed gate forms, :attr:`LinearLayer.matrix`)
+follow the same convention and compose left-to-right: applying ``T1`` then
+``T2`` is ``T1 @ T2``; they are built on demand only.
 
 Path encoding: qubit ``q`` of an n-qubit register owns the mode triplet
 ``(3q, 3q+1, 3q+2)`` = (auxiliary, rail 0, rail 1); logical ``|0>`` is a
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import MziSetting, permanent
+from .linalg import MziSetting, permanent, setting_unitary
 
 Occupation = tuple[int, ...]
 
@@ -95,15 +97,19 @@ class MeshBlock:
 
 @dataclass(frozen=True)
 class LinearLayer:
-    """Program step: multiply the state by one substitution matrix.
+    """Program step: the 2x2 devices of one mesh layer on ``mode_count``
+    modes, applied in order (see :func:`apply_linear`)."""
 
-    ``blocks`` optionally records the parallel 2x2 devices the matrix was
-    assembled from, which is what mesh placement consumes.
-    """
-
-    matrix: np.ndarray
-    blocks: tuple[MeshBlock, ...] | None = None
+    mode_count: int
+    blocks: tuple[MeshBlock, ...]
     label: str = ""
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense substitution matrix of the layer, built on each access."""
+        from .gates import layer_matrix  # gates imports this module
+
+        return layer_matrix(self.blocks, self.mode_count)
 
 
 @dataclass(frozen=True)
@@ -154,63 +160,67 @@ def prepare_computational_basis(bits, layout: QubitLayout) -> PhotonicState:
     return PhotonicState(layout.mode_count, {tuple(occ): 1.0 + 0.0j})
 
 
-def _expand_term(
-    occ: Occupation,
-    amp: complex,
-    t: np.ndarray,
-    active: np.ndarray,
-    row_cols: list[np.ndarray],
-) -> dict[Occupation, complex]:
-    """Substitute creation operators for one input term.
+def _pair_transform(
+    t: list[list[complex]], na: int, nb: int
+) -> tuple[tuple[int, complex], ...]:
+    """Outputs ``(p, amplitude)`` of the 2x2 substitution ``t`` on the
+    occupation pair ``(na, nb)``: ``p`` photons leave on the top mode and
+    ``na + nb - p`` on the bottom one.
 
-    Photons on inactive (identity) rows pass through; each photon on an
-    active row ``j`` fans out over the nonzero entries of ``t[j]``.  The
-    bosonic normalization ``sqrt(prod t_k!) / sqrt(prod s_j!)`` uses the
-    full input/output occupations, so pass-through photons are handled
-    uniformly.
+    The coefficient of ``x^p y^q`` in ``(t00 x + t01 y)^na (t10 x + t11 y)^nb``,
+    times the bosonic normalization ``sqrt(p! q! / (na! nb!))``.  Outputs
+    with an exactly zero amplitude are left out.
     """
-    m = len(occ)
-    base = list(occ)
-    photons: list[int] = []
-    for j in range(m):
-        if occ[j] and active[j]:
-            photons.extend([j] * occ[j])
-            base[j] = 0
-    in_norm = math.prod(math.factorial(n) for n in occ)
-    partial: dict[Occupation, complex] = {tuple(base): amp / math.sqrt(in_norm)}
-    for j in photons:
-        cols = row_cols[j]
-        row = t[j]
-        nxt: dict[Occupation, complex] = {}
-        for pocc, pamp in partial.items():
-            for k in cols:
-                new = list(pocc)
-                new[k] += 1
-                key = tuple(new)
-                nxt[key] = nxt.get(key, 0.0) + pamp * row[k]
-        partial = nxt
-    out: dict[Occupation, complex] = {}
-    for pocc, pamp in partial.items():
-        out_norm = math.prod(math.factorial(n) for n in pocc)
-        out[pocc] = pamp * math.sqrt(out_norm)
-    return out
+    (t00, t01), (t10, t11) = t
+    n = na + nb
+    coeffs = [0j] * (n + 1)
+    for i in range(na + 1):
+        top = math.comb(na, i) * t00**i * t01 ** (na - i)
+        for j in range(nb + 1):
+            coeffs[i + j] += top * math.comb(nb, j) * t10**j * t11 ** (nb - j)
+    norm = math.factorial(na) * math.factorial(nb)
+    return tuple(
+        (p, c * math.sqrt(math.factorial(p) * math.factorial(n - p) / norm))
+        for p, c in enumerate(coeffs)
+        if c != 0
+    )
 
 
-def apply_linear(state: PhotonicState, t: np.ndarray) -> PhotonicState:
-    """Apply the substitution matrix ``t`` to every term of ``state``."""
-    t = np.asarray(t, dtype=complex)
+def apply_linear(state: PhotonicState, layer: LinearLayer) -> PhotonicState:
+    """Apply the blocks of ``layer``, in order, to every term of ``state``.
+
+    Each block rewrites only the occupations of its own mode pair, by the
+    closed form of :func:`_pair_transform`; a term with no photon on the
+    pair passes through.  Expansions are cached per block and input pair.
+    """
     m = state.mode_count
-    if t.shape != (m, m):
-        raise ValueError(f"matrix shape {t.shape} does not match {m} modes")
-    eye = np.eye(m)
-    active = np.any(t != eye, axis=1)
-    row_cols = [np.nonzero(t[j])[0] for j in range(m)]
+    if layer.mode_count != m:
+        raise ValueError(f"layer has {layer.mode_count} modes, state has {m}")
+    subs = [
+        (blk.top_mode, setting_unitary(blk.setting).T.tolist())
+        for blk in layer.blocks
+    ]
+    rules: dict[tuple[int, int, int], tuple[tuple[int, complex], ...]] = {}
     accum: dict[Occupation, complex] = {}
     for occ in sorted(state.terms):
-        for new_occ, new_amp in _expand_term(
-            occ, state.terms[occ], t, active, row_cols
-        ).items():
-            accum[new_occ] = accum.get(new_occ, 0.0) + new_amp
+        partial = [(occ, state.terms[occ])]
+        for index, (a, t) in enumerate(subs):
+            expanded = []
+            for pocc, pamp in partial:
+                na, nb = pocc[a], pocc[a + 1]
+                if not (na or nb):
+                    expanded.append((pocc, pamp))
+                    continue
+                rule = rules.get((index, na, nb))
+                if rule is None:
+                    rule = rules[index, na, nb] = _pair_transform(t, na, nb)
+                head, tail, n = pocc[:a], pocc[a + 2 :], na + nb
+                expanded.extend(
+                    (head + (p, n - p) + tail, pamp * c) for p, c in rule
+                )
+            partial = expanded
+        for key, amp in partial:
+            accum[key] = accum.get(key, 0.0) + amp
     return _sorted_state(m, accum)
 
 
@@ -333,11 +343,11 @@ def light_cone(program: NetworkProgram, layout: QubitLayout) -> tuple[Partition,
 
     A backward union-find pass: it starts from the final projection (each
     rail pair one block holding one photon, each aux mode a block holding
-    none) and, walking the steps in reverse, joins modes ``j`` and ``k``
-    wherever a layer has ``matrix[j, k] != 0``, adding the blocks' required
-    counts.  Layers after step ``i`` move photons only inside the blocks of
-    entry ``i``, so a term whose count differs from the requirement in any
-    block can never pass the projection.  Entries are shared objects: a new
+    none) and, walking the steps in reverse, joins the two modes of every
+    block of a layer, adding the blocks' required counts.  Layers after
+    step ``i`` move photons only inside the blocks of entry ``i``, so a term
+    whose count differs from the requirement in any block can never pass
+    the projection.  Entries are shared objects: a new
     partition is made only where a layer merges blocks.
     """
     if program.mode_count != layout.mode_count:
@@ -370,8 +380,8 @@ def light_cone(program: NetworkProgram, layout: QubitLayout) -> tuple[Partition,
         if not isinstance(step, LinearLayer):
             continue
         merged = False
-        for j, k in zip(*np.nonzero(step.matrix)):
-            rj, rk = root(int(j)), root(int(k))
+        for blk in step.blocks:
+            rj, rk = root(blk.top_mode), root(blk.top_mode + 1)
             if rj != rk:
                 parent[rk] = rj
                 required[rj] += required[rk]
@@ -394,7 +404,7 @@ def _fold(
     last = None
     for step, cut in zip(program.steps, cuts):
         if isinstance(step, LinearLayer):
-            state = apply_linear(state, step.matrix)
+            state = apply_linear(state, step)
         elif isinstance(step, TruncateAux):
             state = truncate_aux(state, step.modes)
         else:

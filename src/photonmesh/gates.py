@@ -168,7 +168,8 @@ class GateDescriptor:
 
 
 def layer_matrix(layer: tuple[MeshBlock, ...], mode_count: int) -> np.ndarray:
-    """Substitution matrix of one layer of parallel blocks."""
+    """Dense substitution matrix of one layer of blocks, applied in order;
+    the one builder of layer matrices, which programs do not store."""
     out = np.eye(mode_count, dtype=complex)
     for blk in layer:
         device = setting_unitary(blk.setting)
@@ -195,19 +196,19 @@ def layers_to_steps(
     """Turn gate layers into program steps on a wider mode space.
 
     Every block is shifted up by ``offset`` modes; each layer becomes one
-    :class:`LinearLayer` carrying both the embedded matrix and the shifted
-    block records used for mesh placement.
+    :class:`LinearLayer` of the shifted blocks.
     """
-    steps: list[LinearLayer] = []
-    for layer in layers:
-        shifted = tuple(
-            MeshBlock(blk.top_mode + offset, blk.setting, blk.role)
-            for blk in layer
+    return [
+        LinearLayer(
+            mode_count,
+            tuple(
+                MeshBlock(blk.top_mode + offset, blk.setting, blk.role)
+                for blk in layer
+            ),
+            label=label,
         )
-        steps.append(
-            LinearLayer(layer_matrix(shifted, mode_count), shifted, label=label)
-        )
-    return steps
+        for layer in layers
+    ]
 
 
 def device_block(top: int, device: np.ndarray, role: str) -> MeshBlock:

@@ -1,7 +1,9 @@
 """Shared test oracles: naive permanents, Haar unitaries, dense circuits.
 
-Everything here is written independently of the package internals so the
+The oracles are written independently of the package internals so the
 tests compare two implementations, not one implementation with itself.
+``random_mesh`` and ``run_layers`` only build and run block programs with
+the package's own types.
 """
 
 from __future__ import annotations
@@ -9,6 +11,9 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from photonmesh.fock import LinearLayer, MeshBlock, apply_linear
+from photonmesh.linalg import MziSetting
 
 _SQ = 1.0 / np.sqrt(2.0)
 
@@ -101,3 +106,30 @@ def dense_circuit_state(circuit, bits: str) -> np.ndarray:
 def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:
     """|<a|b>|^2 for normalized state vectors; insensitive to global phase."""
     return float(abs(np.vdot(a, b)) ** 2)
+
+
+def random_setting(rng: np.random.Generator, extended: bool) -> MziSetting:
+    """MZI phases uniform in [0, 2 pi); ``extended`` adds output phases."""
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=6)
+    if extended:
+        return MziSetting(*phases)
+    return MziSetting(*phases[:4])
+
+
+def random_mesh(m: int, rng: np.random.Generator) -> tuple[tuple[MeshBlock, ...], ...]:
+    """Clements mesh on ``m`` modes: ``m`` columns of blocks at alternating
+    even and odd top modes, each with a random plain or extended setting."""
+    return tuple(
+        tuple(
+            MeshBlock(top, random_setting(rng, bool(rng.integers(2))), "U")
+            for top in range(c % 2, m - 1, 2)
+        )
+        for c in range(m)
+    )
+
+
+def run_layers(state, layers):
+    """Apply block layers to a Fock state, earliest layer first."""
+    for blocks in layers:
+        state = apply_linear(state, LinearLayer(state.mode_count, tuple(blocks)))
+    return state

@@ -31,6 +31,8 @@ from photonmesh.compiler import (
     simulate_circuit,
 )
 from photonmesh.fock import (
+    LinearLayer,
+    MeshBlock,
     NetworkProgram,
     PhotonicState,
     QubitLayout,
@@ -44,9 +46,10 @@ from photonmesh.linalg import (
     bs_general,
     equal_mod_global_phase,
     setting_unitary,
+    solve_mzi_settings,
 )
 
-from helpers import random_unitary, state_fidelity
+from helpers import random_mesh, run_layers, state_fidelity
 
 CZ_DIAG = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
@@ -113,7 +116,7 @@ def test_criterion_01_cz_correctness():
             q1 /= np.linalg.norm(q1)
             coeff = np.kron(q0, q1)
             state = PhotonicState(6, {occupation(j): coeff[j] for j in range(4)})
-            out = apply_linear(state, descriptor.matrix)
+            out = run_layers(state, descriptor.mzi_layers)
             projected = np.array([out.amplitude(occupation(k)) for k in range(4)])
             assert abs(float(np.sum(np.abs(projected) ** 2)) - 1.0 / 9.0) < 1e-10
             assert equal_mod_global_phase(3.0 * projected, CZ_DIAG @ coeff, tol=1e-9)
@@ -178,8 +181,9 @@ def test_criterion_07_oracle_equivalence():
         for _ in range(photons):
             occ[int(rng.integers(0, m))] += 1
         occ = tuple(occ)
-        u = random_unitary(m, rng)
-        out = apply_linear(PhotonicState(m, {occ: 1.0 + 0.0j}), u)
+        mesh = random_mesh(m, rng)
+        u = gates.layers_matrix(mesh, m)
+        out = run_layers(PhotonicState(m, {occ: 1.0 + 0.0j}), mesh)
         for combo in itertools.combinations_with_replacement(range(m), photons):
             target = [0] * m
             for mode in combo:
@@ -261,7 +265,8 @@ def test_criterion_11_mesh_faithfulness():
 @criterion(12, "two photons never exit a 50:50 splitter separately", 1.0)
 def test_criterion_12_hong_ou_mandel():
     splitter = bs_general(1 / np.sqrt(2), 1 / np.sqrt(2))
-    out = apply_linear(PhotonicState(2, {(1, 1): 1.0 + 0.0j}), splitter)
+    block = MeshBlock(0, solve_mzi_settings(splitter), "BS")
+    out = apply_linear(PhotonicState(2, {(1, 1): 1.0 + 0.0j}), LinearLayer(2, (block,)))
     assert abs(out.amplitude((1, 1))) < 1e-12
     assert abs(out.amplitude((2, 0)) - 1j / np.sqrt(2)) < 1e-12
     assert abs(out.amplitude((0, 2)) - 1j / np.sqrt(2)) < 1e-12

@@ -1,7 +1,6 @@
 """End-to-end tests of the command line interface via subprocess."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -29,15 +28,11 @@ def write_circuit(tmp_path, payload, name="circuit.json"):
     return str(path)
 
 
-def run_cli(*argv, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*argv):
     return subprocess.run(
         [sys.executable, "-m", "photonmesh", *argv],
         capture_output=True,
         text=True,
-        env=env,
     )
 
 
@@ -259,18 +254,6 @@ def test_analyze_cz4x4_rejects_nonpositive_restarts():
         assert proc.returncode == 4
         assert proc.stdout == ""
         assert "restarts" in proc.stderr
-
-
-def test_thread_cap_environment_validation(tmp_path):
-    path = write_circuit(tmp_path, BELL)
-    for bad in ("abc", "-1"):
-        proc = run_cli("gates", "list", env_extra={"PHOTONMESH_THREADS": bad})
-        assert proc.returncode == 4
-        assert "PHOTONMESH_THREADS" in proc.stderr
-    # 0 means "choose automatically" and is accepted
-    for good in ("0", "2"):
-        ok = run_cli("simulate", path, env_extra={"PHOTONMESH_THREADS": good})
-        assert ok.returncode == 0
 
 
 def test_output_is_deterministic(tmp_path):

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 from photonmesh.fock import (
     PRUNE_THRESHOLD,
     LinearLayer,
+    MeshBlock,
     NetworkProgram,
     PhotonicState,
     QubitLayout,
@@ -24,11 +27,23 @@ from photonmesh.fock import (
     run_program_pruned,
     truncate_aux,
 )
-from photonmesh.linalg import bs_general
+from photonmesh.gates import layers_matrix
+from photonmesh.linalg import (
+    IDENTITY_SETTING,
+    bs_general,
+    setting_unitary,
+    solve_mzi_settings,
+)
 
-from helpers import random_unitary
+from helpers import random_mesh, random_setting, run_layers
 
 BS = bs_general(1 / np.sqrt(2), 1 / np.sqrt(2))
+BS_SETTING = solve_mzi_settings(BS)
+
+
+def splitter_layer(m: int, top: int) -> LinearLayer:
+    """One 50:50 beam-splitter block on modes ``(top, top + 1)``."""
+    return LinearLayer(m, (MeshBlock(top, BS_SETTING, "BS"),))
 
 
 def test_layout_mode_roles():
@@ -52,9 +67,10 @@ def test_prepare_computational_basis_occupations():
 
 def test_single_photon_amplitudes_follow_matrix_row():
     rng = np.random.default_rng(2)
-    t = random_unitary(4, rng)
+    mesh = random_mesh(4, rng)
+    t = layers_matrix(mesh, 4)
     state = PhotonicState(4, {(0, 1, 0, 0): 1.0 + 0.0j})
-    out = apply_linear(state, t)
+    out = run_layers(state, mesh)
     for k in range(4):
         occ = tuple(1 if j == k else 0 for j in range(4))
         assert abs(out.amplitude(occ) - t[1, k]) < 1e-12
@@ -62,9 +78,9 @@ def test_single_photon_amplitudes_follow_matrix_row():
 
 def test_apply_linear_preserves_norm():
     rng = np.random.default_rng(4)
-    t = random_unitary(5, rng)
+    mesh = random_mesh(5, rng)
     state = PhotonicState(5, {(1, 0, 2, 0, 0): 0.6, (0, 1, 0, 1, 1): 0.8j})
-    out = apply_linear(state, t)
+    out = run_layers(state, mesh)
     assert out.squared_norm() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -72,12 +88,13 @@ def test_apply_linear_matches_permanent_formula():
     rng = np.random.default_rng(6)
     for _ in range(10):
         m = int(rng.integers(2, 6))
-        t = random_unitary(m, rng)
+        mesh = random_mesh(m, rng)
+        t = layers_matrix(mesh, m)
         occ = [0] * m
         for _ in range(int(rng.integers(1, 4))):
             occ[int(rng.integers(0, m))] += 1
         occ = tuple(occ)
-        out = apply_linear(PhotonicState(m, {occ: 1.0 + 0.0j}), t)
+        out = run_layers(PhotonicState(m, {occ: 1.0 + 0.0j}), mesh)
         for out_occ, amp in out.terms.items():
             ref = amplitude_via_permanent(t, occ, out_occ)
             assert abs(amp - ref) < 1e-11
@@ -85,7 +102,7 @@ def test_apply_linear_matches_permanent_formula():
 
 def test_hong_ou_mandel_bunching():
     state = PhotonicState(2, {(1, 1): 1.0 + 0.0j})
-    out = apply_linear(state, BS)
+    out = apply_linear(state, splitter_layer(2, 0))
     assert abs(out.amplitude((1, 1))) < 1e-12
     assert abs(out.amplitude((2, 0)) - 1j / np.sqrt(2)) < 1e-12
     assert abs(out.amplitude((0, 2)) - 1j / np.sqrt(2)) < 1e-12
@@ -102,7 +119,7 @@ def test_amplitude_via_permanent_validates_inputs():
 
 def test_prune_threshold_drops_dust():
     state = PhotonicState(2, {(1, 0): 1.0 + 0.0j, (0, 1): 1e-20 + 0.0j})
-    out = apply_linear(state, np.eye(2, dtype=complex))
+    out = apply_linear(state, LinearLayer(2, ()))
     assert (0, 1) not in out.terms
     assert out.amplitude((1, 0)) == 1.0 + 0.0j
     assert PRUNE_THRESHOLD == 1e-14
@@ -166,11 +183,10 @@ def test_canonical_global_phase_anchor():
 def test_run_program_matches_manual_steps():
     layout = QubitLayout(1)
     state = PhotonicState(3, {(1, 1, 0): 1.0 + 0.0j})
-    t = np.eye(3, dtype=complex)
-    t[1:, 1:] = BS
-    program = NetworkProgram(3, (LinearLayer(t), TruncateAux((0,))))
+    layer = splitter_layer(3, 1)
+    program = NetworkProgram(3, (layer, TruncateAux((0,))))
     out = run_program(program, state)
-    manual = truncate_aux(apply_linear(state, t), (0,))
+    manual = truncate_aux(apply_linear(state, layer), (0,))
     assert out.terms.keys() == manual.terms.keys()
     for occ in out.terms:
         assert abs(out.terms[occ] - manual.terms[occ]) < 1e-14
@@ -186,7 +202,7 @@ def test_run_program_validates_mode_count():
 
 
 def test_network_program_extended():
-    base = NetworkProgram(2, (LinearLayer(np.eye(2, dtype=complex)),))
+    base = NetworkProgram(2, (LinearLayer(2, ()),))
     longer = base.extended(TruncateAux((0,)))
     assert len(base.steps) == 1
     assert len(longer.steps) == 2
@@ -204,8 +220,8 @@ def test_format_state_dump_stable_text():
 
 def test_light_cone_of_identity_layers_merges_nothing():
     layout = QubitLayout(2)
-    eye = LinearLayer(np.eye(6, dtype=complex))
-    program = NetworkProgram(6, (eye, TruncateAux((0, 3)), eye))
+    empty = LinearLayer(6, ())
+    program = NetworkProgram(6, (empty, TruncateAux((0, 3)), empty))
     cone = light_cone(program, layout)
     assert len(cone) == 3
     assert all(cut is cone[0] for cut in cone)
@@ -216,31 +232,75 @@ def test_light_cone_of_identity_layers_merges_nothing():
 
 def test_light_cone_merges_on_exact_nonzero_coupling():
     layout = QubitLayout(2)
-    t = np.eye(6, dtype=complex)
-    t[2, 4] = 1e-300  # any nonzero entry couples, however small
-    program = NetworkProgram(6, (LinearLayer(np.eye(6)), LinearLayer(t)))
+    # IDENTITY_SETTING's off-diagonal is not exactly zero, and any block
+    # joins its pair, however weakly it couples it
+    assert 0 < abs(setting_unitary(IDENTITY_SETTING)[0, 1]) < 1e-15
+    parked = LinearLayer(6, (MeshBlock(2, IDENTITY_SETTING, "ID"),))
+    program = NetworkProgram(6, (LinearLayer(6, ()), parked))
     before, last = light_cone(program, layout)
     assert last.labels == (0, 1, 1, 2, 3, 3)
-    assert before.labels == (0, 1, 1, 2, 1, 1)
-    assert before.required == (0, 2, 0)
+    assert before.labels == (0, 1, 1, 1, 2, 2)
+    assert before.required == (0, 1, 1)
     state = PhotonicState(
         6,
         {
-            (0, 0, 1, 0, 1, 0): 0.5j,
-            (0, 1, 1, 0, 0, 0): 0.5 + 0.0j,
-            (0, 2, 0, 1, 0, 0): 1.0 + 0.0j,
+            (0, 0, 0, 1, 1, 0): 0.5j,
+            (0, 1, 0, 0, 0, 1): 0.5 + 0.0j,
+            (0, 1, 0, 1, 0, 0): 1.0 + 0.0j,
         },
     )
-    # the merged block may still rebalance two photons; aux 3 may not hold one
-    assert list(before.restrict(state).terms) == [(0, 0, 1, 0, 1, 0), (0, 1, 1, 0, 0, 0)]
-    assert list(last.restrict(state).terms) == [(0, 0, 1, 0, 1, 0)]
+    # the joined block may still move its photon out of aux 3; it may not
+    # shed a second one, and after the last layer aux 3 must be empty
+    assert list(before.restrict(state).terms) == [(0, 0, 0, 1, 1, 0), (0, 1, 0, 0, 0, 1)]
+    assert list(last.restrict(state).terms) == [(0, 1, 0, 0, 0, 1)]
+
+
+def test_block_kernel_matches_permanent_of_layers_matrix():
+    rng = np.random.default_rng(53)
+    for _ in range(30):
+        m = int(rng.integers(2, 8))
+        layers = []
+        for depth in range(int(rng.integers(1, 5))):
+            # random tops, overlaps allowed (blocks apply in order); the
+            # first layer also holds blocks at both edges, 0 and m - 2
+            tops = list(rng.choice(m - 1, size=int(rng.integers(0, m))))
+            if depth == 0:
+                tops = [0, m - 2] + tops
+            layers.append(
+                tuple(
+                    MeshBlock(int(top), random_setting(rng, bool(rng.integers(2))), "U")
+                    for top in tops
+                )
+            )
+        photons = int(rng.integers(1, 5))
+        inputs = {}
+        for _ in range(int(rng.integers(1, 4))):
+            occ = [0] * m
+            for mode in rng.integers(0, m, size=photons):
+                occ[int(mode)] += 1
+            inputs[tuple(occ)] = complex(rng.normal(), rng.normal())
+        program = NetworkProgram(m, tuple(LinearLayer(m, blk) for blk in layers))
+        out = run_program(program, PhotonicState(m, inputs))
+        u = layers_matrix(tuple(layers), m)
+        outputs = set()
+        for combo in itertools.combinations_with_replacement(range(m), photons):
+            target = [0] * m
+            for mode in combo:
+                target[mode] += 1
+            outputs.add(tuple(target))
+        assert set(out.terms) <= outputs
+        for target in outputs:
+            ref = sum(
+                amp * amplitude_via_permanent(u, occ, target)
+                for occ, amp in inputs.items()
+            )
+            assert abs(out.amplitude(target) - ref) < 1e-11
 
 
 def test_run_program_pruned_drops_terms_that_cannot_pass():
     layout = QubitLayout(1)
-    t = np.eye(3, dtype=complex)
-    t[:2, :2] = BS  # mixes the aux mode into rail 0
-    program = NetworkProgram(3, (LinearLayer(np.eye(3)), LinearLayer(t)))
+    # the splitter mixes the aux mode into rail 0
+    program = NetworkProgram(3, (LinearLayer(3, ()), splitter_layer(3, 0)))
     state = PhotonicState(3, {(1, 1, 0): 1.0 + 0.0j})
     full = run_program(program, state)
     pruned = run_program_pruned(program, state, layout)

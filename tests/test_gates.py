@@ -8,7 +8,6 @@ import pytest
 from photonmesh.fock import (
     PhotonicState,
     QubitLayout,
-    apply_linear,
     decode_qubits,
     project_qubit_structure,
 )
@@ -35,7 +34,7 @@ from photonmesh.gates import (
 )
 from photonmesh.linalg import check_unitary, equal_mod_global_phase, setting_unitary
 
-from helpers import CNOT4, CZ4, T, H, X, Y, Z, rx, ry, rz, state_fidelity
+from helpers import CNOT4, CZ4, T, H, X, Y, Z, rx, ry, rz, run_layers, state_fidelity
 
 
 def test_fixed_single_qubit_matrices():
@@ -207,12 +206,13 @@ def test_swap1a_cycles_aux_through_triplet():
 
 
 def test_swap2_is_an_involution_and_rail_flips():
-    m = swap_networks()["SWAP2"].matrix
+    swap2 = swap_networks()["SWAP2"]
+    m = swap2.matrix
     assert np.allclose(m @ m, np.eye(6), atol=1e-12)
     # photon in qubit 0's zero rail (mode 1) lands in qubit 1's one rail
     layout = QubitLayout(2)
     state = PhotonicState(6, {(0, 1, 0, 0, 1, 0): 1.0 + 0.0j})  # |00>
-    out_state = apply_linear(state, m)
+    out_state = run_layers(state, swap2.mzi_layers)
     amps, prob = decode_qubits(project_qubit_structure(out_state, layout), layout)
     assert prob == pytest.approx(1.0, abs=1e-12)
     assert abs(amps[0b11]) == pytest.approx(1.0, abs=1e-12)
@@ -256,7 +256,7 @@ def test_entangled_state_from_direct_network_run():
             occ[layout.one_mode(0) if b0 else layout.zero_mode(0)] = 1
             occ[layout.one_mode(1) if b1 else layout.zero_mode(1)] = 1
             terms[tuple(occ)] = plus * plus
-    state = apply_linear(PhotonicState(6, terms), desc.matrix)
+    state = run_layers(PhotonicState(6, terms), desc.mzi_layers)
     amps, prob = decode_qubits(project_qubit_structure(state, layout), layout)
     expected = np.array([0.5, 0.5, 0.5, -0.5])
     assert state_fidelity(amps, expected) == pytest.approx(1.0, abs=1e-10)
