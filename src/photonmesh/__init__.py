@@ -35,7 +35,7 @@ from .fock import (
     amplitude_via_permanent,
     apply_linear,
     canonical_global_phase,
-    decode_qubits,
+    decode_logical,
     light_cone,
     prepare_computational_basis,
     project_qubit_structure,
@@ -100,7 +100,7 @@ __all__ = [
     "amplitude_via_permanent",
     "apply_linear",
     "canonical_global_phase",
-    "decode_qubits",
+    "decode_logical",
     "light_cone",
     "prepare_computational_basis",
     "project_qubit_structure",

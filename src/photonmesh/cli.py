@@ -13,8 +13,12 @@ Subcommands
 ``analyze ghz-scan``
     Measure GHZ chain success probabilities.
 
+Each command builds one record.  ``--format json`` prints it as is;
+``tsv`` and ``human`` print lines rendered from that record alone.  Only
+``compile`` takes ``--output``; the others print to stdout.
+
 Exit codes: 0 success; 2 illegal gate cascade; 3 mesh placement overflow;
-4 malformed input (circuit file, CLI usage).
+4 malformed input (circuit file, CLI usage, unknown ``gates list --name``).
 
 Circuit files are JSON objects like::
 
@@ -123,6 +127,68 @@ def _add_format_flag(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _emit(args, record, tsv, human) -> int:
+    """Print a command's record: ``--format json`` dumps it as is, ``tsv``
+    and ``human`` print the lines their renderer makes of it.  The text goes
+    to ``--output`` where the command has that option, else to stdout."""
+    if args.format == "json":
+        text = json.dumps(record, indent=2) + "\n"
+    else:
+        text = "\n".join((tsv if args.format == "tsv" else human)(record)) + "\n"
+    output = getattr(args, "output", None)
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return EXIT_OK
+
+
+def _phases(setting: dict) -> str:
+    """``theta=(..) phi=(..)``, then ``out=(..)`` for an extended setting."""
+    text = (
+        f"theta=({fmt_float(setting['theta1'])}, {fmt_float(setting['theta2'])}) "
+        f"phi=({fmt_float(setting['phi1'])}, {fmt_float(setting['phi2'])})"
+    )
+    if "phi3" in setting:
+        text += f" out=({fmt_float(setting['phi3'])}, {fmt_float(setting['phi4'])})"
+    return text
+
+
+def _compile_tsv(table: dict) -> list[str]:
+    lines = ["kind\tcolumn\ttop_mode\ttheta1\ttheta2\tphi1\tphi2\tphi3\tphi4\trole"]
+    for slot in table["slots"]:
+        phases = [
+            fmt_float(slot[key]) if key in slot else ""
+            for key in ("theta1", "theta2", "phi1", "phi2", "phi3", "phi4")
+        ]
+        fields = ["slot", str(slot["column"]), str(slot["top_mode"]), *phases, slot["role"]]
+        lines.append("\t".join(fields))
+    for trunc in table["truncations"]:
+        modes = ";".join(str(m) for m in trunc["modes"])
+        lines.append(f"trunc\t{trunc['after_column']}" + "\t" * 8 + f"modes={modes}")
+    return lines
+
+
+def _compile_human(table: dict) -> list[str]:
+    lines = [
+        f"scheme {table['scheme']}, {table['mode_count']} modes, "
+        f"{len(table['columns'])} columns, "
+        f"{table['slots_used']}/{len(table['slots'])} slots used",
+        f"qubit positions {table['positions']}, rail flips {table['flips']}",
+    ]
+    for slot in table["slots"]:
+        if slot["role"] != "ID":
+            lines.append(
+                f"col {slot['column']:>2} modes ({slot['top_mode']}, "
+                f"{slot['top_mode'] + 1}): {slot['role']:<8} {_phases(slot)}"
+            )
+    for trunc in table["truncations"]:
+        modes = ", ".join(str(m) for m in trunc["modes"])
+        lines.append(f"truncate aux modes ({modes}) after column {trunc['after_column']}")
+    return lines
+
+
 def cmd_compile(args) -> int:
     circuit = _load_circuit(args.circuit)
     result = compiler.compile_circuit(circuit, _options(args))
@@ -131,59 +197,24 @@ def cmd_compile(args) -> int:
     table["positions"] = list(result.positions)
     table["flips"] = list(result.flips)
     table["slots_used"] = len(result.assignment.placements)
-    if args.format == "json":
-        text = json.dumps(table, indent=2) + "\n"
-    elif args.format == "tsv":
-        lines = ["kind\tcolumn\ttop_mode\ttheta1\ttheta2\tphi1\tphi2\tphi3\tphi4\trole"]
-        for slot in table["slots"]:
-            phi3 = fmt_float(slot["phi3"]) if "phi3" in slot else ""
-            phi4 = fmt_float(slot["phi4"]) if "phi4" in slot else ""
-            lines.append(
-                "slot\t{column}\t{top_mode}\t{t1}\t{t2}\t{p1}\t{p2}\t{p3}\t{p4}\t{role}".format(
-                    column=slot["column"],
-                    top_mode=slot["top_mode"],
-                    t1=fmt_float(slot["theta1"]),
-                    t2=fmt_float(slot["theta2"]),
-                    p1=fmt_float(slot["phi1"]),
-                    p2=fmt_float(slot["phi2"]),
-                    p3=phi3,
-                    p4=phi4,
-                    role=slot["role"],
-                )
-            )
-        for trunc in table["truncations"]:
-            modes = ";".join(str(m) for m in trunc["modes"])
-            lines.append(f"trunc\t{trunc['after_column']}\t\t\t\t\t\t\t\tmodes={modes}")
-        text = "\n".join(lines) + "\n"
-    else:
-        used = [s for s in table["slots"] if s["role"] != "ID"]
-        lines = [
-            f"scheme {table['scheme']}, {table['mode_count']} modes, "
-            f"{len(table['columns'])} columns, "
-            f"{table['slots_used']}/{len(table['slots'])} slots used",
-            f"qubit positions {table['positions']}, rail flips {table['flips']}",
-        ]
-        for slot in used:
-            phases = (
-                f"theta=({fmt_float(slot['theta1'])}, {fmt_float(slot['theta2'])}) "
-                f"phi=({fmt_float(slot['phi1'])}, {fmt_float(slot['phi2'])})"
-            )
-            if "phi3" in slot:
-                phases += f" out=({fmt_float(slot['phi3'])}, {fmt_float(slot['phi4'])})"
-            lines.append(
-                f"col {slot['column']:>2} modes ({slot['top_mode']}, "
-                f"{slot['top_mode'] + 1}): {slot['role']:<8} {phases}"
-            )
-        for trunc in table["truncations"]:
-            modes = ", ".join(str(m) for m in trunc["modes"])
-            lines.append(f"truncate aux modes ({modes}) after column {trunc['after_column']}")
-        text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _emit(args, table, _compile_tsv, _compile_human)
+
+
+def _simulate_tsv(record: dict) -> list[str]:
+    lines = ["kind\tbitstring\tre\tim"]
+    for label, (re, im) in record["amplitudes"].items():
+        lines.append(f"amp\t{label}\t{fmt_float(re)}\t{fmt_float(im)}")
+    lines.append(f"success\t\t{fmt_float(record['success_probability'])}\t")
+    return lines
+
+
+def _simulate_human(record: dict) -> list[str]:
+    lines = [f"input {record['input']}"]
+    for label, (re, im) in record["amplitudes"].items():
+        if abs(complex(re, im)) >= 1e-12:
+            lines.append(f"  |{label}>  {fmt_float(re)}  {fmt_float(im)}")
+    lines.append(f"success probability {fmt_float(record['success_probability'])}")
+    return lines
 
 
 def cmd_simulate(args) -> int:
@@ -195,7 +226,6 @@ def cmd_simulate(args) -> int:
         )
     sim = compiler.simulate_circuit(circuit, bits, _options(args))
     n = circuit.qubit_count
-    labels = [format(i, f"0{n}b") for i in range(2**n)]
     if args.dump_state:
         # sim.final_state is pruned; the dump is the full Fock state.
         layout = fock.QubitLayout(n)
@@ -204,68 +234,35 @@ def cmd_simulate(args) -> int:
         )
         with open(args.dump_state, "w", encoding="utf-8") as fh:
             fh.write(fock.format_state_dump(full))
-    if args.format == "json":
-        payload = {
-            "input": bits,
-            "qubits": n,
-            "amplitudes": {
-                lab: [float(a.real) + 0.0, float(a.imag) + 0.0]
-                for lab, a in zip(labels, sim.amplitudes)
-            },
-            "success_probability": float(sim.success_probability),
-            "positions": list(sim.compile_result.positions),
-            "flips": list(sim.compile_result.flips),
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    elif args.format == "tsv":
-        lines = ["kind\tbitstring\tre\tim"]
-        for lab, a in zip(labels, sim.amplitudes):
-            lines.append(f"amp\t{lab}\t{fmt_float(a.real)}\t{fmt_float(a.imag)}")
-        lines.append(f"success\t\t{fmt_float(sim.success_probability)}\t")
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = [f"input {bits}"]
-        for lab, a in zip(labels, sim.amplitudes):
-            if abs(a) < 1e-12:
-                continue
-            lines.append(f"  |{lab}>  {fmt_float(a.real)}  {fmt_float(a.imag)}")
-        lines.append(f"success probability {fmt_float(sim.success_probability)}")
-        text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    return EXIT_OK
+    record = {
+        "input": bits,
+        "qubits": n,
+        "amplitudes": {
+            format(i, f"0{n}b"): [float(a.real) + 0.0, float(a.imag) + 0.0]
+            for i, a in enumerate(sim.amplitudes)
+        },
+        "success_probability": float(sim.success_probability),
+        "positions": list(sim.compile_result.positions),
+        "flips": list(sim.compile_result.flips),
+    }
+    return _emit(args, record, _simulate_tsv, _simulate_human)
 
 
 def _gate_sections(name_filter: str | None) -> dict:
-    def keep(name: str) -> bool:
-        return name_filter is None or name_filter.lower() == name.lower()
-
-    single = []
-    for name in ("I", "X", "Y", "Z", "H", "T"):
-        if not keep(name):
-            continue
-        single.append(
+    sections = {
+        "single_qubit": [
             {
                 "name": name,
                 "matrix": _matrix_json(gates.single_qubit_matrix(name)),
                 "setting": _setting_json(gates.single_qubit_setting(name)),
             }
-        )
-    family = []
-    for name, (matrix, setting) in zip(("R13", "R13p", "R13d"), gates.r13_matrices()):
-        if not keep(name):
-            continue
-        family.append(
-            {
-                "name": name,
-                "matrix": _matrix_json(matrix),
-                "setting": _setting_json(setting),
-            }
-        )
-    networks = []
-    for name, desc in gates.gate_library().items():
-        if not keep(name):
-            continue
-        networks.append(
+            for name in ("I", "X", "Y", "Z", "H", "T")
+        ],
+        "r13_family": [
+            {"name": name, "matrix": _matrix_json(matrix), "setting": _setting_json(setting)}
+            for name, (matrix, setting) in zip(("R13", "R13p", "R13d"), gates.r13_matrices())
+        ],
+        "networks": [
             {
                 "name": desc.name,
                 "arity": desc.arity,
@@ -285,77 +282,103 @@ def _gate_sections(name_filter: str | None) -> dict:
                     for layer in desc.mzi_layers
                 ],
             }
+            for desc in gates.gate_library().values()
+        ],
+    }
+    if name_filter is None:
+        return sections
+    return {
+        key: [entry for entry in entries if entry["name"].lower() == name_filter.lower()]
+        for key, entries in sections.items()
+    }
+
+
+def _gates_tsv(sections: dict) -> list[str]:
+    lines = ["section\tname\tarity\tmode_count\tlayers\ttruncate_after"]
+    for entry in sections["single_qubit"]:
+        lines.append(f"single_qubit\t{entry['name']}\t1\t2\t1\tfalse")
+    for entry in sections["r13_family"]:
+        lines.append(f"r13_family\t{entry['name']}\t1\t2\t1\tfalse")
+    for entry in sections["networks"]:
+        lines.append(
+            f"network\t{entry['name']}\t{entry['arity']}\t{entry['mode_count']}"
+            f"\t{len(entry['layers'])}\t{str(entry['truncate_after']).lower()}"
         )
-    return {"single_qubit": single, "r13_family": family, "networks": networks}
+    return lines
+
+
+def _gates_human(sections: dict) -> list[str]:
+    lines = []
+    for entry in sections["single_qubit"]:
+        lines.append(f"{entry['name']:<8} single-qubit MZI  {_phases(entry['setting'])}")
+    for entry in sections["r13_family"]:
+        row0 = entry["matrix"][0]
+        lines.append(
+            f"{entry['name']:<8} 1/3-family device  "
+            f"first row [{fmt_float(row0[0][0])}, {fmt_float(row0[1][0])}]"
+        )
+    for entry in sections["networks"]:
+        lines.append(
+            f"{entry['name']:<8} {entry['mode_count']}-mode network, "
+            f"{len(entry['layers'])} layers, labeling {entry['labeling']}"
+            + (", truncate aux after" if entry["truncate_after"] else "")
+        )
+    return lines
 
 
 def cmd_gates_list(args) -> int:
     sections = _gate_sections(args.name)
-    if args.format == "json":
-        text = json.dumps(sections, indent=2) + "\n"
-    elif args.format == "tsv":
-        lines = ["section\tname\tarity\tmode_count\tlayers\ttruncate_after"]
-        for entry in sections["single_qubit"]:
-            lines.append(f"single_qubit\t{entry['name']}\t1\t2\t1\tfalse")
-        for entry in sections["r13_family"]:
-            lines.append(f"r13_family\t{entry['name']}\t1\t2\t1\tfalse")
-        for entry in sections["networks"]:
-            lines.append(
-                f"network\t{entry['name']}\t{entry['arity']}\t{entry['mode_count']}"
-                f"\t{len(entry['layers'])}\t{str(entry['truncate_after']).lower()}"
-            )
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = []
-        for entry in sections["single_qubit"]:
-            s = entry["setting"]
-            lines.append(
-                f"{entry['name']:<8} single-qubit MZI  "
-                f"theta=({fmt_float(s['theta1'])}, {fmt_float(s['theta2'])}) "
-                f"phi=({fmt_float(s['phi1'])}, {fmt_float(s['phi2'])})"
-                + (
-                    f" out=({fmt_float(s['phi3'])}, {fmt_float(s['phi4'])})"
-                    if "phi3" in s
-                    else ""
-                )
-            )
-        for entry in sections["r13_family"]:
-            row0 = entry["matrix"][0]
-            lines.append(
-                f"{entry['name']:<8} 1/3-family device  "
-                f"first row [{fmt_float(row0[0][0])}, {fmt_float(row0[1][0])}]"
-            )
-        for entry in sections["networks"]:
-            lines.append(
-                f"{entry['name']:<8} {entry['mode_count']}-mode network, "
-                f"{len(entry['layers'])} layers, labeling {entry['labeling']}"
-                + (", truncate aux after" if entry["truncate_after"] else "")
-            )
-        text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    return EXIT_OK
+    if not any(sections.values()):
+        raise _UsageError(f"no gate named {args.name!r}")
+    return _emit(args, sections, _gates_tsv, _gates_human)
+
+
+def _cz4x4_tsv(record: dict) -> list[str]:
+    lines = ["name\tvalue"]
+    for name, value in record.items():
+        if isinstance(value, list):
+            lines.append(f"{name}\t" + ";".join(fmt_float(v) for v in value))
+        else:
+            lines.append(f"{name}\t{fmt_float(value)}")
+    return lines
+
+
+def _cz4x4_human(record: dict) -> list[str]:
+    return [
+        f"restarts {record['restarts']}",
+        f"best process fidelity {fmt_float(record['best_process_fidelity'])}",
+        f"best success probability {fmt_float(record['best_success_probability'])}",
+        f"constraint residual {fmt_float(record['constraint_residual'])}",
+    ]
 
 
 def cmd_analyze_cz4x4(args) -> int:
     report = analysis.search_cz_in_4x4(restarts=args.restarts, seed=args.seed)
-    if args.format == "json":
-        payload = {
-            "restarts": report.restarts,
-            "best_process_fidelity": report.best_process_fidelity,
-            "best_success_probability": report.best_success_probability,
-            "best_parameters": list(report.best_parameters),
-            "constraint_residual": report.constraint_residual,
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        text = (
-            f"restarts {report.restarts}\n"
-            f"best process fidelity {fmt_float(report.best_process_fidelity)}\n"
-            f"best success probability {fmt_float(report.best_success_probability)}\n"
-            f"constraint residual {fmt_float(report.constraint_residual)}\n"
+    record = {
+        "restarts": report.restarts,
+        "best_process_fidelity": report.best_process_fidelity,
+        "best_success_probability": report.best_success_probability,
+        "best_parameters": list(report.best_parameters),
+        "constraint_residual": report.constraint_residual,
+    }
+    return _emit(args, record, _cz4x4_tsv, _cz4x4_human)
+
+
+def _ghz_scan_tsv(record: dict) -> list[str]:
+    lines = ["n\tprobability\texpected"]
+    for row in record["points"]:
+        lines.append(
+            f"{row['n']}\t{fmt_float(row['probability'])}\t{fmt_float(row['expected'])}"
         )
-    sys.stdout.write(text)
-    return EXIT_OK
+    return lines
+
+
+def _ghz_scan_human(record: dict) -> list[str]:
+    return [
+        f"n={row['n']}: probability {fmt_float(row['probability'])} "
+        f"(9^(1-n) = {fmt_float(row['expected'])})"
+        for row in record["points"]
+    ]
 
 
 def cmd_analyze_ghz_scan(args) -> int:
@@ -364,25 +387,7 @@ def cmd_analyze_ghz_scan(args) -> int:
         {"n": n, "probability": p, "expected": float(9.0 ** (1 - n))}
         for n, p in points
     ]
-    if args.format == "json":
-        text = json.dumps({"points": rows}, indent=2) + "\n"
-    elif args.format == "tsv":
-        lines = ["n\tprobability\texpected"]
-        for row in rows:
-            lines.append(
-                f"{row['n']}\t{fmt_float(row['probability'])}\t{fmt_float(row['expected'])}"
-            )
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = []
-        for row in rows:
-            lines.append(
-                f"n={row['n']}: probability {fmt_float(row['probability'])} "
-                f"(9^(1-n) = {fmt_float(row['expected'])})"
-            )
-        text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    return EXIT_OK
+    return _emit(args, {"points": rows}, _ghz_scan_tsv, _ghz_scan_human)
 
 
 def build_parser() -> argparse.ArgumentParser:

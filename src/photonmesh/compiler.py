@@ -20,7 +20,7 @@ Every post-selected gate is followed by truncation of the two auxiliary
 modes it used.  A pair of qubits may share at most one post-selected gate:
 a second one would post-select on photons that are no longer in the
 product-form the gate's success accounting assumes, so the compiler
-refuses it (:class:`IllegalCascade`) unless explicitly overridden.
+refuses it (:class:`IllegalCascade`).
 
 Distinct pairs always compile, but exactness has a sharper boundary.  Each
 post-selected gate leaves failure terms in which one operand's rail pair
@@ -41,6 +41,7 @@ circuits.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -53,6 +54,7 @@ from .fock import (
     PhotonicState,
     QubitLayout,
     TruncateAux,
+    decode_logical,
 )
 # embed_block and setting_unitary are unused; benchmarks/spans.py wraps them here.
 from .linalg import IDENTITY_SETTING, MziSetting, embed_block, setting_unitary
@@ -100,16 +102,12 @@ class CompileOptions:
     ``place`` assigns the program to a ``3n``-mode mesh; a universal mesh
     has a fixed column budget, so deep circuits can overflow it - disable
     placement when only the program is needed (simulation does this).
-    ``emit_truncations`` exists so tests can show what goes wrong without
-    truncation; leave it on.
     """
 
     scheme: str = "clements"
     cz_form: str = "compressed"
-    allow_illegal_cascade: bool = False
     restore_swaps: bool = True
     place: bool = True
-    emit_truncations: bool = True
 
 
 @dataclass
@@ -154,29 +152,31 @@ class MeshAssignment:
     def slot_count(self) -> int:
         return sum(len(c) for c in self.columns)
 
-    def phase_table(self) -> dict:
-        """JSON-ready table of every slot's phases; unused slots carry the
-        identity setting."""
-        assigned = {
-            (p.column, p.top_mode): (p.setting, p.role) for p in self.placements
-        }
-        slots = []
+    def slots(self) -> Iterator[tuple[int, int, MziSetting, str]]:
+        """``(column, top_mode, setting, role)`` of every slot, column by
+        column; unused slots carry the identity setting and the role ``"ID"``."""
+        assigned = {(p.column, p.top_mode): (p.setting, p.role) for p in self.placements}
         for col, tops in enumerate(self.columns):
             for top in tops:
-                setting, role = assigned.get((col, top), (IDENTITY_SETTING, "ID"))
-                entry = {
-                    "column": col,
-                    "top_mode": top,
-                    "theta1": setting.theta1,
-                    "theta2": setting.theta2,
-                    "phi1": setting.phi1,
-                    "phi2": setting.phi2,
-                    "role": role,
-                }
-                if setting.is_extended:
-                    entry["phi3"] = setting.phi3
-                    entry["phi4"] = setting.phi4
-                slots.append(entry)
+                yield (col, top, *assigned.get((col, top), (IDENTITY_SETTING, "ID")))
+
+    def phase_table(self) -> dict:
+        """JSON-ready table of every slot's phases (see :meth:`slots`)."""
+        slots = []
+        for col, top, setting, role in self.slots():
+            entry = {
+                "column": col,
+                "top_mode": top,
+                "theta1": setting.theta1,
+                "theta2": setting.theta2,
+                "phi1": setting.phi1,
+                "phi2": setting.phi2,
+                "role": role,
+            }
+            if setting.is_extended:
+                entry["phi3"] = setting.phi3
+                entry["phi4"] = setting.phi4
+            slots.append(entry)
         return {
             "scheme": self.scheme,
             "mode_count": self.mode_count,
@@ -366,9 +366,6 @@ def assignment_program(assignment: MeshAssignment) -> NetworkProgram:
     placed phase table - not the original gate layers - reproduces the
     intended physics.
     """
-    assigned = {
-        (p.column, p.top_mode): (p.setting, p.role) for p in assignment.placements
-    }
     trunc_after: dict[int, list[TruncationMark]] = {}
     steps: list[LinearLayer | TruncateAux] = []
     for mark in assignment.truncations:
@@ -377,12 +374,11 @@ def assignment_program(assignment: MeshAssignment) -> NetworkProgram:
         else:
             trunc_after.setdefault(mark.after_column, []).append(mark)
     m = assignment.mode_count
-    for col, tops in enumerate(assignment.columns):
-        blocks = tuple(
-            MeshBlock(top, *assigned.get((col, top), (IDENTITY_SETTING, "ID")))
-            for top in tops
-        )
-        steps.append(LinearLayer(m, blocks, label=f"column{col}"))
+    columns: list[list[MeshBlock]] = [[] for _ in assignment.columns]
+    for col, top, setting, role in assignment.slots():
+        columns[col].append(MeshBlock(top, setting, role))
+    for col, blocks in enumerate(columns):
+        steps.append(LinearLayer(m, tuple(blocks), label=f"column{col}"))
         for mark in trunc_after.get(col, ()):
             steps.append(TruncateAux(mark.modes))
     return NetworkProgram(m, tuple(steps))
@@ -514,7 +510,7 @@ class _Emitter:
         a, b = op.qubits
         post_selected = op.name in ("CZ", "CNOT")
         if post_selected:
-            if self.ledger.seen(a, b) and not self.options.allow_illegal_cascade:
+            if self.ledger.seen(a, b):
                 raise IllegalCascade(
                     f"qubits {a} and {b} already shared a post-selected gate; "
                     "cascading a second one breaks the success accounting"
@@ -535,8 +531,7 @@ class _Emitter:
                 self.emit_layers(h_layer, h_top, f"CNOT H q{target}")
                 self.emit_layers(self.cz_layers, window, f"CNOT q{a}-q{b}")
                 self.emit_layers(h_layer, h_top, f"CNOT H q{target}")
-            if self.options.emit_truncations:
-                self.steps.append(TruncateAux((window, window + 3)))
+            self.steps.append(TruncateAux((window, window + 3)))
         else:  # logical SWAP
             self.emit_layers(self.swap2_layers, window, f"SWAP q{a}-q{b}")
             # The photons exchange carriers and rail-flip; the logical labels
@@ -613,8 +608,7 @@ def compile_ghz_swap_variant(
     em.emit_layers(h_layer, 4, "CNOT H q1")
     em.emit_layers(em.cz_layers, 0, "CNOT q0-q1")
     em.emit_layers(h_layer, 4, "CNOT H q1")
-    if options.emit_truncations:
-        em.steps.append(TruncateAux((0, 3)))
+    em.steps.append(TruncateAux((0, 3)))
     # route qubit 2 next to qubit 0; stays there
     em.physical_swap(1, "route q2")
     # CNOT(0, 2): target q2 now at triplet 1, rail-flipped - no correction
@@ -622,35 +616,8 @@ def compile_ghz_swap_variant(
     em.emit_layers(h_layer, 4, "CNOT H q2")
     em.emit_layers(em.cz_layers, 0, "CNOT q0-q2")
     em.emit_layers(h_layer, 4, "CNOT H q2")
-    if options.emit_truncations:
-        em.steps.append(TruncateAux((0, 3)))
+    em.steps.append(TruncateAux((0, 3)))
     return em.result()
-
-
-def decode_logical(
-    result: fock.PostSelectionResult,
-    layout: QubitLayout,
-    positions: tuple[int, ...],
-    flips: tuple[int, ...],
-) -> tuple[np.ndarray, float]:
-    """Qubit amplitudes read through a waveguide relabeling.
-
-    Logical qubit ``q`` is read from triplet ``positions[q]``; its bit is
-    XORed with ``flips[q]``.  Qubit 0 is the most significant bit.  The
-    global phase is fixed by making the largest amplitude real positive.
-    """
-    n = layout.qubit_count
-    amps = np.zeros(2**n, dtype=complex)
-    for occ, amp in result.projected_state.terms.items():
-        idx = 0
-        for q in range(n):
-            bit = occ[layout.one_mode(positions[q])] ^ flips[q]
-            idx = (idx << 1) | bit
-        amps[idx] += amp
-    norm = np.linalg.norm(amps)
-    if norm == 0.0:
-        raise ValueError("projection left no qubit-structure amplitude")
-    return fock.canonical_global_phase(amps / norm), result.success_probability
 
 
 def simulate_circuit(

@@ -250,6 +250,39 @@ def amplitude_via_permanent(
     return permanent(u[np.ix_(rows, cols)]) / math.sqrt(norm)
 
 
+@dataclass(frozen=True)
+class Partition:
+    """Mode blocks, each with the photon count it must hold for a term to
+    pass :func:`project_qubit_structure`.  ``labels[mode]`` is the mode's
+    block.  :func:`light_cone` yields the partitions whose blocks no later
+    program layer couples to each other."""
+
+    labels: tuple[int, ...]
+    required: tuple[int, ...]
+
+    def restrict(self, state: PhotonicState) -> PhotonicState:
+        """Keep the terms whose block photon counts match ``required``."""
+        kept = {}
+        for occ, amp in state.terms.items():
+            counts = [0] * len(self.required)
+            for mode, n in enumerate(occ):
+                if n:
+                    counts[self.labels[mode]] += n
+            if tuple(counts) == self.required:
+                kept[occ] = amp
+        return PhotonicState(state.mode_count, kept)
+
+
+def qubit_structure(layout: QubitLayout) -> Partition:
+    """The final projection as a partition: each rail pair is one block that
+    must hold one photon, each aux mode a block that must hold none."""
+    labels = [0] * layout.mode_count
+    for q in range(layout.qubit_count):
+        labels[layout.aux_mode(q)] = 2 * q
+        labels[layout.zero_mode(q)] = labels[layout.one_mode(q)] = 2 * q + 1
+    return Partition(tuple(labels), (0, 1) * layout.qubit_count)
+
+
 def truncate_aux(state: PhotonicState, aux_modes) -> PhotonicState:
     """Drop terms with any photon in ``aux_modes``; no renormalization."""
     aux = tuple(aux_modes)
@@ -264,7 +297,8 @@ def truncate_aux(state: PhotonicState, aux_modes) -> PhotonicState:
 def project_qubit_structure(
     state: PhotonicState, layout: QubitLayout
 ) -> PostSelectionResult:
-    """Keep exactly the terms with one photon per rail pair and empty aux.
+    """Keep exactly the terms with one photon per rail pair and empty aux
+    (the blocks of :func:`qubit_structure`).
 
     The squared norm of the kept part is the cumulative success probability
     of all post-selections (truncations included) so far, assuming a unit
@@ -274,18 +308,7 @@ def project_qubit_structure(
         raise ValueError(
             f"state has {state.mode_count} modes, layout needs {layout.mode_count}"
         )
-    kept: dict[Occupation, complex] = {}
-    for occ, amp in state.terms.items():
-        if any(occ[m] != 0 for m in layout.aux_modes):
-            continue
-        ok = True
-        for q in range(layout.qubit_count):
-            if occ[layout.zero_mode(q)] + occ[layout.one_mode(q)] != 1:
-                ok = False
-                break
-        if ok:
-            kept[occ] = amp
-    projected = PhotonicState(state.mode_count, kept)
+    projected = qubit_structure(layout).restrict(state)
     return PostSelectionResult(projected, projected.squared_norm())
 
 
@@ -304,61 +327,58 @@ def canonical_global_phase(amps: np.ndarray) -> np.ndarray:
     return amps * (abs(anchor) / anchor)
 
 
-def decode_qubits(
-    result: PostSelectionResult, layout: QubitLayout
+def decode_logical(
+    result: PostSelectionResult,
+    layout: QubitLayout,
+    positions: tuple[int, ...] | None = None,
+    flips: tuple[int, ...] | None = None,
 ) -> tuple[np.ndarray, float]:
-    """Normalized qubit amplitudes (qubit 0 = most significant bit) and the
-    success probability of the projection: :func:`compiler.decode_logical`
-    with the identity relabeling."""
-    from .compiler import decode_logical  # compiler imports this module
+    """Qubit amplitudes read through a waveguide relabeling, and the success
+    probability of the projection.
 
+    Logical qubit ``q`` is read from triplet ``positions[q]``; its bit is
+    XORed with ``flips[q]``.  Both default to the identity relabeling.
+    Qubit 0 is the most significant bit.  The amplitudes are normalized and
+    their global phase is fixed by :func:`canonical_global_phase`.
+    """
     n = layout.qubit_count
-    return decode_logical(result, layout, tuple(range(n)), (0,) * n)
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Mode blocks that no later program layer couples to each other, with
-    the photon count each block must hold for a term to pass
-    :func:`project_qubit_structure`.  ``labels[mode]`` is the mode's block."""
-
-    labels: tuple[int, ...]
-    required: tuple[int, ...]
-
-    def restrict(self, state: PhotonicState) -> PhotonicState:
-        """Keep the terms whose block photon counts match ``required``."""
-        kept = {}
-        for occ, amp in state.terms.items():
-            counts = [0] * len(self.required)
-            for mode, n in enumerate(occ):
-                if n:
-                    counts[self.labels[mode]] += n
-            if tuple(counts) == self.required:
-                kept[occ] = amp
-        return PhotonicState(state.mode_count, kept)
+    positions = tuple(range(n)) if positions is None else positions
+    flips = (0,) * n if flips is None else flips
+    amps = np.zeros(2**n, dtype=complex)
+    for occ, amp in result.projected_state.terms.items():
+        idx = 0
+        for q in range(n):
+            bit = occ[layout.one_mode(positions[q])] ^ flips[q]
+            idx = (idx << 1) | bit
+        amps[idx] += amp
+    norm = np.linalg.norm(amps)
+    if norm == 0.0:
+        raise ValueError("projection left no qubit-structure amplitude")
+    return canonical_global_phase(amps / norm), result.success_probability
 
 
 def light_cone(program: NetworkProgram, layout: QubitLayout) -> tuple[Partition, ...]:
     """The partition of modes in force after each program step.
 
-    A backward union-find pass: it starts from the final projection (each
-    rail pair one block holding one photon, each aux mode a block holding
-    none) and, walking the steps in reverse, joins the two modes of every
-    block of a layer, adding the blocks' required counts.  Layers after
-    step ``i`` move photons only inside the blocks of entry ``i``, so a term
-    whose count differs from the requirement in any block can never pass
-    the projection.  Entries are shared objects: a new
+    A backward union-find pass: it starts from the final projection,
+    :func:`qubit_structure`, and, walking the steps in reverse, joins the
+    two modes of every block of a layer, adding the blocks' required
+    counts.  Layers after step ``i`` move photons only inside the blocks of
+    entry ``i``, so a term whose count differs from the requirement in any
+    block can never pass the projection.  Entries are shared objects: a new
     partition is made only where a layer merges blocks.
     """
     if program.mode_count != layout.mode_count:
         raise ValueError(
             f"program has {program.mode_count} modes, layout needs {layout.mode_count}"
         )
-    parent = list(range(layout.mode_count))
-    required = [0] * layout.mode_count
-    for q in range(layout.qubit_count):
-        parent[layout.one_mode(q)] = layout.zero_mode(q)
-        required[layout.zero_mode(q)] = 1
+    # Each block of the seed is rooted at its first mode, which holds its count.
+    seed = qubit_structure(layout)
+    parent = [seed.labels.index(label) for label in seed.labels]
+    required = [
+        seed.required[label] if parent[mode] == mode else 0
+        for mode, label in enumerate(seed.labels)
+    ]
 
     def root(mode: int) -> int:
         while parent[mode] != mode:
@@ -373,7 +393,7 @@ def light_cone(program: NetworkProgram, layout: QubitLayout) -> tuple[Partition,
             tuple(index[r] for r in roots), tuple(required[r] for r in index)
         )
 
-    current = snapshot()
+    current = seed
     after: list[Partition] = []
     for step in reversed(program.steps):
         after.append(current)

@@ -36,6 +36,7 @@ from photonmesh.fock import (
     NetworkProgram,
     PhotonicState,
     QubitLayout,
+    TruncateAux,
     amplitude_via_permanent,
     apply_linear,
     prepare_computational_basis,
@@ -153,9 +154,18 @@ def test_criterion_04_ghz_scaling():
 
 @criterion(5, "omitting aux truncation corrupts the GHZ chain output", 5.0)
 def test_criterion_05_truncation_necessity():
-    options = CompileOptions(emit_truncations=False)
-    sim = simulate_circuit(ghz_chain_circuit(3), "000", options)
-    overlap_sq = state_fidelity(sim.amplitudes, ghz3_state())
+    compiled = compile_circuit(ghz_chain_circuit(3), CompileOptions(place=False))
+    steps = tuple(s for s in compiled.program.steps if not isinstance(s, TruncateAux))
+    assert len(steps) < len(compiled.program.steps)
+    layout = QubitLayout(3)
+    final = run_program(
+        NetworkProgram(layout.mode_count, steps),
+        prepare_computational_basis("000", layout),
+    )
+    amps, _ = decode_logical(
+        project_qubit_structure(final, layout), layout, compiled.positions, compiled.flips
+    )
+    overlap_sq = state_fidelity(amps, ghz3_state())
     assert overlap_sq < 1 - 1e-3
 
 

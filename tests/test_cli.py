@@ -1,11 +1,14 @@
 """End-to-end tests of the command line interface via subprocess."""
 
 import json
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+
+from photonmesh.cli import fmt_float
 
 BELL = {"qubits": 2, "gates": [{"g": "H", "q": 0}, {"g": "CNOT", "c": 0, "t": 1}]}
 CASCADE = {
@@ -272,3 +275,123 @@ def test_usage_errors(tmp_path):
     assert run_cli("gates").returncode == 4
     path = write_circuit(tmp_path, BELL)
     assert run_cli("simulate", path, "--format", "xml").returncode == 4
+
+
+def run_formats(*argv):
+    """The json record and the tsv and human lines of one command."""
+    out = {}
+    for fmt in ("json", "tsv", "human"):
+        proc = run_cli(*argv, "--format", fmt)
+        assert proc.returncode == 0, proc.stderr
+        out[fmt] = proc.stdout
+    return json.loads(out["json"]), out["tsv"].splitlines(), out["human"].splitlines()
+
+
+def numbers(text):
+    """Numeric tokens of a human line, skipping digits inside names (R13)."""
+    return re.findall(r"(?<![\w.+-])-?\d[\d.]*(?:e[-+]\d+)?", text)
+
+
+@pytest.mark.parametrize("circuit", [BELL, STAR], ids=["bell", "star"])
+def test_simulate_formats_agree(tmp_path, circuit):
+    record, tsv, human = run_formats("simulate", write_circuit(tmp_path, circuit))
+    amps = record["amplitudes"]
+    assert len(amps) == 2 ** record["qubits"]
+    success = fmt_float(record["success_probability"])
+    assert tsv[0] == "kind\tbitstring\tre\tim"
+    assert tsv[1:-1] == [
+        f"amp\t{label}\t{fmt_float(re)}\t{fmt_float(im)}" for label, (re, im) in amps.items()
+    ]
+    assert tsv[-1] == f"success\t\t{success}\t"
+    shown = [
+        f"  |{label}>  {fmt_float(re)}  {fmt_float(im)}"
+        for label, (re, im) in amps.items()
+        if abs(complex(re, im)) >= 1e-12
+    ]
+    assert len(shown) == 2  # Bell and GHZ: two nonzero amplitudes
+    assert human == [f"input {record['input']}", *shown, f"success probability {success}"]
+
+
+def test_compile_formats_agree(tmp_path):
+    table, tsv, human = run_formats("compile", write_circuit(tmp_path, BELL))
+    slots, truncs = table["slots"], table["truncations"]
+    phase_keys = ("theta1", "theta2", "phi1", "phi2", "phi3", "phi4")
+    assert tsv[0].split("\t") == ["kind", "column", "top_mode", *phase_keys, "role"]
+    assert len(tsv) == 1 + len(slots) + len(truncs)
+    for row, slot in zip(tsv[1:], slots):
+        assert row.split("\t") == [
+            "slot",
+            fmt_float(slot["column"]),
+            fmt_float(slot["top_mode"]),
+            *(fmt_float(slot[k]) if k in slot else "" for k in phase_keys),
+            slot["role"],
+        ]
+    for row, trunc in zip(tsv[1 + len(slots) :], truncs):
+        fields = row.split("\t")
+        assert fields[:2] == ["trunc", fmt_float(trunc["after_column"])]
+        assert fields[-1] == "modes=" + ";".join(fmt_float(m) for m in trunc["modes"])
+    used = [s for s in slots if s["role"] != "ID"]
+    assert len(human) == 2 + len(used) + len(truncs)
+    assert numbers(human[0]) == [
+        fmt_float(v)
+        for v in (table["mode_count"], len(table["columns"]), table["slots_used"], len(slots))
+    ]
+    assert numbers(human[1]) == [fmt_float(v) for v in table["positions"] + table["flips"]]
+    for line, slot in zip(human[2:], used):
+        assert f": {slot['role']} " in line
+        assert numbers(line) == [
+            fmt_float(v)
+            for v in (slot["column"], slot["top_mode"], slot["top_mode"] + 1)
+            + tuple(slot[k] for k in phase_keys if k in slot)
+        ]
+    for line, trunc in zip(human[2 + len(used) :], truncs):
+        assert numbers(line) == [fmt_float(v) for v in trunc["modes"] + [trunc["after_column"]]]
+
+
+def test_ghz_scan_formats_agree():
+    record, tsv, human = run_formats("analyze", "ghz-scan", "--max-n", "3")
+    points = record["points"]
+    assert [row["n"] for row in points] == [2, 3]
+    expected = [[fmt_float(row[k]) for k in ("n", "probability", "expected")] for row in points]
+    assert tsv[0] == "n\tprobability\texpected"
+    assert [line.split("\t") for line in tsv[1:]] == expected
+    # skip the digits of the formula text 9^(1-n)
+    assert [numbers(line)[:2] + numbers(line)[-1:] for line in human] == expected
+
+
+def test_gates_list_formats_agree():
+    sections, tsv, human = run_formats("gates", "list", "--name", "CZ")
+    assert sections["single_qubit"] == sections["r13_family"] == []
+    (cz,) = sections["networks"]
+    assert tsv == [
+        "section\tname\tarity\tmode_count\tlayers\ttruncate_after",
+        f"network\tCZ\t{cz['arity']}\t{cz['mode_count']}\t{len(cz['layers'])}\ttrue",
+    ]
+    assert cz["truncate_after"] is True
+    (line,) = human
+    assert line.startswith("CZ ")
+    assert f"labeling {cz['labeling']}" in line
+    assert numbers(line) == [fmt_float(cz["mode_count"]), fmt_float(len(cz["layers"]))]
+
+
+def test_analyze_cz4x4_formats_agree():
+    record, tsv, human = run_formats("analyze", "cz4x4", "--restarts", "2", "--seed", "5")
+    assert tsv[0] == "name\tvalue"
+    rows = dict(line.split("\t") for line in tsv[1:])
+    assert list(rows) == list(record)
+    for name, value in record.items():
+        if isinstance(value, list):
+            assert rows[name].split(";") == [fmt_float(v) for v in value]
+        else:
+            assert rows[name] == fmt_float(value)
+    scalars = ("restarts", "best_process_fidelity", "best_success_probability",
+               "constraint_residual")
+    assert [numbers(line) for line in human] == [[fmt_float(record[k])] for k in scalars]
+
+
+def test_gates_list_unknown_name_exits_4():
+    for fmt in ("human", "json", "tsv"):
+        proc = run_cli("gates", "list", "--name", "NOPE", "--format", fmt)
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert "'NOPE'" in proc.stderr

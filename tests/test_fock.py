@@ -7,22 +7,25 @@ import itertools
 import numpy as np
 import pytest
 
+from photonmesh.compiler import parse_circuit, simulate_circuit
 from photonmesh.fock import (
     PRUNE_THRESHOLD,
     LinearLayer,
     MeshBlock,
     NetworkProgram,
+    Partition,
     PhotonicState,
     QubitLayout,
     TruncateAux,
     amplitude_via_permanent,
     apply_linear,
     canonical_global_phase,
-    decode_qubits,
+    decode_logical,
     format_state_dump,
     light_cone,
     prepare_computational_basis,
     project_qubit_structure,
+    qubit_structure,
     run_program,
     run_program_pruned,
     truncate_aux,
@@ -159,7 +162,7 @@ def test_decode_qubits_msb_first_and_canonical_phase():
             (0, 0, 1, 0, 0, 1): -1.0 / np.sqrt(2),  # |11>
         },
     )
-    amps, prob = decode_qubits(project_qubit_structure(state, layout), layout)
+    amps, prob = decode_logical(project_qubit_structure(state, layout), layout)
     assert prob == pytest.approx(1.0, abs=1e-12)
     # global phase canonicalized: the -1 factor is removed
     assert np.allclose(amps, [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)], atol=1e-12)
@@ -169,7 +172,21 @@ def test_decode_qubits_raises_when_nothing_survives():
     layout = QubitLayout(1)
     state = PhotonicState(3, {(1, 0, 0): 1.0 + 0.0j})
     with pytest.raises(ValueError):
-        decode_qubits(project_qubit_structure(state, layout), layout)
+        decode_logical(project_qubit_structure(state, layout), layout)
+
+
+def test_decode_logical_defaults_to_identity_relabeling():
+    layout = QubitLayout(3)
+    rng = np.random.default_rng(7)
+    terms = {}
+    for bits in ("000", "011", "101", "110"):
+        occ = prepare_computational_basis(bits, layout).terms.popitem()[0]
+        terms[occ] = complex(rng.normal(), rng.normal())
+    result = project_qubit_structure(PhotonicState(9, terms), layout)
+    amps, prob = decode_logical(result, layout)
+    ref, ref_prob = decode_logical(result, layout, (0, 1, 2), (0, 0, 0))
+    assert np.array_equal(amps, ref)
+    assert prob == ref_prob
 
 
 def test_canonical_global_phase_anchor():
@@ -308,3 +325,30 @@ def test_run_program_pruned_drops_terms_that_cannot_pass():
     assert len(full.terms) == 2
     assert pruned.terms == {}
     assert project_qubit_structure(full, layout).projected_state.terms == {}
+
+
+def test_light_cone_starts_from_the_qubit_structure():
+    layout = QubitLayout(2)
+    program = NetworkProgram(6, (splitter_layer(6, 2), TruncateAux((0, 3))))
+    cone = light_cone(program, layout)
+    assert cone[-1] == qubit_structure(layout)
+    assert qubit_structure(layout) == Partition((0, 1, 1, 2, 3, 3), (0, 1, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "gates",
+    [
+        [{"g": "H", "q": 0}, {"g": "CNOT", "c": 0, "t": 1}, {"g": "CNOT", "c": 1, "t": 2}],
+        [{"g": "H", "q": 0}, {"g": "CZ", "c": 0, "t": 2}, {"g": "SWAP", "a": 1, "b": 2}],
+        # a cycle: outside the forest envelope, junk terms pass projection
+        [{"g": "H", "q": q} for q in range(3)]
+        + [{"g": "CZ", "c": a, "t": b} for a, b in ((0, 1), (1, 2), (0, 2))],
+    ],
+    ids=["chain", "routed", "cycle"],
+)
+def test_pruned_final_state_equals_its_projection(gates):
+    circuit = parse_circuit({"qubits": 3, "gates": gates})
+    final = simulate_circuit(circuit, "000").final_state
+    projected = project_qubit_structure(final, QubitLayout(3)).projected_state
+    assert final.terms
+    assert list(final.terms.items()) == list(projected.terms.items())

@@ -8,7 +8,7 @@ import pytest
 from photonmesh.fock import (
     PhotonicState,
     QubitLayout,
-    decode_qubits,
+    decode_logical,
     project_qubit_structure,
 )
 from photonmesh.gates import (
@@ -213,7 +213,7 @@ def test_swap2_is_an_involution_and_rail_flips():
     layout = QubitLayout(2)
     state = PhotonicState(6, {(0, 1, 0, 0, 1, 0): 1.0 + 0.0j})  # |00>
     out_state = run_layers(state, swap2.mzi_layers)
-    amps, prob = decode_qubits(project_qubit_structure(out_state, layout), layout)
+    amps, prob = decode_logical(project_qubit_structure(out_state, layout), layout)
     assert prob == pytest.approx(1.0, abs=1e-12)
     assert abs(amps[0b11]) == pytest.approx(1.0, abs=1e-12)
 
@@ -257,7 +257,7 @@ def test_entangled_state_from_direct_network_run():
             occ[layout.one_mode(1) if b1 else layout.zero_mode(1)] = 1
             terms[tuple(occ)] = plus * plus
     state = run_layers(PhotonicState(6, terms), desc.mzi_layers)
-    amps, prob = decode_qubits(project_qubit_structure(state, layout), layout)
+    amps, prob = decode_logical(project_qubit_structure(state, layout), layout)
     expected = np.array([0.5, 0.5, 0.5, -0.5])
     assert state_fidelity(amps, expected) == pytest.approx(1.0, abs=1e-10)
     assert prob == pytest.approx(1.0 / 9.0, abs=1e-10)
