@@ -204,6 +204,7 @@ def _simulate_tsv(record: dict) -> list[str]:
     lines = ["kind\tbitstring\tre\tim"]
     for label, (re, im) in record["amplitudes"].items():
         lines.append(f"amp\t{label}\t{fmt_float(re)}\t{fmt_float(im)}")
+    lines.append(f"forest\t\t{str(record['forest']).lower()}\t")
     lines.append(f"success\t\t{fmt_float(record['success_probability'])}\t")
     return lines
 
@@ -213,6 +214,7 @@ def _simulate_human(record: dict) -> list[str]:
     for label, (re, im) in record["amplitudes"].items():
         if abs(complex(re, im)) >= 1e-12:
             lines.append(f"  |{label}>  {fmt_float(re)}  {fmt_float(im)}")
+    lines.append(f"forest {str(record['forest']).lower()}")
     lines.append(f"success probability {fmt_float(record['success_probability'])}")
     return lines
 
@@ -244,6 +246,7 @@ def cmd_simulate(args) -> int:
         "success_probability": float(sim.success_probability),
         "positions": list(sim.compile_result.positions),
         "flips": list(sim.compile_result.flips),
+        "forest": sim.compile_result.forest,
     }
     return _emit(args, record, _simulate_tsv, _simulate_human)
 

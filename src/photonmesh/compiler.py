@@ -36,6 +36,19 @@ rebalance into a configuration that passes projection, so the decoded
 state and success probability deviate from the ideal circuit.  The
 simulator reports that outcome faithfully rather than rejecting such
 circuits.
+
+The compiler proves forest-ness as it emits: a union-find over photons,
+each tracked by its triplet through every ``SWAP2`` (routing, restore and
+logical SWAPs alike), joined by every post-selected gate.  A gate whose two
+photons already share a root, which a second gate on the same photon pair
+does too, leaves the circuit uncertified; ``CompileResult.forest`` is the
+certificate.  Inside a forest no failure term a truncation keeps can reach a
+passing configuration: the gate's two sides are joined by that gate alone,
+so no later layer can move a photon from the doubled side to the empty one.
+For a certified circuit the simulator therefore drops those terms at the
+truncation (``fock.run_program_pruned(..., forest=True)``); keys and key
+order of the projection stay the same and amplitudes move by rounding
+only.  Uncertified circuits take the light-cone path alone.
 """
 
 from __future__ import annotations
@@ -197,6 +210,7 @@ class CompileResult:
     positions: tuple[int, ...]
     flips: tuple[int, ...]
     qubit_count: int
+    forest: bool  # the forest certificate; see the module docstring
 
 
 @dataclass(frozen=True)
@@ -425,7 +439,15 @@ def enumerate_placements(pattern, scheme: str, mode_count: int) -> int:
 
 
 class _Emitter:
-    """Accumulates program steps while tracking qubit positions and flips."""
+    """Accumulates program steps while tracking qubit positions and flips.
+
+    It also certifies forest-ness: a union-find over photons, each tracked
+    by the triplet that holds it.  Every ``SWAP2`` emission (:meth:`swap2`)
+    moves the two photons it exchanges, and every post-selected gate
+    (:meth:`post_select`) joins the two photons in its window.  A gate whose
+    photons already share a root closes a cycle, or repeats a photon pair,
+    and clears ``forest``.
+    """
 
     def __init__(self, qubit_count: int, options: CompileOptions):
         self.n = qubit_count
@@ -436,6 +458,9 @@ class _Emitter:
         self.qubit_at = list(range(qubit_count))
         self.flips = [0] * qubit_count
         self.ledger = CascadeLedger()
+        self.photon_at = list(range(qubit_count))
+        self.component = list(range(qubit_count))
+        self.forest = True
 
     def emit_layers(self, layers, offset: int, label: str) -> None:
         self.steps.extend(
@@ -447,9 +472,29 @@ class _Emitter:
         """Layers of the ``SWAP2`` network, built on first use."""
         return gates.swap_networks()["SWAP2"].mzi_layers
 
+    def swap2(self, p: int, label: str) -> None:
+        """Emit ``SWAP2`` on triplets ``p`` and ``p+1``; their photons trade triplets."""
+        self.emit_layers(self.swap2_layers, 3 * p, label)
+        at = self.photon_at
+        at[p], at[p + 1] = at[p + 1], at[p]
+
+    def _root(self, photon: int) -> int:
+        while self.component[photon] != photon:
+            photon = self.component[photon]
+        return photon
+
+    def post_select(self, p: int) -> None:
+        """Truncate the aux modes of the post-selected gate on triplets ``p``
+        and ``p+1``, and join the gate's two photons."""
+        ra, rb = self._root(self.photon_at[p]), self._root(self.photon_at[p + 1])
+        if ra == rb:
+            self.forest = False
+        self.component[ra] = rb
+        self.steps.append(TruncateAux((3 * p, 3 * p + 3)))
+
     def physical_swap(self, p: int, label: str) -> None:
         """SWAP2 between triplets ``p`` and ``p+1``; both photons rail-flip."""
-        self.emit_layers(self.swap2_layers, 3 * p, label)
+        self.swap2(p, label)
         qa, qb = self.qubit_at[p], self.qubit_at[p + 1]
         self.qubit_at[p], self.qubit_at[p + 1] = qb, qa
         self.positions[qa], self.positions[qb] = p + 1, p
@@ -531,9 +576,9 @@ class _Emitter:
                 self.emit_layers(h_layer, h_top, f"CNOT H q{target}")
                 self.emit_layers(self.cz_layers, window, f"CNOT q{a}-q{b}")
                 self.emit_layers(h_layer, h_top, f"CNOT H q{target}")
-            self.steps.append(TruncateAux((window, window + 3)))
+            self.post_select(lo)
         else:  # logical SWAP
-            self.emit_layers(self.swap2_layers, window, f"SWAP q{a}-q{b}")
+            self.swap2(lo, f"SWAP q{a}-q{b}")
             # The photons exchange carriers and rail-flip; the logical labels
             # stay with their positions, so the flips cross over.
             fa, fb = self.flips[a], self.flips[b]
@@ -554,6 +599,7 @@ class _Emitter:
             positions=tuple(self.positions),
             flips=tuple(self.flips),
             qubit_count=self.n,
+            forest=self.forest,
         )
 
 
@@ -608,7 +654,7 @@ def compile_ghz_swap_variant(
     em.emit_layers(h_layer, 4, "CNOT H q1")
     em.emit_layers(em.cz_layers, 0, "CNOT q0-q1")
     em.emit_layers(h_layer, 4, "CNOT H q1")
-    em.steps.append(TruncateAux((0, 3)))
+    em.post_select(0)
     # route qubit 2 next to qubit 0; stays there
     em.physical_swap(1, "route q2")
     # CNOT(0, 2): target q2 now at triplet 1, rail-flipped - no correction
@@ -616,7 +662,7 @@ def compile_ghz_swap_variant(
     em.emit_layers(h_layer, 4, "CNOT H q2")
     em.emit_layers(em.cz_layers, 0, "CNOT q0-q2")
     em.emit_layers(h_layer, 4, "CNOT H q2")
-    em.steps.append(TruncateAux((0, 3)))
+    em.post_select(0)
     return em.result()
 
 
@@ -638,7 +684,7 @@ def simulate_circuit(
     if input_bits == "":
         input_bits = "0" * circuit.qubit_count
     state = fock.prepare_computational_basis(input_bits, layout)
-    final = fock.run_program_pruned(result.program, state, layout)
+    final = fock.run_program_pruned(result.program, state, layout, result.forest)
     projected = fock.project_qubit_structure(final, layout)
     amps, prob = decode_logical(projected, layout, result.positions, result.flips)
     return SimulationResult(

@@ -186,34 +186,51 @@ def _pair_transform(
     )
 
 
-def apply_linear(state: PhotonicState, layer: LinearLayer) -> PhotonicState:
+def _setting_key(setting: MziSetting) -> tuple:
+    """``setting`` as a key of :func:`apply_linear`'s rule cache.
+    ``MziSetting`` compares ``0.0 == -0.0`` (and hashes them alike), so the
+    signs of its zero phases are part of the key: settings that differ only
+    there stay apart."""
+    phases = (setting.theta1, setting.theta2, setting.phi1, setting.phi2,
+              setting.phi3, setting.phi4)
+    return setting, tuple(math.copysign(1.0, v) for v in phases if v == 0.0)
+
+
+def apply_linear(
+    state: PhotonicState, layer: LinearLayer, rules: dict | None = None
+) -> PhotonicState:
     """Apply the blocks of ``layer``, in order, to every term of ``state``.
 
     Each block rewrites only the occupations of its own mode pair, by the
     closed form of :func:`_pair_transform`; a term with no photon on the
-    pair passes through.  Expansions are cached per block and input pair.
+    pair passes through.  Expansions are cached in ``rules`` per setting
+    and input pair, and the device unitary is built only for a missing
+    rule.  A fold passes one cache for all its layers, since most blocks
+    share a few settings (``SWAP2``, the CZ network, H, X); without one,
+    the cache lives for this call.
     """
     m = state.mode_count
     if layer.mode_count != m:
         raise ValueError(f"layer has {layer.mode_count} modes, state has {m}")
+    rules = {} if rules is None else rules
     subs = [
-        (blk.top_mode, setting_unitary(blk.setting).T.tolist())
+        (blk.top_mode, blk.setting, rules.setdefault(_setting_key(blk.setting), {}))
         for blk in layer.blocks
     ]
-    rules: dict[tuple[int, int, int], tuple[tuple[int, complex], ...]] = {}
     accum: dict[Occupation, complex] = {}
     for occ in sorted(state.terms):
         partial = [(occ, state.terms[occ])]
-        for index, (a, t) in enumerate(subs):
+        for a, setting, cache in subs:
             expanded = []
             for pocc, pamp in partial:
                 na, nb = pocc[a], pocc[a + 1]
                 if not (na or nb):
                     expanded.append((pocc, pamp))
                     continue
-                rule = rules.get((index, na, nb))
+                rule = cache.get((na, nb))
                 if rule is None:
-                    rule = rules[index, na, nb] = _pair_transform(t, na, nb)
+                    t = setting_unitary(setting).T.tolist()
+                    rule = cache[na, nb] = _pair_transform(t, na, nb)
                 head, tail, n = pocc[:a], pocc[a + 2 :], na + nb
                 expanded.extend(
                     (head + (p, n - p) + tail, pamp * c) for p, c in rule
@@ -271,6 +288,16 @@ class Partition:
             if tuple(counts) == self.required:
                 kept[occ] = amp
         return PhotonicState(state.mode_count, kept)
+
+    def split(self, modes: tuple[int, ...], count: int) -> "Partition":
+        """This partition with ``modes``, which lie in one block, split out
+        as a new block that must hold ``count``; the rest of their block must
+        then hold ``count`` fewer."""
+        labels, required = list(self.labels), list(self.required)
+        required[labels[modes[0]]] -= count
+        for mode in modes:
+            labels[mode] = len(required)
+        return Partition(tuple(labels), (*required, count))
 
 
 def qubit_structure(layout: QubitLayout) -> Partition:
@@ -344,6 +371,8 @@ def decode_logical(
     n = layout.qubit_count
     positions = tuple(range(n)) if positions is None else positions
     flips = (0,) * n if flips is None else flips
+    if not any(result.projected_state.terms.values()):  # before the 2**n vector
+        raise ValueError("projection left no qubit-structure amplitude")
     amps = np.zeros(2**n, dtype=complex)
     for occ, amp in result.projected_state.terms.items():
         idx = 0
@@ -357,7 +386,9 @@ def decode_logical(
     return canonical_global_phase(amps / norm), result.success_probability
 
 
-def light_cone(program: NetworkProgram, layout: QubitLayout) -> tuple[Partition, ...]:
+def light_cone(
+    program: NetworkProgram, layout: QubitLayout, forest: bool = False
+) -> tuple[Partition, ...]:
     """The partition of modes in force after each program step.
 
     A backward union-find pass: it starts from the final projection,
@@ -366,7 +397,15 @@ def light_cone(program: NetworkProgram, layout: QubitLayout) -> tuple[Partition,
     counts.  Layers after step ``i`` move photons only inside the blocks of
     entry ``i``, so a term whose count differs from the requirement in any
     block can never pass the projection.  Entries are shared objects: a new
-    partition is made only where a layer merges blocks.
+    partition is made only where a layer merges blocks or a certified
+    truncation cuts.
+
+    ``forest`` asserts the compiler's certificate (``CompileResult.forest``):
+    then no failure term that a truncation keeps can ever pass, so the
+    entry of each :class:`TruncateAux` also splits out the rail pair
+    ``(aux + 1, aux + 2)`` of each truncated aux mode as a block that must
+    hold one photon (the eager cut).  Without the certificate the cut would
+    change results outside the forest envelope, so it is off by default.
     """
     if program.mode_count != layout.mode_count:
         raise ValueError(
@@ -396,7 +435,13 @@ def light_cone(program: NetworkProgram, layout: QubitLayout) -> tuple[Partition,
     current = seed
     after: list[Partition] = []
     for step in reversed(program.steps):
-        after.append(current)
+        if forest and isinstance(step, TruncateAux):
+            cut = current
+            for aux in step.modes:
+                cut = cut.split((aux + 1, aux + 2), 1)
+            after.append(cut)
+        else:
+            after.append(current)
         if not isinstance(step, LinearLayer):
             continue
         merged = False
@@ -422,9 +467,10 @@ def _fold(
         )
     cuts = cone or (None,) * len(program.steps)
     last = None
+    rules: dict = {}
     for step, cut in zip(program.steps, cuts):
         if isinstance(step, LinearLayer):
-            state = apply_linear(state, step)
+            state = apply_linear(state, step, rules)
         elif isinstance(step, TruncateAux):
             state = truncate_aux(state, step.modes)
         else:
@@ -436,24 +482,37 @@ def _fold(
 
 
 def run_program(program: NetworkProgram, state: PhotonicState) -> PhotonicState:
-    """Fold the program steps over ``state`` in order."""
+    """Fold the program steps over ``state`` in order, keeping every term.
+
+    The fold shares one :func:`apply_linear` rule cache over its layers."""
     return _fold(program, state, None)
 
 
 def run_program_pruned(
-    program: NetworkProgram, state: PhotonicState, layout: QubitLayout
+    program: NetworkProgram,
+    state: PhotonicState,
+    layout: QubitLayout,
+    forest: bool = False,
 ) -> PhotonicState:
     """:func:`run_program` that drops, after each step, every term that can
     never pass :func:`project_qubit_structure` (see :func:`light_cone`).
 
-    The projection of the result equals that of the unpruned fold bit for
-    bit, key order included: a dropped term's descendants never share an
-    occupation with a kept term's, so every kept amplitude is the same sum
-    of the same addends in the same order.  The test is only a necessary
-    condition, so circuits outside the forest envelope keep their
-    deviating output.
+    Without ``forest``, the projection of the result equals that of the
+    unpruned fold bit for bit, key order included: a dropped term's
+    descendants never share an occupation with a kept term's, so every kept
+    amplitude is the same sum of the same addends in the same order.  The
+    test is only a necessary condition, so circuits outside the forest
+    envelope keep their deviating output.
+
+    ``forest`` (pass the compiler's certificate, ``CompileResult.forest``)
+    adds the eager cut: each truncation also drops the failure terms of its
+    gate, the terms without exactly one photon in each operand rail pair.
+    Those terms never pass, but their descendants can meet kept terms'
+    descendants on one occupation and add what is zero in exact arithmetic
+    only, so the projection keeps its keys and order while amplitudes may
+    differ by rounding (about 1e-16).
     """
-    return _fold(program, state, light_cone(program, layout))
+    return _fold(program, state, light_cone(program, layout, forest))
 
 
 def format_state_dump(state: PhotonicState) -> str:

@@ -1,13 +1,23 @@
-"""End-to-end tests of the command line interface via subprocess."""
+"""End-to-end tests of the command line interface.
 
+Most tests call ``cli.main`` in process with stdout and stderr captured;
+:func:`test_module_entry_point` runs ``python -m photonmesh`` as a
+subprocess for the exit codes and stderr of the real entry point.
+"""
+
+import contextlib
+import io
 import json
 import re
 import subprocess
 import sys
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from photonmesh import cli, compiler, fock
 from photonmesh.cli import fmt_float
 
 BELL = {"qubits": 2, "gates": [{"g": "H", "q": 0}, {"g": "CNOT", "c": 0, "t": 1}]}
@@ -32,11 +42,34 @@ def write_circuit(tmp_path, payload, name="circuit.json"):
 
 
 def run_cli(*argv):
+    """``cli.main`` on ``argv``, with the fields of a finished subprocess."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return SimpleNamespace(returncode=code, stdout=out.getvalue(), stderr=err.getvalue())
+
+
+def run_module(*argv):
+    """``python -m photonmesh`` on ``argv`` in a subprocess."""
     return subprocess.run(
         [sys.executable, "-m", "photonmesh", *argv],
         capture_output=True,
         text=True,
     )
+
+
+def test_module_entry_point(tmp_path):
+    proc = run_module("gates", "list", "--name", "CZ", "--format", "json")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert [e["name"] for e in json.loads(proc.stdout)["networks"]] == ["CZ"]
+    proc = run_module("simulate", write_circuit(tmp_path, CASCADE))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("photonmesh: illegal cascade:")
+    proc = run_module("frobnicate")
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("photonmesh: error:")
 
 
 def test_simulate_bell_json(tmp_path):
@@ -56,6 +89,25 @@ def test_simulate_bell_json(tmp_path):
     assert payload["success_probability"] == pytest.approx(1 / 9, abs=1e-10)
     assert payload["positions"] == [0, 1]
     assert payload["flips"] == [0, 0]
+    assert payload["forest"] is True
+
+
+def test_simulate_reports_the_forest_certificate(tmp_path):
+    triangle = {
+        "qubits": 3,
+        "gates": [
+            {"g": "H", "q": 0},
+            {"g": "H", "q": 1},
+            {"g": "CZ", "c": 0, "t": 1},
+            {"g": "CZ", "c": 1, "t": 2},
+            {"g": "H", "q": 2},
+            {"g": "CZ", "c": 0, "t": 2},
+        ],
+    }
+    for circuit, forest in ((STAR, True), (triangle, False)):
+        proc = run_cli("simulate", write_circuit(tmp_path, circuit), "--format", "json")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["forest"] is forest
 
 
 def test_simulate_human_skips_zero_amplitudes(tmp_path):
@@ -124,6 +176,33 @@ def test_malformed_circuit_json(tmp_path):
     proc = run_cli("simulate", str(path))
     assert proc.returncode == 4
     assert "invalid JSON" in proc.stderr
+
+
+def test_empty_projection_fails_before_the_dense_output(tmp_path):
+    # The absolute PRUNE_THRESHOLD drops every GHZ term at n = 30 (relative
+    # pruning is still open); decoding must fail before it builds 2**30
+    # amplitudes (16 GiB).  Guard: if the fold ever keeps terms, stop here
+    # instead of building that vector.
+    n = 30
+    circuit = compiler.ghz_chain_circuit(n)
+    program = compiler.compile_circuit(circuit, compiler.CompileOptions(place=False)).program
+    layout = fock.QubitLayout(n)
+    state = fock.prepare_computational_basis("0" * n, layout)
+    final = fock.run_program_pruned(program, state, layout, forest=True)
+    assert not fock.project_qubit_structure(final, layout).projected_state.terms
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="no qubit-structure amplitude"):
+        compiler.simulate_circuit(circuit)
+    path = write_circuit(tmp_path, {
+        "qubits": n,
+        "gates": [{"g": "H", "q": 0}]
+        + [{"g": "CNOT", "c": q, "t": q + 1} for q in range(n - 1)],
+    })
+    proc = run_cli("simulate", path)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert "no qubit-structure amplitude" in proc.stderr
+    assert time.perf_counter() - start < 5.0
 
 
 def test_illegal_cascade_exit_code(tmp_path):
@@ -299,9 +378,11 @@ def test_simulate_formats_agree(tmp_path, circuit):
     assert len(amps) == 2 ** record["qubits"]
     success = fmt_float(record["success_probability"])
     assert tsv[0] == "kind\tbitstring\tre\tim"
-    assert tsv[1:-1] == [
+    assert tsv[1:-2] == [
         f"amp\t{label}\t{fmt_float(re)}\t{fmt_float(im)}" for label, (re, im) in amps.items()
     ]
+    assert record["forest"] is True
+    assert tsv[-2] == "forest\t\ttrue\t"
     assert tsv[-1] == f"success\t\t{success}\t"
     shown = [
         f"  |{label}>  {fmt_float(re)}  {fmt_float(im)}"
@@ -309,7 +390,9 @@ def test_simulate_formats_agree(tmp_path, circuit):
         if abs(complex(re, im)) >= 1e-12
     ]
     assert len(shown) == 2  # Bell and GHZ: two nonzero amplitudes
-    assert human == [f"input {record['input']}", *shown, f"success probability {success}"]
+    assert human == [
+        f"input {record['input']}", *shown, "forest true", f"success probability {success}"
+    ]
 
 
 def test_compile_formats_agree(tmp_path):

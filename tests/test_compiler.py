@@ -387,6 +387,92 @@ def test_pruned_fold_projects_exactly_like_unpruned_fold():
     assert cyclic >= 6  # cycle-closing circuits must actually occur
 
 
+TRIANGLE = [
+    {"g": "H", "q": 0},
+    {"g": "H", "q": 1},
+    {"g": "CZ", "c": 0, "t": 1},
+    {"g": "CZ", "c": 1, "t": 2},
+    {"g": "H", "q": 2},
+    {"g": "CZ", "c": 0, "t": 2},
+]
+# CZ(0, 2) after SWAP(1, 2) acts on the photons CZ(0, 1) already joined:
+# the logical pairs differ, the photon pair repeats
+REPEATED_PHOTON_PAIR = [
+    {"g": "H", "q": 0},
+    {"g": "H", "q": 1},
+    {"g": "CZ", "c": 0, "t": 1},
+    {"g": "SWAP", "a": 1, "b": 2},
+    {"g": "H", "q": 2},
+    {"g": "CZ", "c": 0, "t": 2},
+]
+ALL_OPTIONS = [
+    CompileOptions(place=False, cz_form=form, restore_swaps=restore)
+    for form in ("compressed", "swap-sandwich")
+    for restore in (True, False)
+]
+
+
+@pytest.mark.parametrize("options", ALL_OPTIONS, ids=lambda o: f"{o.cz_form}-{o.restore_swaps}")
+def test_forest_circuits_are_certified(options):
+    for n in range(2, 9):
+        assert compile_circuit(ghz_chain_circuit(n), options).forest
+    assert compile_ghz_swap_variant(options).forest
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        circuit = _random_circuit(rng, int(rng.integers(2, 6)), 14, forest=True)
+        assert compile_circuit(circuit, options).forest
+
+
+@pytest.mark.parametrize("options", ALL_OPTIONS, ids=lambda o: f"{o.cz_form}-{o.restore_swaps}")
+def test_triangle_is_not_certified_and_keeps_its_light_cone_output(options):
+    circuit = parse_circuit({"qubits": 3, "gates": TRIANGLE})
+    sim = simulate_circuit(circuit, options=options)
+    assert not sim.compile_result.forest
+    assert sim.success_probability * 729 == pytest.approx(30.6012825257642, abs=1e-9)
+    # the eager cut would have dropped the terms that close the cycle
+    layout = fock.QubitLayout(3)
+    state = fock.prepare_computational_basis("000", layout)
+    forced = fock.run_program_pruned(sim.compile_result.program, state, layout, True)
+    forced_p = fock.project_qubit_structure(forced, layout).success_probability
+    assert forced_p * 729 == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("options", ALL_OPTIONS, ids=lambda o: f"{o.cz_form}-{o.restore_swaps}")
+def test_repeated_photon_pair_is_not_certified(options):
+    circuit = parse_circuit({"qubits": 3, "gates": REPEATED_PHOTON_PAIR})
+    sim = simulate_circuit(circuit, options=options)
+    assert not sim.compile_result.forest
+    oracle = dense_circuit_state(circuit, "000")
+    assert state_fidelity(sim.amplitudes, oracle) == pytest.approx(1 / 19, abs=1e-9)
+    assert sim.success_probability * 81 == pytest.approx(19.0, abs=1e-9)
+
+
+def test_certified_runs_match_the_light_cone_path():
+    # Uncertified: the same fold as the light cone alone, bit for bit.
+    # Certified: the eager cut keeps the projection's keys and order, and
+    # moves amplitudes by rounding only.
+    rng = np.random.default_rng(31)
+    seen = {True: 0, False: 0}
+    for case in range(64):
+        options = ALL_OPTIONS[case % 4]
+        n = 3 + case % 3 // 2
+        circuit = _random_circuit(rng, n, 14, forest=case % 4 == 0)
+        bits = "".join(str(int(rng.integers(0, 2))) for _ in range(n))
+        sim = simulate_circuit(circuit, bits, options)
+        layout = fock.QubitLayout(n)
+        state = fock.prepare_computational_basis(bits, layout)
+        cone = fock.run_program_pruned(sim.compile_result.program, state, layout)
+        forest = sim.compile_result.forest
+        seen[forest] += 1
+        if not forest:
+            assert list(sim.final_state.terms.items()) == list(cone.terms.items())
+            continue
+        assert list(sim.final_state.terms) == list(cone.terms)
+        for occ, amp in cone.terms.items():
+            assert abs(sim.final_state.terms[occ] - amp) < 1e-14
+    assert min(seen.values()) >= 12, seen
+
+
 def test_simulate_final_state_is_pruned_to_projectable_terms():
     circuit = bell_circuit()
     sim = simulate_circuit(circuit)

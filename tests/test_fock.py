@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from photonmesh.compiler import parse_circuit, simulate_circuit
+from photonmesh import fock
+from photonmesh.compiler import (
+    CompileOptions,
+    compile_circuit,
+    ghz_chain_circuit,
+    parse_circuit,
+    simulate_circuit,
+)
 from photonmesh.fock import (
     PRUNE_THRESHOLD,
     LinearLayer,
@@ -15,6 +23,7 @@ from photonmesh.fock import (
     NetworkProgram,
     Partition,
     PhotonicState,
+    PostSelectionResult,
     QubitLayout,
     TruncateAux,
     amplitude_via_permanent,
@@ -33,6 +42,7 @@ from photonmesh.fock import (
 from photonmesh.gates import layers_matrix
 from photonmesh.linalg import (
     IDENTITY_SETTING,
+    MziSetting,
     bs_general,
     setting_unitary,
     solve_mzi_settings,
@@ -173,6 +183,14 @@ def test_decode_qubits_raises_when_nothing_survives():
     state = PhotonicState(3, {(1, 0, 0): 1.0 + 0.0j})
     with pytest.raises(ValueError):
         decode_logical(project_qubit_structure(state, layout), layout)
+
+
+def test_decode_logical_raises_before_the_dense_vector():
+    # 2**40 amplitudes would need 16 TiB: the check must come first
+    layout = QubitLayout(40)
+    empty = PostSelectionResult(PhotonicState(120, {}), 0.0)
+    with pytest.raises(ValueError, match="no qubit-structure amplitude"):
+        decode_logical(empty, layout)
 
 
 def test_decode_logical_defaults_to_identity_relabeling():
@@ -352,3 +370,116 @@ def test_pruned_final_state_equals_its_projection(gates):
     projected = project_qubit_structure(final, QubitLayout(3)).projected_state
     assert final.terms
     assert list(final.terms.items()) == list(projected.terms.items())
+
+
+def test_partition_split_moves_modes_into_a_new_block():
+    whole = Partition((0, 0, 0, 0), (2,))
+    pair = whole.split((1, 2), 1)
+    assert pair == Partition((0, 1, 1, 0), (1, 1))
+    state = PhotonicState(
+        4, {(1, 1, 0, 0): 1.0 + 0.0j, (0, 1, 1, 0): 0.5 + 0.0j, (0, 0, 0, 2): 0.5j}
+    )
+    assert list(pair.restrict(state).terms) == [(1, 1, 0, 0)]
+    assert list(whole.restrict(state).terms) == list(state.terms)
+
+
+def test_forest_light_cone_splits_the_rail_pairs_at_each_truncation():
+    layout = QubitLayout(3)
+    circuit = ghz_chain_circuit(3)
+    program = compile_circuit(circuit, CompileOptions(place=False)).program
+    plain = light_cone(program, layout)
+    eager = light_cone(program, layout, forest=True)
+    truncations = 0
+    for step, before, after in zip(program.steps, plain, eager):
+        if not isinstance(step, TruncateAux):
+            assert after == before
+            continue
+        truncations += 1
+        expected = before
+        for aux in step.modes:
+            expected = expected.split((aux + 1, aux + 2), 1)
+        assert after == expected
+        for aux in step.modes:
+            label = after.labels[aux + 1]
+            assert after.labels.count(label) == 2 and after.required[label] == 1
+    assert truncations == 2
+
+
+def test_certified_fold_keeps_one_ninth_per_truncation():
+    # after the k-th truncation and its cut, only the successful branch of
+    # every gate so far is left, with squared norm 9**-k
+    rng = np.random.default_rng(61)
+    checked = 0
+    for case in range(12):
+        n = 3 + case % 3
+        gates = [{"g": "H", "q": q} for q in range(n)]
+        for q in range(1, n):  # a random spanning tree, some pairs non-adjacent
+            gates.append({"g": ("CZ", "CNOT")[case % 2], "c": int(rng.integers(0, q)), "t": q})
+            gates.append({"g": "RY", "q": q, "angle": float(rng.uniform(-3, 3))})
+        circuit = parse_circuit({"qubits": n, "gates": gates})
+        options = CompileOptions(
+            place=False,
+            cz_form=("compressed", "swap-sandwich")[case // 2 % 2],
+            restore_swaps=case % 4 < 2,
+        )
+        result = compile_circuit(circuit, options)
+        assert result.forest
+        layout = QubitLayout(n)
+        state = prepare_computational_basis("0" * n, layout)
+        cone = light_cone(result.program, layout, forest=True)
+        k = 0
+        for step, cut in zip(result.program.steps, cone):
+            if isinstance(step, LinearLayer):
+                state = cut.restrict(apply_linear(state, step))
+                continue
+            state = cut.restrict(truncate_aux(state, step.modes))
+            k += 1
+            assert state.squared_norm() == pytest.approx(9.0**-k, rel=1e-12)
+            checked += 1
+        assert k == n - 1
+    assert checked >= 30
+
+
+def test_setting_key_keeps_signed_zeros_apart():
+    plus, minus = MziSetting(0.0, 1.0, 2.0, 3.0), MziSetting(-0.0, 1.0, 2.0, 3.0)
+    assert plus == minus and hash(plus) == hash(minus)
+    assert fock._setting_key(plus) != fock._setting_key(minus)
+    assert fock._setting_key(plus) == fock._setting_key(MziSetting(0.0, 1.0, 2.0, 3.0))
+    rules = {}
+    layer = LinearLayer(2, (MeshBlock(0, plus, "U"), MeshBlock(0, minus, "U")))
+    apply_linear(PhotonicState(2, {(1, 0): 1.0 + 0.0j}), layer, rules)
+    assert len(rules) == 2
+
+
+def test_rule_cache_builds_each_unitary_once_and_changes_nothing(monkeypatch):
+    rng = np.random.default_rng(67)
+    m = 5
+    mesh = random_mesh(m, rng)
+    # the second pass holds equal settings in new objects
+    again = tuple(
+        tuple(replace(blk, setting=replace(blk.setting)) for blk in blocks) for blocks in mesh
+    )
+    layers = [LinearLayer(m, blocks) for blocks in mesh + again]
+    state = PhotonicState(m, {(1, 0, 1, 0, 1): 1.0 + 0.0j, (0, 2, 0, 1, 0): 0.5j})
+    calls = []
+    monkeypatch.setattr(
+        fock, "setting_unitary", lambda s: calls.append(s) or setting_unitary(s)
+    )
+
+    def fold(rules):
+        out = state
+        for layer in layers:
+            out = apply_linear(out, layer, rules)
+        return out
+
+    rules = {}
+    shared = fold(rules)
+    # one cache entry per distinct setting, one unitary per missing rule
+    assert len(rules) == sum(len(blocks) for blocks in mesh)
+    assert len(calls) == sum(len(cache) for cache in rules.values())
+    calls.clear()
+    assert list(fold(rules).terms.items()) == list(shared.terms.items())
+    assert calls == []
+    # a cache per call gives the same state, bit for bit
+    fresh = run_layers(state, mesh + again)
+    assert list(shared.terms.items()) == list(fresh.terms.items())

@@ -1,0 +1,114 @@
+"""Property tests: random circuits against the dense oracle and the
+unpruned fold, with the forest certificate checked against the test's own
+photon graph."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from photonmesh import fock  # noqa: E402
+from photonmesh.compiler import CompileOptions, parse_circuit, simulate_circuit  # noqa: E402
+
+from helpers import dense_circuit_state, state_fidelity  # noqa: E402
+
+SINGLES = ("I", "X", "Y", "Z", "H", "T", "RZ", "RX", "RY")
+
+options = st.builds(
+    CompileOptions,
+    cz_form=st.sampled_from(("compressed", "swap-sandwich")),
+    restore_swaps=st.booleans(),
+    place=st.just(False),
+)
+
+
+@st.composite
+def circuits(draw, forest: bool):
+    """A circuit dict and whether its photon graph is a forest.
+
+    Photons are tracked through logical SWAPs; a CZ/CNOT on an already
+    used logical pair is never drawn (the compiler refuses it).  With
+    ``forest``, entanglers that would close a cycle are skipped; without
+    it, entanglers are drawn more often, on 3 or 4 qubits, so that cycles
+    and repeated photon pairs are common.
+    """
+    n = draw(st.integers(2, 5) if forest else st.integers(3, 4))
+    kinds = ("single", "single", "swap", "entangler")
+    if not forest:
+        kinds = ("single", "swap", "entangler", "entangler")
+    photon = list(range(n))
+    parent = list(range(n))
+    used = set()
+    acyclic = True
+
+    def root(p):
+        while parent[p] != p:
+            p = parent[p]
+        return p
+
+    gates = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "single":
+            name = draw(st.sampled_from(SINGLES))
+            gate = {"g": name, "q": draw(st.integers(0, n - 1))}
+            if name in ("RZ", "RX", "RY"):
+                gate["angle"] = draw(st.floats(-np.pi, np.pi))
+            gates.append(gate)
+            continue
+        a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        if kind == "swap":
+            gates.append({"g": "SWAP", "a": a, "b": b})
+            photon[a], photon[b] = photon[b], photon[a]
+            continue
+        ra, rb = root(photon[a]), root(photon[b])
+        if frozenset((a, b)) in used or (forest and ra == rb):
+            continue
+        used.add(frozenset((a, b)))
+        acyclic &= ra != rb
+        parent[ra] = rb
+        gates.append({"g": draw(st.sampled_from(("CZ", "CNOT"))), "c": a, "t": b})
+    return {"qubits": n, "gates": gates}, acyclic
+
+
+def basis_input(n: int):
+    return st.text(alphabet="01", min_size=n, max_size=n)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(circuits(forest=True), options, st.data())
+def test_forest_circuits_match_the_dense_oracle(drawn, opts, data):
+    payload, _ = drawn
+    circuit = parse_circuit(payload)
+    bits = data.draw(basis_input(circuit.qubit_count))
+    sim = simulate_circuit(circuit, bits, opts)
+    assert sim.compile_result.forest
+    oracle = dense_circuit_state(circuit, bits)
+    assert state_fidelity(sim.amplitudes, oracle) > 1 - 1e-9
+    entanglers = sum(op.name in ("CZ", "CNOT") for op in circuit.gates)
+    assert sim.success_probability * 9.0**entanglers == pytest.approx(1.0, abs=1e-9)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(circuits(forest=False), options, st.data())
+def test_any_circuit_projects_like_the_unpruned_fold(drawn, opts, data):
+    payload, acyclic = drawn
+    circuit = parse_circuit(payload)
+    n = circuit.qubit_count
+    bits = data.draw(basis_input(n))
+    sim = simulate_circuit(circuit, bits, opts)
+    assert sim.compile_result.forest == acyclic
+    layout = fock.QubitLayout(n)
+    state = fock.prepare_computational_basis(bits, layout)
+    full = fock.project_qubit_structure(
+        fock.run_program(sim.compile_result.program, state), layout
+    )
+    if not acyclic:  # the light cone alone: bit for bit
+        assert list(sim.final_state.terms.items()) == list(full.projected_state.terms.items())
+        return
+    assert list(sim.final_state.terms) == list(full.projected_state.terms)
+    for occ, amp in full.projected_state.terms.items():
+        assert abs(sim.final_state.terms[occ] - amp) < 1e-14
