@@ -36,6 +36,7 @@ from .fock import (
     apply_linear,
     canonical_global_phase,
     decode_logical,
+    dense_amplitudes,
     light_cone,
     prepare_computational_basis,
     project_qubit_structure,
@@ -101,6 +102,7 @@ __all__ = [
     "apply_linear",
     "canonical_global_phase",
     "decode_logical",
+    "dense_amplitudes",
     "light_cone",
     "prepare_computational_basis",
     "project_qubit_structure",

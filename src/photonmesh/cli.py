@@ -28,6 +28,7 @@ Circuit files are JSON objects like::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -220,6 +221,11 @@ def _simulate_human(record: dict) -> list[str]:
 
 
 def cmd_simulate(args) -> int:
+    """Simulate a circuit and emit its record.  ``amplitudes`` lists only
+    the projected basis states, in index order, as ``{bitstring: [re, im]}``;
+    a bitstring that is absent has amplitude 0.  The tsv ``amp`` rows follow
+    the same entries, and the human lines the ones of magnitude at least
+    1e-12.  No ``2**n`` vector is built."""
     circuit = _load_circuit(args.circuit)
     bits = args.input if args.input is not None else "0" * circuit.qubit_count
     if len(bits) != circuit.qubit_count or any(c not in "01" for c in bits):
@@ -241,7 +247,7 @@ def cmd_simulate(args) -> int:
         "qubits": n,
         "amplitudes": {
             format(i, f"0{n}b"): [float(a.real) + 0.0, float(a.imag) + 0.0]
-            for i, a in enumerate(sim.amplitudes)
+            for i, a in sim.sparse_amplitudes.items()
         },
         "success_probability": float(sim.success_probability),
         "positions": list(sim.compile_result.positions),
@@ -393,7 +399,12 @@ def cmd_analyze_ghz_scan(args) -> int:
     return _emit(args, {"points": rows}, _ghz_scan_tsv, _ghz_scan_human)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``photonmesh`` parser, built once per process: ``parse_args``
+    returns a new namespace on each call, so the parser is reused.  Each
+    subcommand's ``set_defaults(func=...)`` binds the command function at
+    that first build."""
     parser = _Parser(prog="photonmesh", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

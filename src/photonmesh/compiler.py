@@ -215,14 +215,27 @@ class CompileResult:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """``final_state`` is the light-cone-pruned output state: it holds only
-    the terms that pass the final projection.  Rerun ``fock.run_program`` on
-    ``compile_result.program`` for the full Fock state."""
+    """``sparse_amplitudes`` is the decoded logical state as
+    ``{basis index: amplitude}``, one entry per projected term in ascending
+    index order (see :func:`decode_logical`); absent basis states have
+    amplitude 0.  :attr:`amplitudes` is the dense ``2**n`` vector, built on
+    each access.  ``final_state`` is the light-cone-pruned output state: it
+    holds only the terms that pass the final projection.  Rerun
+    ``fock.run_program`` on ``compile_result.program`` for the full Fock
+    state."""
 
-    amplitudes: np.ndarray
+    sparse_amplitudes: dict[int, complex]
     success_probability: float
     final_state: PhotonicState
     compile_result: CompileResult
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """Dense state vector, qubit 0 the most significant bit; built on
+        each access, so it costs ``2**n`` memory only for a caller who asks."""
+        return fock.dense_amplitudes(
+            self.sparse_amplitudes, self.compile_result.qubit_count
+        )
 
 
 def parse_circuit(data) -> CircuitIR:
@@ -673,11 +686,12 @@ def simulate_circuit(
 ) -> SimulationResult:
     """Compile and run a circuit on a computational basis input.
 
-    ``input_bits`` defaults to all zeros.  Amplitudes are normalized;
-    ``success_probability`` is the chance that all post-selections succeed
-    and the photons come out in qubit structure.  Simulation runs the
-    program directly and skips mesh placement, so circuit depth is not
-    limited by a mesh column budget here.
+    ``input_bits`` defaults to all zeros.  Amplitudes are normalized and
+    kept sparse (see :class:`SimulationResult`); ``success_probability``
+    is the chance that all post-selections succeed and the photons come
+    out in qubit structure.  Simulation runs the program directly and skips
+    mesh placement, so circuit depth is not limited by a mesh column budget
+    here.
     """
     result = compile_circuit(circuit, replace(options or CompileOptions(), place=False))
     layout = QubitLayout(circuit.qubit_count)
@@ -688,7 +702,7 @@ def simulate_circuit(
     projected = fock.project_qubit_structure(final, layout)
     amps, prob = decode_logical(projected, layout, result.positions, result.flips)
     return SimulationResult(
-        amplitudes=amps,
+        sparse_amplitudes=amps,
         success_probability=prob,
         final_state=final,
         compile_result=result,

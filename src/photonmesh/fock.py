@@ -359,53 +359,76 @@ def decode_logical(
     layout: QubitLayout,
     positions: tuple[int, ...] | None = None,
     flips: tuple[int, ...] | None = None,
-) -> tuple[np.ndarray, float]:
+) -> tuple[dict[int, complex], float]:
     """Qubit amplitudes read through a waveguide relabeling, and the success
     probability of the projection.
 
-    Logical qubit ``q`` is read from triplet ``positions[q]``; its bit is
-    XORed with ``flips[q]``.  Both default to the identity relabeling.
-    Qubit 0 is the most significant bit.  The amplitudes are normalized and
-    their global phase is fixed by :func:`canonical_global_phase`.
+    Returns ``({basis index: amplitude}, success_probability)`` with one
+    entry per projected term, in ascending index order; basis states the
+    projection does not reach are absent and have amplitude 0, so nothing
+    of size ``2**n`` is allocated (:func:`dense_amplitudes` builds the
+    vector).  Logical qubit ``q`` is read from triplet ``positions[q]``;
+    its bit is XORed with ``flips[q]``.  Both default to the identity
+    relabeling.  Qubit 0 is the most significant bit.  The amplitudes are
+    normalized over the projected values, and their global phase is fixed
+    by :func:`canonical_global_phase` applied to them in index order, which
+    picks the same anchor as on the dense vector.
     """
     n = layout.qubit_count
     positions = tuple(range(n)) if positions is None else positions
     flips = (0,) * n if flips is None else flips
-    if not any(result.projected_state.terms.values()):  # before the 2**n vector
-        raise ValueError("projection left no qubit-structure amplitude")
-    amps = np.zeros(2**n, dtype=complex)
+    ones = [layout.one_mode(p) for p in positions]
+    decoded = {}
     for occ, amp in result.projected_state.terms.items():
         idx = 0
-        for q in range(n):
-            bit = occ[layout.one_mode(positions[q])] ^ flips[q]
-            idx = (idx << 1) | bit
-        amps[idx] += amp
-    norm = np.linalg.norm(amps)
+        for mode, flip in zip(ones, flips):
+            idx = (idx << 1) | (occ[mode] ^ flip)
+        decoded[idx] = decoded.get(idx, 0j) + amp
+    indices = sorted(decoded)
+    values = np.array([decoded[i] for i in indices], dtype=complex)
+    norm = np.linalg.norm(values)
     if norm == 0.0:
         raise ValueError("projection left no qubit-structure amplitude")
-    return canonical_global_phase(amps / norm), result.success_probability
+    values = canonical_global_phase(values / norm)
+    return dict(zip(indices, values.tolist())), result.success_probability
+
+
+def dense_amplitudes(amplitudes: dict[int, complex], qubit_count: int) -> np.ndarray:
+    """The ``2**qubit_count`` state vector of a sparse ``{basis index:
+    amplitude}`` map such as :func:`decode_logical` returns."""
+    dense = np.zeros(2**qubit_count, dtype=complex)
+    dense[list(amplitudes)] = list(amplitudes.values())
+    return dense
 
 
 def light_cone(
     program: NetworkProgram, layout: QubitLayout, forest: bool = False
-) -> tuple[Partition, ...]:
-    """The partition of modes in force after each program step.
+) -> tuple[Partition | None, ...]:
+    """The partition to restrict the state by after each program step, or
+    ``None`` after a step where restricting can drop no term.
 
     A backward union-find pass: it starts from the final projection,
     :func:`qubit_structure`, and, walking the steps in reverse, joins the
     two modes of every block of a layer, adding the blocks' required
     counts.  Layers after step ``i`` move photons only inside the blocks of
-    entry ``i``, so a term whose count differs from the requirement in any
-    block can never pass the projection.  Entries are shared objects: a new
-    partition is made only where a layer merges blocks or a certified
-    truncation cuts.
+    the partition in force after step ``i``, so a term whose count differs
+    from the requirement in any block can never pass the projection.
+
+    That partition is given after step 0, whose input is not yet
+    restricted, after every layer that merges blocks and after every
+    certified truncation (below); elsewhere the entry is ``None``, since
+    restricting there can drop nothing.  A layer that merges nothing
+    couples modes only inside the blocks of the partition in force, which
+    equals or coarsens the last one restricted by, so every kept term keeps
+    matching it; any other truncation only removes terms.
 
     ``forest`` asserts the compiler's certificate (``CompileResult.forest``):
     then no failure term that a truncation keeps can ever pass, so the
-    entry of each :class:`TruncateAux` also splits out the rail pair
-    ``(aux + 1, aux + 2)`` of each truncated aux mode as a block that must
-    hold one photon (the eager cut).  Without the certificate the cut would
-    change results outside the forest envelope, so it is off by default.
+    entry of each :class:`TruncateAux` is the partition in force with the
+    rail pair ``(aux + 1, aux + 2)`` of each truncated aux mode split out
+    as a block that must hold one photon (the eager cut).  Without the
+    certificate the cut would change results outside the forest envelope,
+    so it is off by default.
     """
     if program.mode_count != layout.mode_count:
         raise ValueError(
@@ -433,40 +456,38 @@ def light_cone(
         )
 
     current = seed
-    after: list[Partition] = []
-    for step in reversed(program.steps):
+    after: list[Partition | None] = []
+    for i in reversed(range(len(program.steps))):
+        step, entry, drops = program.steps[i], current, i == 0
         if forest and isinstance(step, TruncateAux):
-            cut = current
             for aux in step.modes:
-                cut = cut.split((aux + 1, aux + 2), 1)
-            after.append(cut)
-        else:
-            after.append(current)
-        if not isinstance(step, LinearLayer):
-            continue
-        merged = False
-        for blk in step.blocks:
-            rj, rk = root(blk.top_mode), root(blk.top_mode + 1)
-            if rj != rk:
-                parent[rk] = rj
-                required[rj] += required[rk]
-                merged = True
-        if merged:
-            current = snapshot()
+                entry = entry.split((aux + 1, aux + 2), 1)
+            drops = True
+        elif isinstance(step, LinearLayer):
+            merged = False
+            for blk in step.blocks:
+                rj, rk = root(blk.top_mode), root(blk.top_mode + 1)
+                if rj != rk:
+                    parent[rk] = rj
+                    required[rj] += required[rk]
+                    merged = True
+            if merged:
+                current = snapshot()
+                drops = True
+        after.append(entry if drops else None)
     return tuple(reversed(after))
 
 
 def _fold(
     program: NetworkProgram,
     state: PhotonicState,
-    cone: tuple[Partition, ...] | None,
+    cone: tuple[Partition | None, ...] | None,
 ) -> PhotonicState:
     if state.mode_count != program.mode_count:
         raise ValueError(
             f"state has {state.mode_count} modes, program needs {program.mode_count}"
         )
     cuts = cone or (None,) * len(program.steps)
-    last = None
     rules: dict = {}
     for step, cut in zip(program.steps, cuts):
         if isinstance(step, LinearLayer):
@@ -475,9 +496,8 @@ def _fold(
             state = truncate_aux(state, step.modes)
         else:
             raise TypeError(f"unknown program step {type(step).__name__}")
-        if cut is not last:
+        if cut is not None:
             state = cut.restrict(state)
-            last = cut
     return state
 
 

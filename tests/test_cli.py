@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -80,12 +81,12 @@ def test_simulate_bell_json(tmp_path):
     assert payload["input"] == "00"
     assert payload["qubits"] == 2
     amp = payload["amplitudes"]
+    # only the projected entries, in index order: |01> and |10> are absent (0)
+    assert list(amp) == ["00", "11"]
     assert amp["00"][0] == pytest.approx(1 / np.sqrt(2), abs=1e-10)
     assert amp["11"][0] == pytest.approx(1 / np.sqrt(2), abs=1e-10)
     for label in ("00", "11"):
         assert amp[label][1] == pytest.approx(0.0, abs=1e-10)
-    for label in ("01", "10"):
-        assert abs(complex(*amp[label])) < 1e-10
     assert payload["success_probability"] == pytest.approx(1 / 9, abs=1e-10)
     assert payload["positions"] == [0, 1]
     assert payload["flips"] == [0, 0]
@@ -128,7 +129,7 @@ def test_simulate_tsv_format(tmp_path):
     lines = proc.stdout.splitlines()
     assert lines[0] == "kind\tbitstring\tre\tim"
     amp_lines = [ln for ln in lines if ln.startswith("amp\t")]
-    assert len(amp_lines) == 4
+    assert [ln.split("\t")[1] for ln in amp_lines] == ["00", "11"]
     assert lines[-1].startswith("success\t")
 
 
@@ -139,7 +140,7 @@ def test_simulate_with_input_bits(tmp_path):
     amp = json.loads(proc.stdout)["amplitudes"]
     assert amp["01"][0] == pytest.approx(1 / np.sqrt(2), abs=1e-10)
     assert amp["10"][0] == pytest.approx(1 / np.sqrt(2), abs=1e-10)
-    assert abs(complex(*amp["00"])) < 1e-10
+    assert list(amp) == ["01", "10"]  # |00> and |11> are absent (0)
 
 
 def test_simulate_dump_state(tmp_path):
@@ -178,11 +179,19 @@ def test_malformed_circuit_json(tmp_path):
     assert "invalid JSON" in proc.stderr
 
 
-def test_empty_projection_fails_before_the_dense_output(tmp_path):
+def ghz_chain_file(tmp_path, n):
+    return write_circuit(tmp_path, {
+        "qubits": n,
+        "gates": [{"g": "H", "q": 0}]
+        + [{"g": "CNOT", "c": q, "t": q + 1} for q in range(n - 1)],
+    })
+
+
+def test_empty_projection_raises_and_exits_4(tmp_path):
     # The absolute PRUNE_THRESHOLD drops every GHZ term at n = 30 (relative
-    # pruning is still open); decoding must fail before it builds 2**30
-    # amplitudes (16 GiB).  Guard: if the fold ever keeps terms, stop here
-    # instead of building that vector.
+    # pruning is still open), so decoding raises.  Guard: if the fold ever
+    # keeps terms, stop here and rewrite this test as the n = 40 regression
+    # of relative pruning.
     n = 30
     circuit = compiler.ghz_chain_circuit(n)
     program = compiler.compile_circuit(circuit, compiler.CompileOptions(place=False)).program
@@ -193,16 +202,34 @@ def test_empty_projection_fails_before_the_dense_output(tmp_path):
     start = time.perf_counter()
     with pytest.raises(ValueError, match="no qubit-structure amplitude"):
         compiler.simulate_circuit(circuit)
-    path = write_circuit(tmp_path, {
-        "qubits": n,
-        "gates": [{"g": "H", "q": 0}]
-        + [{"g": "CNOT", "c": q, "t": q + 1} for q in range(n - 1)],
-    })
-    proc = run_cli("simulate", path)
+    proc = run_cli("simulate", ghz_chain_file(tmp_path, n))
     assert proc.returncode == 4
     assert proc.stdout == ""
     assert "no qubit-structure amplitude" in proc.stderr
     assert time.perf_counter() - start < 5.0
+
+
+def test_simulate_json_does_no_dense_work_at_24_qubits(tmp_path):
+    # 2**24 amplitudes: a dense vector alone would take 256 MiB, and the
+    # record would list 16M bitstrings
+    n = 24
+    path = ghz_chain_file(tmp_path, n)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        proc = run_cli("simulate", path, "--format", "json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 5.0
+    assert peak < 16 * 2**20
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    amp = payload["amplitudes"]
+    assert list(amp) == ["0" * n, "1" * n]
+    for re_im in amp.values():
+        assert complex(*re_im) == pytest.approx(1 / np.sqrt(2), abs=1e-9)
+    assert payload["success_probability"] * 9.0 ** (n - 1) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_illegal_cascade_exit_code(tmp_path):
@@ -375,7 +402,8 @@ def numbers(text):
 def test_simulate_formats_agree(tmp_path, circuit):
     record, tsv, human = run_formats("simulate", write_circuit(tmp_path, circuit))
     amps = record["amplitudes"]
-    assert len(amps) == 2 ** record["qubits"]
+    n = record["qubits"]
+    assert list(amps) == ["0" * n, "1" * n]  # the projected entries only
     success = fmt_float(record["success_probability"])
     assert tsv[0] == "kind\tbitstring\tre\tim"
     assert tsv[1:-2] == [

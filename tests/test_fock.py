@@ -30,6 +30,7 @@ from photonmesh.fock import (
     apply_linear,
     canonical_global_phase,
     decode_logical,
+    dense_amplitudes,
     format_state_dump,
     light_cone,
     prepare_computational_basis,
@@ -174,8 +175,11 @@ def test_decode_qubits_msb_first_and_canonical_phase():
     )
     amps, prob = decode_logical(project_qubit_structure(state, layout), layout)
     assert prob == pytest.approx(1.0, abs=1e-12)
+    # sparse, in ascending index order, though |11> sorts first as an occupation
+    assert list(amps) == [0b00, 0b11]
     # global phase canonicalized: the -1 factor is removed
-    assert np.allclose(amps, [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)], atol=1e-12)
+    dense = dense_amplitudes(amps, 2)
+    assert np.allclose(dense, [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)], atol=1e-12)
 
 
 def test_decode_qubits_raises_when_nothing_survives():
@@ -186,7 +190,7 @@ def test_decode_qubits_raises_when_nothing_survives():
 
 
 def test_decode_logical_raises_before_the_dense_vector():
-    # 2**40 amplitudes would need 16 TiB: the check must come first
+    # decoding allocates nothing of size 2**40 (16 TiB as a dense vector)
     layout = QubitLayout(40)
     empty = PostSelectionResult(PhotonicState(120, {}), 0.0)
     with pytest.raises(ValueError, match="no qubit-structure amplitude"):
@@ -203,7 +207,7 @@ def test_decode_logical_defaults_to_identity_relabeling():
     result = project_qubit_structure(PhotonicState(9, terms), layout)
     amps, prob = decode_logical(result, layout)
     ref, ref_prob = decode_logical(result, layout, (0, 1, 2), (0, 0, 0))
-    assert np.array_equal(amps, ref)
+    assert list(amps.items()) == list(ref.items())
     assert prob == ref_prob
 
 
@@ -259,7 +263,8 @@ def test_light_cone_of_identity_layers_merges_nothing():
     program = NetworkProgram(6, (empty, TruncateAux((0, 3)), empty))
     cone = light_cone(program, layout)
     assert len(cone) == 3
-    assert all(cut is cone[0] for cut in cone)
+    # only the input is restricted: nothing later can change a block count
+    assert cone[1:] == (None, None)
     # aux singletons holding 0 photons, rail pairs holding 1
     assert cone[0].labels == (0, 1, 1, 2, 3, 3)
     assert cone[0].required == (0, 1, 0, 1)
@@ -349,7 +354,8 @@ def test_light_cone_starts_from_the_qubit_structure():
     layout = QubitLayout(2)
     program = NetworkProgram(6, (splitter_layer(6, 2), TruncateAux((0, 3))))
     cone = light_cone(program, layout)
-    assert cone[-1] == qubit_structure(layout)
+    # the truncation merges nothing, so the splitter's entry is the projection
+    assert cone == (qubit_structure(layout), None)
     assert qubit_structure(layout) == Partition((0, 1, 1, 2, 3, 3), (0, 1, 0, 1))
 
 
@@ -390,12 +396,15 @@ def test_forest_light_cone_splits_the_rail_pairs_at_each_truncation():
     plain = light_cone(program, layout)
     eager = light_cone(program, layout, forest=True)
     truncations = 0
+    held = None  # the plain partition in force: an entry of None keeps it
     for step, before, after in zip(program.steps, plain, eager):
+        held = before or held
         if not isinstance(step, TruncateAux):
             assert after == before
             continue
+        assert before is None
         truncations += 1
-        expected = before
+        expected = held
         for aux in step.modes:
             expected = expected.split((aux + 1, aux + 2), 1)
         assert after == expected
@@ -430,7 +439,8 @@ def test_certified_fold_keeps_one_ninth_per_truncation():
         k = 0
         for step, cut in zip(result.program.steps, cone):
             if isinstance(step, LinearLayer):
-                state = cut.restrict(apply_linear(state, step))
+                state = apply_linear(state, step)
+                state = state if cut is None else cut.restrict(state)
                 continue
             state = cut.restrict(truncate_aux(state, step.modes))
             k += 1
@@ -438,6 +448,41 @@ def test_certified_fold_keeps_one_ninth_per_truncation():
             checked += 1
         assert k == n - 1
     assert checked >= 30
+
+
+@pytest.mark.parametrize("forest", [False, True])
+def test_skipped_restricts_drop_nothing(forest):
+    # restricting after every step by the partition in force gives the same
+    # state, bit for bit, as restricting only at the light cone's entries
+    rng = np.random.default_rng(71)
+    skipped_after_cut = 0
+    for case in range(8):
+        n = 3 + case % 3
+        gates = [{"g": "H", "q": q} for q in range(n)]
+        for q in range(1, n):
+            gates.append({"g": ("CZ", "CNOT")[case % 2], "c": int(rng.integers(0, q)), "t": q})
+            gates.append({"g": "RX", "q": int(rng.integers(0, n)), "angle": 0.7})
+        circuit = parse_circuit({"qubits": n, "gates": gates})
+        options = CompileOptions(place=False, restore_swaps=case % 4 < 2)
+        program = compile_circuit(circuit, options).program
+        layout = QubitLayout(n)
+        start = prepare_computational_basis("0" * n, layout)
+        plain = light_cone(program, layout)
+        cone = light_cone(program, layout, forest)
+        state, held, after_cut = start, None, False
+        for step, before, cut in zip(program.steps, plain, cone):
+            held = before or held  # a plain entry of None keeps the partition
+            if isinstance(step, LinearLayer):
+                state = apply_linear(state, step)
+            else:
+                state = truncate_aux(state, step.modes)
+            state = (cut or held).restrict(state)
+            skipped_after_cut += cut is None and after_cut
+            after_cut = forest and isinstance(step, TruncateAux)
+        pruned = run_program_pruned(program, start, layout, forest)
+        assert list(state.terms.items()) == list(pruned.terms.items())
+        assert sum(cut is None for cut in cone) > len(cone) // 2
+    assert skipped_after_cut or not forest
 
 
 def test_setting_key_keeps_signed_zeros_apart():

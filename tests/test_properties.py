@@ -92,6 +92,30 @@ def test_forest_circuits_match_the_dense_oracle(drawn, opts, data):
     assert sim.success_probability * 9.0**entanglers == pytest.approx(1.0, abs=1e-9)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(circuits(forest=True), options, st.data())
+def test_sparse_amplitudes_are_the_nonzero_entries_of_the_dense_view(drawn, opts, data):
+    payload, _ = drawn
+    circuit = parse_circuit(payload)
+    n = circuit.qubit_count
+    sim = simulate_circuit(circuit, data.draw(basis_input(n)), opts)
+    dense = sim.amplitudes
+    nonzero = np.flatnonzero(dense).tolist()
+    assert list(sim.sparse_amplitudes) == nonzero
+    assert list(sim.sparse_amplitudes.values()) == dense[nonzero].tolist()
+    # a dense decode of the same projection, written out here
+    layout = fock.QubitLayout(n)
+    result = sim.compile_result
+    projected = fock.project_qubit_structure(sim.final_state, layout).projected_state
+    oracle = np.zeros(2**n, dtype=complex)
+    for occ, amp in projected.terms.items():
+        bits = [occ[layout.one_mode(result.positions[q])] ^ result.flips[q] for q in range(n)]
+        oracle[int("".join(map(str, bits)), 2)] += amp
+    oracle = fock.canonical_global_phase(oracle / np.linalg.norm(oracle))
+    assert np.flatnonzero(oracle).tolist() == nonzero
+    assert np.max(np.abs(oracle - dense)) < 1e-15
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(circuits(forest=False), options, st.data())
 def test_any_circuit_projects_like_the_unpruned_fold(drawn, opts, data):
