@@ -13,9 +13,9 @@ Subcommands
 ``analyze ghz-scan``
     Measure GHZ chain success probabilities.
 
-Each command builds one record.  ``--format json`` prints it as is;
-``tsv`` and ``human`` print lines rendered from that record alone.  Only
-``compile`` takes ``--output``; the others print to stdout.
+Each command builds one record.  ``--format json`` prints it as is, on
+one line; ``tsv`` and ``human`` print lines rendered from that record
+alone.  Only ``compile`` takes ``--output``; the others print to stdout.
 
 Exit codes: 0 success; 2 illegal gate cascade; 3 mesh placement overflow;
 4 malformed input (circuit file, CLI usage, unknown ``gates list --name``).
@@ -129,11 +129,12 @@ def _add_format_flag(p: argparse.ArgumentParser) -> None:
 
 
 def _emit(args, record, tsv, human) -> int:
-    """Print a command's record: ``--format json`` dumps it as is, ``tsv``
-    and ``human`` print the lines their renderer makes of it.  The text goes
-    to ``--output`` where the command has that option, else to stdout."""
+    """Print a command's record: ``--format json`` dumps it as is on one
+    line (no ``indent``, so CPython's C encoder renders it), ``tsv`` and
+    ``human`` print the lines their renderer makes of it.  The text goes to
+    ``--output`` where the command has that option, else to stdout."""
     if args.format == "json":
-        text = json.dumps(record, indent=2) + "\n"
+        text = json.dumps(record) + "\n"
     else:
         text = "\n".join((tsv if args.format == "tsv" else human)(record)) + "\n"
     output = getattr(args, "output", None)

@@ -54,6 +54,7 @@ only.  Uncertified circuits take the light-cone path alone.
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
@@ -274,7 +275,13 @@ def parse_circuit(data) -> CircuitIR:
             if name in ROTATION_GATES:
                 if not isinstance(angle, (int, float)) or isinstance(angle, bool):
                     raise CircuitParseError(f"{name} needs a numeric 'angle'")
-                ops.append(GateOp(name, (q,), float(angle)))
+                try:
+                    angle = float(angle)
+                except OverflowError:  # an integer beyond float range
+                    angle = math.inf
+                if not math.isfinite(angle):  # json.load reads NaN and Infinity
+                    raise CircuitParseError(f"{name} needs a finite 'angle'")
+                ops.append(GateOp(name, (q,), angle))
             else:
                 if angle is not None:
                     raise CircuitParseError(f"{name} takes no 'angle'")

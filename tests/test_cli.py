@@ -179,6 +179,20 @@ def test_malformed_circuit_json(tmp_path):
     assert "invalid JSON" in proc.stderr
 
 
+@pytest.mark.parametrize("angle", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_angle_is_a_circuit_error(tmp_path, angle):
+    path = tmp_path / "angle.json"
+    path.write_text(
+        '{"qubits": 1, "gates": [{"g": "RY", "q": 0, "angle": %s}]}' % angle,
+        encoding="utf-8",
+    )
+    for command in ("simulate", "compile"):
+        proc = run_cli(command, str(path))
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr == "photonmesh: circuit error: RY needs a finite 'angle'\n"
+
+
 def ghz_chain_file(tmp_path, n):
     return write_circuit(tmp_path, {
         "qubits": n,
@@ -373,6 +387,36 @@ def test_output_is_deterministic(tmp_path):
     table1 = run_cli("compile", path, "--format", "tsv")
     table2 = run_cli("compile", path, "--format", "tsv")
     assert table1.stdout == table2.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compile", BELL),
+        ("simulate", BELL),
+        ("gates", "list"),
+        ("analyze", "ghz-scan"),
+        ("analyze", "cz4x4", "--restarts", "2"),
+    ],
+    ids=["compile", "simulate", "gates-list", "ghz-scan", "cz4x4"],
+)
+def test_json_is_one_compact_line(tmp_path, argv):
+    argv = [write_circuit(tmp_path, a) if isinstance(a, dict) else a for a in argv]
+    proc = run_cli(*argv, "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("\n") == 1
+    assert proc.stdout == json.dumps(json.loads(proc.stdout)) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv", "human"])
+def test_compile_output_file_holds_the_printed_bytes(tmp_path, fmt):
+    path = write_circuit(tmp_path, BELL)
+    out = tmp_path / f"table.{fmt}"
+    printed = run_cli("compile", path, "--format", fmt)
+    written = run_cli("compile", path, "--format", fmt, "--output", str(out))
+    assert printed.returncode == written.returncode == 0
+    assert written.stdout == ""
+    assert out.read_bytes() == printed.stdout.encode("utf-8")
 
 
 def test_usage_errors(tmp_path):

@@ -74,6 +74,24 @@ def test_parse_circuit_rejects_malformed_input(data):
         parse_circuit(data)
 
 
+@pytest.mark.parametrize("gate", ["RX", "RY", "RZ"])
+@pytest.mark.parametrize(
+    "angle",
+    [float("nan"), float("inf"), float("-inf"), 10**400],
+    ids=["nan", "inf", "-inf", "int-1e400"],
+)
+def test_parse_circuit_rejects_non_finite_angles(gate, angle):
+    # json.load reads NaN, Infinity and -Infinity, and integers of any size
+    data = {"qubits": 1, "gates": [{"g": gate, "q": 0, "angle": angle}]}
+    with pytest.raises(CircuitParseError, match=f"^{gate} needs a finite 'angle'$"):
+        parse_circuit(data)
+
+
+def test_parse_circuit_keeps_large_finite_angles():
+    data = {"qubits": 1, "gates": [{"g": "RX", "q": 0, "angle": 2**1000}]}
+    assert parse_circuit(data).gates[0] == GateOp("RX", (0,), float(2**1000))
+
+
 def test_builtin_circuits():
     bell = bell_circuit()
     assert bell.qubit_count == 2
