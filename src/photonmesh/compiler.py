@@ -333,12 +333,17 @@ def reck_columns(mode_count: int) -> tuple[tuple[int, ...], ...]:
     return tuple(cols)
 
 
-def mesh_columns(scheme: str, mode_count: int) -> tuple[tuple[int, ...], ...]:
+def _column_builder(scheme: str):
+    """The column builder of a mesh scheme; raises for an unknown name."""
     if scheme == "clements":
-        return clements_columns(mode_count)
+        return clements_columns
     if scheme == "reck":
-        return reck_columns(mode_count)
+        return reck_columns
     raise ValueError(f"unknown mesh scheme {scheme!r}")
+
+
+def mesh_columns(scheme: str, mode_count: int) -> tuple[tuple[int, ...], ...]:
+    return _column_builder(scheme)(mode_count)
 
 
 def place_in_mesh(
@@ -458,6 +463,53 @@ def enumerate_placements(pattern, scheme: str, mode_count: int) -> int:
     return count
 
 
+# The networks and fixed devices below never change, so each is built and
+# solved once per process; the cached values are tuples of frozen blocks.
+
+
+@functools.cache
+def _swap2_layers() -> tuple[tuple[MeshBlock, ...], ...]:
+    """Layers of the ``SWAP2`` network."""
+    return gates.swap_networks()["SWAP2"].mzi_layers
+
+
+@functools.cache
+def _cz_layers(cz_form: str) -> tuple[tuple[MeshBlock, ...], ...]:
+    """Layers of the CZ network in ``cz_form`` (see :class:`CompileOptions`)."""
+    if cz_form == "compressed":
+        return gates.cz_ps_regular().mzi_layers
+    if cz_form == "swap-sandwich":
+        x = gates.device_block
+        bar = gates.cz_ps_nonregular().mzi_layers
+        return (
+            (x(3, gates.PAULI_X, "X"),),
+            (x(4, gates.PAULI_X, "X"),),
+        ) + bar + (
+            (x(4, gates.PAULI_X, "X"),),
+            (x(3, gates.PAULI_X, "X"),),
+        )
+    raise ValueError(f"unknown cz_form {cz_form!r}")
+
+
+def _gate_layers(
+    name: str, angle: float | None, flipped: bool
+) -> tuple[tuple[MeshBlock, ...], ...]:
+    """The one-block layer of a single-qubit gate on a rail pair at mode 0,
+    conjugated by X when the qubit's rails are ``flipped``."""
+    g = gates.single_qubit_matrix(name, angle)
+    role = name if angle is None else f"{name}({angle:g})"
+    if flipped:
+        g = gates.PAULI_X @ g @ gates.PAULI_X
+        role += "*"
+    return ((gates.device_block(0, g, role),),)
+
+
+@functools.cache
+def _fixed_gate_layers(name: str, flipped: bool) -> tuple[tuple[MeshBlock, ...], ...]:
+    """:func:`_gate_layers` of a gate without an angle, solved once."""
+    return _gate_layers(name, None, flipped)
+
+
 class _Emitter:
     """Accumulates program steps while tracking qubit positions and flips.
 
@@ -487,14 +539,9 @@ class _Emitter:
             gates.layers_to_steps(layers, self.m, offset=offset, label=label)
         )
 
-    @functools.cached_property
-    def swap2_layers(self):
-        """Layers of the ``SWAP2`` network, built on first use."""
-        return gates.swap_networks()["SWAP2"].mzi_layers
-
     def swap2(self, p: int, label: str) -> None:
         """Emit ``SWAP2`` on triplets ``p`` and ``p+1``; their photons trade triplets."""
-        self.emit_layers(self.swap2_layers, 3 * p, label)
+        self.emit_layers(_swap2_layers(), 3 * p, label)
         at = self.photon_at
         at[p], at[p + 1] = at[p + 1], at[p]
 
@@ -535,41 +582,20 @@ class _Emitter:
         if not self.flips[q]:
             return
         top = 3 * self.positions[q] + 1
-        self.emit_layers(
-            ((gates.device_block(0, gates.PAULI_X, "X"),),),
-            top,
-            f"unflip q{q}",
-        )
+        self.emit_layers(_fixed_gate_layers("X", False), top, f"unflip q{q}")
         self.flips[q] = 0
 
     def single_gate(self, op: GateOp) -> None:
+        """Emit a single-qubit gate; rotations are solved per gate, the
+        fixed gates come from :func:`_fixed_gate_layers`."""
         q = op.qubits[0]
-        g = gates.single_qubit_matrix(op.name, op.angle)
-        role = op.name if op.angle is None else f"{op.name}({op.angle:g})"
-        if self.flips[q]:
-            g = gates.PAULI_X @ g @ gates.PAULI_X
-            role += "*"
+        flipped = bool(self.flips[q])
+        if op.angle is None:
+            layers = _fixed_gate_layers(op.name, flipped)
+        else:
+            layers = _gate_layers(op.name, op.angle, flipped)
         top = 3 * self.positions[q] + 1
-        self.emit_layers(
-            ((gates.device_block(0, g, role),),), top, f"{op.name} q{q}"
-        )
-
-    @functools.cached_property
-    def cz_layers(self):
-        """Layers of the CZ network in ``options.cz_form``, built on first use."""
-        if self.options.cz_form == "compressed":
-            return gates.cz_ps_regular().mzi_layers
-        if self.options.cz_form == "swap-sandwich":
-            x = gates.device_block
-            bar = gates.cz_ps_nonregular().mzi_layers
-            return (
-                (x(3, gates.PAULI_X, "X"),),
-                (x(4, gates.PAULI_X, "X"),),
-            ) + bar + (
-                (x(4, gates.PAULI_X, "X"),),
-                (x(3, gates.PAULI_X, "X"),),
-            )
-        raise ValueError(f"unknown cz_form {self.options.cz_form!r}")
+        self.emit_layers(layers, top, f"{op.name} q{q}")
 
     def two_qubit_gate(self, op: GateOp) -> None:
         a, b = op.qubits
@@ -587,14 +613,15 @@ class _Emitter:
         if post_selected:
             self.unflip(a)
             self.unflip(b)
+            cz = _cz_layers(self.options.cz_form)
             if op.name == "CZ":
-                self.emit_layers(self.cz_layers, window, f"CZ q{a}-q{b}")
+                self.emit_layers(cz, window, f"CZ q{a}-q{b}")
             else:
                 target = b
                 h_top = window + (1 if self.positions[target] == lo else 4)
-                h_layer = ((gates.device_block(0, gates.single_qubit_matrix("H"), "H"),),)
+                h_layer = _fixed_gate_layers("H", False)
                 self.emit_layers(h_layer, h_top, f"CNOT H q{target}")
-                self.emit_layers(self.cz_layers, window, f"CNOT q{a}-q{b}")
+                self.emit_layers(cz, window, f"CNOT q{a}-q{b}")
                 self.emit_layers(h_layer, h_top, f"CNOT H q{target}")
             self.post_select(lo)
         else:  # logical SWAP
@@ -633,7 +660,7 @@ def compile_circuit(
     :func:`decode_logical`); :func:`simulate_circuit` does this.
     """
     options = options or CompileOptions()
-    mesh_columns(options.scheme, 3 * circuit.qubit_count)  # validate scheme early
+    _column_builder(options.scheme)  # validate the scheme early; builds no mesh
     em = _Emitter(circuit.qubit_count, options)
     for op in circuit.gates:
         if op.name in SINGLE_QUBIT_GATES:
@@ -669,10 +696,10 @@ def compile_ghz_swap_variant(
     em = _Emitter(3, options)
     em.single_gate(GateOp("H", (0,)))
     em.ledger.record(0, 1)
-    h_layer = ((gates.device_block(0, gates.single_qubit_matrix("H"), "H"),),)
+    h_layer = _fixed_gate_layers("H", False)
     # CNOT(0, 1) on triplets 0-1
     em.emit_layers(h_layer, 4, "CNOT H q1")
-    em.emit_layers(em.cz_layers, 0, "CNOT q0-q1")
+    em.emit_layers(_cz_layers(options.cz_form), 0, "CNOT q0-q1")
     em.emit_layers(h_layer, 4, "CNOT H q1")
     em.post_select(0)
     # route qubit 2 next to qubit 0; stays there
@@ -680,7 +707,7 @@ def compile_ghz_swap_variant(
     # CNOT(0, 2): target q2 now at triplet 1, rail-flipped - no correction
     em.ledger.record(0, 2)
     em.emit_layers(h_layer, 4, "CNOT H q2")
-    em.emit_layers(em.cz_layers, 0, "CNOT q0-q2")
+    em.emit_layers(_cz_layers(options.cz_form), 0, "CNOT q0-q2")
     em.emit_layers(h_layer, 4, "CNOT H q2")
     em.post_select(0)
     return em.result()

@@ -31,8 +31,9 @@ from .linalg import MziSetting, permanent, setting_unitary
 
 Occupation = tuple[int, ...]
 
-# Amplitudes below this threshold are dropped after each layer; keeps the
-# sparse representation from accumulating exact-zero debris.
+# Amplitudes at or below this threshold are dropped after each layer, and
+# pair-rule outputs (relative to their input term, see _pair_transform) at
+# or below it are never produced; keeps rounding residue out of the state.
 PRUNE_THRESHOLD = 1e-14
 
 
@@ -168,8 +169,16 @@ def _pair_transform(
     ``na + nb - p`` on the bottom one.
 
     The coefficient of ``x^p y^q`` in ``(t00 x + t01 y)^na (t10 x + t11 y)^nb``,
-    times the bosonic normalization ``sqrt(p! q! / (na! nb!))``.  Outputs
-    with an exactly zero amplitude are left out.
+    times the bosonic normalization ``sqrt(p! q! / (na! nb!))``.
+
+    Outputs of magnitude at most :data:`PRUNE_THRESHOLD` are left out.  In
+    exact arithmetic they are zeros: the solved crossing (``X``) has an
+    off-diagonal of about 2e-17 rather than 0, and two photons on a 50:50
+    device leave a Hong-Ou-Mandel residue of about 1e-16.  The rule is the
+    image of one Fock basis vector under a unitary, so its outputs' squared
+    magnitudes add up to 1 and the cut is relative to the input term's
+    amplitude: it never drops more than the end-of-layer prune drops from a
+    term of amplitude 1.
     """
     (t00, t01), (t10, t11) = t
     n = na + nb
@@ -179,11 +188,11 @@ def _pair_transform(
         for j in range(nb + 1):
             coeffs[i + j] += top * math.comb(nb, j) * t10**j * t11 ** (nb - j)
     norm = math.factorial(na) * math.factorial(nb)
-    return tuple(
+    outputs = (
         (p, c * math.sqrt(math.factorial(p) * math.factorial(n - p) / norm))
         for p, c in enumerate(coeffs)
-        if c != 0
     )
+    return tuple((p, c) for p, c in outputs if abs(c) > PRUNE_THRESHOLD)
 
 
 def _setting_key(setting: MziSetting) -> tuple:
@@ -202,12 +211,15 @@ def apply_linear(
     """Apply the blocks of ``layer``, in order, to every term of ``state``.
 
     Each block rewrites only the occupations of its own mode pair, by the
-    closed form of :func:`_pair_transform`; a term with no photon on the
-    pair passes through.  Expansions are cached in ``rules`` per setting
-    and input pair, and the device unitary is built only for a missing
-    rule.  A fold passes one cache for all its layers, since most blocks
-    share a few settings (``SWAP2``, the CZ network, H, X); without one,
-    the cache lives for this call.
+    closed form of :func:`_pair_transform`, which leaves out rounding
+    residue: a crossing moves a term instead of splitting it.  A term with
+    no photon on the pair passes through.  Amplitudes that several terms
+    add to one occupation are pruned once, at the end of the layer, at
+    :data:`PRUNE_THRESHOLD`.  Expansions are cached in ``rules`` per
+    setting and input pair, and the device unitary is built only for a
+    missing rule.  A fold passes one cache for all its layers, since most
+    blocks share a few settings (``SWAP2``, the CZ network, H, X); without
+    one, the cache lives for this call.
     """
     m = state.mode_count
     if layer.mode_count != m:

@@ -67,7 +67,9 @@ class UnitarityReport:
 
 # Settings of the MZI that is the 2x2 identity; used to park unused mesh
 # slots.  In floating point it is not exact: the off-diagonal evaluates to
-# about 6.1e-17 and the top diagonal's imaginary part to -1.8e-16.
+# about 6.1e-17 and the top diagonal's imaginary part to -1.8e-16.  The
+# off-diagonal never reaches a Fock state: fock._pair_transform leaves out
+# rule outputs that small.
 IDENTITY_SETTING = MziSetting(np.pi, 0.0, np.pi, 0.0)
 
 

@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import collections
+import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +153,110 @@ def test_unknown_cz_form_rejected():
 def test_unknown_scheme_rejected():
     with pytest.raises(ValueError):
         compile_circuit(bell_circuit(), CompileOptions(scheme="hex"))
+    for place in (True, False):
+        with pytest.raises(ValueError, match="unknown mesh scheme 'hex'"):
+            compile_circuit(CircuitIR(1, ()), CompileOptions(scheme="hex", place=place))
+
+
+def test_scheme_check_builds_no_mesh():
+    # a 3000-mode Clements mesh alone is 4.5M tuple entries (about 160 MiB)
+    circuit = CircuitIR(1000, (GateOp("H", (0,)),))
+    tracemalloc.start()
+    try:
+        result = compile_circuit(circuit, CompileOptions(place=False))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.assignment is None and len(result.program.steps) == 1
+    assert peak < 4 * 2**20
+
+
+# Fixed gates, rotations, both flip states, CZ/CNOT and a logical SWAP.
+REUSE_CIRCUITS = (
+    {"qubits": 4, "gates": [
+        {"g": "H", "q": 0}, {"g": "X", "q": 3}, {"g": "CNOT", "c": 0, "t": 3},
+        {"g": "T", "q": 3}, {"g": "RZ", "q": 1, "angle": 0.3},
+        {"g": "CZ", "c": 1, "t": 2}, {"g": "SWAP", "a": 0, "b": 2},
+        {"g": "Y", "q": 2}, {"g": "RX", "q": 0, "angle": -0.7}, {"g": "H", "q": 2},
+        {"g": "Z", "q": 1}, {"g": "I", "q": 0}, {"g": "RY", "q": 3, "angle": 2.0},
+    ]},
+    {"qubits": 3, "gates": [
+        {"g": "H", "q": 2}, {"g": "CZ", "c": 2, "t": 0}, {"g": "H", "q": 0},
+        {"g": "T", "q": 0}, {"g": "CNOT", "c": 1, "t": 2}, {"g": "X", "q": 0},
+    ]},
+)
+
+
+def test_networks_and_fixed_devices_are_built_once_per_process(monkeypatch):
+    runs = [
+        (data, form, restore)
+        for data in REUSE_CIRCUITS
+        for form in ("compressed", "swap-sandwich")
+        for restore in (True, False)
+    ]
+    compiler._swap2_layers.cache_clear()
+    compiler._cz_layers.cache_clear()
+    compiler._fixed_gate_layers.cache_clear()
+    counts = collections.Counter()
+    built = ("swap_networks", "cz_ps_regular", "cz_ps_nonregular", "solve_mzi_settings")
+    for name in built:
+        original = getattr(gates, name)
+        monkeypatch.setattr(
+            gates, name, lambda *a, _f=original, _n=name: counts.update([_n]) or _f(*a)
+        )
+    fixed = []
+    gate_layers = compiler._gate_layers
+
+    def counted_gate_layers(name, angle, flipped):
+        if angle is None:
+            fixed.append((name, flipped))
+        return gate_layers(name, angle, flipped)
+
+    monkeypatch.setattr(compiler, "_gate_layers", counted_gate_layers)
+
+    def compile_all():
+        return [
+            compile_circuit(
+                parse_circuit(data),
+                CompileOptions(place=False, cz_form=form, restore_swaps=restore),
+            ).program
+            for data, form, restore in runs
+        ]
+
+    programs = compile_all()
+    assert counts["swap_networks"] == counts["cz_ps_regular"] == 1
+    assert counts["cz_ps_nonregular"] == 1
+    # each fixed device is solved once, the flipped forms apart
+    assert len(fixed) == len(set(fixed))
+    assert {("H", False), ("H", True), ("X", False)} <= set(fixed)
+    # a second pass solves only its rotations
+    counts.clear()
+    assert compile_all() == programs
+    rotations = sum(
+        g["g"] in ("RZ", "RX", "RY") for data, _, _ in runs for g in data["gates"]
+    )
+    assert counts == {"solve_mzi_settings": rotations}
+    # an unknown form is still refused once the cache is warm
+    with pytest.raises(ValueError, match="unknown cz_form"):
+        simulate_circuit(bell_circuit(), options=CompileOptions(cz_form="bogus"))
+    # the same programs as a fresh process builds, to the last bit
+    script = (
+        "import json, sys\n"
+        "from photonmesh.compiler import CompileOptions, compile_circuit, parse_circuit\n"
+        "for data, form, restore in json.load(sys.stdin):\n"
+        "    options = CompileOptions(place=False, cz_form=form, restore_swaps=restore)\n"
+        "    print(repr(compile_circuit(parse_circuit(data), options).program))\n"
+    )
+    src = str(pathlib.Path(compiler.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        input=json.dumps(runs),
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert proc.stdout.splitlines() == [repr(p) for p in programs]
 
 
 def test_ghz_swap_variant_relabeling_and_state():

@@ -40,7 +40,7 @@ from photonmesh.fock import (
     run_program_pruned,
     truncate_aux,
 )
-from photonmesh.gates import layers_matrix
+from photonmesh.gates import PAULI_X, layers_matrix, swap_networks
 from photonmesh.linalg import (
     IDENTITY_SETTING,
     MziSetting,
@@ -121,6 +121,54 @@ def test_hong_ou_mandel_bunching():
     assert abs(out.amplitude((2, 0)) - 1j / np.sqrt(2)) < 1e-12
     assert abs(out.amplitude((0, 2)) - 1j / np.sqrt(2)) < 1e-12
     assert out.squared_norm() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_solved_crossing_moves_a_photon_without_residue():
+    crossing = setting_unitary(solve_mzi_settings(PAULI_X))
+    # in floating point the crossing's diagonal is not exactly zero
+    assert crossing[0, 0] != 0
+    t = crossing.T.tolist()
+    for (na, nb), p in (((1, 0), 0), ((0, 1), 1)):
+        (out,) = fock._pair_transform(t, na, nb)
+        assert out[0] == p and abs(out[1] - 1) < 1e-15
+
+
+def test_balanced_splitter_leaves_no_hong_ou_mandel_output():
+    rule = fock._pair_transform(setting_unitary(BS_SETTING).T.tolist(), 1, 1)
+    assert [p for p, _ in rule] == [0, 2]
+
+
+def test_pair_rule_outputs_square_sum_to_one():
+    rng = np.random.default_rng(91)
+    for _ in range(40):
+        t = setting_unitary(random_setting(rng, bool(rng.integers(2)))).T.tolist()
+        for na, nb in itertools.product(range(5), repeat=2):
+            if 0 < na + nb <= 4:
+                rule = fock._pair_transform(t, na, nb)
+                assert [p for p, _ in rule] == sorted({p for p, _ in rule})
+                assert sum(abs(c) ** 2 for _, c in rule) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_swap2_fold_accumulates_one_term_per_layer(monkeypatch):
+    # counted before the end-of-layer prune, which would hide the residue
+    accumulated = []
+    sorted_state = fock._sorted_state
+
+    def counted(m, raw):
+        accumulated.append(len(raw))
+        return sorted_state(m, raw)
+
+    monkeypatch.setattr(fock, "_sorted_state", counted)
+    layers = swap_networks()["SWAP2"].mzi_layers
+    images = (0, 5, 4, 3, 2, 1)
+    for mode in range(6):
+        occ = tuple(int(k == mode) for k in range(6))
+        state = PhotonicState(6, {occ: 1.0 + 0.0j})
+        for blocks in layers:
+            state = apply_linear(state, LinearLayer(6, blocks))
+            assert accumulated.pop() == len(state.terms) == 1
+        ((out, amp),) = state.terms.items()
+        assert out.index(1) == images[mode] and abs(abs(amp) - 1) < 1e-15
 
 
 def test_amplitude_via_permanent_validates_inputs():
