@@ -140,15 +140,19 @@ def _power(maps: np.ndarray) -> np.ndarray:
     return cols.reshape(len(maps), 16).sum(axis=1)
 
 
-def process_fidelity(m: np.ndarray, target: np.ndarray) -> float | np.ndarray:
+def process_fidelity(
+    m: np.ndarray, target: np.ndarray, *, power: np.ndarray | None = None
+) -> float | np.ndarray:
     """``|Tr(T^dag M)|^2 / (4 * ||M||_F^2)``: 1 iff M is proportional to T.
 
     ``m`` is one 4x4 map (giving a float) or a ``(K, 4, 4)`` stack (giving
-    K fidelities, each equal to the call on its slice).
+    K fidelities, each equal to the call on its slice).  A caller that
+    already holds :func:`_power` of the stack passes it as ``power``, so
+    it is not computed twice.
     """
     m = np.asarray(m)
     stack = m if m.ndim == 3 else m[None]
-    total = _power(stack)
+    total = _power(stack) if power is None else power
     tr = np.trace(np.matmul(np.asarray(target).conj().T, stack), axis1=1, axis2=2)
     # libm hypot and pow, as a Python-scalar ``abs(tr) ** 2`` uses; array
     # ``np.abs`` and ``** 2`` round differently.
@@ -163,7 +167,8 @@ def _evaluate(params: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.nd
     """Process fidelity and mean success probability per row of a
     ``(K, 16)`` parameter stack."""
     maps = _conditional_map(_mesh_unitary(params))
-    return process_fidelity(maps, target), _power(maps) / 4.0
+    power = _power(maps)
+    return process_fidelity(maps, target, power=power), power / 4.0
 
 
 def _score(fid: np.ndarray, succ: np.ndarray) -> np.ndarray:

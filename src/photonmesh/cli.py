@@ -3,7 +3,9 @@
 Subcommands
 -----------
 ``compile CIRCUIT``
-    Lower a circuit JSON file to a mesh phase table.
+    Lower a circuit JSON file to a mesh phase table.  The table lists the
+    placed slots only; every other slot of its ``columns`` is parked at
+    its ``idle`` setting, the identity.
 ``simulate CIRCUIT``
     Compile and run a circuit on a basis input, printing amplitudes.
 ``gates list``
@@ -158,14 +160,23 @@ def _phases(setting: dict) -> str:
 
 
 def _compile_tsv(table: dict) -> list[str]:
-    lines = ["kind\tcolumn\ttop_mode\ttheta1\ttheta2\tphi1\tphi2\tphi3\tphi4\trole"]
-    for slot in table["slots"]:
+    """The placed ``slot`` rows, one ``idle`` row with the phases of every
+    unlisted slot (empty column and top_mode, role ``ID``), then the
+    ``trunc`` rows."""
+
+    def row(kind: str, column: str, top_mode: str, slot: dict, role: str) -> str:
         phases = [
             fmt_float(slot[key]) if key in slot else ""
             for key in ("theta1", "theta2", "phi1", "phi2", "phi3", "phi4")
         ]
-        fields = ["slot", str(slot["column"]), str(slot["top_mode"]), *phases, slot["role"]]
-        lines.append("\t".join(fields))
+        return "\t".join((kind, column, top_mode, *phases, role))
+
+    lines = ["kind\tcolumn\ttop_mode\ttheta1\ttheta2\tphi1\tphi2\tphi3\tphi4\trole"]
+    for slot in table["slots"]:
+        lines.append(
+            row("slot", str(slot["column"]), str(slot["top_mode"]), slot, slot["role"])
+        )
+    lines.append(row("idle", "", "", table["idle"], "ID"))
     for trunc in table["truncations"]:
         modes = ";".join(str(m) for m in trunc["modes"])
         lines.append(f"trunc\t{trunc['after_column']}" + "\t" * 8 + f"modes={modes}")
@@ -173,10 +184,11 @@ def _compile_tsv(table: dict) -> list[str]:
 
 
 def _compile_human(table: dict) -> list[str]:
+    slot_count = sum(len(column) for column in table["columns"])
     lines = [
         f"scheme {table['scheme']}, {table['mode_count']} modes, "
         f"{len(table['columns'])} columns, "
-        f"{table['slots_used']}/{len(table['slots'])} slots used",
+        f"{table['slots_used']}/{slot_count} slots used",
         f"qubit positions {table['positions']}, rail flips {table['flips']}",
     ]
     for slot in table["slots"]:
@@ -192,6 +204,9 @@ def _compile_human(table: dict) -> list[str]:
 
 
 def cmd_compile(args) -> int:
+    """Compile and place a circuit and emit its phase table
+    (:meth:`compiler.MeshAssignment.phase_table`) with the qubit layout;
+    ``slots_used`` is the number of listed slots."""
     circuit = _load_circuit(args.circuit)
     result = compiler.compile_circuit(circuit, _options(args))
     table = result.assignment.phase_table()

@@ -175,17 +175,22 @@ class MeshAssignment:
                 yield (col, top, *assigned.get((col, top), (IDENTITY_SETTING, "ID")))
 
     def phase_table(self) -> dict:
-        """JSON-ready table of every slot's phases (see :meth:`slots`)."""
+        """JSON-ready phase table of the placed slots, sorted by
+        ``(column, top_mode)``.  Every other slot of ``columns`` is parked at
+        ``idle``, the identity setting, and is not listed, so the table
+        still fixes every slot's phases (:meth:`slots` is the full walk)."""
+        idle = IDENTITY_SETTING
         slots = []
-        for col, top, setting, role in self.slots():
+        for p in sorted(self.placements, key=lambda p: (p.column, p.top_mode)):
+            setting = p.setting
             entry = {
-                "column": col,
-                "top_mode": top,
+                "column": p.column,
+                "top_mode": p.top_mode,
                 "theta1": setting.theta1,
                 "theta2": setting.theta2,
                 "phi1": setting.phi1,
                 "phi2": setting.phi2,
-                "role": role,
+                "role": p.role,
             }
             if setting.is_extended:
                 entry["phi3"] = setting.phi3
@@ -195,6 +200,12 @@ class MeshAssignment:
             "scheme": self.scheme,
             "mode_count": self.mode_count,
             "columns": [list(c) for c in self.columns],
+            "idle": {
+                "theta1": idle.theta1,
+                "theta2": idle.theta2,
+                "phi1": idle.phi1,
+                "phi2": idle.phi2,
+            },
             "slots": slots,
             "truncations": [
                 {"after_column": t.after_column, "modes": list(t.modes)}

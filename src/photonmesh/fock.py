@@ -448,7 +448,8 @@ def light_cone(
         )
     # Each block of the seed is rooted at its first mode, which holds its count.
     seed = qubit_structure(layout)
-    parent = [seed.labels.index(label) for label in seed.labels]
+    first: dict[int, int] = {}
+    parent = [first.setdefault(label, mode) for mode, label in enumerate(seed.labels)]
     required = [
         seed.required[label] if parent[mode] == mode else 0
         for mode, label in enumerate(seed.labels)

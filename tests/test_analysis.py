@@ -182,6 +182,29 @@ def test_process_fidelity_stack_equals_slices():
         assert (fid[k], succ[k]) == analysis._evaluate(params[k : k + 1], CZ_TARGET)
 
 
+def test_evaluate_computes_the_power_once(monkeypatch):
+    # One _power per evaluated stack, and still one process_fidelity call:
+    # the benchmark's trace counts those calls as evaluations.
+    params = np.random.default_rng(9).uniform(0.0, 2.0 * np.pi, size=(6, 16))
+    maps = analysis._conditional_map(analysis._mesh_unitary(params))
+    fid, power = process_fidelity(maps, CZ_TARGET), analysis._power(maps)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("_power", "process_fidelity"):
+        monkeypatch.setattr(analysis, name, counted(name, getattr(analysis, name)))
+    got_fid, got_succ = analysis._evaluate(params, CZ_TARGET)
+    assert sorted(calls) == ["_power", "process_fidelity"]
+    assert got_fid.tolist() == fid.tolist()
+    assert got_succ.tolist() == (power / 4.0).tolist()
+
+
 def test_constraint_residual_broadcasts_like_scalar_calls():
     rng = np.random.default_rng(6)
     vals = rng.uniform(-2.0, 2.0, size=(6, 3, 4))

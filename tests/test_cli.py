@@ -276,17 +276,18 @@ def test_compile_bell_json_table(tmp_path):
     assert table["qubit_count"] == 2
     assert table["positions"] == [0, 1]
     assert table["flips"] == [0, 0]
-    assert table["slots_used"] == len(
-        [s for s in table["slots"] if s["role"] != "ID"]
-    )
+    assert list(table)[:5] == ["scheme", "mode_count", "columns", "idle", "slots"]
+    # Only placed slots are listed; the rest are parked at ``idle``.
+    assert table["slots_used"] == len(table["slots"])
+    assert len(table["slots"]) < sum(len(column) for column in table["columns"])
     roles = {slot["role"] for slot in table["slots"]}
-    assert "H" in roles and "ID" in roles
-    for slot in table["slots"]:
-        if slot["role"] == "ID":
-            assert slot["theta1"] == pytest.approx(np.pi, abs=1e-12)
-            assert slot["theta2"] == 0.0
-            assert slot["phi1"] == pytest.approx(np.pi, abs=1e-12)
-            assert slot["phi2"] == 0.0
+    assert "H" in roles and "ID" not in roles
+    idle = table["idle"]
+    assert list(idle) == ["theta1", "theta2", "phi1", "phi2"]
+    assert idle["theta1"] == pytest.approx(np.pi, abs=1e-12)
+    assert idle["theta2"] == 0.0
+    assert idle["phi1"] == pytest.approx(np.pi, abs=1e-12)
+    assert idle["phi2"] == 0.0
     assert table["truncations"][0]["modes"] == [0, 3]
 
 
@@ -307,6 +308,88 @@ def test_compile_reck_scheme(tmp_path):
     proc = run_cli("compile", path, "--scheme", "reck", "--format", "json")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["scheme"] == "reck"
+
+
+PHASE_KEYS = ("theta1", "theta2", "phi1", "phi2", "phi3", "phi4")
+
+
+def brickwork(rng, n, rounds=3):
+    """Seeded brickwork: each round puts a single-qubit gate on every
+    qubit, then CZ, CNOT, SWAP or nothing on each qubit pair of an
+    alternating offset.  One routed CZ on qubits two apart closes it.
+    A CZ or CNOT on a pair that already had one becomes a SWAP, so the
+    circuit compiles without a cascade error."""
+    singles = ("I", "X", "Y", "Z", "H", "T", "RZ", "RX", "RY")
+    coupled, gates = set(), []
+    for rnd in range(rounds):
+        for q in range(n):
+            gate = {"g": singles[int(rng.integers(len(singles)))], "q": q}
+            if gate["g"] in ("RZ", "RX", "RY"):
+                gate["angle"] = float(rng.uniform(-np.pi, np.pi))
+            gates.append(gate)
+        for a in range(rnd % 2, n - 1, 2):
+            kind = ("CZ", "CNOT", "SWAP", None)[int(rng.integers(4))]
+            if kind in ("CZ", "CNOT") and (a, a + 1) in coupled:
+                kind = "SWAP"
+            if kind == "SWAP":
+                gates.append({"g": "SWAP", "a": a, "b": a + 1})
+            elif kind is not None:
+                coupled.add((a, a + 1))
+                c, t = (a, a + 1) if rng.integers(2) else (a + 1, a)
+                gates.append({"g": kind, "c": c, "t": t})
+    a = int(rng.integers(n - 2))
+    gates.append({"g": "CZ", "c": a, "t": a + 2})
+    return {"qubits": n, "gates": gates}
+
+
+def setting_phases(setting):
+    """The phases a phase table entry holds for ``setting``."""
+    return {k: getattr(setting, k) for k in PHASE_KEYS if getattr(setting, k) is not None}
+
+
+def expand_phase_table(table):
+    """Every slot of ``columns``, column by column, as ``(column, top_mode,
+    phases, role)``: its listed entry, or ``idle`` with the role ``ID``."""
+    listed = {(s["column"], s["top_mode"]): s for s in table["slots"]}
+    assert len(listed) == len(table["slots"])
+    full = []
+    for col, tops in enumerate(table["columns"]):
+        for top in tops:
+            slot = listed.pop((col, top), None)
+            if slot is None:
+                full.append((col, top, table["idle"], "ID"))
+            else:
+                phases = {k: slot[k] for k in PHASE_KEYS if k in slot}
+                full.append((col, top, phases, slot["role"]))
+    assert listed == {}  # no listed slot lies outside the mesh
+    return full
+
+
+@pytest.mark.parametrize("restore", [True, False], ids=["restore", "no-restore"])
+@pytest.mark.parametrize("scheme", ["clements", "reck"])
+def test_compile_phase_table_expands_to_every_slot(tmp_path, scheme, restore):
+    # The triangular Reck mesh is one slot wide at its top corner, so it
+    # gets one brickwork round, and Clements three.
+    rng = np.random.default_rng(23)
+    rounds, smallest = (3, 12) if scheme == "clements" else (1, 8)
+    flags = ["--scheme", scheme] + ([] if restore else ["--no-restore-swaps"])
+    options = compiler.CompileOptions(scheme=scheme, restore_swaps=restore)
+    for _ in range(4):
+        payload = brickwork(rng, int(rng.integers(smallest, smallest + 6)), rounds)
+        proc = run_cli("compile", write_circuit(tmp_path, payload), *flags, "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        table = json.loads(proc.stdout)
+        assignment = compiler.compile_circuit(
+            compiler.parse_circuit(payload), options
+        ).assignment
+        keys = [(s["column"], s["top_mode"]) for s in table["slots"]]
+        assert keys == sorted(set(keys))
+        assert table["slots_used"] == len(table["slots"]) == len(assignment.placements)
+        assert "ID" not in {s["role"] for s in table["slots"]}
+        assert expand_phase_table(table) == [
+            (col, top, setting_phases(setting), role)
+            for col, top, setting, role in assignment.slots()
+        ]
 
 
 def test_compile_near_identity_rotation(tmp_path):
@@ -472,7 +555,7 @@ def test_compile_formats_agree(tmp_path):
     slots, truncs = table["slots"], table["truncations"]
     phase_keys = ("theta1", "theta2", "phi1", "phi2", "phi3", "phi4")
     assert tsv[0].split("\t") == ["kind", "column", "top_mode", *phase_keys, "role"]
-    assert len(tsv) == 1 + len(slots) + len(truncs)
+    assert len(tsv) == 1 + len(slots) + 1 + len(truncs)
     for row, slot in zip(tsv[1:], slots):
         assert row.split("\t") == [
             "slot",
@@ -481,25 +564,33 @@ def test_compile_formats_agree(tmp_path):
             *(fmt_float(slot[k]) if k in slot else "" for k in phase_keys),
             slot["role"],
         ]
-    for row, trunc in zip(tsv[1 + len(slots) :], truncs):
+    assert tsv[1 + len(slots)].split("\t") == [
+        "idle",
+        "",
+        "",
+        *(fmt_float(table["idle"][k]) if k in table["idle"] else "" for k in phase_keys),
+        "ID",
+    ]
+    for row, trunc in zip(tsv[2 + len(slots) :], truncs):
         fields = row.split("\t")
         assert fields[:2] == ["trunc", fmt_float(trunc["after_column"])]
         assert fields[-1] == "modes=" + ";".join(fmt_float(m) for m in trunc["modes"])
-    used = [s for s in slots if s["role"] != "ID"]
-    assert len(human) == 2 + len(used) + len(truncs)
+    assert "ID" not in {s["role"] for s in slots}
+    assert len(human) == 2 + len(slots) + len(truncs)
+    slot_count = sum(len(column) for column in table["columns"])
     assert numbers(human[0]) == [
         fmt_float(v)
-        for v in (table["mode_count"], len(table["columns"]), table["slots_used"], len(slots))
+        for v in (table["mode_count"], len(table["columns"]), table["slots_used"], slot_count)
     ]
     assert numbers(human[1]) == [fmt_float(v) for v in table["positions"] + table["flips"]]
-    for line, slot in zip(human[2:], used):
+    for line, slot in zip(human[2:], slots):
         assert f": {slot['role']} " in line
         assert numbers(line) == [
             fmt_float(v)
             for v in (slot["column"], slot["top_mode"], slot["top_mode"] + 1)
             + tuple(slot[k] for k in phase_keys if k in slot)
         ]
-    for line, trunc in zip(human[2 + len(used) :], truncs):
+    for line, trunc in zip(human[2 + len(slots) :], truncs):
         assert numbers(line) == [fmt_float(v) for v in trunc["modes"] + [trunc["after_column"]]]
 
 

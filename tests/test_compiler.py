@@ -650,13 +650,11 @@ def test_place_single_block_and_identity_slots():
     table = assignment.phase_table()
     assert table["scheme"] == "clements"
     assert table["mode_count"] == 3
-    roles = [slot["role"] for slot in table["slots"]]
-    assert roles.count("ID") == assignment.slot_count - 1
-    # identity slots carry the exact identity quadruple
-    for slot in table["slots"]:
-        if slot["role"] == "ID":
-            assert (slot["theta1"], slot["theta2"]) == (np.pi, 0.0)
-            assert (slot["phi1"], slot["phi2"]) == (np.pi, 0.0)
+    assert len(table["slots"]) == len(assignment.placements)
+    assert [(s["column"], s["top_mode"], s["role"]) for s in table["slots"]] == [(0, 0, "H")]
+    # the other slot_count - 1 slots are parked at the exact identity quadruple
+    assert assignment.slot_count - len(table["slots"]) == 2
+    assert table["idle"] == {"theta1": np.pi, "theta2": 0.0, "phi1": np.pi, "phi2": 0.0}
 
 
 def test_place_rejects_wrong_mode_count():
