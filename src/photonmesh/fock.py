@@ -12,6 +12,21 @@ matrices (gate networks, printed gate forms, :attr:`LinearLayer.matrix`)
 follow the same convention and compose left-to-right: applying ``T1`` then
 ``T2`` is ``T1 @ T2``; they are built on demand only.
 
+The fold over a program (:func:`run_program`) carries a frame from step to
+step: term keys are physical occupations, ``pos[mode]`` is the slot that
+holds logical mode ``mode``, and each slot owes a unit phase to every
+photon in it.  A crossing (diagonal at most :data:`PRUNE_THRESHOLD`) swaps
+two ``pos`` entries and multiplies two owed phases; a pure-phase block
+(off-diagonal at most the threshold) multiplies two owed phases.  Either
+costs O(1), touches no term and loses no probability: its photons pick up
+the unit phases ``t/|t|`` of its nonzero entries.  A mixing block acts on
+the slots ``(pos[a], pos[a+1])``, which need not be adjacent, and first
+pays their owed phases into the terms it rewrites.  Truncations and
+restricts map their modes through ``pos`` once per step.  The fold's
+result is materialized once: owed phases paid, keys read in logical order
+and sorted.  Terms are never sorted in between, so accumulation follows
+dict insertion order, which the input state and the program determine.
+
 Path encoding: qubit ``q`` of an n-qubit register owns the mode triplet
 ``(3q, 3q+1, 3q+2)`` = (auxiliary, rail 0, rail 1); logical ``|0>`` is a
 photon in rail 0 and logical ``|1>`` a photon in rail 1.  Post-selected
@@ -31,9 +46,11 @@ from .linalg import MziSetting, permanent, setting_unitary
 
 Occupation = tuple[int, ...]
 
-# Amplitudes at or below this threshold are dropped after each layer, and
-# pair-rule outputs (relative to their input term, see _pair_transform) at
-# or below it are never produced; keeps rounding residue out of the state.
+# Amplitudes at or below this threshold are dropped after each layer that
+# rewrites terms, and pair-rule outputs (relative to their input term, see
+# _pair_transform) at or below it are never produced; keeps rounding residue
+# out of the state.  A block whose diagonal or off-diagonal is at most this
+# is a crossing or a pure phase, which the fold carries without a rule.
 PRUNE_THRESHOLD = 1e-14
 
 
@@ -41,8 +58,10 @@ PRUNE_THRESHOLD = 1e-14
 class PhotonicState:
     """Sparse Fock state: occupation tuple -> complex amplitude.
 
-    Treated as immutable; operations return new states.  Terms are kept in
-    sorted occupation order so that amplitude accumulation is deterministic.
+    Treated as immutable; operations return new states.  The folds
+    (:func:`run_program`, :func:`apply_linear`) return their terms in sorted
+    occupation order, and accumulate in the insertion order of the state
+    they are given, so a given input always gives the same amplitudes.
     """
 
     mode_count: int
@@ -131,13 +150,6 @@ class NetworkProgram:
         return NetworkProgram(self.mode_count, self.steps + tuple(more))
 
 
-def _sorted_state(mode_count: int, raw: dict[Occupation, complex]) -> PhotonicState:
-    kept = {
-        occ: raw[occ] for occ in sorted(raw) if abs(raw[occ]) > PRUNE_THRESHOLD
-    }
-    return PhotonicState(mode_count, kept)
-
-
 def prepare_computational_basis(bits, layout: QubitLayout) -> PhotonicState:
     """One photon per qubit in the rail selected by ``bits``.
 
@@ -172,9 +184,10 @@ def _pair_transform(
     times the bosonic normalization ``sqrt(p! q! / (na! nb!))``.
 
     Outputs of magnitude at most :data:`PRUNE_THRESHOLD` are left out.  In
-    exact arithmetic they are zeros: the solved crossing (``X``) has an
-    off-diagonal of about 2e-17 rather than 0, and two photons on a 50:50
-    device leave a Hong-Ou-Mandel residue of about 1e-16.  The rule is the
+    exact arithmetic they are zeros: the solved crossing (``X``) has a
+    diagonal of about 2e-17 rather than 0, and two photons on a 50:50
+    device leave a Hong-Ou-Mandel residue of about 1e-16.  (The fold never
+    expands a crossing; see :class:`_Device`.)  The rule is the
     image of one Fock basis vector under a unitary, so its outputs' squared
     magnitudes add up to 1 and the cut is relative to the input term's
     amplitude: it never drops more than the end-of-layer prune drops from a
@@ -196,61 +209,105 @@ def _pair_transform(
 
 
 def _setting_key(setting: MziSetting) -> tuple:
-    """``setting`` as a key of :func:`apply_linear`'s rule cache.
-    ``MziSetting`` compares ``0.0 == -0.0`` (and hashes them alike), so the
-    signs of its zero phases are part of the key: settings that differ only
-    there stay apart."""
+    """``setting`` as a key of the fold's device cache.  ``MziSetting``
+    compares ``0.0 == -0.0`` (and hashes them alike), so the signs of its
+    zero phases are part of the key: settings that differ only there stay
+    apart."""
     phases = (setting.theta1, setting.theta2, setting.phi1, setting.phi2,
               setting.phi3, setting.phi4)
     return setting, tuple(math.copysign(1.0, v) for v in phases if v == 0.0)
 
 
+class _Device:
+    """One setting as the fold applies it, classified once per cache.
+
+    ``t`` is its substitution ``U^T``.  A device whose diagonal is at most
+    :data:`PRUNE_THRESHOLD` (a crossing, ``swaps``) or whose off-diagonal is
+    (a pure phase) moves each photon without splitting it, and ``units``
+    holds the unit phases ``t01/|t01|, t10/|t10|`` or ``t00/|t00|,
+    t11/|t11|`` that its top and bottom photon pick up.  For a mixing
+    device ``units`` is ``None`` and ``rules`` caches its
+    :func:`_pair_transform` expansions per input pair."""
+
+    __slots__ = ("t", "swaps", "units", "rules")
+
+    def __init__(self, setting: MziSetting):
+        self.t = setting_unitary(setting).T.tolist()
+        (t00, t01), (t10, t11) = self.t
+        self.rules: dict[tuple[int, int], tuple[tuple[int, complex], ...]] = {}
+        self.swaps = abs(t00) <= PRUNE_THRESHOLD and abs(t11) <= PRUNE_THRESHOLD
+        if self.swaps:
+            self.units = (t01 / abs(t01), t10 / abs(t10))
+        elif abs(t01) <= PRUNE_THRESHOLD and abs(t10) <= PRUNE_THRESHOLD:
+            self.units = (t00 / abs(t00), t11 / abs(t11))
+        else:
+            self.units = None
+
+    def rule(self, na: int, nb: int) -> tuple[tuple[int, complex], ...]:
+        rule = self.rules.get((na, nb))
+        if rule is None:
+            rule = self.rules[na, nb] = _pair_transform(self.t, na, nb)
+        return rule
+
+
+def _mix(
+    terms: dict[Occupation, complex],
+    device: _Device,
+    top: int,
+    bottom: int,
+    owed_top: complex,
+    owed_bottom: complex,
+) -> dict[Occupation, complex]:
+    """``terms`` after the mixing ``device`` acts with its top mode on slot
+    ``top`` and its bottom mode on slot ``bottom``, which need not be
+    adjacent.  Each photon on the pair first picks up the phase its slot
+    owes.  Outputs that meet on one occupation are added in insertion
+    order and not pruned."""
+    lo, hi = min(top, bottom), max(top, bottom)
+    outputs: dict[tuple[int, int], tuple] = {}
+    accum: dict[Occupation, complex] = {}
+    get = accum.get
+    for occ, amp in terms.items():
+        pair = occ[lo], occ[hi]
+        if pair == (0, 0):
+            accum[occ] = get(occ, 0.0) + amp
+            continue
+        rule = outputs.get(pair)
+        if rule is None:
+            na, nb = pair if top < bottom else pair[::-1]
+            factor = owed_top**na * owed_bottom**nb
+            rule = outputs[pair] = tuple(
+                ((p, na + nb - p) if top < bottom else (na + nb - p, p), c * factor)
+                for p, c in device.rule(na, nb)
+            )
+        head, mid, tail = occ[:lo], occ[lo + 1 : hi], occ[hi + 1 :]
+        for (x, y), c in rule:
+            key = head + (x,) + mid + (y,) + tail
+            accum[key] = get(key, 0.0) + amp * c
+    return accum
+
+
 def apply_linear(
     state: PhotonicState, layer: LinearLayer, rules: dict | None = None
 ) -> PhotonicState:
-    """Apply the blocks of ``layer``, in order, to every term of ``state``.
+    """Apply the blocks of ``layer``, in order, to every term of ``state``:
+    the fold (:func:`run_program`) of a one-layer program, materialized on
+    return.
 
     Each block rewrites only the occupations of its own mode pair, by the
     closed form of :func:`_pair_transform`, which leaves out rounding
-    residue: a crossing moves a term instead of splitting it.  A term with
-    no photon on the pair passes through.  Amplitudes that several terms
-    add to one occupation are pruned once, at the end of the layer, at
-    :data:`PRUNE_THRESHOLD`.  Expansions are cached in ``rules`` per
-    setting and input pair, and the device unitary is built only for a
-    missing rule.  A fold passes one cache for all its layers, since most
-    blocks share a few settings (``SWAP2``, the CZ network, H, X); without
+    residue.  A crossing or pure-phase block splits no term: the fold
+    carries it as a relabeling and a phase per mode.  A term with no photon
+    on a pair passes through.  Amplitudes that several terms add to one
+    occupation are pruned at the end of the layer at
+    :data:`PRUNE_THRESHOLD`, and the result is in sorted occupation order.
+    ``rules`` is the fold's device cache (see :class:`_Device`); without
     one, the cache lives for this call.
     """
     m = state.mode_count
     if layer.mode_count != m:
         raise ValueError(f"layer has {layer.mode_count} modes, state has {m}")
-    rules = {} if rules is None else rules
-    subs = [
-        (blk.top_mode, blk.setting, rules.setdefault(_setting_key(blk.setting), {}))
-        for blk in layer.blocks
-    ]
-    accum: dict[Occupation, complex] = {}
-    for occ in sorted(state.terms):
-        partial = [(occ, state.terms[occ])]
-        for a, setting, cache in subs:
-            expanded = []
-            for pocc, pamp in partial:
-                na, nb = pocc[a], pocc[a + 1]
-                if not (na or nb):
-                    expanded.append((pocc, pamp))
-                    continue
-                rule = cache.get((na, nb))
-                if rule is None:
-                    t = setting_unitary(setting).T.tolist()
-                    rule = cache[na, nb] = _pair_transform(t, na, nb)
-                head, tail, n = pocc[:a], pocc[a + 2 :], na + nb
-                expanded.extend(
-                    (head + (p, n - p) + tail, pamp * c) for p, c in rule
-                )
-            partial = expanded
-        for key, amp in partial:
-            accum[key] = accum.get(key, 0.0) + amp
-    return _sorted_state(m, accum)
+    return _fold(NetworkProgram(m, (layer,)), state, None, rules)
 
 
 def amplitude_via_permanent(
@@ -495,29 +552,83 @@ def _fold(
     program: NetworkProgram,
     state: PhotonicState,
     cone: tuple[Partition | None, ...] | None,
+    rules: dict | None = None,
 ) -> PhotonicState:
-    if state.mode_count != program.mode_count:
+    m = program.mode_count
+    if state.mode_count != m:
         raise ValueError(
-            f"state has {state.mode_count} modes, program needs {program.mode_count}"
+            f"state has {state.mode_count} modes, program needs {m}"
         )
     cuts = cone or (None,) * len(program.steps)
-    rules: dict = {}
+    rules = {} if rules is None else rules
+    # The frame: term keys are physical occupations, pos[mode] is the slot
+    # that holds logical mode ``mode``, and each photon in ``slot`` still
+    # owes the unit phase owed[slot].
+    pos = list(range(m))
+    owed = [1.0 + 0.0j] * m
+    terms = state.terms
+    # Programs share setting objects (fixed devices, gate networks), so
+    # each object's device is looked up by key once per fold.
+    seen: dict[int, _Device] = {}
     for step, cut in zip(program.steps, cuts):
         if isinstance(step, LinearLayer):
-            state = apply_linear(state, step, rules)
+            mixed = False
+            for blk in step.blocks:
+                device = seen.get(id(blk.setting))
+                if device is None:
+                    key = _setting_key(blk.setting)
+                    device = rules.get(key)
+                    if device is None:
+                        device = rules[key] = _Device(blk.setting)
+                    seen[id(blk.setting)] = device
+                a, b = blk.top_mode, blk.top_mode + 1
+                sa, sb = pos[a], pos[b]
+                if device.units is None:
+                    terms = _mix(terms, device, sa, sb, owed[sa], owed[sb])
+                    owed[sa] = owed[sb] = 1.0 + 0.0j
+                    mixed = True
+                    continue
+                owed[sa] *= device.units[0]
+                owed[sb] *= device.units[1]
+                if device.swaps:
+                    pos[a], pos[b] = sb, sa
+            if mixed:
+                terms = {
+                    occ: amp for occ, amp in terms.items() if abs(amp) > PRUNE_THRESHOLD
+                }
         elif isinstance(step, TruncateAux):
-            state = truncate_aux(state, step.modes)
+            slots = tuple(pos[mode] for mode in step.modes)
+            terms = truncate_aux(PhotonicState(m, terms), slots).terms
         else:
             raise TypeError(f"unknown program step {type(step).__name__}")
         if cut is not None:
-            state = cut.restrict(state)
-    return state
+            labels = [0] * m
+            for mode, slot in enumerate(pos):
+                labels[slot] = cut.labels[mode]
+            physical = Partition(tuple(labels), cut.required)
+            terms = physical.restrict(PhotonicState(m, terms)).terms
+    # Pay the owed phases, read each key in logical order and sort once;
+    # the prune catches input terms that no mixing layer has rewritten.
+    debts = [(slot, f) for slot, f in enumerate(owed) if f != 1.0]
+    relabel = pos != list(range(m))
+    final = {}
+    for occ, amp in terms.items():
+        if abs(amp) <= PRUNE_THRESHOLD:
+            continue
+        for slot, f in debts:
+            n = occ[slot]
+            if n:
+                amp *= f**n
+        final[tuple(occ[slot] for slot in pos) if relabel else occ] = amp
+    return PhotonicState(m, {occ: final[occ] for occ in sorted(final)})
 
 
 def run_program(program: NetworkProgram, state: PhotonicState) -> PhotonicState:
     """Fold the program steps over ``state`` in order, keeping every term.
 
-    The fold shares one :func:`apply_linear` rule cache over its layers."""
+    Crossings and pure-phase blocks are carried in the fold's frame (see
+    the module docstring), every setting is classified and its rules built
+    once per fold, and the result is sorted once, at the end."""
     return _fold(program, state, None)
 
 
@@ -530,12 +641,14 @@ def run_program_pruned(
     """:func:`run_program` that drops, after each step, every term that can
     never pass :func:`project_qubit_structure` (see :func:`light_cone`).
 
-    Without ``forest``, the projection of the result equals that of the
-    unpruned fold bit for bit, key order included: a dropped term's
-    descendants never share an occupation with a kept term's, so every kept
-    amplitude is the same sum of the same addends in the same order.  The
-    test is only a necessary condition, so circuits outside the forest
-    envelope keep their deviating output.
+    Each restrict relabels its partition through the fold's frame once,
+    not each term.  Without ``forest``, the projection of the result equals
+    that of the unpruned fold bit for bit, key order included: both folds
+    carry the same frame, keep their terms in insertion order, and a
+    dropped term's descendants never share an occupation with a kept
+    term's, so every kept amplitude is the same sum of the same addends in
+    the same order.  The test is only a necessary condition, so circuits
+    outside the forest envelope keep their deviating output.
 
     ``forest`` (pass the compiler's certificate, ``CompileResult.forest``)
     adds the eager cut: each truncation also drops the failure terms of its

@@ -68,8 +68,8 @@ class UnitarityReport:
 # Settings of the MZI that is the 2x2 identity; used to park unused mesh
 # slots.  In floating point it is not exact: the off-diagonal evaluates to
 # about 6.1e-17 and the top diagonal's imaginary part to -1.8e-16.  The
-# off-diagonal never reaches a Fock state: fock._pair_transform leaves out
-# rule outputs that small.
+# off-diagonal never reaches a Fock state: the Fock fold carries a block
+# whose off-diagonal is that small as a pure phase.
 IDENTITY_SETTING = MziSetting(np.pi, 0.0, np.pi, 0.0)
 
 

@@ -629,6 +629,30 @@ def test_ghz_chain_20_qubits():
     assert elapsed < 30.0
 
 
+def test_long_routing_loses_no_probability_at_crossings():
+    # 400 logical SWAPs of the chain's end qubits, routed by SWAP2 networks:
+    # about 20,000 solved crossings, each of which leaked about 4.4e-16 of
+    # probability per photon while crossings were expanded as 2x2 rules
+    payload = {
+        "qubits": 4,
+        "gates": [{"g": "H", "q": 0}]
+        + [{"g": "CNOT", "c": q, "t": q + 1} for q in range(3)]
+        + [{"g": "SWAP", "a": 0, "b": 3}] * 400,
+    }
+    sim = simulate_circuit(parse_circuit(payload))
+    crossings = sum(
+        blk.role == "X"
+        for step in sim.compile_result.program.steps
+        if isinstance(step, fock.LinearLayer)
+        for blk in step.blocks
+    )
+    assert crossings == 20006
+    assert abs(sim.success_probability * 9.0**3 - 1) < 1e-13
+    assert list(sim.sparse_amplitudes) == [0b0000, 0b1111]
+    for amp in sim.sparse_amplitudes.values():
+        assert abs(amp - 1 / np.sqrt(2)) < 1e-13
+
+
 def test_mesh_column_grids():
     assert clements_columns(4) == ((0, 2), (1,), (0, 2), (1,))
     assert reck_columns(4) == ((2,), (1,), (0, 2), (1,), (2,))

@@ -31,11 +31,13 @@ def circuits(draw, forest: bool):
 
     Photons are tracked through logical SWAPs; a CZ/CNOT on an already
     used logical pair is never drawn (the compiler refuses it).  With
-    ``forest``, entanglers that would close a cycle are skipped; without
-    it, entanglers are drawn more often, on 3 or 4 qubits, so that cycles
-    and repeated photon pairs are common.
+    ``forest``, circuits have up to 8 qubits and 24 gates, so that long
+    routed chains occur, and entanglers that would close a cycle are
+    skipped; without it, entanglers are drawn more often, on 3 or 4 qubits
+    and up to 12 gates, so that cycles and repeated photon pairs are
+    common.
     """
-    n = draw(st.integers(2, 5) if forest else st.integers(3, 4))
+    n = draw(st.integers(2, 8) if forest else st.integers(3, 4))
     kinds = ("single", "single", "swap", "entangler")
     if not forest:
         kinds = ("single", "swap", "entangler", "entangler")
@@ -50,7 +52,7 @@ def circuits(draw, forest: bool):
         return p
 
     gates = []
-    for _ in range(draw(st.integers(1, 12))):
+    for _ in range(draw(st.integers(1, 24 if forest else 12))):
         kind = draw(st.sampled_from(kinds))
         if kind == "single":
             name = draw(st.sampled_from(SINGLES))
