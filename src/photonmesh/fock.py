@@ -22,10 +22,14 @@ costs O(1), touches no term and loses no probability: its photons pick up
 the unit phases ``t/|t|`` of its nonzero entries.  A mixing block acts on
 the slots ``(pos[a], pos[a+1])``, which need not be adjacent, and first
 pays their owed phases into the terms it rewrites.  Truncations and
-restricts map their modes through ``pos`` once per step.  The fold's
-result is materialized once: owed phases paid, keys read in logical order
-and sorted.  Terms are never sorted in between, so accumulation follows
-dict insertion order, which the input state and the program determine.
+light-cone checks map their modes through ``pos`` once per step.  Inside
+the fold each key is one packed int, a fixed-width digit per slot, so a
+block reads its pair and a truncation its aux modes with one AND (see
+:func:`_fold`); :class:`PhotonicState` and every function that returns one
+keep occupation tuples.  The fold's result is materialized once: owed
+phases paid, keys read in logical order and sorted.  Terms are never
+sorted in between, so accumulation follows dict insertion order, which the
+input state and the program determine.
 
 Path encoding: qubit ``q`` of an n-qubit register owns the mode triplet
 ``(3q, 3q+1, 3q+2)`` = (auxiliary, rail 0, rail 1); logical ``|0>`` is a
@@ -45,6 +49,8 @@ import numpy as np
 from .linalg import MziSetting, permanent, setting_unitary
 
 Occupation = tuple[int, ...]
+# A light-cone check: a term must hold exactly ``count`` photons in ``modes``.
+Check = tuple[tuple[int, ...], int]
 
 # Amplitudes at or below this threshold are dropped after each layer that
 # rewrites terms, and pair-rule outputs (relative to their input term, see
@@ -251,39 +257,40 @@ class _Device:
 
 
 def _mix(
-    terms: dict[Occupation, complex],
+    terms: dict[int, complex],
     device: _Device,
     top: int,
     bottom: int,
+    digit: int,
     owed_top: complex,
     owed_bottom: complex,
-) -> dict[Occupation, complex]:
-    """``terms`` after the mixing ``device`` acts with its top mode on slot
-    ``top`` and its bottom mode on slot ``bottom``, which need not be
+) -> dict[int, complex]:
+    """``terms``, packed keys (see :func:`_fold`), after the mixing
+    ``device`` acts with its top mode on the slot at bit offset ``top`` and
+    its bottom mode on the slot at ``bottom``; the slots need not be
     adjacent.  Each photon on the pair first picks up the phase its slot
     owes.  Outputs that meet on one occupation are added in insertion
     order and not pruned."""
-    lo, hi = min(top, bottom), max(top, bottom)
-    outputs: dict[tuple[int, int], tuple] = {}
-    accum: dict[Occupation, complex] = {}
+    pair = digit << top | digit << bottom
+    outputs: dict[int, tuple[tuple[int, complex], ...]] = {}
+    accum: dict[int, complex] = {}
     get = accum.get
-    for occ, amp in terms.items():
-        pair = occ[lo], occ[hi]
-        if pair == (0, 0):
-            accum[occ] = get(occ, 0.0) + amp
+    for key, amp in terms.items():
+        bits = key & pair
+        if not bits:
+            accum[key] = get(key, 0.0) + amp
             continue
-        rule = outputs.get(pair)
+        rule = outputs.get(bits)
         if rule is None:
-            na, nb = pair if top < bottom else pair[::-1]
+            na, nb = bits >> top & digit, bits >> bottom & digit
             factor = owed_top**na * owed_bottom**nb
-            rule = outputs[pair] = tuple(
-                ((p, na + nb - p) if top < bottom else (na + nb - p, p), c * factor)
+            rule = outputs[bits] = tuple(
+                ((p << top | (na + nb - p) << bottom) - bits, c * factor)
                 for p, c in device.rule(na, nb)
             )
-        head, mid, tail = occ[:lo], occ[lo + 1 : hi], occ[hi + 1 :]
-        for (x, y), c in rule:
-            key = head + (x,) + mid + (y,) + tail
-            accum[key] = get(key, 0.0) + amp * c
+        for delta, c in rule:
+            out = key + delta
+            accum[out] = get(out, 0.0) + amp * c
     return accum
 
 
@@ -340,8 +347,8 @@ def amplitude_via_permanent(
 class Partition:
     """Mode blocks, each with the photon count it must hold for a term to
     pass :func:`project_qubit_structure`.  ``labels[mode]`` is the mode's
-    block.  :func:`light_cone` yields the partitions whose blocks no later
-    program layer couples to each other."""
+    block.  :func:`light_cone` starts from :func:`qubit_structure` and
+    joins its blocks step by step."""
 
     labels: tuple[int, ...]
     required: tuple[int, ...]
@@ -357,16 +364,6 @@ class Partition:
             if tuple(counts) == self.required:
                 kept[occ] = amp
         return PhotonicState(state.mode_count, kept)
-
-    def split(self, modes: tuple[int, ...], count: int) -> "Partition":
-        """This partition with ``modes``, which lie in one block, split out
-        as a new block that must hold ``count``; the rest of their block must
-        then hold ``count`` fewer."""
-        labels, required = list(self.labels), list(self.required)
-        required[labels[modes[0]]] -= count
-        for mode in modes:
-            labels[mode] = len(required)
-        return Partition(tuple(labels), (*required, count))
 
 
 def qubit_structure(layout: QubitLayout) -> Partition:
@@ -472,9 +469,12 @@ def dense_amplitudes(amplitudes: dict[int, complex], qubit_count: int) -> np.nda
 
 def light_cone(
     program: NetworkProgram, layout: QubitLayout, forest: bool = False
-) -> tuple[Partition | None, ...]:
-    """The partition to restrict the state by after each program step, or
-    ``None`` after a step where restricting can drop no term.
+) -> tuple[tuple[Check, ...], ...]:
+    """The checks to filter the state by after each program step: a term
+    passes a check ``(modes, count)`` when it holds exactly ``count``
+    photons in ``modes``.  A step with no checks can drop no term.  Applied
+    after every step, from step 0 on, the checks keep exactly the terms
+    that restricting by the whole partition in force would keep.
 
     A backward union-find pass: it starts from the final projection,
     :func:`qubit_structure`, and, walking the steps in reverse, joins the
@@ -483,19 +483,21 @@ def light_cone(
     the partition in force after step ``i``, so a term whose count differs
     from the requirement in any block can never pass the projection.
 
-    That partition is given after step 0, whose input is not yet
-    restricted, after every layer that merges blocks and after every
-    certified truncation (below); elsewhere the entry is ``None``, since
-    restricting there can drop nothing.  A layer that merges nothing
-    couples modes only inside the blocks of the partition in force, which
-    equals or coarsens the last one restricted by, so every kept term keeps
-    matching it; any other truncation only removes terms.
+    Only the checks a term can newly fail are listed.  After step 0, whose
+    input is not yet restricted, every block is one.  A layer that joins
+    blocks keeps each joined group's total, which its term already matched,
+    so its checks are the blocks it joins, all but the largest of each
+    group, whose count the others fix.  A layer that joins nothing couples
+    modes only inside blocks; any other truncation only removes terms.
+    Blocks are kept as member lists, and a join moves the smaller lists
+    into the largest, so a mode moves at most ``log2(m)`` times for ``m``
+    modes and no partition is built per join.
 
     ``forest`` asserts the compiler's certificate (``CompileResult.forest``):
-    then no failure term that a truncation keeps can ever pass, so the
-    entry of each :class:`TruncateAux` is the partition in force with the
-    rail pair ``(aux + 1, aux + 2)`` of each truncated aux mode split out
-    as a block that must hold one photon (the eager cut).  Without the
+    then no failure term that a truncation keeps can ever pass, so each
+    :class:`TruncateAux` checks the rail pair ``(aux + 1, aux + 2)`` of
+    each truncated aux mode for one photon (the eager cut); the rest of the
+    pair's block then holds one fewer, which its total fixes.  Without the
     certificate the cut would change results outside the forest envelope,
     so it is off by default.
     """
@@ -503,88 +505,169 @@ def light_cone(
         raise ValueError(
             f"program has {program.mode_count} modes, layout needs {layout.mode_count}"
         )
-    # Each block of the seed is rooted at its first mode, which holds its count.
     seed = qubit_structure(layout)
-    first: dict[int, int] = {}
-    parent = [first.setdefault(label, mode) for mode, label in enumerate(seed.labels)]
-    required = [
-        seed.required[label] if parent[mode] == mode else 0
-        for mode, label in enumerate(seed.labels)
-    ]
+    block = list(seed.labels)  # block[mode]: the block holding ``mode``
+    required = list(seed.required)
+    members: dict[int, list[int]] = {}
+    for mode, label in enumerate(block):
+        members.setdefault(label, []).append(mode)
 
-    def root(mode: int) -> int:
-        while parent[mode] != mode:
-            parent[mode] = parent[parent[mode]]
-            mode = parent[mode]
-        return mode
-
-    def snapshot() -> Partition:
-        roots = [root(mode) for mode in range(layout.mode_count)]
-        index = {r: i for i, r in enumerate(dict.fromkeys(roots))}
-        return Partition(
-            tuple(index[r] for r in roots), tuple(required[r] for r in index)
-        )
-
-    current = seed
-    after: list[Partition | None] = []
+    after: list[tuple[Check, ...]] = []
     for i in reversed(range(len(program.steps))):
-        step, entry, drops = program.steps[i], current, i == 0
+        step, checks = program.steps[i], ()
         if forest and isinstance(step, TruncateAux):
-            for aux in step.modes:
-                entry = entry.split((aux + 1, aux + 2), 1)
-            drops = True
+            checks = tuple(((aux + 1, aux + 2), 1) for aux in step.modes)
+        if i == 0:
+            # every block, with the eager cut's rail pairs split out
+            count = {label: required[label] for label in members}
+            split = set()
+            for modes, n in checks:
+                count[block[modes[0]]] -= n
+                split.update(modes)
+            rest = (
+                (tuple(sorted(m for m in modes if m not in split)), count[label])
+                for label, modes in members.items()
+            )
+            checks = tuple(sorted(checks + tuple(c for c in rest if c != ((), 0))))
         elif isinstance(step, LinearLayer):
-            merged = False
             for blk in step.blocks:
-                rj, rk = root(blk.top_mode), root(blk.top_mode + 1)
-                if rj != rk:
-                    parent[rk] = rj
-                    required[rj] += required[rk]
-                    merged = True
-            if merged:
-                current = snapshot()
-                drops = True
-        after.append(entry if drops else None)
+                if block[blk.top_mode] != block[blk.top_mode + 1]:
+                    checks = _join(step.blocks, block, required, members)
+                    break
+        after.append(checks)
     return tuple(reversed(after))
+
+
+def _join(
+    blocks: tuple[MeshBlock, ...],
+    block: list[int],
+    required: list[int],
+    members: dict[int, list[int]],
+) -> tuple[Check, ...]:
+    """Join, in place, the blocks in force that ``blocks`` couple, and
+    return the checks of the join: every joined block but the largest of
+    its group.  The smaller member lists move into the largest."""
+    link: dict[int, int] = {}
+
+    def find(label: int) -> int:
+        while label in link:
+            label = link[label]
+        return label
+
+    for blk in blocks:
+        a, b = find(block[blk.top_mode]), find(block[blk.top_mode + 1])
+        if a != b:
+            link[b] = a
+    groups: dict[int, list[int]] = {}
+    for label in link:
+        root = find(label)
+        groups.setdefault(root, [root]).append(label)
+    checks = []
+    for group in groups.values():
+        big = max(group, key=lambda label: len(members[label]))
+        into = members[big]
+        for label in group:
+            if label == big:
+                continue
+            modes = members.pop(label)
+            checks.append((tuple(sorted(modes)), required[label]))
+            required[big] += required[label]
+            into.extend(modes)
+            for mode in modes:
+                block[mode] = big
+    return tuple(checks)
+
+
+def _keep(
+    terms: dict[int, complex],
+    empty: int,
+    prune: bool,
+    counted: list[tuple[tuple[int, ...], int]],
+    digit: int,
+) -> dict[int, complex]:
+    """The packed ``terms`` with no photon under the mask ``empty``, above
+    :data:`PRUNE_THRESHOLD` if ``prune``, and with exactly ``count`` photons
+    in the digits at ``shifts`` for each ``(shifts, count)`` in ``counted``.
+    Those digits' values are judged once per distinct combination."""
+    watched = 0
+    for shifts, _ in counted:
+        for s in shifts:
+            watched |= digit << s
+    judged: dict[int, bool] = {}
+    kept = {}
+    for key, amp in terms.items():
+        if key & empty or prune and abs(amp) <= PRUNE_THRESHOLD:
+            continue
+        bits = key & watched
+        ok = judged.get(bits)
+        if ok is None:
+            ok = judged[bits] = all(
+                sum(bits >> s & digit for s in shifts) == count for shifts, count in counted
+            )
+        if ok:
+            kept[key] = amp
+    return kept
 
 
 def _fold(
     program: NetworkProgram,
     state: PhotonicState,
-    cone: tuple[Partition | None, ...] | None,
+    cone: tuple[tuple[Check, ...], ...] | None,
     rules: dict | None = None,
 ) -> PhotonicState:
+    """The fold behind :func:`run_program`, :func:`run_program_pruned` and
+    :func:`apply_linear`: every step in order, then, if ``cone`` is given,
+    its checks after each step.
+
+    Inside the fold a term's key is one int: slot ``s`` is a digit of
+    ``width`` bits at offset ``shift[s]``, slot 0 most significant, so
+    integer order is tuple order.  ``width`` is the bit length of the
+    input's largest photon count, which no mode can exceed.  A mixing block
+    reads its pair with one AND and writes each rule output by adding a
+    precomputed delta; a truncation and the zero-count checks of a step are
+    one AND against a mask of the slots that must be empty.  Keys are
+    packed once on entry and read back as tuples once, on return.
+    """
     m = program.mode_count
     if state.mode_count != m:
         raise ValueError(
             f"state has {state.mode_count} modes, program needs {m}"
         )
-    cuts = cone or (None,) * len(program.steps)
+    cuts = cone or ((),) * len(program.steps)
     rules = {} if rules is None else rules
-    # The frame: term keys are physical occupations, pos[mode] is the slot
-    # that holds logical mode ``mode``, and each photon in ``slot`` still
-    # owes the unit phase owed[slot].
+    width = max((sum(occ) for occ in state.terms), default=0).bit_length()
+    digit = (1 << width) - 1
+    shift = [width * (m - 1 - slot) for slot in range(m)]
+    terms = {}
+    for occ, amp in state.terms.items():
+        key = 0
+        for n in occ:
+            key = key << width | int(n)
+        terms[key] = amp
+    # The frame: pos[mode] is the slot that holds logical mode ``mode``,
+    # and each photon in ``slot`` still owes the unit phase owed[slot].
     pos = list(range(m))
     owed = [1.0 + 0.0j] * m
-    terms = state.terms
     # Programs share setting objects (fixed devices, gate networks), so
     # each object's device is looked up by key once per fold.
     seen: dict[int, _Device] = {}
-    for step, cut in zip(program.steps, cuts):
+    for step, checks in zip(program.steps, cuts):
+        mixed, empty = False, 0
         if isinstance(step, LinearLayer):
-            mixed = False
             for blk in step.blocks:
                 device = seen.get(id(blk.setting))
                 if device is None:
-                    key = _setting_key(blk.setting)
-                    device = rules.get(key)
+                    setting_key = _setting_key(blk.setting)
+                    device = rules.get(setting_key)
                     if device is None:
-                        device = rules[key] = _Device(blk.setting)
+                        device = rules[setting_key] = _Device(blk.setting)
                     seen[id(blk.setting)] = device
                 a, b = blk.top_mode, blk.top_mode + 1
                 sa, sb = pos[a], pos[b]
                 if device.units is None:
-                    terms = _mix(terms, device, sa, sb, owed[sa], owed[sb])
+                    terms = _mix(
+                        terms, device, shift[sa], shift[sb], digit, owed[sa], owed[sb]
+                    )
                     owed[sa] = owed[sb] = 1.0 + 0.0j
                     mixed = True
                     continue
@@ -592,34 +675,39 @@ def _fold(
                 owed[sb] *= device.units[1]
                 if device.swaps:
                     pos[a], pos[b] = sb, sa
-            if mixed:
-                terms = {
-                    occ: amp for occ, amp in terms.items() if abs(amp) > PRUNE_THRESHOLD
-                }
         elif isinstance(step, TruncateAux):
-            slots = tuple(pos[mode] for mode in step.modes)
-            terms = truncate_aux(PhotonicState(m, terms), slots).terms
+            for mode in step.modes:
+                empty |= digit << shift[pos[mode]]
         else:
             raise TypeError(f"unknown program step {type(step).__name__}")
-        if cut is not None:
-            labels = [0] * m
-            for mode, slot in enumerate(pos):
-                labels[slot] = cut.labels[mode]
-            physical = Partition(tuple(labels), cut.required)
-            terms = physical.restrict(PhotonicState(m, terms)).terms
+        counted = []
+        for modes, count in checks:
+            if count:
+                counted.append((tuple(shift[pos[mode]] for mode in modes), count))
+            else:
+                for mode in modes:
+                    empty |= digit << shift[pos[mode]]
+        if counted:
+            terms = _keep(terms, empty, mixed, counted, digit)
+        elif mixed or empty:
+            terms = {
+                key: amp
+                for key, amp in terms.items()
+                if not key & empty and (not mixed or abs(amp) > PRUNE_THRESHOLD)
+            }
     # Pay the owed phases, read each key in logical order and sort once;
     # the prune catches input terms that no mixing layer has rewritten.
-    debts = [(slot, f) for slot, f in enumerate(owed) if f != 1.0]
-    relabel = pos != list(range(m))
+    debts = [(shift[slot], f) for slot, f in enumerate(owed) if f != 1.0]
+    order = [shift[slot] for slot in pos]
     final = {}
-    for occ, amp in terms.items():
+    for key, amp in terms.items():
         if abs(amp) <= PRUNE_THRESHOLD:
             continue
-        for slot, f in debts:
-            n = occ[slot]
+        for s, f in debts:
+            n = key >> s & digit
             if n:
                 amp *= f**n
-        final[tuple(occ[slot] for slot in pos) if relabel else occ] = amp
+        final[tuple(key >> s & digit for s in order)] = amp
     return PhotonicState(m, {occ: final[occ] for occ in sorted(final)})
 
 
@@ -641,8 +729,11 @@ def run_program_pruned(
     """:func:`run_program` that drops, after each step, every term that can
     never pass :func:`project_qubit_structure` (see :func:`light_cone`).
 
-    Each restrict relabels its partition through the fold's frame once,
-    not each term.  Without ``forest``, the projection of the result equals
+    Each step's checks are mapped through the fold's frame once, not per
+    term, and read the fold's packed keys: the zero-count checks and a
+    truncation are one AND against a mask, and the other checks' digits
+    are judged once per distinct combination.  The result keeps tuple keys
+    in sorted order.  Without ``forest``, the projection of the result equals
     that of the unpruned fold bit for bit, key order included: both folds
     carry the same frame, keep their terms in insertion order, and a
     dropped term's descendants never share an occupation with a kept

@@ -3,7 +3,9 @@
 The oracles are written independently of the package internals so the
 tests compare two implementations, not one implementation with itself.
 ``random_mesh`` and ``run_layers`` only build and run block programs with
-the package's own types.
+the package's own types.  ``reference_light_cone`` is the full-partition
+light cone that :func:`photonmesh.fock.light_cone`'s checks must agree
+with.
 """
 
 from __future__ import annotations
@@ -12,7 +14,17 @@ import itertools
 
 import numpy as np
 
-from photonmesh.fock import LinearLayer, MeshBlock, apply_linear
+from photonmesh.fock import (
+    LinearLayer,
+    MeshBlock,
+    NetworkProgram,
+    Partition,
+    PhotonicState,
+    QubitLayout,
+    TruncateAux,
+    apply_linear,
+    qubit_structure,
+)
 from photonmesh.linalg import MziSetting
 
 _SQ = 1.0 / np.sqrt(2.0)
@@ -133,3 +145,93 @@ def run_layers(state, layers):
     for blocks in layers:
         state = apply_linear(state, LinearLayer(state.mode_count, tuple(blocks)))
     return state
+
+
+def split_partition(partition: Partition, modes: tuple[int, ...], count: int) -> Partition:
+    """``partition`` with ``modes``, which lie in one block, split out as a
+    new block that must hold ``count``; the rest of their block must then
+    hold ``count`` fewer."""
+    labels, required = list(partition.labels), list(partition.required)
+    required[labels[modes[0]]] -= count
+    for mode in modes:
+        labels[mode] = len(required)
+    return Partition(tuple(labels), (*required, count))
+
+
+def reference_light_cone(
+    program: NetworkProgram, layout: QubitLayout, forest: bool = False
+) -> tuple[Partition | None, ...]:
+    """The full partition in force after each program step, or ``None``
+    after a step where restricting by it can drop no term: the reference
+    for :func:`photonmesh.fock.light_cone`'s checks.
+
+    A backward union-find pass from :func:`qubit_structure` that joins the
+    two modes of every block of a layer and builds the whole partition
+    again after every layer that joins blocks.  The entry is given after
+    step 0, after every joining layer and, with ``forest``, after every
+    truncation, with each truncated aux mode's rail pair split out as a
+    block that must hold one photon.
+    """
+    m = layout.mode_count
+    seed = qubit_structure(layout)
+    first: dict[int, int] = {}
+    parent = [first.setdefault(label, mode) for mode, label in enumerate(seed.labels)]
+    required = [
+        seed.required[label] if parent[mode] == mode else 0
+        for mode, label in enumerate(seed.labels)
+    ]
+
+    def root(mode: int) -> int:
+        while parent[mode] != mode:
+            parent[mode] = parent[parent[mode]]
+            mode = parent[mode]
+        return mode
+
+    def snapshot() -> Partition:
+        roots = [root(mode) for mode in range(m)]
+        index = {r: i for i, r in enumerate(dict.fromkeys(roots))}
+        return Partition(tuple(index[r] for r in roots), tuple(required[r] for r in index))
+
+    current = seed
+    after: list[Partition | None] = []
+    for i in reversed(range(len(program.steps))):
+        step, entry, drops = program.steps[i], current, i == 0
+        if forest and isinstance(step, TruncateAux):
+            for aux in step.modes:
+                entry = split_partition(entry, (aux + 1, aux + 2), 1)
+            drops = True
+        elif isinstance(step, LinearLayer):
+            merged = False
+            for blk in step.blocks:
+                rj, rk = root(blk.top_mode), root(blk.top_mode + 1)
+                if rj != rk:
+                    parent[rk] = rj
+                    required[rj] += required[rk]
+                    merged = True
+            if merged:
+                current = snapshot()
+                drops = True
+        after.append(entry if drops else None)
+    return tuple(reversed(after))
+
+
+def partition_checks(partition: Partition) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every block of ``partition`` as a ``(modes, count)`` check, in the
+    order of each block's first mode."""
+    blocks: dict[int, list[int]] = {}
+    for mode, label in enumerate(partition.labels):
+        blocks.setdefault(label, []).append(mode)
+    return tuple(
+        sorted((tuple(modes), partition.required[label]) for label, modes in blocks.items())
+    )
+
+
+def keep_checked(state: PhotonicState, checks) -> PhotonicState:
+    """The terms of ``state`` that hold exactly ``count`` photons in
+    ``modes`` for every ``(modes, count)`` in ``checks``, in order."""
+    kept = {
+        occ: amp
+        for occ, amp in state.terms.items()
+        if all(sum(occ[mode] for mode in modes) == count for modes, count in checks)
+    }
+    return PhotonicState(state.mode_count, kept)

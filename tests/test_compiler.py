@@ -38,7 +38,7 @@ from photonmesh.compiler import (
 )
 from photonmesh import compiler
 
-from helpers import dense_circuit_state, state_fidelity
+from helpers import dense_circuit_state, keep_checked, reference_light_cone, state_fidelity
 
 
 def test_parse_circuit_accepts_all_gate_forms():
@@ -515,6 +515,60 @@ def test_pruned_fold_projects_exactly_like_unpruned_fold():
         entanglers = [op.qubits for op in circuit.gates if op.name in ("CZ", "CNOT")]
         cyclic += len(entanglers) >= n
     assert cyclic >= 6  # cycle-closing circuits must actually occur
+
+
+
+@pytest.mark.parametrize("forest", [False, True])
+def test_light_cone_checks_keep_what_the_full_partition_keeps(forest):
+    # Replayed step by step, each entry's checks keep exactly the keys, in
+    # the same order, that the full partition in force keeps, on routed
+    # forest circuits and on cycle-closing ones; so does the fold, run to
+    # that entry.
+    rng = np.random.default_rng(31)
+    cyclic = dropped = checked_modes = full_modes = 0
+    for case in range(24):
+        options = CompileOptions(
+            place=False,
+            cz_form=("compressed", "swap-sandwich")[case // 2 % 2],
+            restore_swaps=case // 4 % 2 == 0,
+        )
+        n = 3 + case % 3
+        circuit = _random_circuit(rng, n, 14, forest=case % 2 == 0)
+        program = compile_circuit(circuit, options).program
+        layout = fock.QubitLayout(n)
+        bits = "".join(str(int(rng.integers(0, 2))) for _ in range(n))
+        start = fock.prepare_computational_basis(bits, layout)
+        cone = fock.light_cone(program, layout, forest)
+        reference = reference_light_cone(program, layout, forest)
+        assert [bool(checks) for checks in cone] == [p is not None for p in reference]
+        state = start
+        for i, (step, checks, partition) in enumerate(zip(program.steps, cone, reference)):
+            if isinstance(step, fock.LinearLayer):
+                state = fock.apply_linear(state, step)
+            else:
+                state = fock.truncate_aux(state, step.modes)
+            kept = keep_checked(state, checks)
+            if partition is not None:
+                full = partition.restrict(state)
+                assert list(kept.terms) == list(full.terms)
+                dropped += len(state.terms) - len(full.terms)
+                if i:
+                    checked_modes += sum(len(modes) for modes, _ in checks)
+                    full_modes += 3 * n
+            assert kept.terms == state.terms or partition is not None
+            state = kept
+            if checks:  # the fold's own filter, on this prefix of the program
+                prefix = fock.NetworkProgram(3 * n, program.steps[: i + 1])
+                folded = fock._fold(prefix, start, cone[: i + 1])
+                assert list(folded.terms) == list(state.terms)
+        pruned = fock.run_program_pruned(program, start, layout, forest)
+        assert list(pruned.terms) == list(state.terms)
+        entanglers = [op.qubits for op in circuit.gates if op.name in ("CZ", "CNOT")]
+        cyclic += len(entanglers) >= n
+    assert cyclic >= 4  # cycle-closing circuits must actually occur
+    assert dropped > 0
+    # after the input, the checks cover a fraction of the modes
+    assert checked_modes < full_modes / 2
 
 
 TRIANGLE = [

@@ -50,7 +50,15 @@ from photonmesh.linalg import (
     solve_mzi_settings,
 )
 
-from helpers import random_mesh, random_setting, run_layers
+from helpers import (
+    keep_checked,
+    partition_checks,
+    random_mesh,
+    random_setting,
+    reference_light_cone,
+    run_layers,
+    split_partition,
+)
 
 BS = bs_general(1 / np.sqrt(2), 1 / np.sqrt(2))
 BS_SETTING = solve_mzi_settings(BS)
@@ -199,6 +207,37 @@ def test_swap2_fold_accumulates_one_term_per_layer(monkeypatch):
     assert mixed == []
 
 
+def test_packed_keys_hold_every_photon_of_the_largest_term():
+    # inside the fold each mode is a digit as wide as the bit length of the
+    # input's largest photon count: (2, 2) on a 50:50 block leaves (4, 0)
+    # and (0, 4), which need 3 bits, though 4 - 1 fits in 2
+    u = layers_matrix(((MeshBlock(0, BS_SETTING, "BS"),),), 2)
+    out = apply_linear(PhotonicState(2, {(2, 2): 1.0 + 0.0j}), splitter_layer(2, 0))
+    assert set(out.terms) == {(4, 0), (2, 2), (0, 4)}
+    for p in range(5):
+        ref = amplitude_via_permanent(u, (2, 2), (p, 4 - p))
+        assert abs(out.amplitude((p, 4 - p)) - ref) < 1e-12
+    # a 1-photon term first and a 4-photon term after it: the width comes
+    # from the largest term, not the first
+    rng = np.random.default_rng(83)
+    m = 4
+    layers = random_mesh(m, rng)
+    inputs = {(0, 1, 0, 0): 0.6 + 0.0j, (2, 0, 1, 1): 0.8j}
+    program = NetworkProgram(m, tuple(LinearLayer(m, blocks) for blocks in layers))
+    out = run_program(program, PhotonicState(m, inputs))
+    u = layers_matrix(layers, m)
+    assert (4, 0, 0, 0) in out.terms and (0, 0, 0, 4) in out.terms
+    for photons in (1, 4):
+        for combo in itertools.combinations_with_replacement(range(m), photons):
+            target = tuple(combo.count(mode) for mode in range(m))
+            ref = sum(
+                amp * amplitude_via_permanent(u, occ, target)
+                for occ, amp in inputs.items()
+                if sum(occ) == photons
+            )
+            assert abs(out.amplitude(target) - ref) < 1e-12
+
+
 def test_amplitude_via_permanent_validates_inputs():
     with pytest.raises(ValueError):
         amplitude_via_permanent(np.eye(2), (1, 0), (1, 1))
@@ -339,11 +378,14 @@ def test_light_cone_of_identity_layers_merges_nothing():
     program = NetworkProgram(6, (empty, TruncateAux((0, 3)), empty))
     cone = light_cone(program, layout)
     assert len(cone) == 3
-    # only the input is restricted: nothing later can change a block count
-    assert cone[1:] == (None, None)
+    # only the input is checked: nothing later can change a block count
+    assert cone[1:] == ((), ())
     # aux singletons holding 0 photons, rail pairs holding 1
-    assert cone[0].labels == (0, 1, 1, 2, 3, 3)
-    assert cone[0].required == (0, 1, 0, 1)
+    assert cone[0] == (((0,), 0), ((1, 2), 1), ((3,), 0), ((4, 5), 1))
+    reference = reference_light_cone(program, layout)
+    assert reference[1:] == (None, None)
+    assert reference[0].labels == (0, 1, 1, 2, 3, 3)
+    assert reference[0].required == (0, 1, 0, 1)
 
 
 def test_light_cone_merges_on_exact_nonzero_coupling():
@@ -354,9 +396,14 @@ def test_light_cone_merges_on_exact_nonzero_coupling():
     parked = LinearLayer(6, (MeshBlock(2, IDENTITY_SETTING, "ID"),))
     program = NetworkProgram(6, (LinearLayer(6, ()), parked))
     before, last = light_cone(program, layout)
-    assert last.labels == (0, 1, 1, 2, 3, 3)
-    assert before.labels == (0, 1, 1, 1, 2, 2)
-    assert before.required == (0, 1, 1)
+    # the input is checked against every block; the layer joins rail pair
+    # (1, 2) and aux 3, so after it only the smaller, aux 3, is checked
+    assert before == (((0,), 0), ((1, 2, 3), 1), ((4, 5), 1))
+    assert last == (((3,), 0),)
+    full_before, full_last = reference_light_cone(program, layout)
+    assert full_last.labels == (0, 1, 1, 2, 3, 3)
+    assert full_before.labels == (0, 1, 1, 1, 2, 2)
+    assert full_before.required == (0, 1, 1)
     state = PhotonicState(
         6,
         {
@@ -367,8 +414,11 @@ def test_light_cone_merges_on_exact_nonzero_coupling():
     )
     # the joined block may still move its photon out of aux 3; it may not
     # shed a second one, and after the last layer aux 3 must be empty
-    assert list(before.restrict(state).terms) == [(0, 0, 0, 1, 1, 0), (0, 1, 0, 0, 0, 1)]
-    assert list(last.restrict(state).terms) == [(0, 1, 0, 0, 0, 1)]
+    kept = keep_checked(state, before)
+    assert list(kept.terms) == [(0, 0, 0, 1, 1, 0), (0, 1, 0, 0, 0, 1)]
+    assert list(kept.terms) == list(full_before.restrict(state).terms)
+    assert list(keep_checked(kept, last).terms) == [(0, 1, 0, 0, 0, 1)]
+    assert list(full_last.restrict(state).terms) == [(0, 1, 0, 0, 0, 1)]
 
 
 def test_block_kernel_matches_permanent_of_layers_matrix():
@@ -431,7 +481,9 @@ def test_light_cone_starts_from_the_qubit_structure():
     program = NetworkProgram(6, (splitter_layer(6, 2), TruncateAux((0, 3))))
     cone = light_cone(program, layout)
     # the truncation merges nothing, so the splitter's entry is the projection
-    assert cone == (qubit_structure(layout), None)
+    assert cone == (partition_checks(qubit_structure(layout)), ())
+    assert cone[0] == (((0,), 0), ((1, 2), 1), ((3,), 0), ((4, 5), 1))
+    assert reference_light_cone(program, layout) == (qubit_structure(layout), None)
     assert qubit_structure(layout) == Partition((0, 1, 1, 2, 3, 3), (0, 1, 0, 1))
 
 
@@ -445,7 +497,27 @@ def test_light_cone_seeds_its_union_find_in_one_pass():
     start = time.perf_counter()
     cone = light_cone(program, layout)
     elapsed = time.perf_counter() - start
-    assert cone == (qubit_structure(layout),)
+    assert cone == (partition_checks(qubit_structure(layout)),)
+    assert elapsed < 0.5
+
+
+def test_light_cone_of_a_long_chain_moves_small_blocks_into_large():
+    # A 3000-qubit GHZ chain joins one growing block to each next qubit.
+    # Building a partition per join, or moving the large block into the
+    # small one, is O(m**2): 5 to 10 s and about 1.0 s on a 2-vCPU x86-64
+    # host, where moving the small block takes about 0.05 s.
+    n = 3000
+    layout = QubitLayout(n)
+    program = compile_circuit(ghz_chain_circuit(n), CompileOptions(place=False)).program
+    start = time.perf_counter()
+    cone = light_cone(program, layout, forest=True)
+    elapsed = time.perf_counter() - start
+    assert len(cone) == len(program.steps)
+    # after the input, only the blocks joined to the chain and the eager
+    # cut's rail pairs are checked, never the chain's own block
+    later = [modes for checks in cone[1:] for modes, _ in checks]
+    assert max(map(len, later)) == 2
+    assert sum(map(len, later)) < 10 * n
     assert elapsed < 0.5
 
 
@@ -470,7 +542,7 @@ def test_pruned_final_state_equals_its_projection(gates):
 
 def test_partition_split_moves_modes_into_a_new_block():
     whole = Partition((0, 0, 0, 0), (2,))
-    pair = whole.split((1, 2), 1)
+    pair = split_partition(whole, (1, 2), 1)
     assert pair == Partition((0, 1, 1, 0), (1, 1))
     state = PhotonicState(
         4, {(1, 1, 0, 0): 1.0 + 0.0j, (0, 1, 1, 0): 0.5 + 0.0j, (0, 0, 0, 2): 0.5j}
@@ -485,23 +557,38 @@ def test_forest_light_cone_splits_the_rail_pairs_at_each_truncation():
     program = compile_circuit(circuit, CompileOptions(place=False)).program
     plain = light_cone(program, layout)
     eager = light_cone(program, layout, forest=True)
+    full_plain = reference_light_cone(program, layout)
+    full_eager = reference_light_cone(program, layout, forest=True)
     truncations = 0
     held = None  # the plain partition in force: an entry of None keeps it
-    for step, before, after in zip(program.steps, plain, eager):
-        held = before or held
+    entries = zip(program.steps, plain, eager, full_plain, full_eager)
+    for step, before, after, full_before, full_after in entries:
+        held = full_before or held
         if not isinstance(step, TruncateAux):
             assert after == before
+            assert full_after == full_before
             continue
-        assert before is None
+        assert before == () and full_before is None
         truncations += 1
+        # the eager cut checks each truncated rail pair for one photon
+        assert after == tuple(((aux + 1, aux + 2), 1) for aux in step.modes)
         expected = held
         for aux in step.modes:
-            expected = expected.split((aux + 1, aux + 2), 1)
-        assert after == expected
+            expected = split_partition(expected, (aux + 1, aux + 2), 1)
+        assert full_after == expected
         for aux in step.modes:
-            label = after.labels[aux + 1]
-            assert after.labels.count(label) == 2 and after.required[label] == 1
+            label = full_after.labels[aux + 1]
+            assert full_after.labels.count(label) == 2 and full_after.required[label] == 1
     assert truncations == 2
+    # a certified truncation at step 0 checks every block, with its rail
+    # pairs split out of the block a later layer joins them into
+    joined = LinearLayer(6, (MeshBlock(2, BS_SETTING, "BS"),))
+    program = NetworkProgram(6, (TruncateAux((0,)), joined))
+    first = light_cone(program, QubitLayout(2), forest=True)[0]
+    assert first == (((0,), 0), ((1, 2), 1), ((3,), 0), ((4, 5), 1))
+    full_first = reference_light_cone(program, QubitLayout(2), forest=True)[0]
+    assert full_first.labels == (0, 3, 3, 1, 2, 2)
+    assert first == partition_checks(full_first)
 
 
 def test_certified_fold_keeps_one_ninth_per_truncation():
@@ -529,10 +616,9 @@ def test_certified_fold_keeps_one_ninth_per_truncation():
         k = 0
         for step, cut in zip(result.program.steps, cone):
             if isinstance(step, LinearLayer):
-                state = apply_linear(state, step)
-                state = state if cut is None else cut.restrict(state)
+                state = keep_checked(apply_linear(state, step), cut)
                 continue
-            state = cut.restrict(truncate_aux(state, step.modes))
+            state = keep_checked(truncate_aux(state, step.modes), cut)
             k += 1
             assert state.squared_norm() == pytest.approx(9.0**-k, rel=1e-12)
             checked += 1
@@ -542,8 +628,9 @@ def test_certified_fold_keeps_one_ninth_per_truncation():
 
 @pytest.mark.parametrize("forest", [False, True])
 def test_skipped_restricts_drop_nothing(forest):
-    # restricting after every step by the partition in force gives the same
-    # state as restricting only at the light cone's entries
+    # restricting after every step by the full partition in force gives the
+    # same state as restricting only at the reference light cone's entries,
+    # and the same keys as the fold's checks
     rng = np.random.default_rng(71)
     skipped_after_cut = 0
     for case in range(8):
@@ -557,8 +644,8 @@ def test_skipped_restricts_drop_nothing(forest):
         program = compile_circuit(circuit, options).program
         layout = QubitLayout(n)
         start = prepare_computational_basis("0" * n, layout)
-        plain = light_cone(program, layout)
-        cone = light_cone(program, layout, forest)
+        plain = reference_light_cone(program, layout)
+        cone = reference_light_cone(program, layout, forest)
         state, held, after_cut = start, None, False
         for step, before, cut in zip(program.steps, plain, cone):
             held = before or held  # a plain entry of None keeps the partition
