@@ -11,6 +11,14 @@ Two results are probed here:
   mesh parameter space and (deliberately) fails to find any.
 * The n-qubit GHZ chain built from post-selected CNOTs succeeds with
   probability ``9**(1 - n)``; :func:`ghz_probability_scan` measures it.
+
+The search scores a stack of K candidates at once in a batch-last layout:
+the MZI blocks, mesh unitaries and conditional maps are ``(2, 2, ...)`` or
+``(4, 4, K)`` arrays in memory, one 1-D array per matrix entry, and every
+step from the blocks to the trace is an elementwise numpy product or sum.
+The functions still take and return ``(K, 16)`` parameters and
+``(K, 4, 4)`` stacks, as views of that layout.  No matrix product is made
+on the walked path, so no BLAS kernel can change its rounding.
 """
 
 from __future__ import annotations
@@ -29,8 +37,25 @@ _SLOT_TOPS = (0, 2, 1, 0, 2, 1)
 
 # Input/output rail modes per two-qubit basis state: qubit 0 on modes
 # (0, 1), qubit 1 on modes (2, 3).
-_MODE_A = np.array([0, 0, 1, 1])
-_MODE_B = np.array([2, 3, 2, 3])
+_MODE_A = (0, 0, 1, 1)
+_MODE_B = (2, 3, 2, 3)
+
+# Flat indices into a row-major 4x4 unitary of the four factors of each
+# two-photon permanent: entry [i, j] of the (transposed) conditional map
+# is ``u[f0] * u[f1] + u[f2] * u[f3]``.  Built in plain Python: numpy
+# array arithmetic here, at import, raised the peak memory of every CLI
+# process by about 0.1 MB, searches or not.
+_PERM_FACTORS = np.array(
+    [
+        [4 * rows[i] + cols[j] for i in range(4) for j in range(4)]
+        for rows, cols in (
+            (_MODE_A, _MODE_A),
+            (_MODE_B, _MODE_B),
+            (_MODE_A, _MODE_B),
+            (_MODE_B, _MODE_A),
+        )
+    ]
+)
 
 _SUCCESS_FLOOR = 1e-6
 
@@ -72,7 +97,10 @@ def cz_constraint_residual(gamma11, gamma23, c) -> float | np.ndarray:
 
     The arguments broadcast: scalars give a float, arrays give an array of
     their broadcast shape whose entries equal the scalar calls, as every
-    sample runs the same ternary search in one ``np.where`` step.
+    sample runs the same ternary search in one ``np.where`` step.  The
+    search stops at its fixed point, the first step that moves neither
+    end of any sample's bracket, or after 300 steps; every later step
+    would repeat that one, so the result is the 300-step result.
     """
     args = np.broadcast_arrays(
         *(np.asarray(x, dtype=complex) for x in (gamma11, gamma23, c))
@@ -91,7 +119,11 @@ def cz_constraint_residual(gamma11, gamma23, c) -> float | np.ndarray:
         a = lo + (hi - lo) / 3.0
         b = hi - (hi - lo) / 3.0
         left = deviation(a) <= deviation(b)
-        lo, hi = np.where(left, lo, a), np.where(left, b, hi)
+        next_lo, next_hi = np.where(left, lo, a), np.where(left, b, hi)
+        # A step that moves neither end repeats itself from here on.
+        if np.array_equal(next_lo, lo) and np.array_equal(next_hi, hi):
+            break
+        lo, hi = next_lo, next_hi
     out = deviation(0.5 * (lo + hi)).reshape(shape)
     return float(out) if out.ndim == 0 else out
 
@@ -99,45 +131,79 @@ def cz_constraint_residual(gamma11, gamma23, c) -> float | np.ndarray:
 def _mzi2(theta, phi) -> np.ndarray:
     """Closed form of the plain MZI at (theta1, theta2, phi1, phi2) =
     (theta, 0, phi, 0), broadcast over ``theta`` and ``phi``: the blocks
-    have their shape plus a trailing ``(2, 2)``."""
+    have their shape plus a trailing ``(2, 2)``.  In memory the block
+    entries come first, each a contiguous array of that shape."""
     half = np.asarray(theta, dtype=float) / 2.0
     pref = 1j * np.exp(1j * half)
     eip = np.exp(1j * np.asarray(phi, dtype=float))
     s, c = np.sin(half), np.cos(half)
-    blk = np.empty(np.broadcast_shapes(half.shape, eip.shape) + (2, 2), dtype=complex)
-    blk[..., 0, 0] = s * eip
-    blk[..., 0, 1] = c
-    blk[..., 1, 0] = c * eip
-    blk[..., 1, 1] = -s
+    blk = np.empty((2, 2) + np.broadcast_shapes(half.shape, eip.shape), dtype=complex)
+    blk[0, 0] = s * eip
+    blk[0, 1] = c
+    blk[1, 0] = c * eip
+    blk[1, 1] = -s
     # Prefactor first: numpy's complex loops round ``blk * pref`` differently.
-    return pref[..., None, None] * blk
+    np.multiply(pref, blk, out=blk)
+    return blk.transpose(*range(2, blk.ndim), 0, 1)
 
 
 def _mesh_unitary(params: np.ndarray) -> np.ndarray:
-    """``(K, 4, 4)`` mesh unitaries of a ``(K, 16)`` parameter stack."""
-    blocks = _mzi2(params[:, 0:12:2], params[:, 1:12:2])
-    u = np.broadcast_to(np.eye(4, dtype=complex), (len(params), 4, 4)).copy()
-    for idx, top in enumerate(_SLOT_TOPS):
-        u[:, top : top + 2, :] = blocks[:, idx] @ u[:, top : top + 2, :]
-    return np.exp(1j * params[:, 12:16])[:, :, None] * u
+    """``(K, 4, 4)`` mesh unitaries of a ``(K, 16)`` parameter stack.
+
+    The result is a view of a batch-last ``(4, 4, K)`` array: one 1-D
+    array per matrix entry.  Each MZI replaces its two rows ``r0, r1`` by
+    ``b00 * r0 + b01 * r1`` and ``b10 * r0 + b11 * r1``, elementwise over
+    the batch, so every row of the stack is computed by the same
+    arithmetic as a stack of one, and no matrix product is made.  The
+    first column's two MZIs act on the identity and are written in
+    directly.
+    """
+    p = np.asarray(params, dtype=float).T
+    k = p.shape[1]
+    blocks = _mzi2(p[0:12:2], p[1:12:2]).transpose(2, 3, 0, 1)
+    u = np.zeros((4, 4, k), dtype=complex)
+    u[0:2, 0:2] = blocks[:, :, 0]
+    u[2:4, 2:4] = blocks[:, :, 1]
+    terms = np.empty((2, 2, 4, k), dtype=complex)
+    for idx in range(2, 6):
+        rows = u[_SLOT_TOPS[idx] : _SLOT_TOPS[idx] + 2]
+        # terms[r, c] = b[r, c] * rows[c]; new row r = terms[r, 0] + terms[r, 1]
+        np.multiply(blocks[:, :, idx, None], rows, out=terms)
+        np.add(terms[:, 0], terms[:, 1], out=rows)
+    np.multiply(np.exp(1j * p[12:16])[:, None], u, out=u)
+    return u.transpose(2, 0, 1)
 
 
 def _conditional_map(u: np.ndarray) -> np.ndarray:
     """``(K, 4, 4)`` two-photon maps between computational basis states of
     a ``(K, 4, 4)`` unitary stack; entry [k, j] is the amplitude from input
-    j to output k."""
-    a, b = _MODE_A[:, None], _MODE_B[:, None]
-    raw = u[:, a, _MODE_A] * u[:, b, _MODE_B] + u[:, a, _MODE_B] * u[:, b, _MODE_A]
-    return raw.swapaxes(1, 2)
+    j to output k.  Each entry is a 2x2 permanent of ``u``, taken
+    elementwise over the batch; the result is a batch-last view whose
+    ``transpose(2, 1, 0)`` is contiguous."""
+    k = len(u)
+    flat = u.transpose(1, 2, 0).reshape(16, k)
+    f0, f1, f2, f3 = _PERM_FACTORS
+    raw = flat[f0] * flat[f1]
+    raw += flat[f2] * flat[f3]
+    return raw.reshape(4, 4, k).transpose(2, 1, 0)
+
+
+def _sum16(x: np.ndarray) -> np.ndarray:
+    """Sum of the 16 rows of ``x`` in the order numpy's pairwise ``np.sum``
+    adds 16 contiguous numbers: ``r_i = x_i + x_{i+8}``, then
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``."""
+    r = x[:8] + x[8:]
+    r = r[0::2] + r[1::2]
+    r = r[0::2] + r[1::2]
+    return r[0] + r[1]
 
 
 def _power(maps: np.ndarray) -> np.ndarray:
-    """``||M||_F^2`` of each map in a ``(K, 4, 4)`` stack, summed column by
-    column: the order in which the transposed maps of
-    :func:`_conditional_map` lie in memory, so the sum rounds as a plain
-    ``np.sum`` over one of them does, whatever the stack size."""
-    cols = np.ascontiguousarray(np.abs(maps.swapaxes(1, 2)) ** 2)
-    return cols.reshape(len(maps), 16).sum(axis=1)
+    """``||M||_F^2`` of each map in a ``(K, 4, 4)`` stack.  The squared
+    moduli are taken column by column, the order in which
+    :func:`_conditional_map` lays out each map, and summed as a plain
+    ``np.sum`` over those 16 numbers would, whatever the stack size."""
+    return _sum16(np.abs(maps.transpose(2, 1, 0).reshape(16, len(maps))) ** 2)
 
 
 def process_fidelity(
@@ -148,18 +214,22 @@ def process_fidelity(
     ``m`` is one 4x4 map (giving a float) or a ``(K, 4, 4)`` stack (giving
     K fidelities, each equal to the call on its slice).  A caller that
     already holds :func:`_power` of the stack passes it as ``power``, so
-    it is not computed twice.
+    it is not computed twice.  The trace is a fixed sequence of
+    elementwise products and sums, with no matrix product.
     """
     m = np.asarray(m)
     stack = m if m.ndim == 3 else m[None]
     total = _power(stack) if power is None else power
-    tr = np.trace(np.matmul(np.asarray(target).conj().T, stack), axis1=1, axis2=2)
+    # prod[i, j] = conj(T[j, i]) * M[j, i]; row i sums to (T^dag M)[i, i],
+    # and the diagonal is summed in pairs, as ``np.trace`` does.
+    prod = np.asarray(target).conj().T[:, :, None] * stack.transpose(2, 1, 0)
+    diag = ((prod[:, 0] + prod[:, 1]) + prod[:, 2]) + prod[:, 3]
+    tr = (diag[0] + diag[1]) + (diag[2] + diag[3])
     # libm hypot and pow, as a Python-scalar ``abs(tr) ** 2`` uses; array
     # ``np.abs`` and ``** 2`` round differently.
     overlap = np.float_power(np.hypot(tr.real, tr.imag), 2)
     fid = np.zeros(len(stack))
-    nonzero = total != 0.0
-    fid[nonzero] = overlap[nonzero] / (4.0 * total[nonzero])
+    np.divide(overlap, 4.0 * total, out=fid, where=total != 0.0)
     return fid if m.ndim == 3 else float(fid[0])
 
 
@@ -206,6 +276,15 @@ def search_cz_in_4x4(
     rest of every active restart's sweep from its current point.  The
     candidates after a restart's first improving one are dropped unseen,
     so each restart walks exactly the path it would walk alone.
+
+    The descent makes no BLAS call: each stack goes through the
+    elementwise kernel (:func:`_mesh_unitary`, :func:`_conditional_map`,
+    :func:`process_fidelity`), so the report does not depend on the BLAS
+    kernel the host picks.  Only the residual takes one stacked Gram
+    product.  The tests pin the walked path (``best_parameters``) and
+    ``constraint_residual`` exactly; the last bits of the fidelity and
+    success probability follow numpy's own SIMD loops, and are pinned to
+    1e-15 relative.
     """
     if restarts < 1:
         raise ValueError("search needs restarts >= 1")

@@ -6,6 +6,9 @@ tests compare two implementations, not one implementation with itself.
 the package's own types.  ``reference_light_cone`` is the full-partition
 light cone that :func:`photonmesh.fock.light_cone`'s checks must agree
 with.
+``reference_mesh_unitary`` and ``reference_constraint_residual`` are the
+dense 4-mode mesh product and the full-length ternary search that
+:mod:`photonmesh.analysis` must reproduce.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from photonmesh.fock import (
     apply_linear,
     qubit_structure,
 )
-from photonmesh.linalg import MziSetting
+from photonmesh.analysis import constrained_family
+from photonmesh.linalg import MziSetting, mzi_unitary
 
 _SQ = 1.0 / np.sqrt(2.0)
 
@@ -235,3 +239,41 @@ def keep_checked(state: PhotonicState, checks) -> PhotonicState:
         if all(sum(occ[mode] for mode in modes) == count for modes, count in checks)
     }
     return PhotonicState(state.mode_count, kept)
+
+
+def reference_mesh_unitary(params, tops) -> np.ndarray:
+    """4x4 unitary of a rectangular mesh: plain MZI ``i`` at
+    ``(theta, phi) = (params[2i], params[2i + 1])`` on modes
+    ``(tops[i], tops[i] + 1)``, applied in order from the identity, then an
+    output phase ``params[len(tops) * 2 + k]`` on mode ``k``."""
+    u = np.eye(4, dtype=complex)
+    for i, top in enumerate(tops):
+        full = np.eye(4, dtype=complex)
+        full[top : top + 2, top : top + 2] = mzi_unitary(
+            MziSetting(params[2 * i], 0.0, params[2 * i + 1], 0.0)
+        )
+        u = full @ u
+    return np.diag(np.exp(1j * np.asarray(params[2 * len(tops) :]))) @ u
+
+
+def reference_constraint_residual(gamma11, gamma23, c) -> float | np.ndarray:
+    """``min over s > 0`` of ``max |s^2 M^dag M - I|`` for the constrained
+    family, by a ternary search that always runs all 300 steps."""
+    args = np.broadcast_arrays(
+        *(np.asarray(x, dtype=complex) for x in (gamma11, gamma23, c))
+    )
+    m = np.array([constrained_family(*p) for p in zip(*(a.ravel() for a in args))])
+    gram = np.matmul(m.conj().swapaxes(1, 2), m).reshape(-1, 16)
+    eye = np.eye(4).ravel()
+
+    def deviation(s2):
+        return np.abs(s2[:, None] * gram - eye).max(axis=1)
+
+    lo, hi = np.full(len(m), 1e-9), np.full(len(m), 1e9)
+    for _ in range(300):
+        a = lo + (hi - lo) / 3.0
+        b = hi - (hi - lo) / 3.0
+        left = deviation(a) <= deviation(b)
+        lo, hi = np.where(left, lo, a), np.where(left, b, hi)
+    out = deviation(0.5 * (lo + hi)).reshape(args[0].shape)
+    return float(out) if out.ndim == 0 else out
