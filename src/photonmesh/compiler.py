@@ -506,13 +506,14 @@ def _gate_layers(
     name: str, angle: float | None, flipped: bool
 ) -> tuple[tuple[MeshBlock, ...], ...]:
     """The one-block layer of a single-qubit gate on a rail pair at mode 0,
-    conjugated by X when the qubit's rails are ``flipped``."""
-    g = gates.single_qubit_matrix(name, angle)
+    conjugated by X when the qubit's rails are ``flipped``: an exact
+    permutation of the gate's entries, ``(X g X)[j][k] = g[1-j][1-k]``."""
+    (g00, g01), (g10, g11) = gates.single_qubit_entries(name, angle)
     role = name if angle is None else f"{name}({angle:g})"
     if flipped:
-        g = gates.PAULI_X @ g @ gates.PAULI_X
+        (g00, g01), (g10, g11) = (g11, g10), (g01, g00)
         role += "*"
-    return ((gates.device_block(0, g, role),),)
+    return ((gates.device_block(0, ((g00, g01), (g10, g11)), role),),)
 
 
 @functools.cache

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import MziSetting, permanent, setting_unitary
+from .linalg import MziSetting, _setting_entries, permanent
 
 Occupation = tuple[int, ...]
 # A light-cone check: a term must hold exactly ``count`` photons in ``modes``.
@@ -190,10 +190,10 @@ def _pair_transform(
     times the bosonic normalization ``sqrt(p! q! / (na! nb!))``.
 
     Outputs of magnitude at most :data:`PRUNE_THRESHOLD` are left out.  In
-    exact arithmetic they are zeros: the solved crossing (``X``) has a
-    diagonal of about 2e-17 rather than 0, and two photons on a 50:50
-    device leave a Hong-Ou-Mandel residue of about 1e-16.  (The fold never
-    expands a crossing; see :class:`_Device`.)  The rule is the
+    exact arithmetic they are zeros: a crossing whose inner phases are 2 pi
+    apart has a diagonal of about 1e-16 rather than 0, and two photons on a
+    50:50 device leave a Hong-Ou-Mandel residue of about 1e-16.  (The fold
+    never expands a crossing; see :class:`_Device`.)  The rule is the
     image of one Fock basis vector under a unitary, so its outputs' squared
     magnitudes add up to 1 and the cut is relative to the input term's
     amplitude: it never drops more than the end-of-layer prune drops from a
@@ -238,8 +238,8 @@ class _Device:
     __slots__ = ("t", "swaps", "units", "rules")
 
     def __init__(self, setting: MziSetting):
-        self.t = setting_unitary(setting).T.tolist()
-        (t00, t01), (t10, t11) = self.t
+        t00, t10, t01, t11 = _setting_entries(setting)
+        self.t = ((t00, t01), (t10, t11))
         self.rules: dict[tuple[int, int], tuple[tuple[int, complex], ...]] = {}
         self.swaps = abs(t00) <= PRUNE_THRESHOLD and abs(t11) <= PRUNE_THRESHOLD
         if self.swaps:
@@ -451,11 +451,12 @@ def decode_logical(
             idx = (idx << 1) | (occ[mode] ^ flip)
         decoded[idx] = decoded.get(idx, 0j) + amp
     indices = sorted(decoded)
-    values = np.array([decoded[i] for i in indices], dtype=complex)
-    norm = np.linalg.norm(values)
+    values = [decoded[i] for i in indices]
+    # summed in index order: np.linalg.norm is a BLAS dot product
+    norm = math.sqrt(sum(v.real * v.real + v.imag * v.imag for v in values))
     if norm == 0.0:
         raise ValueError("projection left no qubit-structure amplitude")
-    values = canonical_global_phase(values / norm)
+    values = canonical_global_phase(np.array(values, dtype=complex) / norm)
     return dict(zip(indices, values.tolist())), result.success_probability
 
 

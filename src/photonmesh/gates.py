@@ -22,6 +22,7 @@ Two mode labelings appear for two-qubit gates:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,31 +71,47 @@ _FIXED_SETTINGS: dict[str, tuple[float, float]] = {
 SUCCESS_CZ = 1.0 / 9.0
 
 
-def single_qubit_matrix(gate: str, angle: float | None = None) -> np.ndarray:
-    """Textbook 2x2 matrix of a named gate.
+# Entries of a 2x2 matrix as nested Python tuples, rows first.
+Entries = tuple[tuple[complex, complex], tuple[complex, complex]]
+
+# Zeros are stored as +0.0: Y's literal ``-1j`` has a real part of -0.0, and
+# the sign of a zero can pick between +pi and -pi in a solved phase.
+_FIXED_ENTRIES: dict[str, Entries] = {
+    name: tuple(
+        tuple(complex(z.real + 0.0, z.imag + 0.0) for z in row) for row in g.tolist()
+    )
+    for name, g in _FIXED_GATES.items()
+}
+
+
+def single_qubit_entries(gate: str, angle: float | None = None) -> Entries:
+    """Entries of the textbook 2x2 matrix of a named gate, in Python scalars.
 
     Rotation conventions: ``RZ(d) = exp(-i d Z / 2)``,
     ``RX(d) = exp(-i d X / 2)``, ``RY(d) = exp(+i d Y / 2)`` (the y-axis
     sign follows the MZI recipe used by :func:`single_qubit_setting`).
     """
     name = gate.upper()
-    if name in _FIXED_GATES:
+    if name in _FIXED_ENTRIES:
         if angle is not None:
             raise ValueError(f"{name} takes no angle")
-        return _FIXED_GATES[name].copy()
+        return _FIXED_ENTRIES[name]
     if name in ("RZ", "RX", "RY"):
         if angle is None:
             raise ValueError(f"{name} needs an angle")
-        c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
+        c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
         if name == "RZ":
-            return np.array(
-                [[np.exp(-1j * angle / 2.0), 0], [0, np.exp(1j * angle / 2.0)]],
-                dtype=complex,
-            )
+            return ((complex(c, -s), 0j), (0j, complex(c, s)))
         if name == "RX":
-            return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-        return np.array([[c, s], [-s, c]], dtype=complex)
+            return ((complex(c), -1j * s), (-1j * s, complex(c)))
+        return ((complex(c), complex(s)), (complex(-s), complex(c)))
     raise ValueError(f"unknown single-qubit gate {gate!r}")
+
+
+def single_qubit_matrix(gate: str, angle: float | None = None) -> np.ndarray:
+    """Textbook 2x2 matrix of a named gate: :func:`single_qubit_entries`
+    as an array."""
+    return np.array(single_qubit_entries(gate, angle), dtype=complex)
 
 
 def single_qubit_setting(gate: str, angle: float | None = None) -> MziSetting:
@@ -211,7 +228,9 @@ def layers_to_steps(
     ]
 
 
-def device_block(top: int, device: np.ndarray, role: str) -> MeshBlock:
+def device_block(top: int, device, role: str) -> MeshBlock:
+    """A block at ``top`` programmed to ``device``, a 2x2 array or nested
+    2x2 sequence (see :func:`solve_mzi_settings`)."""
     return MeshBlock(top, solve_mzi_settings(device), role)
 
 

@@ -4,6 +4,11 @@ This module provides the 2x2 device matrices (beam splitters, phase
 shifters, MZIs), embedding of 2x2 blocks into larger mode spaces, matrix
 permanents, and small comparison utilities used throughout the package.
 
+An MZI's unitary and the solve of a 2x2 unitary back into MZI phases are
+computed in Python scalars with :mod:`math`, entry by entry: no numpy call
+and no BLAS product, so the compiler's phases and the simulator's devices
+come out the same on every host and under any BLAS kernel.
+
 Conventions
 -----------
 * A symmetric beam splitter with transmissivity ``t`` and reflectivity
@@ -23,6 +28,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,26 +91,55 @@ def phase_shifter(theta1: float, theta2: float) -> np.ndarray:
     return np.diag([np.exp(1j * theta1), np.exp(1j * theta2)]).astype(complex)
 
 
+def _expi(x: float) -> complex:
+    """``exp(i*x)`` from ``math`` alone."""
+    return complex(math.cos(x), math.sin(x))
+
+
+def _setting_entries(
+    setting: MziSetting, extended: bool | None = None
+) -> tuple[complex, complex, complex, complex]:
+    """Entries ``(u00, u01, u10, u11)`` of the device unitary of ``setting``,
+    in Python scalars: the one source of every MZI matrix in the package.
+
+    ``BS . PS(theta1, theta2) . BS`` is ``[[d, o], [o, -d]]`` with
+    ``d = (e1 - e2)/2`` and ``o = i(e1 + e2)/2``; the input phases scale
+    its columns and the output phases its rows.  ``extended`` defaults to
+    ``setting.is_extended``: ``False`` ignores the output phases and
+    ``True`` reads a missing one as 0.
+    """
+    e1, e2 = _expi(setting.theta1), _expi(setting.theta2)
+    d = complex(0.5 * (e1.real - e2.real), 0.5 * (e1.imag - e2.imag))
+    o = complex(-0.5 * (e1.imag + e2.imag), 0.5 * (e1.real + e2.real))
+    f1, f2 = _expi(setting.phi1), _expi(setting.phi2)
+    u00, u01, u10, u11 = d * f1, o * f2, o * f1, -d * f2
+    if extended is None:
+        extended = setting.is_extended
+    if not extended:
+        return u00, u01, u10, u11
+    g3 = _expi(0.0 if setting.phi3 is None else setting.phi3)
+    g4 = _expi(0.0 if setting.phi4 is None else setting.phi4)
+    return g3 * u00, g3 * u01, g4 * u10, g4 * u11
+
+
+def _as_array(entries: tuple[complex, complex, complex, complex]) -> np.ndarray:
+    u00, u01, u10, u11 = entries
+    return np.array(((u00, u01), (u10, u11)), dtype=complex)
+
+
 def mzi_unitary(setting: MziSetting) -> np.ndarray:
     """2x2 unitary of a plain MZI (output phases of ``setting`` ignored)."""
-    bs = bs_general(1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))
-    inner = phase_shifter(setting.theta1, setting.theta2)
-    outer = phase_shifter(setting.phi1, setting.phi2)
-    return bs @ inner @ bs @ outer
+    return _as_array(_setting_entries(setting, extended=False))
 
 
 def extended_mzi_unitary(setting: MziSetting) -> np.ndarray:
     """2x2 unitary of an MZI followed by output phases ``(phi3, phi4)``."""
-    phi3 = 0.0 if setting.phi3 is None else setting.phi3
-    phi4 = 0.0 if setting.phi4 is None else setting.phi4
-    return phase_shifter(phi3, phi4) @ mzi_unitary(setting)
+    return _as_array(_setting_entries(setting, extended=True))
 
 
 def setting_unitary(setting: MziSetting) -> np.ndarray:
     """Unitary realized by ``setting``, extended or plain as appropriate."""
-    if setting.is_extended:
-        return extended_mzi_unitary(setting)
-    return mzi_unitary(setting)
+    return _as_array(_setting_entries(setting))
 
 
 def embed_block(block: np.ndarray, k: int, m: int) -> np.ndarray:
@@ -183,67 +218,93 @@ def equal_mod_global_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> 
     return bool(np.max(np.abs(a - gamma * b)) <= tol)
 
 
-def _solve_plain(u: np.ndarray, real_ratio: bool = False) -> MziSetting | None:
+def _angle(z: complex) -> float:
+    return math.atan2(z.imag, z.real)
+
+
+def _matrix_entries(u) -> tuple[complex, complex, complex, complex]:
+    """The four entries of a 2x2 array or nested 2x2 sequence, as Python
+    complex numbers."""
+    if isinstance(u, np.ndarray):
+        if u.shape != (2, 2):
+            raise ValueError(f"expected a 2x2 unitary, got shape {u.shape}")
+        u = u.tolist()
+    try:
+        (u00, u01), (u10, u11) = u
+    except (TypeError, ValueError):
+        raise ValueError(f"expected a 2x2 unitary, got {u!r}") from None
+    return complex(u00), complex(u01), complex(u10), complex(u11)
+
+
+def _solve_plain(
+    u00: complex, u01: complex, u10: complex, u11: complex, real_ratio: bool = False
+) -> MziSetting | None:
     """Exact plain-MZI settings for ``u`` (phi2 = 0), or None if impossible.
 
     Writing the MZI as ``g * [[s*e^{i dp}, c], [c*e^{i dp}, -s]]`` with
     ``s = sin((theta1-theta2)/2)``, ``c = cos(...)``, ``|g| = 1``, a unitary
-    is reachable exactly iff the ratio ``u[1,1] / u[0,1]`` is real (both
+    is reachable exactly iff the ratio ``u11 / u01`` is real (both
     columns share the phase structure of that form).  ``real_ratio`` skips
     that test for a ``u`` whose ratio is real by construction: the ratio's
     size is ``cot`` of half the mixing angle, so near the identity its
     rounding error alone exceeds any fixed tolerance.
     """
-    c_mag = abs(u[0, 1])
-    s_mag = abs(u[1, 1])
+    c_mag = abs(u01)
+    s_mag = abs(u11)
     if c_mag > _SOLVE_TOL and s_mag > _SOLVE_TOL:
-        if not real_ratio and abs((u[1, 1] / u[0, 1]).imag) > _SOLVE_TOL:
+        if not real_ratio and abs((u11 / u01).imag) > _SOLVE_TOL:
             return None
-        g = u[0, 1] / c_mag
-        s = -(u[1, 1] / g).real
+        g = u01 / c_mag
+        s = -(u11 / g).real
         c = c_mag
     elif c_mag <= _SOLVE_TOL:
-        g = -u[1, 1]
+        g = -u11
         s, c = 1.0, 0.0
     else:
-        g = u[0, 1]
+        g = u01
         s, c = 0.0, 1.0
-    dtheta = 2.0 * np.arctan2(s, c)
+    dtheta = 2.0 * math.atan2(s, c)
     if abs(s) > _SOLVE_TOL:
-        dphi = float(np.angle(u[0, 0] / (g * s)))
+        dphi = _angle(u00 / (g * s))
     else:
-        dphi = float(np.angle(u[1, 0] / (g * c)))
-    sigma = 2.0 * np.angle(g) - np.pi
+        dphi = _angle(u10 / (g * c))
+    sigma = 2.0 * _angle(g) - math.pi
     return MziSetting(
-        theta1=float((sigma + dtheta) / 2.0),
-        theta2=float((sigma - dtheta) / 2.0),
+        theta1=(sigma + dtheta) / 2.0,
+        theta2=(sigma - dtheta) / 2.0,
         phi1=dphi,
         phi2=0.0,
     )
 
 
-def solve_mzi_settings(u: np.ndarray) -> MziSetting:
+def solve_mzi_settings(u) -> MziSetting:
     """Exact MZI settings realizing the unitary ``u`` including global phase.
 
-    Tries the plain four-phase form first; when ``u`` is outside its range,
-    output phases ``(phi3, phi4)`` are peeled off so the remainder has a
-    real column ratio and is plain-solvable by construction.  The returned
-    setting reproduces ``u`` to machine precision, which keeps relative
-    phases consistent across all blocks of a multi-block network layer.
+    ``u`` is a 2x2 array or a nested 2x2 sequence; the solve reads its four
+    entries and works in Python scalars.  It tries the plain four-phase form
+    first; when ``u`` is outside its range, output phases ``(phi3, phi4)``
+    are peeled off so the remainder has a real column ratio and is
+    plain-solvable by construction.  The returned setting reproduces ``u``
+    to machine precision, which keeps relative phases consistent across all
+    blocks of a multi-block network layer.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 unitary, got shape {u.shape}")
-    report = check_unitary(u, tol=1e-9)
-    if not report.is_unitary:
-        raise ValueError(f"matrix is not unitary (deviation {report.max_deviation:.3e})")
-    plain = _solve_plain(u)
+    u00, u01, u10, u11 = _matrix_entries(u)
+    # the entries of u^dag u - I, whose largest check_unitary reports
+    deviations = (
+        abs(u00.real**2 + u00.imag**2 + u10.real**2 + u10.imag**2 - 1.0),
+        abs(u01.real**2 + u01.imag**2 + u11.real**2 + u11.imag**2 - 1.0),
+        abs(u00.conjugate() * u01 + u10.conjugate() * u11),
+    )
+    deviation = math.nan if any(map(math.isnan, deviations)) else max(deviations)
+    if not deviation <= 1e-9:
+        raise ValueError(f"matrix is not unitary (deviation {deviation:.3e})")
+    plain = _solve_plain(u00, u01, u10, u11)
     if plain is not None:
         return plain
-    phi3 = float(np.angle(u[0, 1]))
-    phi4 = float(np.angle(-u[1, 1]))
-    v = phase_shifter(-phi3, -phi4) @ u
-    inner = _solve_plain(v, real_ratio=True)
+    phi3 = _angle(u01)
+    phi4 = _angle(-u11)
+    r3, r4 = _expi(-phi3), _expi(-phi4)
+    inner = _solve_plain(r3 * u00, r3 * u01, r4 * u10, r4 * u11, real_ratio=True)
     return MziSetting(
         theta1=inner.theta1,
         theta2=inner.theta2,

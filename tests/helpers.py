@@ -6,6 +6,8 @@ tests compare two implementations, not one implementation with itself.
 the package's own types.  ``reference_light_cone`` is the full-partition
 light cone that :func:`photonmesh.fock.light_cone`'s checks must agree
 with.
+``reference_mzi_unitary`` is the product form of one MZI that the scalar
+device entries of :mod:`photonmesh.linalg` must reproduce.
 ``reference_mesh_unitary`` and ``reference_constraint_residual`` are the
 dense 4-mode mesh product and the full-length ternary search that
 :mod:`photonmesh.analysis` must reproduce.
@@ -29,7 +31,7 @@ from photonmesh.fock import (
     qubit_structure,
 )
 from photonmesh.analysis import constrained_family
-from photonmesh.linalg import MziSetting, mzi_unitary
+from photonmesh.linalg import MziSetting
 
 _SQ = 1.0 / np.sqrt(2.0)
 
@@ -69,6 +71,15 @@ def single_gate_matrix(name: str, angle: float | None = None) -> np.ndarray:
     if name in fixed:
         return fixed[name]
     return {"RZ": rz, "RX": rx, "RY": ry}[name](angle)
+
+
+def numpy_blas_name() -> str:
+    """Name of the BLAS numpy is built on, or "" if numpy does not say."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 prints its config only
+        return ""
+    return config["Build Dependencies"]["blas"].get("name", "")
 
 
 def naive_permanent(m: np.ndarray) -> complex:
@@ -241,6 +252,22 @@ def keep_checked(state: PhotonicState, checks) -> PhotonicState:
     return PhotonicState(state.mode_count, kept)
 
 
+def reference_mzi_unitary(setting: MziSetting) -> np.ndarray:
+    """The device unitary of ``setting`` as the product of its parts,
+    ``BS . PS(theta1, theta2) . BS . PS(phi1, phi2)`` with a balanced
+    ``BS = [[1, i], [i, 1]] / sqrt(2)``, and ``PS(phi3, phi4)`` in front
+    for an extended setting (a missing ``phi4`` reads as 0)."""
+    bs = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) / np.sqrt(2.0)
+
+    def ps(a: float, b: float) -> np.ndarray:
+        return np.diag([np.exp(1j * a), np.exp(1j * b)])
+
+    u = bs @ ps(setting.theta1, setting.theta2) @ bs @ ps(setting.phi1, setting.phi2)
+    if setting.is_extended:
+        u = ps(setting.phi3, 0.0 if setting.phi4 is None else setting.phi4) @ u
+    return u
+
+
 def reference_mesh_unitary(params, tops) -> np.ndarray:
     """4x4 unitary of a rectangular mesh: plain MZI ``i`` at
     ``(theta, phi) = (params[2i], params[2i + 1])`` on modes
@@ -249,7 +276,7 @@ def reference_mesh_unitary(params, tops) -> np.ndarray:
     u = np.eye(4, dtype=complex)
     for i, top in enumerate(tops):
         full = np.eye(4, dtype=complex)
-        full[top : top + 2, top : top + 2] = mzi_unitary(
+        full[top : top + 2, top : top + 2] = reference_mzi_unitary(
             MziSetting(params[2 * i], 0.0, params[2 * i + 1], 0.0)
         )
         u = full @ u

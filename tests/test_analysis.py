@@ -20,7 +20,7 @@ from photonmesh.analysis import (
 )
 from photonmesh.linalg import MziSetting, mzi_unitary
 
-from helpers import reference_constraint_residual, reference_mesh_unitary
+from helpers import numpy_blas_name, reference_constraint_residual, reference_mesh_unitary
 
 # Reports of the one-restart-at-a-time descent that the lockstep descent
 # replaced, recorded from it: (restarts, seed, target, report).
@@ -331,16 +331,8 @@ def test_search_reproduces_pinned_reports(restarts, seed, target, expected):
     )
 
 
-def _numpy_blas_name() -> str:
-    try:
-        config = np.show_config(mode="dicts")
-    except TypeError:  # numpy before 1.26 prints its config only
-        return ""
-    return config["Build Dependencies"]["blas"].get("name", "")
-
-
 @pytest.mark.skipif(
-    "openblas" not in _numpy_blas_name().lower(), reason="numpy is not built on OpenBLAS"
+    "openblas" not in numpy_blas_name().lower(), reason="numpy is not built on OpenBLAS"
 )
 def test_search_does_not_depend_on_the_blas_kernel():
     # Another OpenBLAS kernel rounds matrix products differently; the

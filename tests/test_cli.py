@@ -8,6 +8,9 @@ subprocess for the exit codes and stderr of the real entry point.
 import contextlib
 import io
 import json
+import math
+import os
+import random
 import re
 import subprocess
 import sys
@@ -20,6 +23,8 @@ import pytest
 
 from photonmesh import cli, compiler, fock
 from photonmesh.cli import fmt_float
+
+from helpers import numpy_blas_name
 
 BELL = {"qubits": 2, "gates": [{"g": "H", "q": 0}, {"g": "CNOT", "c": 0, "t": 1}]}
 CASCADE = {
@@ -470,6 +475,91 @@ def test_output_is_deterministic(tmp_path):
     table1 = run_cli("compile", path, "--format", "tsv")
     table2 = run_cli("compile", path, "--format", "tsv")
     assert table1.stdout == table2.stdout
+
+
+def blas_forest(seed: int) -> dict:
+    """A forest circuit that fits a 15-mode mesh: RX and RY rotations (RX
+    needs an extended setting), a logical SWAP whose rail flips the later
+    rotations see, and adjacent CNOT and CZ; the angles are drawn from
+    ``seed``."""
+    rng = random.Random(seed)
+
+    def angle() -> float:
+        return rng.uniform(-math.pi, math.pi)
+
+    return {
+        "qubits": 5,
+        "gates": [
+            {"g": "H", "q": 0},
+            {"g": "RX", "q": 1, "angle": angle()},
+            {"g": "RY", "q": 3, "angle": angle()},
+            {"g": "CNOT", "c": 0, "t": 1},
+            {"g": "SWAP", "a": 2, "b": 3},
+            {"g": "RY", "q": 2, "angle": angle()},
+            {"g": "RX", "q": 3, "angle": angle()},
+            {"g": "H", "q": 4},
+            {"g": "CZ", "c": 3, "t": 4},
+        ],
+    }
+
+
+@pytest.mark.skipif(
+    "openblas" not in numpy_blas_name().lower(), reason="numpy is not built on OpenBLAS"
+)
+def test_compile_and_simulate_do_not_depend_on_the_blas_kernel(tmp_path):
+    # Another OpenBLAS kernel rounds matrix products differently; compile
+    # and simulate make none, so their output bytes stay the same.
+    forest = blas_forest(14)
+    result = compiler.compile_circuit(compiler.parse_circuit(forest))
+    placed = result.assignment.placements
+    assert result.forest and any(result.flips)
+    assert any(p.setting.is_extended and p.role.endswith("*") for p in placed)
+    # Bell pairs rotated by RY: a BLAS norm of their two amplitudes
+    # differs between the kernels at some of these angles
+    rng = random.Random(14)
+    rotated = [
+        {"qubits": 2, "gates": [
+            {"g": "RY", "q": 0, "angle": rng.uniform(-math.pi, math.pi)},
+            {"g": "CNOT", "c": 0, "t": 1},
+        ]}
+        for _ in range(30)
+    ]
+    paths = [
+        write_circuit(tmp_path, BELL, "bell.json"),
+        ghz_chain_file(tmp_path, 6),
+        *(write_circuit(tmp_path, c, f"rotated{i}.json") for i, c in enumerate(rotated)),
+        write_circuit(tmp_path, forest, "forest.json"),
+    ]
+    runs = [["simulate", path, "--format", "json"] for path in paths]
+    runs.append(["compile", paths[-1], "--format", "json"])
+    expected = ""
+    for argv in runs:
+        proc = run_cli(*argv)
+        assert proc.returncode == 0, proc.stderr
+        expected += proc.stdout
+    code = (
+        "import json, sys\n"
+        "from photonmesh import cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    cli.main(argv)\n"
+    )
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    # the subprocess runs on Nehalem's kernel, or on the default one when
+    # this process already runs on a chosen kernel
+    env = dict(os.environ)
+    if env.pop("OPENBLAS_CORETYPE", None) is None:
+        env["OPENBLAS_CORETYPE"] = "Nehalem"
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(runs)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == expected
 
 
 @pytest.mark.parametrize(

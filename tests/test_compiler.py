@@ -38,7 +38,13 @@ from photonmesh.compiler import (
 )
 from photonmesh import compiler
 
-from helpers import dense_circuit_state, keep_checked, reference_light_cone, state_fidelity
+from helpers import (
+    dense_circuit_state,
+    keep_checked,
+    reference_light_cone,
+    single_gate_matrix,
+    state_fidelity,
+)
 
 
 def test_parse_circuit_accepts_all_gate_forms():
@@ -257,6 +263,29 @@ def test_networks_and_fixed_devices_are_built_once_per_process(monkeypatch):
         check=True,
     )
     assert proc.stdout.splitlines() == [repr(p) for p in programs]
+
+
+def test_compiler_hands_devices_the_gate_matrix_entries(monkeypatch):
+    # A gate's device is the entries single_qubit_matrix wraps; on flipped
+    # rails it is their exact permutation, X g X.
+    handed = []
+    device_block = gates.device_block
+    monkeypatch.setattr(
+        gates, "device_block", lambda *a: handed.append(a[1]) or device_block(*a)
+    )
+    rng = np.random.default_rng(14)
+    for name in compiler.SINGLE_QUBIT_GATES:
+        rotation = name in compiler.ROTATION_GATES
+        for angle in rng.uniform(-np.pi, np.pi, size=5) if rotation else (None,):
+            angle = None if angle is None else float(angle)
+            g = gates.single_qubit_matrix(name, angle)
+            assert np.max(np.abs(g - single_gate_matrix(name, angle))) <= 1e-15
+            for flipped in (False, True):
+                handed.clear()
+                compiler._gate_layers(name, angle, flipped)
+                (device,) = handed
+                expected = gates.PAULI_X @ g @ gates.PAULI_X if flipped else g
+                assert np.array_equal(np.array(device, dtype=complex), expected)
 
 
 def test_ghz_swap_variant_relabeling_and_state():

@@ -159,13 +159,18 @@ def test_hong_ou_mandel_bunching():
 
 
 def test_solved_crossing_moves_a_photon_without_residue():
-    crossing = setting_unitary(solve_mzi_settings(PAULI_X))
-    # in floating point the crossing's diagonal is not exactly zero
-    assert crossing[0, 0] != 0
-    t = crossing.T.tolist()
-    for (na, nb), p in (((1, 0), 0), ((0, 1), 1)):
-        (out,) = fock._pair_transform(t, na, nb)
-        assert out[0] == p and abs(out[1] - 1) < 1e-15
+    solved = setting_unitary(solve_mzi_settings(PAULI_X))
+    # the solved crossing's inner phases are equal, so its diagonal is
+    # exactly zero; inner phases 2 pi apart leave a rounding residue there
+    assert solved[0, 0] == solved[1, 1] == 0
+    wrapped = setting_unitary(MziSetting(0.3 + 2.0 * np.pi, 0.3, 0.0, 0.0))
+    assert 0 < abs(wrapped[0, 0]) < 1e-15
+    assert abs(solved[0, 1] - 1) < 1e-15 and abs(solved[1, 0] - 1) < 1e-15
+    for crossing in (solved, wrapped):
+        t = crossing.T.tolist()
+        for (na, nb), p, amp in (((1, 0), 0, t[0][1]), ((0, 1), 1, t[1][0])):
+            (out,) = fock._pair_transform(t, na, nb)
+            assert out[0] == p and abs(out[1] - amp) < 1e-15
 
 
 def test_balanced_splitter_leaves_no_hong_ou_mandel_output():
@@ -688,9 +693,8 @@ def test_rule_cache_builds_each_unitary_once_and_changes_nothing(monkeypatch):
     layers = [LinearLayer(m, blocks) for blocks in mesh + again]
     state = PhotonicState(m, {(1, 0, 1, 0, 1): 1.0 + 0.0j, (0, 2, 0, 1, 0): 0.5j})
     calls = []
-    monkeypatch.setattr(
-        fock, "setting_unitary", lambda s: calls.append(s) or setting_unitary(s)
-    )
+    entries = fock._setting_entries
+    monkeypatch.setattr(fock, "_setting_entries", lambda s: calls.append(s) or entries(s))
 
     def fold(rules):
         out = state

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,7 +24,15 @@ from photonmesh.linalg import (
     solve_mzi_settings,
 )
 
-from helpers import naive_permanent, random_unitary, rx, ry, rz
+from helpers import (
+    naive_permanent,
+    random_setting,
+    random_unitary,
+    reference_mzi_unitary,
+    rx,
+    ry,
+    rz,
+)
 
 
 def test_balanced_beamsplitter_matrix():
@@ -77,6 +88,49 @@ def test_extended_mzi_prepends_output_phases():
     expected = phase_shifter(0.5, -1.2) @ mzi_unitary(base)
     assert np.allclose(extended_mzi_unitary(ext), expected, atol=1e-13)
     assert np.allclose(setting_unitary(ext), expected, atol=1e-13)
+
+
+def test_scalar_entries_match_the_product_form():
+    rng = np.random.default_rng(14)
+    # signed zeros and multiples of pi/2, where rounding of the product
+    # and of the scalar entries differ the most
+    edges = (0.0, -0.0, np.pi, -np.pi, np.pi / 2.0)
+    settings = [IDENTITY_SETTING]
+    settings += [MziSetting(*p) for p in itertools.product(edges, repeat=4)]
+    settings += [
+        MziSetting(*p, phi3=a, phi4=b)
+        for p in itertools.product(edges[:3], repeat=4)
+        for a, b in ((-0.0, 0.0), (np.pi, -0.0))
+    ]
+    settings += [random_setting(rng, extended) for extended in (False, True) for _ in range(100)]
+    settings.append(MziSetting(0.3, 1.2, -0.7, 2.0, phi3=0.9))  # phi4 missing reads as 0
+    for setting in settings:
+        ref = reference_mzi_unitary(setting)
+        assert np.max(np.abs(setting_unitary(setting) - ref)) <= 1e-15
+        plain = reference_mzi_unitary(replace(setting, phi3=None, phi4=None))
+        assert np.max(np.abs(mzi_unitary(setting) - plain)) <= 1e-15
+        phi3 = 0.0 if setting.phi3 is None else setting.phi3
+        extended = reference_mzi_unitary(replace(setting, phi3=phi3))
+        assert np.max(np.abs(extended_mzi_unitary(setting) - extended)) <= 1e-15
+    # the identity setting is not exact in floating point: its off-diagonal
+    # stays a nonzero residue, as in the product form
+    off = setting_unitary(IDENTITY_SETTING)[0, 1]
+    assert 0 < abs(off) < 1e-16
+    assert 0 < abs(reference_mzi_unitary(IDENTITY_SETTING)[0, 1]) < 1e-16
+
+
+def test_solve_reads_nested_sequences_like_arrays():
+    rng = np.random.default_rng(15)
+    for _ in range(20):
+        u = random_unitary(2, rng)
+        assert solve_mzi_settings(u.tolist()) == solve_mzi_settings(u)
+        assert solve_mzi_settings(tuple(map(tuple, u.tolist()))) == solve_mzi_settings(u)
+    with pytest.raises(ValueError, match="not unitary"):
+        solve_mzi_settings([[1.0, 0.0], [0.0, 2.0]])
+    with pytest.raises(ValueError, match="not unitary"):
+        solve_mzi_settings([[np.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="2x2"):
+        solve_mzi_settings([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
 def test_mzi_always_unitary():
