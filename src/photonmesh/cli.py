@@ -192,11 +192,10 @@ def _compile_human(table: dict) -> list[str]:
         f"qubit positions {table['positions']}, rail flips {table['flips']}",
     ]
     for slot in table["slots"]:
-        if slot["role"] != "ID":
-            lines.append(
-                f"col {slot['column']:>2} modes ({slot['top_mode']}, "
-                f"{slot['top_mode'] + 1}): {slot['role']:<8} {_phases(slot)}"
-            )
+        lines.append(
+            f"col {slot['column']:>2} modes ({slot['top_mode']}, "
+            f"{slot['top_mode'] + 1}): {slot['role']:<8} {_phases(slot)}"
+        )
     for trunc in table["truncations"]:
         modes = ", ".join(str(m) for m in trunc["modes"])
         lines.append(f"truncate aux modes ({modes}) after column {trunc['after_column']}")

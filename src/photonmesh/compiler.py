@@ -156,21 +156,28 @@ class TruncationMark:
 
 @dataclass(frozen=True)
 class MeshAssignment:
+    """A program's placed blocks and truncation marks on the mesh that
+    ``scheme`` and ``mode_count`` fix (:func:`column_tops`); no grid is stored."""
+
     scheme: str
     mode_count: int
-    columns: tuple[tuple[int, ...], ...]
     placements: tuple[PlacedBlock, ...]
     truncations: tuple[TruncationMark, ...]
 
+    def tops_by_column(self) -> list[range]:
+        """Each column's block tops (:func:`column_tops`), one per column."""
+        m = self.mode_count
+        return [column_tops(self.scheme, m, c) for c in range(column_count(self.scheme, m))]
+
     @property
     def slot_count(self) -> int:
-        return sum(len(c) for c in self.columns)
+        return sum(map(len, self.tops_by_column()))
 
     def slots(self) -> Iterator[tuple[int, int, MziSetting, str]]:
         """``(column, top_mode, setting, role)`` of every slot, column by
         column; unused slots carry the identity setting and the role ``"ID"``."""
         assigned = {(p.column, p.top_mode): (p.setting, p.role) for p in self.placements}
-        for col, tops in enumerate(self.columns):
+        for col, tops in enumerate(self.tops_by_column()):
             for top in tops:
                 yield (col, top, *assigned.get((col, top), (IDENTITY_SETTING, "ID")))
 
@@ -199,7 +206,7 @@ class MeshAssignment:
         return {
             "scheme": self.scheme,
             "mode_count": self.mode_count,
-            "columns": [list(c) for c in self.columns],
+            "columns": [list(tops) for tops in self.tops_by_column()],
             "idle": {
                 "theta1": idle.theta1,
                 "theta2": idle.theta2,
@@ -325,36 +332,32 @@ def ghz_chain_circuit(n: int) -> CircuitIR:
     return CircuitIR(n, tuple(ops))
 
 
-def clements_columns(mode_count: int) -> tuple[tuple[int, ...], ...]:
-    """Rectangular mesh: ``m`` columns alternating even/odd block tops."""
-    cols = []
-    for c in range(mode_count):
-        start = 0 if c % 2 == 0 else 1
-        cols.append(tuple(range(start, mode_count - 1, 2)))
-    return tuple(cols)
-
-
-def reck_columns(mode_count: int) -> tuple[tuple[int, ...], ...]:
-    """Triangular mesh: ``2m - 3`` columns growing toward the middle."""
-    m = mode_count
-    cols = []
-    for c in range(1, 2 * m - 2):
-        low = m - 1 - c if c <= m - 1 else c - m + 1
-        cols.append(tuple(range(low, m - 1, 2)))
-    return tuple(cols)
-
-
-def _column_builder(scheme: str):
-    """The column builder of a mesh scheme; raises for an unknown name."""
+def column_count(scheme: str, mode_count: int) -> int:
+    """Columns of the ``scheme`` mesh on ``mode_count`` modes: ``m`` for
+    Clements, ``max(0, 2m - 3)`` for Reck; raises for an unknown scheme."""
     if scheme == "clements":
-        return clements_columns
+        return mode_count
     if scheme == "reck":
-        return reck_columns
+        return max(0, 2 * mode_count - 3)
     raise ValueError(f"unknown mesh scheme {scheme!r}")
 
 
-def mesh_columns(scheme: str, mode_count: int) -> tuple[tuple[int, ...], ...]:
-    return _column_builder(scheme)(mode_count)
+def column_tops(scheme: str, mode_count: int, column: int) -> range:
+    """Block top modes of ``column``: ``low, low + 2, ..., m - 2``, where
+    ``low`` is ``column % 2`` (Clements) or ``|m - 2 - column|`` (Reck).
+    Like :func:`top_span`, it trusts ``scheme``; :func:`column_count` checks it."""
+    m = mode_count
+    low = column % 2 if scheme == "clements" else abs(m - 2 - column)
+    return range(low, m - 1, 2)
+
+
+def top_span(scheme: str, mode_count: int, top: int) -> tuple[int, int]:
+    """``(first, last)``: ``top`` has a slot in every other column from
+    ``first`` to ``last``, the other side's view of :func:`column_tops`."""
+    m = mode_count
+    if scheme == "clements":
+        return top % 2, m - 1 - (m - 1 - top) % 2
+    return m - 2 - top, m - 2 + top
 
 
 def place_in_mesh(
@@ -366,14 +369,15 @@ def place_in_mesh(
     and is not earlier than any previously placed block sharing one of its
     modes; blocks of one program layer may spread over several columns.
     Truncation steps become column markers and act as barriers on their
-    modes.
+    modes.  A block finds its column in O(1) from its top's :func:`top_span`,
+    so placement costs O(placements + m).
     """
     if program.mode_count != mode_count:
         raise ValueError(
             f"program has {program.mode_count} modes, mesh has {mode_count}"
         )
-    columns = mesh_columns(scheme, mode_count)
-    col_sets = [frozenset(c) for c in columns]
+    column_count(scheme, mode_count)  # validate the scheme
+    spans = [top_span(scheme, mode_count, top) for top in range(mode_count - 1)]
     free = [0] * mode_count
     placements: list[PlacedBlock] = []
     truncations: list[TruncationMark] = []
@@ -388,10 +392,10 @@ def place_in_mesh(
             raise TypeError(f"unknown program step {type(step).__name__}")
         for blk in sorted(step.blocks, key=lambda b: b.top_mode):
             lo, hi = blk.top_mode, blk.top_mode + 1
-            col = max(free[lo], free[hi])
-            while col < len(columns) and lo not in col_sets[col]:
-                col += 1
-            if col >= len(columns):
+            first, last = spans[lo]
+            col = max(free[lo], free[hi], first)
+            col += (col - first) % 2  # the next column with a slot at lo
+            if col > last or lo < 0:  # a top above mode 0 has no slot
                 raise PlacementOverflow(
                     f"block at modes ({lo}, {hi})"
                     + (f" [{step.label}]" if step.label else "")
@@ -402,7 +406,6 @@ def place_in_mesh(
     return MeshAssignment(
         scheme=scheme,
         mode_count=mode_count,
-        columns=columns,
         placements=tuple(placements),
         truncations=tuple(truncations),
     )
@@ -424,7 +427,7 @@ def assignment_program(assignment: MeshAssignment) -> NetworkProgram:
         else:
             trunc_after.setdefault(mark.after_column, []).append(mark)
     m = assignment.mode_count
-    columns: list[list[MeshBlock]] = [[] for _ in assignment.columns]
+    columns: list[list[MeshBlock]] = [[] for _ in assignment.tops_by_column()]
     for col, top, setting, role in assignment.slots():
         columns[col].append(MeshBlock(top, setting, role))
     for col, blocks in enumerate(columns):
@@ -444,7 +447,8 @@ def enumerate_placements(pattern, scheme: str, mode_count: int) -> int:
     a rectangular mesh, the two staircase families where consecutive
     blocks step one column pair up or down.  The staircases exist because
     full-width layers of crossings commute block by block; meshes with a
-    triangular profile do not admit them.
+    triangular profile do not admit them.  No column is built: membership
+    is a range test on :func:`column_tops`.
     """
     if isinstance(pattern, gates.GateDescriptor):
         layers = [[blk.top_mode for blk in layer] for layer in pattern.mzi_layers]
@@ -452,24 +456,22 @@ def enumerate_placements(pattern, scheme: str, mode_count: int) -> int:
         layers = [list(layer) for layer in pattern]
     if not layers:
         raise ValueError("pattern has no layers")
-    columns = mesh_columns(scheme, mode_count)
-    col_sets = [frozenset(c) for c in columns]
+    columns = column_count(scheme, mode_count)
     count = 0
-    for start in range(len(columns) - len(layers) + 1):
+    for start in range(columns - len(layers) + 1):
         if all(
-            set(layer) <= col_sets[start + i] for i, layer in enumerate(layers)
+            top in column_tops(scheme, mode_count, start + i)
+            for i, layer in enumerate(layers)
+            for top in layer
         ):
             count += 1
     if (
         scheme == "clements"
         and len(layers) == 1
-        and sorted(layers[0]) == list(range(0, mode_count - 1, 2))
+        and sorted(layers[0]) == list(column_tops(scheme, mode_count, 0))
         and len(layers[0]) > 1
     ):
-        span = 2 * (len(layers[0]) - 1)
-        starts = [
-            c0 for c0 in range(0, len(columns), 2) if c0 + span < len(columns)
-        ]
+        starts = range(0, columns - 2 * (len(layers[0]) - 1), 2)
         count += 2 * len(starts)  # one ascending + one descending staircase each
     return count
 
@@ -672,7 +674,9 @@ def compile_circuit(
     :func:`decode_logical`); :func:`simulate_circuit` does this.
     """
     options = options or CompileOptions()
-    _column_builder(options.scheme)  # validate the scheme early; builds no mesh
+    # Refuse an unknown scheme or cz_form up front, whatever the gates.
+    column_count(options.scheme, 0)
+    _cz_layers(options.cz_form)
     em = _Emitter(circuit.qubit_count, options)
     for op in circuit.gates:
         if op.name in SINGLE_QUBIT_GATES:

@@ -225,7 +225,7 @@ def _setting_key(setting: MziSetting) -> tuple:
 
 
 class _Device:
-    """One setting as the fold applies it, classified once per cache.
+    """One setting as the fold applies it, classified once per fold.
 
     ``t`` is its substitution ``U^T``.  A device whose diagonal is at most
     :data:`PRUNE_THRESHOLD` (a crossing, ``swaps``) or whose off-diagonal is
@@ -294,9 +294,7 @@ def _mix(
     return accum
 
 
-def apply_linear(
-    state: PhotonicState, layer: LinearLayer, rules: dict | None = None
-) -> PhotonicState:
+def apply_linear(state: PhotonicState, layer: LinearLayer) -> PhotonicState:
     """Apply the blocks of ``layer``, in order, to every term of ``state``:
     the fold (:func:`run_program`) of a one-layer program, materialized on
     return.
@@ -308,13 +306,11 @@ def apply_linear(
     on a pair passes through.  Amplitudes that several terms add to one
     occupation are pruned at the end of the layer at
     :data:`PRUNE_THRESHOLD`, and the result is in sorted occupation order.
-    ``rules`` is the fold's device cache (see :class:`_Device`); without
-    one, the cache lives for this call.
     """
     m = state.mode_count
     if layer.mode_count != m:
         raise ValueError(f"layer has {layer.mode_count} modes, state has {m}")
-    return _fold(NetworkProgram(m, (layer,)), state, None, rules)
+    return _fold(NetworkProgram(m, (layer,)), state, None)
 
 
 def amplitude_via_permanent(
@@ -614,7 +610,6 @@ def _fold(
     program: NetworkProgram,
     state: PhotonicState,
     cone: tuple[tuple[Check, ...], ...] | None,
-    rules: dict | None = None,
 ) -> PhotonicState:
     """The fold behind :func:`run_program`, :func:`run_program_pruned` and
     :func:`apply_linear`: every step in order, then, if ``cone`` is given,
@@ -635,7 +630,6 @@ def _fold(
             f"state has {state.mode_count} modes, program needs {m}"
         )
     cuts = cone or ((),) * len(program.steps)
-    rules = {} if rules is None else rules
     width = max((sum(occ) for occ in state.terms), default=0).bit_length()
     digit = (1 << width) - 1
     shift = [width * (m - 1 - slot) for slot in range(m)]
@@ -649,8 +643,9 @@ def _fold(
     # and each photon in ``slot`` still owes the unit phase owed[slot].
     pos = list(range(m))
     owed = [1.0 + 0.0j] * m
-    # Programs share setting objects (fixed devices, gate networks), so
-    # each object's device is looked up by key once per fold.
+    # One device per distinct setting, keyed by value; programs share setting
+    # objects (fixed devices, gate networks), so each object is keyed once.
+    devices: dict[tuple, _Device] = {}
     seen: dict[int, _Device] = {}
     for step, checks in zip(program.steps, cuts):
         mixed, empty = False, 0
@@ -659,9 +654,9 @@ def _fold(
                 device = seen.get(id(blk.setting))
                 if device is None:
                     setting_key = _setting_key(blk.setting)
-                    device = rules.get(setting_key)
+                    device = devices.get(setting_key)
                     if device is None:
-                        device = rules[setting_key] = _Device(blk.setting)
+                        device = devices[setting_key] = _Device(blk.setting)
                     seen[id(blk.setting)] = device
                 a, b = blk.top_mode, blk.top_mode + 1
                 sa, sb = pos[a], pos[b]

@@ -11,6 +11,10 @@ device entries of :mod:`photonmesh.linalg` must reproduce.
 ``reference_mesh_unitary`` and ``reference_constraint_residual`` are the
 dense 4-mode mesh product and the full-length ternary search that
 :mod:`photonmesh.analysis` must reproduce.
+``reference_mesh_columns`` and ``reference_place_in_mesh`` are the stored
+column grid and the column-by-column placement scan that the compiler's
+mesh arithmetic must reproduce.  ``brickwork`` draws seeded circuits to
+compile and place.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from photonmesh.fock import (
     qubit_structure,
 )
 from photonmesh.analysis import constrained_family
+from photonmesh.compiler import PlacedBlock, PlacementOverflow, TruncationMark
 from photonmesh.linalg import MziSetting
 
 _SQ = 1.0 / np.sqrt(2.0)
@@ -304,3 +309,87 @@ def reference_constraint_residual(gamma11, gamma23, c) -> float | np.ndarray:
         lo, hi = np.where(left, lo, a), np.where(left, b, hi)
     out = deviation(0.5 * (lo + hi)).reshape(args[0].shape)
     return float(out) if out.ndim == 0 else out
+
+
+def reference_clements_columns(mode_count: int) -> tuple[tuple[int, ...], ...]:
+    """Rectangular mesh: ``m`` columns alternating even/odd block tops."""
+    cols = []
+    for c in range(mode_count):
+        start = 0 if c % 2 == 0 else 1
+        cols.append(tuple(range(start, mode_count - 1, 2)))
+    return tuple(cols)
+
+
+def reference_reck_columns(mode_count: int) -> tuple[tuple[int, ...], ...]:
+    """Triangular mesh: ``2m - 3`` columns growing toward the middle."""
+    m = mode_count
+    cols = []
+    for c in range(1, 2 * m - 2):
+        low = m - 1 - c if c <= m - 1 else c - m + 1
+        cols.append(tuple(range(low, m - 1, 2)))
+    return tuple(cols)
+
+
+def reference_mesh_columns(scheme: str, mode_count: int) -> tuple[tuple[int, ...], ...]:
+    builders = {"clements": reference_clements_columns, "reck": reference_reck_columns}
+    return builders[scheme](mode_count)
+
+
+def reference_place_in_mesh(program: NetworkProgram, scheme: str, mode_count: int):
+    """``(placements, truncations)`` of the greedy earliest-column placement,
+    scanning the stored column grid one column at a time; raises
+    :class:`PlacementOverflow` with the compiler's message."""
+    columns = reference_mesh_columns(scheme, mode_count)
+    col_sets = [frozenset(c) for c in columns]
+    free = [0] * mode_count
+    placements, truncations = [], []
+    for step in program.steps:
+        if isinstance(step, TruncateAux):
+            after = max(free[m] for m in step.modes) - 1
+            truncations.append(TruncationMark(after, tuple(step.modes)))
+            for m in step.modes:
+                free[m] = max(free[m], after + 1)
+            continue
+        for blk in sorted(step.blocks, key=lambda b: b.top_mode):
+            lo, hi = blk.top_mode, blk.top_mode + 1
+            col = max(free[lo], free[hi])
+            while col < len(columns) and lo not in col_sets[col]:
+                col += 1
+            if col >= len(columns):
+                raise PlacementOverflow(
+                    f"block at modes ({lo}, {hi})"
+                    + (f" [{step.label}]" if step.label else "")
+                    + f" does not fit the {scheme} mesh on {mode_count} modes"
+                )
+            placements.append(PlacedBlock(col, lo, blk.setting, blk.role))
+            free[lo] = free[hi] = col + 1
+    return tuple(placements), tuple(truncations)
+
+
+def brickwork(rng: np.random.Generator, n: int, rounds: int = 3) -> dict:
+    """Seeded brickwork: each round puts a single-qubit gate on every
+    qubit, then CZ, CNOT, SWAP or nothing on each qubit pair of an
+    alternating offset.  One routed CZ on qubits two apart closes it.
+    A CZ or CNOT on a pair that already had one becomes a SWAP, so the
+    circuit compiles without a cascade error."""
+    singles = ("I", "X", "Y", "Z", "H", "T", "RZ", "RX", "RY")
+    coupled, gates = set(), []
+    for rnd in range(rounds):
+        for q in range(n):
+            gate = {"g": singles[int(rng.integers(len(singles)))], "q": q}
+            if gate["g"] in ("RZ", "RX", "RY"):
+                gate["angle"] = float(rng.uniform(-np.pi, np.pi))
+            gates.append(gate)
+        for a in range(rnd % 2, n - 1, 2):
+            kind = ("CZ", "CNOT", "SWAP", None)[int(rng.integers(4))]
+            if kind in ("CZ", "CNOT") and (a, a + 1) in coupled:
+                kind = "SWAP"
+            if kind == "SWAP":
+                gates.append({"g": "SWAP", "a": a, "b": a + 1})
+            elif kind is not None:
+                coupled.add((a, a + 1))
+                c, t = (a, a + 1) if rng.integers(2) else (a + 1, a)
+                gates.append({"g": kind, "c": c, "t": t})
+    a = int(rng.integers(n - 2))
+    gates.append({"g": "CZ", "c": a, "t": a + 2})
+    return {"qubits": n, "gates": gates}

@@ -24,7 +24,7 @@ import pytest
 from photonmesh import cli, compiler, fock
 from photonmesh.cli import fmt_float
 
-from helpers import numpy_blas_name
+from helpers import brickwork, numpy_blas_name
 
 BELL = {"qubits": 2, "gates": [{"g": "H", "q": 0}, {"g": "CNOT", "c": 0, "t": 1}]}
 CASCADE = {
@@ -316,35 +316,6 @@ def test_compile_reck_scheme(tmp_path):
 
 
 PHASE_KEYS = ("theta1", "theta2", "phi1", "phi2", "phi3", "phi4")
-
-
-def brickwork(rng, n, rounds=3):
-    """Seeded brickwork: each round puts a single-qubit gate on every
-    qubit, then CZ, CNOT, SWAP or nothing on each qubit pair of an
-    alternating offset.  One routed CZ on qubits two apart closes it.
-    A CZ or CNOT on a pair that already had one becomes a SWAP, so the
-    circuit compiles without a cascade error."""
-    singles = ("I", "X", "Y", "Z", "H", "T", "RZ", "RX", "RY")
-    coupled, gates = set(), []
-    for rnd in range(rounds):
-        for q in range(n):
-            gate = {"g": singles[int(rng.integers(len(singles)))], "q": q}
-            if gate["g"] in ("RZ", "RX", "RY"):
-                gate["angle"] = float(rng.uniform(-np.pi, np.pi))
-            gates.append(gate)
-        for a in range(rnd % 2, n - 1, 2):
-            kind = ("CZ", "CNOT", "SWAP", None)[int(rng.integers(4))]
-            if kind in ("CZ", "CNOT") and (a, a + 1) in coupled:
-                kind = "SWAP"
-            if kind == "SWAP":
-                gates.append({"g": "SWAP", "a": a, "b": a + 1})
-            elif kind is not None:
-                coupled.add((a, a + 1))
-                c, t = (a, a + 1) if rng.integers(2) else (a + 1, a)
-                gates.append({"g": kind, "c": c, "t": t})
-    a = int(rng.integers(n - 2))
-    gates.append({"g": "CZ", "c": a, "t": a + 2})
-    return {"qubits": n, "gates": gates}
 
 
 def setting_phases(setting):

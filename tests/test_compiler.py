@@ -21,27 +21,32 @@ from photonmesh.compiler import (
     CompileOptions,
     GateOp,
     IllegalCascade,
+    MeshAssignment,
     PlacementOverflow,
     assignment_program,
     bell_circuit,
-    clements_columns,
+    column_count,
+    column_tops,
     compile_circuit,
     compile_ghz_swap_variant,
     decode_logical,
     enumerate_placements,
     ghz_chain_circuit,
-    mesh_columns,
     parse_circuit,
     place_in_mesh,
-    reck_columns,
     simulate_circuit,
+    top_span,
 )
 from photonmesh import compiler
+from photonmesh.linalg import IDENTITY_SETTING
 
 from helpers import (
+    brickwork,
     dense_circuit_state,
     keep_checked,
     reference_light_cone,
+    reference_mesh_columns,
+    reference_place_in_mesh,
     single_gate_matrix,
     state_fidelity,
 )
@@ -154,6 +159,13 @@ def test_swap_sandwich_cz_form_agrees_with_compressed():
 def test_unknown_cz_form_rejected():
     with pytest.raises(ValueError):
         simulate_circuit(bell_circuit(), options=CompileOptions(cz_form="bogus"))
+    # refused up front, also when no CZ or CNOT would read it
+    circuit = CircuitIR(2, (GateOp("H", (0,)), GateOp("SWAP", (0, 1))))
+    for place in (True, False):
+        with pytest.raises(ValueError, match="unknown cz_form 'bogus'"):
+            compile_circuit(circuit, CompileOptions(cz_form="bogus", place=place))
+    with pytest.raises(ValueError, match="unknown cz_form 'bogus'"):
+        simulate_circuit(circuit, options=CompileOptions(cz_form="bogus"))
 
 
 def test_unknown_scheme_rejected():
@@ -737,12 +749,83 @@ def test_long_routing_loses_no_probability_at_crossings():
 
 
 def test_mesh_column_grids():
-    assert clements_columns(4) == ((0, 2), (1,), (0, 2), (1,))
-    assert reck_columns(4) == ((2,), (1,), (0, 2), (1,), (2,))
-    assert mesh_columns("clements", 4) == clements_columns(4)
-    assert mesh_columns("reck", 4) == reck_columns(4)
+    def grid(scheme):
+        return tuple(tuple(column_tops(scheme, 4, c)) for c in range(column_count(scheme, 4)))
+
+    assert grid("clements") == ((0, 2), (1,), (0, 2), (1,))
+    assert grid("reck") == ((2,), (1,), (0, 2), (1,), (2,))
+    for scheme in ("clements", "reck"):
+        table = MeshAssignment(scheme, 4, (), ()).phase_table()
+        assert tuple(map(tuple, table["columns"])) == grid(scheme)
     with pytest.raises(ValueError):
-        mesh_columns("hex", 4)
+        column_count("hex", 4)
+    with pytest.raises(ValueError, match="unknown mesh scheme 'hex'"):
+        place_in_mesh(fock.NetworkProgram(4, ()), "hex", 4)
+
+
+@pytest.mark.parametrize("scheme", ["clements", "reck"])
+def test_mesh_geometry_matches_the_column_grid(scheme):
+    for m in range(1, 41):
+        grid = reference_mesh_columns(scheme, m)
+        assert column_count(scheme, m) == len(grid)
+        assert [tuple(column_tops(scheme, m, c)) for c in range(len(grid))] == list(grid)
+        for top in range(m - 1):
+            first, last = top_span(scheme, m, top)
+            slots = [c for c, tops in enumerate(grid) if top in tops]
+            assert (first, last) == (slots[0], slots[-1])
+            assert slots == list(range(first, last + 1, 2))
+        assignment = MeshAssignment(scheme, m, (), ())
+        assert list(map(tuple, assignment.tops_by_column())) == list(grid)
+        assert assignment.slot_count == sum(map(len, grid))
+        assert [(c, t) for c, t, _, _ in assignment.slots()] == [
+            (c, t) for c, tops in enumerate(grid) for t in tops
+        ]
+    # one mode: Reck has no column, Clements one empty column
+    if scheme == "reck":
+        assert column_count(scheme, 1) == 0
+    else:
+        assert column_count(scheme, 1) == 1 and tuple(column_tops(scheme, 1, 0)) == ()
+
+
+@pytest.mark.parametrize("restore", [True, False], ids=["restore", "no-restore"])
+@pytest.mark.parametrize("scheme", ["clements", "reck"])
+def test_place_in_mesh_matches_the_column_scan(scheme, restore):
+    # The triangular Reck mesh is one slot wide at its top corner, so its
+    # brickwork is mostly one round deep, and Clements' up to three.
+    rng = np.random.default_rng(41)
+    options = CompileOptions(scheme=scheme, restore_swaps=restore, place=False)
+    deepest = 3 if scheme == "clements" else 1
+    circuits = [
+        parse_circuit(
+            brickwork(rng, int(rng.integers(3, 15)), int(rng.integers(1, deepest + 2)))
+        )
+        for _ in range(16)
+    ]
+    circuits += [
+        _random_circuit(rng, int(rng.integers(2, 7)), int(rng.integers(4, 16)), forest=True)
+        for _ in range(16)
+    ]
+    programs = [compile_circuit(circuit, options).program for circuit in circuits]
+    # a library-built block above mode 0 has no slot
+    outside = fock.LinearLayer(6, (fock.MeshBlock(-1, IDENTITY_SETTING, "U"),))
+    programs.append(fock.NetworkProgram(6, (outside,)))
+    outcomes = collections.Counter()
+    for program in programs:
+        m = program.mode_count
+        try:
+            expected = reference_place_in_mesh(program, scheme, m)
+        except PlacementOverflow as overflow:
+            outcomes["overflow"] += 1
+            with pytest.raises(PlacementOverflow) as info:
+                place_in_mesh(program, scheme, m)
+            assert type(info.value) is type(overflow)
+            assert str(info.value) == str(overflow)
+            continue
+        outcomes["placed"] += 1
+        assignment = place_in_mesh(program, scheme, m)
+        assert (assignment.placements, assignment.truncations) == expected
+    # both outcomes are exercised
+    assert outcomes["placed"] >= 5 and outcomes["overflow"] >= 5, outcomes
 
 
 def test_place_single_block_and_identity_slots():
@@ -795,7 +878,7 @@ def test_truncation_marks_recorded_in_assignment():
     assert len(result.assignment.truncations) == 1
     mark = result.assignment.truncations[0]
     assert mark.modes == (0, 3)
-    assert 0 <= mark.after_column < len(result.assignment.columns)
+    assert 0 <= mark.after_column < len(result.assignment.tops_by_column())
 
 
 def test_mesh_phase_table_reproduces_bell_state():

@@ -671,15 +671,26 @@ def test_skipped_restricts_drop_nothing(forest):
     assert skipped_after_cut or not forest
 
 
-def test_setting_key_keeps_signed_zeros_apart():
+def count_device_builds(monkeypatch) -> list:
+    """The settings the fold builds a device for, in build order."""
+    calls = []
+    entries = fock._setting_entries
+    monkeypatch.setattr(fock, "_setting_entries", lambda s: calls.append(s) or entries(s))
+    return calls
+
+
+def test_setting_key_keeps_signed_zeros_apart(monkeypatch):
     plus, minus = MziSetting(0.0, 1.0, 2.0, 3.0), MziSetting(-0.0, 1.0, 2.0, 3.0)
     assert plus == minus and hash(plus) == hash(minus)
     assert fock._setting_key(plus) != fock._setting_key(minus)
     assert fock._setting_key(plus) == fock._setting_key(MziSetting(0.0, 1.0, 2.0, 3.0))
-    rules = {}
-    layer = LinearLayer(2, (MeshBlock(0, plus, "U"), MeshBlock(0, minus, "U")))
-    apply_linear(PhotonicState(2, {(1, 0): 1.0 + 0.0j}), layer, rules)
-    assert len(rules) == 2
+    calls = count_device_builds(monkeypatch)
+    settings = (plus, minus, MziSetting(0.0, 1.0, 2.0, 3.0), MziSetting(-0.0, 1.0, 2.0, 3.0))
+    program = NetworkProgram(2, tuple(LinearLayer(2, (MeshBlock(0, s, "U"),)) for s in settings))
+    run_program(program, PhotonicState(2, {(1, 0): 1.0 + 0.0j}))
+    # one device for +0.0 and one for -0.0; the equal settings in new objects reuse them
+    assert len(calls) == 2
+    assert calls[0] is plus and calls[1] is minus
 
 
 def test_rule_cache_builds_each_unitary_once_and_changes_nothing(monkeypatch):
@@ -690,26 +701,12 @@ def test_rule_cache_builds_each_unitary_once_and_changes_nothing(monkeypatch):
     again = tuple(
         tuple(replace(blk, setting=replace(blk.setting)) for blk in blocks) for blocks in mesh
     )
-    layers = [LinearLayer(m, blocks) for blocks in mesh + again]
+    program = NetworkProgram(m, tuple(LinearLayer(m, blocks) for blocks in mesh + again))
     state = PhotonicState(m, {(1, 0, 1, 0, 1): 1.0 + 0.0j, (0, 2, 0, 1, 0): 0.5j})
-    calls = []
-    entries = fock._setting_entries
-    monkeypatch.setattr(fock, "_setting_entries", lambda s: calls.append(s) or entries(s))
-
-    def fold(rules):
-        out = state
-        for layer in layers:
-            out = apply_linear(out, layer, rules)
-        return out
-
-    rules = {}
-    shared = fold(rules)
-    # one cache entry per distinct setting, one unitary per entry
-    assert len(rules) == sum(len(blocks) for blocks in mesh)
-    assert len(calls) == len(rules)
-    calls.clear()
-    assert list(fold(rules).terms.items()) == list(shared.terms.items())
-    assert calls == []
-    # a cache per call gives the same state, bit for bit
-    fresh = run_layers(state, mesh + again)
-    assert list(shared.terms.items()) == list(fresh.terms.items())
+    calls = count_device_builds(monkeypatch)
+    folded = run_program(program, state)
+    # one device per distinct setting, built for its first object
+    assert [id(s) for s in calls] == [id(blk.setting) for blocks in mesh for blk in blocks]
+    # the same state as the per-layer folds, each with its own cache, bit for bit
+    per_layer = run_layers(state, mesh + again)
+    assert list(folded.terms.items()) == list(per_layer.terms.items())
