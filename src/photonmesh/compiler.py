@@ -126,15 +126,24 @@ class CompileOptions:
 
 @dataclass
 class CascadeLedger:
-    """Record of qubit pairs that have consumed a post-selected gate."""
+    """Record of qubit pairs that have consumed a post-selected gate.
+
+    ``pairs`` lists them in the order they were recorded; :meth:`seen` asks
+    a set beside it, so a check costs O(1) however many gates came before."""
 
     pairs: list[frozenset[int]] = field(default_factory=list)
+    _recorded: set[frozenset[int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._recorded = set(self.pairs)
 
     def seen(self, a: int, b: int) -> bool:
-        return frozenset((a, b)) in self.pairs
+        return frozenset((a, b)) in self._recorded
 
     def record(self, a: int, b: int) -> None:
-        self.pairs.append(frozenset((a, b)))
+        pair = frozenset((a, b))
+        self.pairs.append(pair)
+        self._recorded.add(pair)
 
 
 @dataclass(frozen=True)
@@ -391,7 +400,8 @@ def place_in_mesh(
         if not isinstance(step, LinearLayer):
             raise TypeError(f"unknown program step {type(step).__name__}")
         for blk in sorted(step.blocks, key=lambda b: b.top_mode):
-            lo, hi = blk.top_mode, blk.top_mode + 1
+            lo = blk.top_mode + step.offset
+            hi = lo + 1
             first, last = spans[lo]
             col = max(free[lo], free[hi], first)
             col += (col - first) % 2  # the next column with a slot at lo
@@ -477,7 +487,8 @@ def enumerate_placements(pattern, scheme: str, mode_count: int) -> int:
 
 
 # The networks and fixed devices below never change, so each is built and
-# solved once per process; the cached values are tuples of frozen blocks.
+# solved once per process; the cached values are tuples of frozen blocks,
+# and every layer that emits one holds its tuple (gates.layers_to_steps).
 
 
 @functools.cache

@@ -1,7 +1,10 @@
 """Exact few-photon Fock-space simulation of MZI-mesh programs.
 
 States are sparse superpositions of occupation-number vectors.  A program
-layer is its 2x2 blocks, applied in order.  A block on modes ``(a, a+1)``
+layer is its 2x2 blocks, applied in order, and an offset: a block with top
+mode ``t`` acts on modes ``(t + offset, t + offset + 1)``, so every
+placement of a fixed network shares the network's one block tuple (see
+:class:`LinearLayer`).  A block on modes ``(a, a+1)``
 whose device unitary is ``U`` substitutes creation operators by ``T = U^T``,
 
     a_{a+j}^dag  ->  sum_k T[j, k] a_{a+k}^dag   (j, k in {0, 1}),
@@ -124,18 +127,24 @@ class MeshBlock:
 @dataclass(frozen=True)
 class LinearLayer:
     """Program step: the 2x2 devices of one mesh layer on ``mode_count``
-    modes, applied in order (see :func:`apply_linear`)."""
+    modes, applied in order (see :func:`apply_linear`).
+
+    A block's modes are relative to ``offset``: block ``blk`` acts on modes
+    ``(blk.top_mode + offset, blk.top_mode + offset + 1)``.  So a layer of a
+    fixed network placed at some triplet holds the network's own block
+    tuple, shared by every placement of it, and only the offset differs."""
 
     mode_count: int
     blocks: tuple[MeshBlock, ...]
     label: str = ""
+    offset: int = 0
 
     @property
     def matrix(self) -> np.ndarray:
         """Dense substitution matrix of the layer, built on each access."""
         from .gates import layer_matrix  # gates imports this module
 
-        return layer_matrix(self.blocks, self.mode_count)
+        return layer_matrix(self.blocks, self.mode_count, self.offset)
 
 
 @dataclass(frozen=True)
@@ -527,23 +536,24 @@ def light_cone(
             )
             checks = tuple(sorted(checks + tuple(c for c in rest if c != ((), 0))))
         elif isinstance(step, LinearLayer):
+            off = step.offset
             for blk in step.blocks:
-                if block[blk.top_mode] != block[blk.top_mode + 1]:
-                    checks = _join(step.blocks, block, required, members)
+                if block[blk.top_mode + off] != block[blk.top_mode + off + 1]:
+                    checks = _join(step, block, required, members)
                     break
         after.append(checks)
     return tuple(reversed(after))
 
 
 def _join(
-    blocks: tuple[MeshBlock, ...],
+    layer: LinearLayer,
     block: list[int],
     required: list[int],
     members: dict[int, list[int]],
 ) -> tuple[Check, ...]:
-    """Join, in place, the blocks in force that ``blocks`` couple, and
-    return the checks of the join: every joined block but the largest of
-    its group.  The smaller member lists move into the largest."""
+    """Join, in place, the blocks in force that ``layer``'s blocks couple,
+    and return the checks of the join: every joined block but the largest
+    of its group.  The smaller member lists move into the largest."""
     link: dict[int, int] = {}
 
     def find(label: int) -> int:
@@ -551,8 +561,10 @@ def _join(
             label = link[label]
         return label
 
-    for blk in blocks:
-        a, b = find(block[blk.top_mode]), find(block[blk.top_mode + 1])
+    off = layer.offset
+    for blk in layer.blocks:
+        top = blk.top_mode + off
+        a, b = find(block[top]), find(block[top + 1])
         if a != b:
             link[b] = a
     groups: dict[int, list[int]] = {}
@@ -650,6 +662,7 @@ def _fold(
     for step, checks in zip(program.steps, cuts):
         mixed, empty = False, 0
         if isinstance(step, LinearLayer):
+            off = step.offset
             for blk in step.blocks:
                 device = seen.get(id(blk.setting))
                 if device is None:
@@ -658,7 +671,8 @@ def _fold(
                     if device is None:
                         device = devices[setting_key] = _Device(blk.setting)
                     seen[id(blk.setting)] = device
-                a, b = blk.top_mode, blk.top_mode + 1
+                a = blk.top_mode + off
+                b = a + 1
                 sa, sb = pos[a], pos[b]
                 if device.units is None:
                     terms = _mix(

@@ -184,13 +184,17 @@ class GateDescriptor:
         return self.matrix.shape[0]
 
 
-def layer_matrix(layer: tuple[MeshBlock, ...], mode_count: int) -> np.ndarray:
-    """Dense substitution matrix of one layer of blocks, applied in order;
-    the one builder of layer matrices, which programs do not store."""
+def layer_matrix(
+    layer: tuple[MeshBlock, ...], mode_count: int, offset: int = 0
+) -> np.ndarray:
+    """Dense substitution matrix of one layer of blocks, applied in order,
+    each block on modes ``(top_mode + offset, top_mode + offset + 1)`` (see
+    :class:`~photonmesh.fock.LinearLayer`); the one builder of layer
+    matrices, which programs do not store."""
     out = np.eye(mode_count, dtype=complex)
     for blk in layer:
         device = setting_unitary(blk.setting)
-        out = out @ embed_block(device.T, blk.top_mode + 1, mode_count)
+        out = out @ embed_block(device.T, blk.top_mode + offset + 1, mode_count)
     return out
 
 
@@ -212,20 +216,12 @@ def layers_to_steps(
 ) -> list[LinearLayer]:
     """Turn gate layers into program steps on a wider mode space.
 
-    Every block is shifted up by ``offset`` modes; each layer becomes one
-    :class:`LinearLayer` of the shifted blocks.
+    Each layer becomes one :class:`LinearLayer` that holds the layer's own
+    block tuple at ``offset``, so its blocks act on ``top_mode + offset``.
+    No block is rebuilt: every emission of a network the compiler caches
+    shares that network's blocks.
     """
-    return [
-        LinearLayer(
-            mode_count,
-            tuple(
-                MeshBlock(blk.top_mode + offset, blk.setting, blk.role)
-                for blk in layer
-            ),
-            label=label,
-        )
-        for layer in layers
-    ]
+    return [LinearLayer(mode_count, layer, label, offset) for layer in layers]
 
 
 def device_block(top: int, device, role: str) -> MeshBlock:

@@ -3,7 +3,9 @@
 The oracles are written independently of the package internals so the
 tests compare two implementations, not one implementation with itself.
 ``random_mesh`` and ``run_layers`` only build and run block programs with
-the package's own types.  ``reference_light_cone`` is the full-partition
+the package's own types.  ``flat_program`` rebuilds a program's layers
+with their own blocks at absolute modes, the oracle for layers that share
+blocks at an offset.  ``reference_light_cone`` is the full-partition
 light cone that :func:`photonmesh.fock.light_cone`'s checks must agree
 with.
 ``reference_mzi_unitary`` is the product form of one MZI that the scalar
@@ -167,6 +169,28 @@ def run_layers(state, layers):
     return state
 
 
+def flat_program(program: NetworkProgram) -> NetworkProgram:
+    """``program`` with every layer's blocks rebuilt at their absolute modes,
+    ``MeshBlock(top_mode + offset, ...)`` with ``offset=0``: each layer owns
+    its blocks and shares none with the compiler's cached networks."""
+    return NetworkProgram(
+        program.mode_count,
+        tuple(
+            LinearLayer(
+                step.mode_count,
+                tuple(
+                    MeshBlock(blk.top_mode + step.offset, blk.setting, blk.role)
+                    for blk in step.blocks
+                ),
+                step.label,
+            )
+            if isinstance(step, LinearLayer)
+            else step
+            for step in program.steps
+        ),
+    )
+
+
 def split_partition(partition: Partition, modes: tuple[int, ...], count: int) -> Partition:
     """``partition`` with ``modes``, which lie in one block, split out as a
     new block that must hold ``count``; the rest of their block must then
@@ -223,7 +247,8 @@ def reference_light_cone(
         elif isinstance(step, LinearLayer):
             merged = False
             for blk in step.blocks:
-                rj, rk = root(blk.top_mode), root(blk.top_mode + 1)
+                top = blk.top_mode + step.offset
+                rj, rk = root(top), root(top + 1)
                 if rj != rk:
                     parent[rk] = rj
                     required[rj] += required[rk]
@@ -351,7 +376,8 @@ def reference_place_in_mesh(program: NetworkProgram, scheme: str, mode_count: in
                 free[m] = max(free[m], after + 1)
             continue
         for blk in sorted(step.blocks, key=lambda b: b.top_mode):
-            lo, hi = blk.top_mode, blk.top_mode + 1
+            lo = blk.top_mode + step.offset
+            hi = lo + 1
             col = max(free[lo], free[hi])
             while col < len(columns) and lo not in col_sets[col]:
                 col += 1

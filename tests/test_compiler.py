@@ -6,6 +6,7 @@ import collections
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -16,6 +17,7 @@ import pytest
 
 from photonmesh import fock, gates
 from photonmesh.compiler import (
+    CascadeLedger,
     CircuitIR,
     CircuitParseError,
     CompileOptions,
@@ -43,6 +45,7 @@ from photonmesh.linalg import IDENTITY_SETTING
 from helpers import (
     brickwork,
     dense_circuit_state,
+    flat_program,
     keep_checked,
     reference_light_cone,
     reference_mesh_columns,
@@ -425,6 +428,43 @@ def test_cascade_ledger_is_orientation_blind_and_swap_proof():
         compile_circuit(circuit, CompileOptions(place=False))
 
 
+@pytest.mark.parametrize("again", [(0, 3), (3, 0)], ids=["same", "reversed"])
+def test_cascade_ledger_rejects_a_repeated_pair_in_either_orientation(again):
+    ledger = CascadeLedger()
+    ledger.record(0, 3)
+    assert ledger.seen(*again)
+    assert not ledger.seen(0, 2) and not ledger.seen(3, 1)
+    # a routed pair, after other gates, is still refused
+    ops = [
+        {"g": "CZ", "c": 0, "t": 3},
+        {"g": "CNOT", "c": 1, "t": 2},
+        {"g": "CNOT", "c": again[0], "t": again[1]},
+    ]
+    with pytest.raises(IllegalCascade):
+        compile_circuit(parse_circuit({"qubits": 4, "gates": ops}), CompileOptions(place=False))
+
+
+def test_cascade_ledger_checks_a_set_not_the_pair_list():
+    # seen() must not scan ``pairs``, or compile time grows quadratically
+    # with the number of post-selected gates
+    class Unscannable(list):
+        def __iter__(self):
+            raise AssertionError("seen() scanned the pair list")
+
+        def __contains__(self, item):
+            raise AssertionError("seen() scanned the pair list")
+
+    ledger = CascadeLedger()
+    ledger.record(2, 5)
+    ledger.pairs = Unscannable(ledger.pairs)
+    ledger.record(4, 1)
+    assert ledger.seen(5, 2) and ledger.seen(1, 4)
+    assert not ledger.seen(1, 2)
+    assert list.__eq__(ledger.pairs, [frozenset((2, 5)), frozenset((1, 4))])
+    # a ledger built from recorded pairs knows them
+    assert CascadeLedger([frozenset((2, 5))]).seen(5, 2)
+
+
 def test_distinct_pairs_do_not_cascade():
     # tree-shaped interactions: three distinct pairs along a chain stay exact
     circuit = parse_circuit(
@@ -635,6 +675,92 @@ ALL_OPTIONS = [
     for form in ("compressed", "swap-sandwich")
     for restore in (True, False)
 ]
+
+
+def _shared_block_circuits(rng):
+    """Routed forests, GHZ chains and brickwork, small enough to place."""
+    circuits = [_random_circuit(rng, n, 14, forest=True) for n in (3, 4, 5, 5, 6)]
+    circuits += [ghz_chain_circuit(n) for n in (3, 6)]
+    circuits += [
+        parse_circuit(brickwork(rng, n, rounds))
+        for n, rounds in ((3, 1), (4, 1), (6, 1), (5, 2), (7, 3))
+    ]
+    return circuits
+
+
+@pytest.mark.parametrize("options", ALL_OPTIONS, ids=lambda o: f"{o.cz_form}-{o.restore_swaps}")
+def test_shared_blocks_act_like_absolute_blocks(options):
+    # A layer that holds a cached block tuple at an offset does what the
+    # same layer with its own blocks at absolute modes does, to the bit:
+    # light cone, pruned fold (key order included), placement and matrix.
+    rng = np.random.default_rng(53)
+    shifted = placed = 0
+    for circuit in _shared_block_circuits(rng):
+        result = compile_circuit(circuit, options)
+        program, flat = result.program, flat_program(result.program)
+        layers = [s for s in program.steps if isinstance(s, fock.LinearLayer)]
+        shifted += sum(layer.offset != 0 for layer in layers)
+        assert all(layer.offset == 0 for layer in flat.steps if isinstance(layer, fock.LinearLayer))
+        n = circuit.qubit_count
+        layout = fock.QubitLayout(n)
+        for forest in (False, True):
+            assert fock.light_cone(program, layout, forest) == fock.light_cone(
+                flat, layout, forest
+            )
+        bits = "".join(str(int(rng.integers(0, 2))) for _ in range(n))
+        state = fock.prepare_computational_basis(bits, layout)
+        shared = fock.run_program_pruned(program, state, layout, result.forest)
+        absolute = fock.run_program_pruned(flat, state, layout, result.forest)
+        assert list(shared.terms.items()) == list(absolute.terms.items())
+        try:
+            expected = place_in_mesh(flat, "clements", 3 * n)
+        except PlacementOverflow as overflow:
+            with pytest.raises(PlacementOverflow, match=re.escape(str(overflow))):
+                place_in_mesh(program, "clements", 3 * n)
+        else:
+            assert place_in_mesh(program, "clements", 3 * n) == expected
+            placed += 1
+        for layer, own in zip(program.steps, flat.steps):
+            if isinstance(layer, fock.LinearLayer):
+                assert np.array_equal(layer.matrix, own.matrix)
+    # the comparison is not vacuous: offsets occur and placements fit
+    assert shifted > 50 and placed >= 1, (shifted, placed)
+
+
+@pytest.mark.parametrize("options", ALL_OPTIONS, ids=lambda o: f"{o.cz_form}-{o.restore_swaps}")
+def test_network_layers_share_the_cached_blocks(options):
+    # Every SWAP2, CZ and fixed-gate layer holds the compiler's cached block
+    # tuple itself; only a rotation's layer has blocks of its own.
+    rng = np.random.default_rng(59)
+    fixed_names = [g for g in compiler.SINGLE_QUBIT_GATES if g not in compiler.ROTATION_GATES]
+    cached = {
+        "swap": compiler._swap2_layers(),
+        "cz": compiler._cz_layers(options.cz_form),
+        "fixed": tuple(
+            layer
+            for name in fixed_names
+            for flipped in (False, True)
+            for layer in compiler._fixed_gate_layers(name, flipped)
+        ),
+    }
+    kinds = collections.Counter()
+    for n in (4, 5, 6):
+        program = compile_circuit(_random_circuit(rng, n, 24, forest=True), options).program
+        for step in program.steps:
+            if not isinstance(step, fock.LinearLayer):
+                continue
+            if step.label.startswith(("route ", "restore ", "SWAP ")):
+                kind = "swap"
+            elif step.label.startswith(("CZ ", "CNOT q")):
+                kind = "cz"
+            elif step.label.split()[0] in compiler.ROTATION_GATES:
+                kind = "rotation"
+            else:
+                kind = "fixed"
+            kinds[kind] += 1
+            shared = [k for k, layers in cached.items() if any(step.blocks is l for l in layers)]
+            assert shared == ([] if kind == "rotation" else [kind]), step.label
+    assert min(kinds.values()) > 0 and len(kinds) == 4, kinds
 
 
 @pytest.mark.parametrize("options", ALL_OPTIONS, ids=lambda o: f"{o.cz_form}-{o.restore_swaps}")

@@ -120,7 +120,8 @@ def test_layers_to_steps_offsets_blocks():
     assert len(steps) == 1
     step = steps[0]
     assert step.label == "shifted"
-    assert step.blocks[0].top_mode == 2
+    assert step.blocks is layer
+    assert step.offset == 2
     expected = np.eye(5, dtype=complex)
     expected[2:4, 2:4] = X.T
     assert np.allclose(step.matrix, expected, atol=1e-12)
