@@ -313,15 +313,13 @@ def parse_circuit(data) -> CircuitIR:
                 if angle is not None:
                     raise CircuitParseError(f"{name} takes no 'angle'")
                 ops.append(GateOp(name, (q,)))
-        elif name in ("CZ", "CNOT"):
-            c, t = index(entry, "c"), index(entry, "t")
-            if c == t:
-                raise CircuitParseError(f"{name} needs two distinct qubits")
-            ops.append(GateOp(name, (c, t)))
-        elif name == "SWAP":
-            a, b = index(entry, "a"), index(entry, "b")
+        elif name in TWO_QUBIT_GATES:
+            keys = ("a", "b") if name == "SWAP" else ("c", "t")
+            a, b = index(entry, keys[0]), index(entry, keys[1])
             if a == b:
-                raise CircuitParseError("SWAP needs two distinct qubits")
+                raise CircuitParseError(f"{name} needs two distinct qubits")
+            if entry.get("angle") is not None:
+                raise CircuitParseError(f"{name} takes no 'angle'")
             ops.append(GateOp(name, (a, b)))
         else:
             raise CircuitParseError(f"unknown gate {entry['g']!r}")
@@ -622,6 +620,23 @@ class _Emitter:
         top = 3 * self.positions[q] + 1
         self.emit_layers(layers, top, f"{op.name} q{q}")
 
+    def post_selected_gate(self, name: str, a: int, b: int) -> None:
+        """Emit ``CZ`` or ``CNOT`` (target ``b``) on the adjacent qubits ``a``
+        and ``b`` as they stand, then post-select it.  A CNOT is the CZ
+        network between two H layers on the target's rails."""
+        lo = min(self.positions[a], self.positions[b])
+        window = 3 * lo
+        cz = _cz_layers(self.options.cz_form)
+        if name == "CZ":
+            self.emit_layers(cz, window, f"CZ q{a}-q{b}")
+        else:
+            h_top = window + (1 if self.positions[b] == lo else 4)
+            h_layer = _fixed_gate_layers("H", False)
+            self.emit_layers(h_layer, h_top, f"CNOT H q{b}")
+            self.emit_layers(cz, window, f"CNOT q{a}-q{b}")
+            self.emit_layers(h_layer, h_top, f"CNOT H q{b}")
+        self.post_select(lo)
+
     def two_qubit_gate(self, op: GateOp) -> None:
         a, b = op.qubits
         post_selected = op.name in ("CZ", "CNOT")
@@ -633,24 +648,12 @@ class _Emitter:
                 )
             self.ledger.record(a, b)
         swaps = self.route_adjacent(a, b)
-        lo = min(self.positions[a], self.positions[b])
-        window = 3 * lo
         if post_selected:
             self.unflip(a)
             self.unflip(b)
-            cz = _cz_layers(self.options.cz_form)
-            if op.name == "CZ":
-                self.emit_layers(cz, window, f"CZ q{a}-q{b}")
-            else:
-                target = b
-                h_top = window + (1 if self.positions[target] == lo else 4)
-                h_layer = _fixed_gate_layers("H", False)
-                self.emit_layers(h_layer, h_top, f"CNOT H q{target}")
-                self.emit_layers(cz, window, f"CNOT q{a}-q{b}")
-                self.emit_layers(h_layer, h_top, f"CNOT H q{target}")
-            self.post_select(lo)
+            self.post_selected_gate(op.name, a, b)
         else:  # logical SWAP
-            self.swap2(lo, f"SWAP q{a}-q{b}")
+            self.swap2(min(self.positions[a], self.positions[b]), f"SWAP q{a}-q{b}")
             # The photons exchange carriers and rail-flip; the logical labels
             # stay with their positions, so the flips cross over.
             fa, fb = self.flips[a], self.flips[b]
@@ -722,21 +725,14 @@ def compile_ghz_swap_variant(
     options = replace(options or CompileOptions(), place=False)
     em = _Emitter(3, options)
     em.single_gate(GateOp("H", (0,)))
-    em.ledger.record(0, 1)
-    h_layer = _fixed_gate_layers("H", False)
     # CNOT(0, 1) on triplets 0-1
-    em.emit_layers(h_layer, 4, "CNOT H q1")
-    em.emit_layers(_cz_layers(options.cz_form), 0, "CNOT q0-q1")
-    em.emit_layers(h_layer, 4, "CNOT H q1")
-    em.post_select(0)
+    em.ledger.record(0, 1)
+    em.post_selected_gate("CNOT", 0, 1)
     # route qubit 2 next to qubit 0; stays there
     em.physical_swap(1, "route q2")
     # CNOT(0, 2): target q2 now at triplet 1, rail-flipped - no correction
     em.ledger.record(0, 2)
-    em.emit_layers(h_layer, 4, "CNOT H q2")
-    em.emit_layers(_cz_layers(options.cz_form), 0, "CNOT q0-q2")
-    em.emit_layers(h_layer, 4, "CNOT H q2")
-    em.post_select(0)
+    em.post_selected_gate("CNOT", 0, 2)
     return em.result()
 
 

@@ -44,6 +44,7 @@ exactly the post-selection failure probability.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -117,11 +118,21 @@ class PostSelectionResult:
 class MeshBlock:
     """One 2x2 device inside a layer: topmost mode index, phases, and a role
     tag naming the gate the device realizes (``"H"``, ``"X"``, ``"R13"``...).
+
+    The fold applies the block through its :class:`_Device`, built from
+    ``setting`` on first use and kept with the block.  Layers share the
+    compiler's cached network blocks, so a fixed network is classified,
+    and its pair rules built, once per process, and a rotation once per
+    gate.
     """
 
     top_mode: int
     setting: MziSetting
     role: str
+
+    @functools.cached_property
+    def _device(self) -> _Device:
+        return _Device(self.setting)
 
 
 @dataclass(frozen=True)
@@ -223,18 +234,9 @@ def _pair_transform(
     return tuple((p, c) for p, c in outputs if abs(c) > PRUNE_THRESHOLD)
 
 
-def _setting_key(setting: MziSetting) -> tuple:
-    """``setting`` as a key of the fold's device cache.  ``MziSetting``
-    compares ``0.0 == -0.0`` (and hashes them alike), so the signs of its
-    zero phases are part of the key: settings that differ only there stay
-    apart."""
-    phases = (setting.theta1, setting.theta2, setting.phi1, setting.phi2,
-              setting.phi3, setting.phi4)
-    return setting, tuple(math.copysign(1.0, v) for v in phases if v == 0.0)
-
-
 class _Device:
-    """One setting as the fold applies it, classified once per fold.
+    """One setting as the fold applies it, classified once per block (see
+    :attr:`MeshBlock._device`).
 
     ``t`` is its substitution ``U^T``.  A device whose diagonal is at most
     :data:`PRUNE_THRESHOLD` (a crossing, ``swaps``) or whose off-diagonal is
@@ -655,22 +657,12 @@ def _fold(
     # and each photon in ``slot`` still owes the unit phase owed[slot].
     pos = list(range(m))
     owed = [1.0 + 0.0j] * m
-    # One device per distinct setting, keyed by value; programs share setting
-    # objects (fixed devices, gate networks), so each object is keyed once.
-    devices: dict[tuple, _Device] = {}
-    seen: dict[int, _Device] = {}
     for step, checks in zip(program.steps, cuts):
         mixed, empty = False, 0
         if isinstance(step, LinearLayer):
             off = step.offset
             for blk in step.blocks:
-                device = seen.get(id(blk.setting))
-                if device is None:
-                    setting_key = _setting_key(blk.setting)
-                    device = devices.get(setting_key)
-                    if device is None:
-                        device = devices[setting_key] = _Device(blk.setting)
-                    seen[id(blk.setting)] = device
+                device = blk._device
                 a = blk.top_mode + off
                 b = a + 1
                 sa, sb = pos[a], pos[b]
@@ -725,8 +717,8 @@ def run_program(program: NetworkProgram, state: PhotonicState) -> PhotonicState:
     """Fold the program steps over ``state`` in order, keeping every term.
 
     Crossings and pure-phase blocks are carried in the fold's frame (see
-    the module docstring), every setting is classified and its rules built
-    once per fold, and the result is sorted once, at the end."""
+    the module docstring), every block is classified and its rules built
+    once, on its first fold, and the result is sorted once, at the end."""
     return _fold(program, state, None)
 
 

@@ -198,6 +198,17 @@ def test_non_finite_angle_is_a_circuit_error(tmp_path, angle):
         assert proc.stderr == "photonmesh: circuit error: RY needs a finite 'angle'\n"
 
 
+def test_angle_on_a_two_qubit_gate_is_a_circuit_error(tmp_path):
+    path = write_circuit(tmp_path, {
+        "qubits": 2, "gates": [{"g": "CZ", "c": 0, "t": 1, "angle": 0.3}],
+    })
+    for command in ("simulate", "compile"):
+        proc = run_cli(command, path)
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr == "photonmesh: circuit error: CZ takes no 'angle'\n"
+
+
 def ghz_chain_file(tmp_path, n):
     return write_circuit(tmp_path, {
         "qubits": n,

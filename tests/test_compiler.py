@@ -88,6 +88,9 @@ def test_parse_circuit_accepts_all_gate_forms():
         {"qubits": 2, "gates": [{"g": "CNOT", "c": 0, "t": 0}]},
         {"qubits": 2, "gates": [{"g": "SWAP", "a": 1, "b": 1}]},
         {"qubits": 2, "gates": [{"g": "FLIP", "q": 0}]},
+        {"qubits": 2, "gates": [{"g": "CZ", "c": 0, "t": 1, "angle": 0.3}]},
+        {"qubits": 2, "gates": [{"g": "CNOT", "c": 0, "t": 1, "angle": 0.3}]},
+        {"qubits": 2, "gates": [{"g": "SWAP", "a": 0, "b": 1, "angle": 0.3}]},
     ],
 )
 def test_parse_circuit_rejects_malformed_input(data):
@@ -323,6 +326,22 @@ def test_ghz_swap_variant_relabeling_and_state():
     raw = fock.dense_amplitudes(raw, 3)
     assert abs(raw[0b011]) == pytest.approx(1 / np.sqrt(2), abs=1e-10)
     assert abs(raw[0b100]) == pytest.approx(1 / np.sqrt(2), abs=1e-10)
+
+
+@pytest.mark.parametrize("cz_form", ["compressed", "swap-sandwich"])
+def test_ghz_swap_variant_emits_two_cnots_around_one_route(cz_form):
+    program = compile_ghz_swap_variant(CompileOptions(cz_form=cz_form)).program
+    cz = len(compiler._cz_layers(cz_form))
+
+    def cnot(t):
+        return [(f"CNOT H q{t}", 4)] + [(f"CNOT q0-q{t}", 0)] * cz + [(f"CNOT H q{t}", 4), (0, 3)]
+
+    swap2 = [("route q2", 3)] * len(compiler._swap2_layers())
+    steps = [
+        (s.label, s.offset) if isinstance(s, fock.LinearLayer) else s.modes
+        for s in program.steps
+    ]
+    assert steps == [("H q0", 1)] + cnot(1) + swap2 + cnot(2)
 
 
 def test_nonadjacent_gate_routes_and_restores():

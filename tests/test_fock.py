@@ -679,34 +679,63 @@ def count_device_builds(monkeypatch) -> list:
     return calls
 
 
-def test_setting_key_keeps_signed_zeros_apart(monkeypatch):
+def test_blocks_of_equal_settings_with_other_zero_signs_get_their_own_devices(monkeypatch):
     plus, minus = MziSetting(0.0, 1.0, 2.0, 3.0), MziSetting(-0.0, 1.0, 2.0, 3.0)
     assert plus == minus and hash(plus) == hash(minus)
-    assert fock._setting_key(plus) != fock._setting_key(minus)
-    assert fock._setting_key(plus) == fock._setting_key(MziSetting(0.0, 1.0, 2.0, 3.0))
     calls = count_device_builds(monkeypatch)
-    settings = (plus, minus, MziSetting(0.0, 1.0, 2.0, 3.0), MziSetting(-0.0, 1.0, 2.0, 3.0))
-    program = NetworkProgram(2, tuple(LinearLayer(2, (MeshBlock(0, s, "U"),)) for s in settings))
+    blocks = (MeshBlock(0, plus, "U"), MeshBlock(0, minus, "U"))
+    assert blocks[0] == blocks[1]
+    program = NetworkProgram(2, tuple(LinearLayer(2, (blk,)) for blk in blocks))
     run_program(program, PhotonicState(2, {(1, 0): 1.0 + 0.0j}))
-    # one device for +0.0 and one for -0.0; the equal settings in new objects reuse them
+    # nothing is keyed by value: each block builds from its own setting object
     assert len(calls) == 2
     assert calls[0] is plus and calls[1] is minus
 
 
-def test_rule_cache_builds_each_unitary_once_and_changes_nothing(monkeypatch):
+def test_each_block_builds_one_device_and_changes_nothing(monkeypatch):
     rng = np.random.default_rng(67)
     m = 5
     mesh = random_mesh(m, rng)
-    # the second pass holds equal settings in new objects
-    again = tuple(
+    # the same block objects again, then equal settings in new objects
+    fresh = tuple(
         tuple(replace(blk, setting=replace(blk.setting)) for blk in blocks) for blocks in mesh
     )
-    program = NetworkProgram(m, tuple(LinearLayer(m, blocks) for blocks in mesh + again))
+    layers = mesh + mesh + fresh
+    program = NetworkProgram(m, tuple(LinearLayer(m, blocks) for blocks in layers))
     state = PhotonicState(m, {(1, 0, 1, 0, 1): 1.0 + 0.0j, (0, 2, 0, 1, 0): 0.5j})
     calls = count_device_builds(monkeypatch)
     folded = run_program(program, state)
-    # one device per distinct setting, built for its first object
-    assert [id(s) for s in calls] == [id(blk.setting) for blocks in mesh for blk in blocks]
-    # the same state as the per-layer folds, each with its own cache, bit for bit
-    per_layer = run_layers(state, mesh + again)
+    # one device per distinct block object, built from its own setting
+    distinct = [blk.setting for blocks in mesh + fresh for blk in blocks]
+    assert len(calls) == len(distinct)
+    assert all(built is setting for built, setting in zip(calls, distinct))
+    # the blocks keep their devices: a second fold builds none
+    refolded = run_program(program, state)
+    assert len(calls) == len(distinct)
+    # the same state as the per-layer folds, bit for bit, key order included
+    per_layer = run_layers(state, layers)
     assert list(folded.terms.items()) == list(per_layer.terms.items())
+    assert list(refolded.terms.items()) == list(folded.terms.items())
+
+
+@pytest.mark.parametrize("cz_form", ["compressed", "swap-sandwich"])
+def test_compiled_programs_build_a_device_per_rotation_only(monkeypatch, cz_form):
+    options = CompileOptions(cz_form=cz_form)
+    ghz = ghz_chain_circuit(4)
+    # three rotations, two of them of one angle, among fixed gates
+    rotated = parse_circuit({"qubits": 3, "gates": [
+        {"g": "H", "q": 0},
+        {"g": "RX", "q": 0, "angle": 0.3},
+        {"g": "CNOT", "c": 0, "t": 2},
+        {"g": "RX", "q": 2, "angle": 0.3},
+        {"g": "T", "q": 1},
+        {"g": "RZ", "q": 1, "angle": -1.2},
+    ]})
+    # warm-up: whatever ran before, the fixed networks have their devices now
+    simulate_circuit(ghz, options=options)
+    simulate_circuit(rotated, options=options)
+    calls = count_device_builds(monkeypatch)
+    simulate_circuit(ghz, options=options)
+    assert calls == []
+    simulate_circuit(rotated, options=options)
+    assert len(calls) == 3
