@@ -372,9 +372,13 @@ def place_in_mesh(
 ) -> MeshAssignment:
     """Greedy earliest-column placement of a program's blocks in a mesh.
 
-    Each block goes into the first column that has a slot at its top mode
-    and is not earlier than any previously placed block sharing one of its
-    modes; blocks of one program layer may spread over several columns.
+    Blocks are placed in program order, each step's in the order it holds
+    them, and ``placements`` lists them in that order.  Each block goes into
+    the first column that has a slot at its top mode and is not earlier
+    than any previously placed block sharing one of its modes; the blocks
+    of one step, a whole gate network, spread over several columns.  The
+    compiler's networks hold each mesh layer's blocks disjoint and in
+    ascending top order, so a layer's blocks land as they would sorted.
     Truncation steps become column markers and act as barriers on their
     modes.  A block finds its column in O(1) from its top's :func:`top_span`,
     so placement costs O(placements + m).
@@ -397,8 +401,9 @@ def place_in_mesh(
             continue
         if not isinstance(step, LinearLayer):
             raise TypeError(f"unknown program step {type(step).__name__}")
-        for blk in sorted(step.blocks, key=lambda b: b.top_mode):
-            lo = blk.top_mode + step.offset
+        off = step.offset
+        for blk in step.blocks:
+            lo = blk.top_mode + off
             hi = lo + 1
             first, last = spans[lo]
             col = max(free[lo], free[hi], first)
@@ -485,38 +490,38 @@ def enumerate_placements(pattern, scheme: str, mode_count: int) -> int:
 
 
 # The networks and fixed devices below never change, so each is built and
-# solved once per process; the cached values are tuples of frozen blocks,
-# and every layer that emits one holds its tuple (gates.layers_to_steps).
+# solved once per process.  A cached network is one tuple of frozen blocks in
+# application order: layer by layer, each layer's blocks disjoint and in
+# ascending top order.  Every emission of it is one program step that holds
+# that tuple (gates.layers_to_steps).
 
 
 @functools.cache
-def _swap2_layers() -> tuple[tuple[MeshBlock, ...], ...]:
-    """Layers of the ``SWAP2`` network."""
-    return gates.swap_networks()["SWAP2"].mzi_layers
+def _swap2_layers() -> tuple[MeshBlock, ...]:
+    """Blocks of the ``SWAP2`` network."""
+    return gates.swap_networks()["SWAP2"].blocks
 
 
 @functools.cache
-def _cz_layers(cz_form: str) -> tuple[tuple[MeshBlock, ...], ...]:
-    """Layers of the CZ network in ``cz_form`` (see :class:`CompileOptions`)."""
+def _cz_layers(cz_form: str) -> tuple[MeshBlock, ...]:
+    """Blocks of the CZ network in ``cz_form`` (see :class:`CompileOptions`)."""
     if cz_form == "compressed":
-        return gates.cz_ps_regular().mzi_layers
+        return gates.cz_ps_regular().blocks
     if cz_form == "swap-sandwich":
         x = gates.device_block
-        bar = gates.cz_ps_nonregular().mzi_layers
+        bar = gates.cz_ps_nonregular().blocks
         return (
-            (x(3, gates.PAULI_X, "X"),),
-            (x(4, gates.PAULI_X, "X"),),
-        ) + bar + (
-            (x(4, gates.PAULI_X, "X"),),
-            (x(3, gates.PAULI_X, "X"),),
+            (x(3, gates.PAULI_X, "X"), x(4, gates.PAULI_X, "X"))
+            + bar
+            + (x(4, gates.PAULI_X, "X"), x(3, gates.PAULI_X, "X"))
         )
     raise ValueError(f"unknown cz_form {cz_form!r}")
 
 
 def _gate_layers(
     name: str, angle: float | None, flipped: bool
-) -> tuple[tuple[MeshBlock, ...], ...]:
-    """The one-block layer of a single-qubit gate on a rail pair at mode 0,
+) -> tuple[MeshBlock, ...]:
+    """The one block of a single-qubit gate on a rail pair at mode 0,
     conjugated by X when the qubit's rails are ``flipped``: an exact
     permutation of the gate's entries, ``(X g X)[j][k] = g[1-j][1-k]``."""
     (g00, g01), (g10, g11) = gates.single_qubit_entries(name, angle)
@@ -524,11 +529,11 @@ def _gate_layers(
     if flipped:
         (g00, g01), (g10, g11) = (g11, g10), (g01, g00)
         role += "*"
-    return ((gates.device_block(0, ((g00, g01), (g10, g11)), role),),)
+    return (gates.device_block(0, ((g00, g01), (g10, g11)), role),)
 
 
 @functools.cache
-def _fixed_gate_layers(name: str, flipped: bool) -> tuple[tuple[MeshBlock, ...], ...]:
+def _fixed_gate_layers(name: str, flipped: bool) -> tuple[MeshBlock, ...]:
     """:func:`_gate_layers` of a gate without an angle, solved once."""
     return _gate_layers(name, None, flipped)
 
@@ -557,14 +562,13 @@ class _Emitter:
         self.component = list(range(qubit_count))
         self.forest = True
 
-    def emit_layers(self, layers, offset: int, label: str) -> None:
-        self.steps.extend(
-            gates.layers_to_steps(layers, self.m, offset=offset, label=label)
-        )
+    def emit(self, blocks: tuple[MeshBlock, ...], offset: int, label: str) -> None:
+        """Append one network, ``blocks`` at ``offset``, as one program step."""
+        self.steps.append(gates.layers_to_steps(blocks, self.m, offset, label))
 
     def swap2(self, p: int, label: str) -> None:
         """Emit ``SWAP2`` on triplets ``p`` and ``p+1``; their photons trade triplets."""
-        self.emit_layers(_swap2_layers(), 3 * p, label)
+        self.emit(_swap2_layers(), 3 * p, label)
         at = self.photon_at
         at[p], at[p + 1] = at[p + 1], at[p]
 
@@ -605,7 +609,7 @@ class _Emitter:
         if not self.flips[q]:
             return
         top = 3 * self.positions[q] + 1
-        self.emit_layers(_fixed_gate_layers("X", False), top, f"unflip q{q}")
+        self.emit(_fixed_gate_layers("X", False), top, f"unflip q{q}")
         self.flips[q] = 0
 
     def single_gate(self, op: GateOp) -> None:
@@ -614,11 +618,11 @@ class _Emitter:
         q = op.qubits[0]
         flipped = bool(self.flips[q])
         if op.angle is None:
-            layers = _fixed_gate_layers(op.name, flipped)
+            blocks = _fixed_gate_layers(op.name, flipped)
         else:
-            layers = _gate_layers(op.name, op.angle, flipped)
+            blocks = _gate_layers(op.name, op.angle, flipped)
         top = 3 * self.positions[q] + 1
-        self.emit_layers(layers, top, f"{op.name} q{q}")
+        self.emit(blocks, top, f"{op.name} q{q}")
 
     def post_selected_gate(self, name: str, a: int, b: int) -> None:
         """Emit ``CZ`` or ``CNOT`` (target ``b``) on the adjacent qubits ``a``
@@ -628,13 +632,13 @@ class _Emitter:
         window = 3 * lo
         cz = _cz_layers(self.options.cz_form)
         if name == "CZ":
-            self.emit_layers(cz, window, f"CZ q{a}-q{b}")
+            self.emit(cz, window, f"CZ q{a}-q{b}")
         else:
             h_top = window + (1 if self.positions[b] == lo else 4)
-            h_layer = _fixed_gate_layers("H", False)
-            self.emit_layers(h_layer, h_top, f"CNOT H q{b}")
-            self.emit_layers(cz, window, f"CNOT q{a}-q{b}")
-            self.emit_layers(h_layer, h_top, f"CNOT H q{b}")
+            h = _fixed_gate_layers("H", False)
+            self.emit(h, h_top, f"CNOT H q{b}")
+            self.emit(cz, window, f"CNOT q{a}-q{b}")
+            self.emit(h, h_top, f"CNOT H q{b}")
         self.post_select(lo)
 
     def two_qubit_gate(self, op: GateOp) -> None:

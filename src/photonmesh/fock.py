@@ -1,10 +1,11 @@
 """Exact few-photon Fock-space simulation of MZI-mesh programs.
 
-States are sparse superpositions of occupation-number vectors.  A program
-layer is its 2x2 blocks, applied in order, and an offset: a block with top
-mode ``t`` acts on modes ``(t + offset, t + offset + 1)``, so every
-placement of a fixed network shares the network's one block tuple (see
-:class:`LinearLayer`).  A block on modes ``(a, a+1)``
+States are sparse superpositions of occupation-number vectors.  A linear
+program step, one whole gate network, is its 2x2 blocks, applied in order,
+and an offset: a block with top mode ``t`` acts on modes
+``(t + offset, t + offset + 1)``, so every placement of a fixed network
+shares the network's one block tuple (see :class:`LinearLayer`).  A block
+on modes ``(a, a+1)``
 whose device unitary is ``U`` substitutes creation operators by ``T = U^T``,
 
     a_{a+j}^dag  ->  sum_k T[j, k] a_{a+k}^dag   (j, k in {0, 1}),
@@ -137,13 +138,15 @@ class MeshBlock:
 
 @dataclass(frozen=True)
 class LinearLayer:
-    """Program step: the 2x2 devices of one mesh layer on ``mode_count``
-    modes, applied in order (see :func:`apply_linear`).
+    """Program step: the 2x2 devices of one gate network on ``mode_count``
+    modes, applied in order (see :func:`apply_linear`).  The compiler emits
+    each network, all of its mesh layers, as one step; a step may equally
+    hold a single mesh layer or a single block.
 
     A block's modes are relative to ``offset``: block ``blk`` acts on modes
-    ``(blk.top_mode + offset, blk.top_mode + offset + 1)``.  So a layer of a
-    fixed network placed at some triplet holds the network's own block
-    tuple, shared by every placement of it, and only the offset differs."""
+    ``(blk.top_mode + offset, blk.top_mode + offset + 1)``.  So a fixed
+    network placed at some triplet holds the network's own block tuple,
+    shared by every placement of it, and only the offset differs."""
 
     mode_count: int
     blocks: tuple[MeshBlock, ...]
@@ -167,7 +170,8 @@ class TruncateAux:
 
 @dataclass(frozen=True)
 class NetworkProgram:
-    """Ordered sequence of linear layers and truncation points."""
+    """Ordered sequence of program steps: linear steps, one per emitted
+    gate network, and truncation points."""
 
     mode_count: int
     steps: tuple[LinearLayer | TruncateAux, ...] = field(default_factory=tuple)
@@ -283,7 +287,7 @@ def _mix(
     owes.  Outputs that meet on one occupation are added in insertion
     order and not pruned."""
     pair = digit << top | digit << bottom
-    outputs: dict[int, tuple[tuple[int, complex], ...]] = {}
+    outputs: dict[int, list[tuple[int, complex]]] = {}
     accum: dict[int, complex] = {}
     get = accum.get
     for key, amp in terms.items():
@@ -295,10 +299,10 @@ def _mix(
         if rule is None:
             na, nb = bits >> top & digit, bits >> bottom & digit
             factor = owed_top**na * owed_bottom**nb
-            rule = outputs[bits] = tuple(
+            rule = outputs[bits] = [
                 ((p << top | (na + nb - p) << bottom) - bits, c * factor)
                 for p, c in device.rule(na, nb)
-            )
+            ]
         for delta, c in rule:
             out = key + delta
             accum[out] = get(out, 0.0) + amp * c
@@ -307,7 +311,7 @@ def _mix(
 
 def apply_linear(state: PhotonicState, layer: LinearLayer) -> PhotonicState:
     """Apply the blocks of ``layer``, in order, to every term of ``state``:
-    the fold (:func:`run_program`) of a one-layer program, materialized on
+    the fold (:func:`run_program`) of a one-step program, materialized on
     return.
 
     Each block rewrites only the occupations of its own mode pair, by the
@@ -315,8 +319,9 @@ def apply_linear(state: PhotonicState, layer: LinearLayer) -> PhotonicState:
     residue.  A crossing or pure-phase block splits no term: the fold
     carries it as a relabeling and a phase per mode.  A term with no photon
     on a pair passes through.  Amplitudes that several terms add to one
-    occupation are pruned at the end of the layer at
-    :data:`PRUNE_THRESHOLD`, and the result is in sorted occupation order.
+    occupation are pruned at :data:`PRUNE_THRESHOLD` once, at the end of the
+    step, so once per gate network in a compiled program, and the result is
+    in sorted occupation order.
     """
     m = state.mode_count
     if layer.mode_count != m:
@@ -612,9 +617,15 @@ def _keep(
         bits = key & watched
         ok = judged.get(bits)
         if ok is None:
-            ok = judged[bits] = all(
-                sum(bits >> s & digit for s in shifts) == count for shifts, count in counted
-            )
+            ok = True
+            for shifts, count in counted:
+                n = 0
+                for s in shifts:
+                    n += bits >> s & digit
+                if n != count:
+                    ok = False
+                    break
+            judged[bits] = ok
         if ok:
             kept[key] = amp
     return kept
@@ -666,15 +677,16 @@ def _fold(
                 a = blk.top_mode + off
                 b = a + 1
                 sa, sb = pos[a], pos[b]
-                if device.units is None:
+                units = device.units
+                if units is None:
                     terms = _mix(
                         terms, device, shift[sa], shift[sb], digit, owed[sa], owed[sb]
                     )
                     owed[sa] = owed[sb] = 1.0 + 0.0j
                     mixed = True
                     continue
-                owed[sa] *= device.units[0]
-                owed[sb] *= device.units[1]
+                owed[sa] *= units[0]
+                owed[sb] *= units[1]
                 if device.swaps:
                     pos[a], pos[b] = sb, sa
         elif isinstance(step, TruncateAux):
@@ -682,11 +694,13 @@ def _fold(
                 empty |= digit << shift[pos[mode]]
         else:
             raise TypeError(f"unknown program step {type(step).__name__}")
-        counted = []
+        counted = [
+            (tuple([shift[pos[mode]] for mode in modes]), count)
+            for modes, count in checks
+            if count
+        ]
         for modes, count in checks:
-            if count:
-                counted.append((tuple(shift[pos[mode]] for mode in modes), count))
-            else:
+            if not count:
                 for mode in modes:
                     empty |= digit << shift[pos[mode]]
         if counted:
@@ -709,7 +723,7 @@ def _fold(
             n = key >> s & digit
             if n:
                 amp *= f**n
-        final[tuple(key >> s & digit for s in order)] = amp
+        final[tuple([key >> s & digit for s in order])] = amp
     return PhotonicState(m, {occ: final[occ] for occ in sorted(final)})
 
 

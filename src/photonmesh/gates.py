@@ -183,6 +183,12 @@ class GateDescriptor:
     def mode_count(self) -> int:
         return self.matrix.shape[0]
 
+    @property
+    def blocks(self) -> tuple[MeshBlock, ...]:
+        """The blocks of ``mzi_layers`` as one tuple in application order:
+        layer by layer, each layer's blocks in its own order."""
+        return tuple(blk for layer in self.mzi_layers for blk in layer)
+
 
 def layer_matrix(
     layer: tuple[MeshBlock, ...], mode_count: int, offset: int = 0
@@ -209,19 +215,20 @@ def layers_matrix(
 
 
 def layers_to_steps(
-    layers: tuple[tuple[MeshBlock, ...], ...],
+    blocks: tuple[MeshBlock, ...],
     mode_count: int,
     offset: int = 0,
     label: str = "",
-) -> list[LinearLayer]:
-    """Turn gate layers into program steps on a wider mode space.
+) -> LinearLayer:
+    """One program step of a whole gate network on a wider mode space.
 
-    Each layer becomes one :class:`LinearLayer` that holds the layer's own
-    block tuple at ``offset``, so its blocks act on ``top_mode + offset``.
-    No block is rebuilt: every emission of a network the compiler caches
-    shares that network's blocks.
+    ``blocks`` is the network as one tuple in application order (see
+    :attr:`GateDescriptor.blocks`); the step holds that tuple itself at
+    ``offset``, so its blocks act on ``top_mode + offset``.  No block is
+    rebuilt: every emission of a network the compiler caches shares that
+    network's one tuple.  This is the compiler's one emission call.
     """
-    return [LinearLayer(mode_count, layer, label, offset) for layer in layers]
+    return LinearLayer(mode_count, blocks, label, offset)
 
 
 def device_block(top: int, device, role: str) -> MeshBlock:

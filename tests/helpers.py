@@ -5,9 +5,10 @@ tests compare two implementations, not one implementation with itself.
 ``random_mesh`` and ``run_layers`` only build and run block programs with
 the package's own types.  ``flat_program`` rebuilds a program's layers
 with their own blocks at absolute modes, the oracle for layers that share
-blocks at an offset.  ``reference_light_cone`` is the full-partition
-light cone that :func:`photonmesh.fock.light_cone`'s checks must agree
-with.
+blocks at an offset.  ``per_layer_program`` cuts each gate-network step
+into one step per mesh layer, the oracle for one step per network.
+``reference_light_cone`` is the full-partition light cone that
+:func:`photonmesh.fock.light_cone`'s checks must agree with.
 ``reference_mzi_unitary`` is the product form of one MZI that the scalar
 device entries of :mod:`photonmesh.linalg` must reproduce.
 ``reference_mesh_unitary`` and ``reference_constraint_residual`` are the
@@ -191,6 +192,37 @@ def flat_program(program: NetworkProgram) -> NetworkProgram:
     )
 
 
+def mesh_layers(blocks: tuple[MeshBlock, ...]) -> list[tuple[MeshBlock, ...]]:
+    """A network's block tuple cut into its mesh layers: a layer ends before
+    the first block that shares a mode with it or has a lower top mode than
+    its last block, so every layer's blocks are disjoint and ascending."""
+    layers, layer, used = [], [], set()
+    for blk in blocks:
+        modes = {blk.top_mode, blk.top_mode + 1}
+        if layer and (modes & used or blk.top_mode < layer[-1].top_mode):
+            layers.append(tuple(layer))
+            layer, used = [], set()
+        layer.append(blk)
+        used |= modes
+    if layer:
+        layers.append(tuple(layer))
+    return layers
+
+
+def per_layer_program(program: NetworkProgram) -> NetworkProgram:
+    """``program`` with every linear step cut into one step per mesh layer
+    (:func:`mesh_layers`), each with the step's label and offset: the
+    one-step-per-layer form of a compiled program."""
+    steps = []
+    for step in program.steps:
+        if not isinstance(step, LinearLayer):
+            steps.append(step)
+            continue
+        for layer in mesh_layers(step.blocks):
+            steps.append(LinearLayer(step.mode_count, layer, step.label, step.offset))
+    return NetworkProgram(program.mode_count, tuple(steps))
+
+
 def split_partition(partition: Partition, modes: tuple[int, ...], count: int) -> Partition:
     """``partition`` with ``modes``, which lie in one block, split out as a
     new block that must hold ``count``; the rest of their block must then
@@ -361,8 +393,9 @@ def reference_mesh_columns(scheme: str, mode_count: int) -> tuple[tuple[int, ...
 
 
 def reference_place_in_mesh(program: NetworkProgram, scheme: str, mode_count: int):
-    """``(placements, truncations)`` of the greedy earliest-column placement,
-    scanning the stored column grid one column at a time; raises
+    """``(placements, truncations)`` of the greedy earliest-column placement
+    of every step's blocks in the order the step holds them, scanning the
+    stored column grid one column at a time; raises
     :class:`PlacementOverflow` with the compiler's message."""
     columns = reference_mesh_columns(scheme, mode_count)
     col_sets = [frozenset(c) for c in columns]
@@ -375,7 +408,7 @@ def reference_place_in_mesh(program: NetworkProgram, scheme: str, mode_count: in
             for m in step.modes:
                 free[m] = max(free[m], after + 1)
             continue
-        for blk in sorted(step.blocks, key=lambda b: b.top_mode):
+        for blk in step.blocks:
             lo = blk.top_mode + step.offset
             hi = lo + 1
             col = max(free[lo], free[hi])

@@ -214,11 +214,11 @@ def test_criterion_08_embedding_counts():
 
     nets = gates.swap_networks()
     for scheme in ("clements", "reck"):
-        steps = gates.layers_to_steps(nets["SWAP2"].mzi_layers, 6)
-        place_in_mesh(NetworkProgram(6, tuple(steps)), scheme, 6)
-    steps = gates.layers_to_steps(nets["SWAP2A"].mzi_layers, 6)
+        step = gates.layers_to_steps(nets["SWAP2"].blocks, 6)
+        place_in_mesh(NetworkProgram(6, (step,)), scheme, 6)
+    step = gates.layers_to_steps(nets["SWAP2A"].blocks, 6)
     with pytest.raises(PlacementOverflow):
-        place_in_mesh(NetworkProgram(6, tuple(steps)), "reck", 6)
+        place_in_mesh(NetworkProgram(6, (step,)), "reck", 6)
 
 
 @criterion(9, "every tabulated MZI setting reproduces its gate matrix", 1.0)

@@ -47,6 +47,8 @@ from helpers import (
     dense_circuit_state,
     flat_program,
     keep_checked,
+    mesh_layers,
+    per_layer_program,
     reference_light_cone,
     reference_mesh_columns,
     reference_place_in_mesh,
@@ -330,18 +332,25 @@ def test_ghz_swap_variant_relabeling_and_state():
 
 @pytest.mark.parametrize("cz_form", ["compressed", "swap-sandwich"])
 def test_ghz_swap_variant_emits_two_cnots_around_one_route(cz_form):
+    # one program step per emitted network, each holding the cached tuple
     program = compile_ghz_swap_variant(CompileOptions(cz_form=cz_form)).program
-    cz = len(compiler._cz_layers(cz_form))
 
     def cnot(t):
-        return [(f"CNOT H q{t}", 4)] + [(f"CNOT q0-q{t}", 0)] * cz + [(f"CNOT H q{t}", 4), (0, 3)]
+        return [(f"CNOT H q{t}", 4), (f"CNOT q0-q{t}", 0), (f"CNOT H q{t}", 4), (0, 3)]
 
-    swap2 = [("route q2", 3)] * len(compiler._swap2_layers())
     steps = [
         (s.label, s.offset) if isinstance(s, fock.LinearLayer) else s.modes
         for s in program.steps
     ]
-    assert steps == [("H q0", 1)] + cnot(1) + swap2 + cnot(2)
+    assert steps == [("H q0", 1)] + cnot(1) + [("route q2", 3)] + cnot(2)
+    networks = {
+        "CNOT q": compiler._cz_layers(cz_form),
+        "route ": compiler._swap2_layers(),
+        "CNOT H": compiler._fixed_gate_layers("H", False),
+    }
+    for step in program.steps:
+        if isinstance(step, fock.LinearLayer) and step.label[:6] in networks:
+            assert step.blocks is networks[step.label[:6]], step.label
 
 
 def test_nonadjacent_gate_routes_and_restores():
@@ -746,21 +755,39 @@ def test_shared_blocks_act_like_absolute_blocks(options):
     assert shifted > 50 and placed >= 1, (shifted, placed)
 
 
+# The mesh layers of each cached network as top modes, one list per layer;
+# a fixed gate is one block at mode 0.
+NETWORK_LAYER_TOPS = {
+    "SWAP2": [[2, 4], [1, 3], [2, 4], [1, 3], [2, 4]],
+    "compressed": [[3], [0, 2, 4], [3]],
+    "swap-sandwich": [[3], [4], [0, 2, 4], [4], [3]],
+}
+
+
+def _cached_networks():
+    fixed_names = [g for g in compiler.SINGLE_QUBIT_GATES if g not in compiler.ROTATION_GATES]
+    networks = {
+        "SWAP2": compiler._swap2_layers(),
+        "compressed": compiler._cz_layers("compressed"),
+        "swap-sandwich": compiler._cz_layers("swap-sandwich"),
+    }
+    for name in fixed_names:
+        for flipped in (False, True):
+            networks[name + "*" * flipped] = compiler._fixed_gate_layers(name, flipped)
+    return networks
+
+
 @pytest.mark.parametrize("options", ALL_OPTIONS, ids=lambda o: f"{o.cz_form}-{o.restore_swaps}")
 def test_network_layers_share_the_cached_blocks(options):
-    # Every SWAP2, CZ and fixed-gate layer holds the compiler's cached block
-    # tuple itself; only a rotation's layer has blocks of its own.
+    # Every SWAP2, CZ and fixed-gate step holds the compiler's cached block
+    # tuple of the whole network itself; only a rotation's step has a block
+    # of its own.
     rng = np.random.default_rng(59)
-    fixed_names = [g for g in compiler.SINGLE_QUBIT_GATES if g not in compiler.ROTATION_GATES]
+    networks = _cached_networks()
     cached = {
-        "swap": compiler._swap2_layers(),
-        "cz": compiler._cz_layers(options.cz_form),
-        "fixed": tuple(
-            layer
-            for name in fixed_names
-            for flipped in (False, True)
-            for layer in compiler._fixed_gate_layers(name, flipped)
-        ),
+        "swap": (networks["SWAP2"],),
+        "cz": (networks[options.cz_form],),
+        "fixed": tuple(b for name, b in networks.items() if name not in NETWORK_LAYER_TOPS),
     }
     kinds = collections.Counter()
     for n in (4, 5, 6):
@@ -777,9 +804,106 @@ def test_network_layers_share_the_cached_blocks(options):
             else:
                 kind = "fixed"
             kinds[kind] += 1
-            shared = [k for k, layers in cached.items() if any(step.blocks is l for l in layers)]
+            shared = [k for k, nets in cached.items() if any(step.blocks is b for b in nets)]
             assert shared == ([] if kind == "rotation" else [kind]), step.label
     assert min(kinds.values()) > 0 and len(kinds) == 4, kinds
+
+
+def _placement(program, scheme):
+    try:
+        assignment = place_in_mesh(program, scheme, program.mode_count)
+    except PlacementOverflow as overflow:
+        return str(overflow)
+    return assignment.placements, assignment.truncations
+
+
+def test_cached_networks_place_in_order_like_sorted_layers():
+    # Placement takes a step's blocks in order, with no sort.  That equals
+    # the sorted per-layer placement because every cached network is its
+    # mesh layers back to back, each layer disjoint and ascending.
+    rng = np.random.default_rng(67)
+    outcomes = collections.Counter()
+    for name, blocks in _cached_networks().items():
+        expected = NETWORK_LAYER_TOPS.get(name, [[0]])
+        assert [[blk.top_mode for blk in layer] for layer in mesh_layers(blocks)] == expected, name
+        for layer in expected:
+            assert all(b - a >= 2 for a, b in zip(layer, layer[1:])), name
+        # the parent's layers: the pinned sizes, each layer sorted on placement
+        cuts = np.cumsum([0] + [len(layer) for layer in expected])
+        parent_layers = [
+            tuple(sorted(blocks[i:j], key=lambda b: b.top_mode)) for i, j in zip(cuts, cuts[1:])
+        ]
+        width = max(blk.top_mode for blk in blocks) + 2
+        for scheme in ("clements", "reck"):
+            for m in (width, width + 3, width + 6):
+                for _ in range(4):
+                    offsets = rng.integers(0, m - width + 1, size=int(rng.integers(1, m)))
+                    steps = [gates.layers_to_steps(blocks, m, int(o), f"net {o}") for o in offsets]
+                    in_order = fock.NetworkProgram(m, tuple(steps))
+                    sorted_layers = fock.NetworkProgram(
+                        m,
+                        tuple(
+                            fock.LinearLayer(m, layer, s.label, s.offset)
+                            for s in steps
+                            for layer in parent_layers
+                        ),
+                    )
+                    outcome = _placement(in_order, scheme)
+                    assert outcome == _placement(sorted_layers, scheme), (name, scheme, m)
+                    outcomes["overflow" if isinstance(outcome, str) else "placed"] += 1
+    assert outcomes["placed"] >= 50 and outcomes["overflow"] >= 50, outcomes
+
+
+def _network_step_circuits(rng):
+    """Routed forests, cyclic circuits, GHZ chains and brickwork."""
+    circuits = [_random_circuit(rng, n, 16, forest=True) for n in (3, 4, 5, 6, 7)]
+    circuits += [_random_circuit(rng, n, 5, forest=True) for n in (2, 3, 4, 5)]
+    circuits += [_random_circuit(rng, n, 12, forest=False) for n in (3, 3, 4, 4)]
+    circuits += [ghz_chain_circuit(n) for n in (2, 3, 6)]
+    circuits += [
+        parse_circuit(brickwork(rng, n, rounds))
+        for n, rounds in ((3, 1), (4, 1), (6, 1), (8, 1), (5, 2), (9, 2), (7, 3), (12, 3))
+    ]
+    return circuits
+
+
+@pytest.mark.parametrize("options", ALL_OPTIONS, ids=lambda o: f"{o.cz_form}-{o.restore_swaps}")
+def test_network_steps_act_like_per_layer_steps(options):
+    # One step per gate network does what one step per mesh layer does:
+    # placement or its overflow message on both schemes, the pruned fold
+    # (key order included) for both forest values, the unpruned fold, and
+    # the product of the step matrices.
+    rng = np.random.default_rng(71)
+    outcomes = collections.Counter()
+    for circuit in _network_step_circuits(rng):
+        program = compile_circuit(circuit, options).program
+        layered = per_layer_program(program)
+        outcomes["layers"] += len(layered.steps) - len(program.steps)
+        for scheme in ("clements", "reck"):
+            outcome = _placement(program, scheme)
+            assert outcome == _placement(layered, scheme)
+            outcomes["overflow" if isinstance(outcome, str) else "placed"] += 1
+        n = circuit.qubit_count
+        layout = fock.QubitLayout(n)
+        for _ in range(2):
+            bits = "".join(str(int(rng.integers(0, 2))) for _ in range(n))
+            state = fock.prepare_computational_basis(bits, layout)
+            for forest in (False, True):
+                network = fock.run_program_pruned(program, state, layout, forest)
+                per_layer = fock.run_program_pruned(layered, state, layout, forest)
+                assert list(network.terms.items()) == list(per_layer.terms.items())
+            if n <= 9:  # the unpruned fold carries every failure term
+                full = fock.run_program(program, state)
+                unpruned = fock.run_program(layered, state)
+                assert list(full.terms.items()) == list(unpruned.terms.items())
+        products = [np.eye(3 * n, dtype=complex), np.eye(3 * n, dtype=complex)]
+        for i, steps in enumerate((program.steps, layered.steps)):
+            for step in steps:
+                if isinstance(step, fock.LinearLayer):
+                    products[i] = products[i] @ step.matrix
+        assert np.allclose(products[0], products[1], rtol=0, atol=1e-12)
+    # every network of more than one layer was cut, and both outcomes occur
+    assert outcomes["layers"] > 300 and min(outcomes["placed"], outcomes["overflow"]) >= 3, outcomes
 
 
 @pytest.mark.parametrize("options", ALL_OPTIONS, ids=lambda o: f"{o.cz_form}-{o.restore_swaps}")
@@ -974,10 +1098,10 @@ def test_place_in_mesh_matches_the_column_scan(scheme, restore):
 
 
 def test_place_single_block_and_identity_slots():
-    steps = gates.layers_to_steps(
-        ((gates.device_block(0, gates.single_qubit_matrix("H"), "H"),),), 3
+    step = gates.layers_to_steps(
+        (gates.device_block(0, gates.single_qubit_matrix("H"), "H"),), 3
     )
-    program = fock.NetworkProgram(3, tuple(steps))
+    program = fock.NetworkProgram(3, (step,))
     assignment = place_in_mesh(program, "clements", 3)
     assert len(assignment.placements) == 1
     placed = assignment.placements[0]
@@ -1064,12 +1188,12 @@ def test_enumerate_placements_counts():
 def test_swap_networks_mesh_compatibility():
     nets = gates.swap_networks()
     for scheme in ("clements", "reck"):
-        steps = gates.layers_to_steps(nets["SWAP2"].mzi_layers, 6)
-        place_in_mesh(fock.NetworkProgram(6, tuple(steps)), scheme, 6)
-    steps = gates.layers_to_steps(nets["SWAP2A"].mzi_layers, 6)
-    place_in_mesh(fock.NetworkProgram(6, tuple(steps)), "clements", 6)
+        step = gates.layers_to_steps(nets["SWAP2"].blocks, 6)
+        place_in_mesh(fock.NetworkProgram(6, (step,)), scheme, 6)
+    step = gates.layers_to_steps(nets["SWAP2A"].blocks, 6)
+    place_in_mesh(fock.NetworkProgram(6, (step,)), "clements", 6)
     with pytest.raises(PlacementOverflow):
-        place_in_mesh(fock.NetworkProgram(6, tuple(steps)), "reck", 6)
+        place_in_mesh(fock.NetworkProgram(6, (step,)), "reck", 6)
 
 
 def test_compile_alias_exists():

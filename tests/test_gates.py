@@ -115,16 +115,16 @@ def test_layer_and_layers_matrix_rebuild_descriptors():
 
 
 def test_layers_to_steps_offsets_blocks():
-    layer = (device_block(0, PAULI_X, "X"),)
-    steps = layers_to_steps((layer,), 5, offset=2, label="shifted")
-    assert len(steps) == 1
-    step = steps[0]
+    # a two-layer network becomes one step holding its block tuple itself
+    blocks = (device_block(0, PAULI_X, "X"), device_block(1, H, "H"))
+    step = layers_to_steps(blocks, 5, offset=2, label="shifted")
     assert step.label == "shifted"
-    assert step.blocks is layer
+    assert step.blocks is blocks
     assert step.offset == 2
-    expected = np.eye(5, dtype=complex)
-    expected[2:4, 2:4] = X.T
-    assert np.allclose(step.matrix, expected, atol=1e-12)
+    first, second = np.eye(5, dtype=complex), np.eye(5, dtype=complex)
+    first[2:4, 2:4] = X.T
+    second[3:5, 3:5] = H.T
+    assert np.allclose(step.matrix, first @ second, atol=1e-12)
 
 
 def test_single_layer_blocks_share_consistent_global_phases():

@@ -11,7 +11,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from photonmesh import fock  # noqa: E402
-from photonmesh.compiler import CompileOptions, parse_circuit, simulate_circuit  # noqa: E402
+from photonmesh.compiler import (  # noqa: E402
+    CompileOptions,
+    compile_circuit,
+    parse_circuit,
+    simulate_circuit,
+)
 
 from helpers import dense_circuit_state, state_fidelity  # noqa: E402
 
@@ -138,3 +143,21 @@ def test_any_circuit_projects_like_the_unpruned_fold(drawn, opts, data):
     assert list(sim.final_state.terms) == list(full.projected_state.terms)
     for occ, amp in full.projected_state.terms.items():
         assert abs(sim.final_state.terms[occ] - amp) < 1e-14
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.booleans(), options, st.data())
+def test_projecting_the_pruned_fold_keeps_every_term(forest_circuit, opts, data):
+    # The pruned fold's last checks already enforce qubit structure, so the
+    # final projection drops no term and keeps the key order, whichever
+    # forest value the fold is given.
+    payload, _ = data.draw(circuits(forest=forest_circuit))
+    circuit = parse_circuit(payload)
+    n = circuit.qubit_count
+    layout = fock.QubitLayout(n)
+    state = fock.prepare_computational_basis(data.draw(basis_input(n)), layout)
+    program = compile_circuit(circuit, opts).program
+    for forest in (False, True):
+        pruned = fock.run_program_pruned(program, state, layout, forest)
+        projected = fock.project_qubit_structure(pruned, layout).projected_state
+        assert list(projected.terms.items()) == list(pruned.terms.items())
