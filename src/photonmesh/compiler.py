@@ -16,26 +16,28 @@ entangling gate are discharged with an explicit X block beforehand
 gate); the final relabeling is applied when decoding measurement
 amplitudes.
 
-Every post-selected gate is followed by truncation of the two auxiliary
-modes it used.  A pair of qubits may share at most one post-selected gate:
-a second one would post-select on photons that are no longer in the
+Every post-selected gate's CZ network is directly followed by truncation
+of the two auxiliary modes it used; a CNOT's trailing H on the target's
+rails comes after the truncation, which acts on aux modes only, so the two
+commute.  A pair of qubits may share at most one post-selected gate: a
+second one would post-select on photons that are no longer in the
 product-form the gate's success accounting assumes, so the compiler
 refuses it (:class:`IllegalCascade`).
 
 Distinct pairs always compile, but exactness has a sharper boundary.  Each
 post-selected gate leaves failure terms in which one operand's rail pair
 is doubly occupied and the other's is empty; truncation removes the aux
-photons but keeps those terms.  The simulator drops them as soon as no
-later layer can rebalance them into one photon per rail pair
-(:func:`fock.run_program_pruned`), which gives the same projection as
-carrying them to the end.  That projection is exact whenever the gates'
-interaction graph over photons (qubit pairs, tracked through any logical
-SWAPs) is a forest.  If a gate closes a cycle, correlated doubled/empty
-terms from earlier gates can meet inside its six-mode window and
-rebalance into a configuration that passes projection, so the decoded
-state and success probability deviate from the ideal circuit.  The
-simulator reports that outcome faithfully rather than rejecting such
-circuits.
+photons but keeps those terms.  On an uncertified circuit (below) the
+simulator drops them as soon as no later layer can rebalance them into one
+photon per rail pair (the light cone of :func:`fock.run_program_pruned`),
+which gives the same projection as carrying them to the end.  That
+projection is exact whenever the gates' interaction graph over photons
+(qubit pairs, tracked through any logical SWAPs) is a forest.  If a gate
+closes a cycle, correlated doubled/empty terms from earlier gates can meet
+inside its six-mode window and rebalance into a configuration that passes
+projection, so the decoded state and success probability deviate from the
+ideal circuit.  The simulator reports that outcome faithfully rather than
+rejecting such circuits.
 
 The compiler proves forest-ness as it emits: a union-find over photons,
 each tracked by its triplet through every ``SWAP2`` (routing, restore and
@@ -46,9 +48,12 @@ certificate.  Inside a forest no failure term a truncation keeps can reach a
 passing configuration: the gate's two sides are joined by that gate alone,
 so no later layer can move a photon from the doubled side to the empty one.
 For a certified circuit the simulator therefore drops those terms at the
-truncation (``fock.run_program_pruned(..., forest=True)``); keys and key
-order of the projection stay the same and amplitudes move by rounding
-only.  Uncertified circuits take the light-cone path alone.
+truncation (``fock.run_program_pruned(..., forest=True)``), and that eager
+cut is its whole filter: every other mixing block acts inside one rail
+pair, so after each cut every term holds one photon per rail pair, and no
+light cone is computed.  Keys and key order of the projection stay those
+of the light-cone path, and amplitudes move by rounding only.  Uncertified
+circuits take the light-cone path alone.
 """
 
 from __future__ import annotations
@@ -247,10 +252,11 @@ class SimulationResult:
     ``{basis index: amplitude}``, one entry per projected term in ascending
     index order (see :func:`decode_logical`); absent basis states have
     amplitude 0.  :attr:`amplitudes` is the dense ``2**n`` vector, built on
-    each access.  ``final_state`` is the light-cone-pruned output state: it
-    holds only the terms that pass the final projection.  Rerun
-    ``fock.run_program`` on ``compile_result.program`` for the full Fock
-    state."""
+    each access.  ``final_state`` is the pruned output state of
+    ``fock.run_program_pruned``: the eager cuts alone for a certified
+    circuit, the light cone otherwise.  Either way it holds only the terms
+    that pass the final projection.  Rerun ``fock.run_program`` on
+    ``compile_result.program`` for the full Fock state."""
 
     sparse_amplitudes: dict[int, complex]
     success_probability: float
@@ -626,20 +632,19 @@ class _Emitter:
 
     def post_selected_gate(self, name: str, a: int, b: int) -> None:
         """Emit ``CZ`` or ``CNOT`` (target ``b``) on the adjacent qubits ``a``
-        and ``b`` as they stand, then post-select it.  A CNOT is the CZ
-        network between two H layers on the target's rails."""
+        and ``b`` as they stand.  A CNOT is the CZ network between two H
+        layers on the target's rails.  The post-selection directly follows
+        the CZ network: the trailing H acts on rails only and the truncation
+        on aux modes only, so the two commute, and no mixing block touches
+        the gate's failure terms before they are cut."""
         lo = min(self.positions[a], self.positions[b])
-        window = 3 * lo
-        cz = _cz_layers(self.options.cz_form)
-        if name == "CZ":
-            self.emit(cz, window, f"CZ q{a}-q{b}")
-        else:
-            h_top = window + (1 if self.positions[b] == lo else 4)
-            h = _fixed_gate_layers("H", False)
-            self.emit(h, h_top, f"CNOT H q{b}")
-            self.emit(cz, window, f"CNOT q{a}-q{b}")
-            self.emit(h, h_top, f"CNOT H q{b}")
+        h_top = 3 * lo + (1 if self.positions[b] == lo else 4)
+        if name == "CNOT":
+            self.emit(_fixed_gate_layers("H", False), h_top, f"CNOT H q{b}")
+        self.emit(_cz_layers(self.options.cz_form), 3 * lo, f"{name} q{a}-q{b}")
         self.post_select(lo)
+        if name == "CNOT":
+            self.emit(_fixed_gate_layers("H", False), h_top, f"CNOT H q{b}")
 
     def two_qubit_gate(self, op: GateOp) -> None:
         a, b = op.qubits

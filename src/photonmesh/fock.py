@@ -487,7 +487,8 @@ def light_cone(
     passes a check ``(modes, count)`` when it holds exactly ``count``
     photons in ``modes``.  A step with no checks can drop no term.  Applied
     after every step, from step 0 on, the checks keep exactly the terms
-    that restricting by the whole partition in force would keep.
+    that restricting by the whole partition in force would keep; with
+    ``forest`` (below), at each truncation and at the end.
 
     A backward union-find pass: it starts from the final projection,
     :func:`qubit_structure`, and, walking the steps in reverse, joins the
@@ -501,22 +502,37 @@ def light_cone(
     blocks keeps each joined group's total, which its term already matched,
     so its checks are the blocks it joins, all but the largest of each
     group, whose count the others fix.  A layer that joins nothing couples
-    modes only inside blocks; any other truncation only removes terms.
-    Blocks are kept as member lists, and a join moves the smaller lists
-    into the largest, so a mode moves at most ``log2(m)`` times for ``m``
-    modes and no partition is built per join.
+    modes only inside blocks; a truncation only removes terms.  Blocks are
+    kept as member lists, and a join moves the smaller lists into the
+    largest, so a mode moves at most ``log2(m)`` times for ``m`` modes and
+    no partition is built per join.
 
-    ``forest`` asserts the compiler's certificate (``CompileResult.forest``):
-    then no failure term that a truncation keeps can ever pass, so each
-    :class:`TruncateAux` checks the rail pair ``(aux + 1, aux + 2)`` of
-    each truncated aux mode for one photon (the eager cut); the rest of the
-    pair's block then holds one fewer, which its total fixes.  Without the
-    certificate the cut would change results outside the forest envelope,
-    so it is off by default.
+    ``forest`` asserts the compiler's certificate (``CompileResult.forest``)
+    and its program shape, on a computational-basis input.  Then no failure
+    term that a truncation keeps can ever pass, so each :class:`TruncateAux`
+    checks the rail pair ``(aux + 1, aux + 2)`` of each truncated aux mode
+    for one photon (the eager cut), and every other step has no checks:
+    one forward pass, no union-find.  The eager cuts are the whole filter
+    because every mixing block of a compiled program lies inside one rail
+    pair or inside a post-selected window that the very next step
+    truncates.  After each cut every term has one photon per rail pair and
+    none in aux, which rail-pair gates and ``SWAP2`` keep.  So the
+    union-find checks could drop terms only after a CZ network, and those
+    are the terms the next step drops, with no mixing in between: the fold
+    gives the same result with them or without them, bit for bit.
+    Without the certificate the cut would change results outside the
+    forest envelope, so it is off by default.
     """
     if program.mode_count != layout.mode_count:
         raise ValueError(
             f"program has {program.mode_count} modes, layout needs {layout.mode_count}"
+        )
+    if forest:
+        return tuple(
+            tuple(((aux + 1, aux + 2), 1) for aux in step.modes)
+            if isinstance(step, TruncateAux)
+            else ()
+            for step in program.steps
         )
     seed = qubit_structure(layout)
     block = list(seed.labels)  # block[mode]: the block holding ``mode``
@@ -528,20 +544,10 @@ def light_cone(
     after: list[tuple[Check, ...]] = []
     for i in reversed(range(len(program.steps))):
         step, checks = program.steps[i], ()
-        if forest and isinstance(step, TruncateAux):
-            checks = tuple(((aux + 1, aux + 2), 1) for aux in step.modes)
         if i == 0:
-            # every block, with the eager cut's rail pairs split out
-            count = {label: required[label] for label in members}
-            split = set()
-            for modes, n in checks:
-                count[block[modes[0]]] -= n
-                split.update(modes)
-            rest = (
-                (tuple(sorted(m for m in modes if m not in split)), count[label])
-                for label, modes in members.items()
+            checks = tuple(
+                sorted((tuple(sorted(modes)), required[label]) for label, modes in members.items())
             )
-            checks = tuple(sorted(checks + tuple(c for c in rest if c != ((), 0))))
         elif isinstance(step, LinearLayer):
             off = step.offset
             for blk in step.blocks:
@@ -757,13 +763,17 @@ def run_program_pruned(
     the same order.  The test is only a necessary condition, so circuits
     outside the forest envelope keep their deviating output.
 
-    ``forest`` (pass the compiler's certificate, ``CompileResult.forest``)
-    adds the eager cut: each truncation also drops the failure terms of its
-    gate, the terms without exactly one photon in each operand rail pair.
-    Those terms never pass, but their descendants can meet kept terms'
-    descendants on one occupation and add what is zero in exact arithmetic
-    only, so the projection keeps its keys and order while amplitudes may
-    differ by rounding (about 1e-16).
+    ``forest`` asserts the compiler's certificate (pass
+    ``CompileResult.forest``) and its program shape, on a
+    computational-basis input (see :func:`light_cone`).  The eager cut then
+    replaces the light cone: each truncation drops the failure terms of its
+    gate, the terms without exactly one photon in each operand rail pair,
+    and no other step checks anything.  Those terms never pass, but their
+    descendants can meet kept terms' descendants on one occupation and add
+    what is zero in exact arithmetic only, so the projection keeps the
+    light-cone path's keys and order while amplitudes may differ by
+    rounding (about 1e-16).  The result, too, holds only terms that pass
+    the projection.
     """
     return _fold(program, state, light_cone(program, layout, forest))
 

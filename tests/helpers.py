@@ -246,7 +246,9 @@ def reference_light_cone(
     again after every layer that joins blocks.  The entry is given after
     step 0, after every joining layer and, with ``forest``, after every
     truncation, with each truncated aux mode's rail pair split out as a
-    block that must hold one photon.
+    block that must hold one photon.  With ``forest`` the package's cone is
+    the eager cuts alone, which agree with these partitions at the
+    truncations and at the end of a compiled program.
     """
     m = layout.mode_count
     seed = qubit_structure(layout)

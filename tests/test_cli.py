@@ -485,6 +485,28 @@ def blas_forest(seed: int) -> dict:
     }
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "simulate_golden.json")
+
+
+def test_simulate_prints_the_pinned_bytes(tmp_path):
+    # The stdout of `simulate --format json` and `--format tsv`, pinned byte
+    # for byte, rounding included, on GHZ chains n = 2..10, seeded routed
+    # forests over both cz_forms and both restore_swaps values (half with an
+    # --input), the uncertified triangle and a repeated photon pair.  The
+    # file holds each circuit and flags with the bytes these same calls
+    # printed at commit b3131e1.
+    with open(GOLDEN, encoding="utf-8") as fh:
+        cases = json.load(fh)["cases"]
+    assert len(cases) == 24
+    assert sum('"forest": false' in case["json"] for case in cases) == 3
+    for case in cases:
+        path = write_circuit(tmp_path, case["circuit"])
+        for fmt in ("json", "tsv"):
+            proc = run_cli("simulate", path, *case["flags"], "--format", fmt)
+            assert (proc.returncode, proc.stderr) == (0, ""), case["name"]
+            assert proc.stdout == case[fmt], (case["name"], fmt)
+
+
 @pytest.mark.skipif(
     "openblas" not in numpy_blas_name().lower(), reason="numpy is not built on OpenBLAS"
 )

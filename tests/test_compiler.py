@@ -332,11 +332,12 @@ def test_ghz_swap_variant_relabeling_and_state():
 
 @pytest.mark.parametrize("cz_form", ["compressed", "swap-sandwich"])
 def test_ghz_swap_variant_emits_two_cnots_around_one_route(cz_form):
-    # one program step per emitted network, each holding the cached tuple
+    # one program step per emitted network, each holding the cached tuple;
+    # each CNOT is post-selected right after its CZ network, before the H
     program = compile_ghz_swap_variant(CompileOptions(cz_form=cz_form)).program
 
     def cnot(t):
-        return [(f"CNOT H q{t}", 4), (f"CNOT q0-q{t}", 0), (f"CNOT H q{t}", 4), (0, 3)]
+        return [(f"CNOT H q{t}", 4), (f"CNOT q0-q{t}", 0), (0, 3), (f"CNOT H q{t}", 4)]
 
     steps = [
         (s.label, s.offset) if isinstance(s, fock.LinearLayer) else s.modes
@@ -632,7 +633,9 @@ def test_light_cone_checks_keep_what_the_full_partition_keeps(forest):
     # Replayed step by step, each entry's checks keep exactly the keys, in
     # the same order, that the full partition in force keeps, on routed
     # forest circuits and on cycle-closing ones; so does the fold, run to
-    # that entry.
+    # that entry.  With ``forest`` the checks are the eager cuts alone, at
+    # the truncations: there, and at the end, they keep what the full
+    # partition keeps.
     rng = np.random.default_rng(31)
     cyclic = dropped = checked_modes = full_modes = 0
     for case in range(24):
@@ -649,7 +652,12 @@ def test_light_cone_checks_keep_what_the_full_partition_keeps(forest):
         start = fock.prepare_computational_basis(bits, layout)
         cone = fock.light_cone(program, layout, forest)
         reference = reference_light_cone(program, layout, forest)
-        assert [bool(checks) for checks in cone] == [p is not None for p in reference]
+        if forest:
+            truncations = [isinstance(step, fock.TruncateAux) for step in program.steps]
+            assert [bool(checks) for checks in cone] == truncations
+            assert all(p is not None for p, cut in zip(reference, truncations) if cut)
+        else:
+            assert [bool(checks) for checks in cone] == [p is not None for p in reference]
         state = start
         for i, (step, checks, partition) in enumerate(zip(program.steps, cone, reference)):
             if isinstance(step, fock.LinearLayer):
@@ -657,7 +665,7 @@ def test_light_cone_checks_keep_what_the_full_partition_keeps(forest):
             else:
                 state = fock.truncate_aux(state, step.modes)
             kept = keep_checked(state, checks)
-            if partition is not None:
+            if partition is not None and (checks or not forest):
                 full = partition.restrict(state)
                 assert list(kept.terms) == list(full.terms)
                 dropped += len(state.terms) - len(full.terms)
@@ -672,6 +680,8 @@ def test_light_cone_checks_keep_what_the_full_partition_keeps(forest):
                 assert list(folded.terms) == list(state.terms)
         pruned = fock.run_program_pruned(program, start, layout, forest)
         assert list(pruned.terms) == list(state.terms)
+        final = fock.qubit_structure(layout).restrict(state)
+        assert list(final.terms) == list(state.terms)
         entanglers = [op.qubits for op in circuit.gates if op.name in ("CZ", "CNOT")]
         cyclic += len(entanglers) >= n
     assert cyclic >= 4  # cycle-closing circuits must actually occur
@@ -965,6 +975,35 @@ def test_certified_runs_match_the_light_cone_path():
         for occ, amp in cone.terms.items():
             assert abs(sim.final_state.terms[occ] - amp) < 1e-14
     assert min(seen.values()) >= 12, seen
+
+
+@pytest.mark.parametrize("options", ALL_OPTIONS, ids=lambda o: f"{o.cz_form}-{o.restore_swaps}")
+def test_every_truncation_directly_follows_its_cz_network(options):
+    # The precondition of the forest cone's eager cuts (fock.light_cone):
+    # no step, not even a CNOT's trailing H, lies between a CZ network and
+    # the truncation of its window's two aux modes.
+    rng = np.random.default_rng(83)
+    circuits = [_random_circuit(rng, n, 16, forest=n % 2 == 0) for n in (3, 4, 5, 6, 7) * 2]
+    circuits += [ghz_chain_circuit(n) for n in (2, 5)]
+    circuits += [parse_circuit(brickwork(rng, n, 2)) for n in (4, 7)]
+    programs = [compile_circuit(circuit, options).program for circuit in circuits]
+    programs.append(compile_ghz_swap_variant(options).program)
+    cz = compiler._cz_layers(options.cz_form)
+    labels = collections.Counter()
+    for program in programs:
+        steps = program.steps
+        for i, step in enumerate(steps):
+            if isinstance(step, fock.LinearLayer):
+                labels[step.label.split()[0]] += 1
+            if isinstance(step, fock.TruncateAux):
+                network = steps[i - 1]
+                assert i > 0 and isinstance(network, fock.LinearLayer), i
+                assert network.blocks is cz, network.label
+                assert step.modes == (network.offset, network.offset + 3)
+            elif isinstance(step, fock.LinearLayer) and step.blocks is cz:
+                assert isinstance(steps[i + 1], fock.TruncateAux), step.label
+    # every kind of step occurs: CNOTs, CZs, routing and logical SWAPs
+    assert min(labels[kind] for kind in ("CNOT", "CZ", "route", "SWAP")) >= 3, labels
 
 
 def test_simulate_final_state_is_pruned_to_projectable_terms():

@@ -515,11 +515,11 @@ def test_light_cone_of_a_long_chain_moves_small_blocks_into_large():
     layout = QubitLayout(n)
     program = compile_circuit(ghz_chain_circuit(n), CompileOptions(place=False)).program
     start = time.perf_counter()
-    cone = light_cone(program, layout, forest=True)
+    cone = light_cone(program, layout, forest=False)
     elapsed = time.perf_counter() - start
     assert len(cone) == len(program.steps)
-    # after the input, only the blocks joined to the chain and the eager
-    # cut's rail pairs are checked, never the chain's own block
+    # after the input, only the blocks joined to the chain are checked,
+    # never the chain's own block
     later = [modes for checks in cone[1:] for modes, _ in checks]
     assert max(map(len, later)) == 2
     assert sum(map(len, later)) < 10 * n
@@ -564,13 +564,15 @@ def test_forest_light_cone_splits_the_rail_pairs_at_each_truncation():
     eager = light_cone(program, layout, forest=True)
     full_plain = reference_light_cone(program, layout)
     full_eager = reference_light_cone(program, layout, forest=True)
+    assert len(eager) == len(program.steps)
     truncations = 0
     held = None  # the plain partition in force: an entry of None keeps it
     entries = zip(program.steps, plain, eager, full_plain, full_eager)
     for step, before, after, full_before, full_after in entries:
         held = full_before or held
         if not isinstance(step, TruncateAux):
-            assert after == before
+            # the eager cuts are the whole forest cone
+            assert after == ()
             assert full_after == full_before
             continue
         assert before == () and full_before is None
@@ -585,15 +587,6 @@ def test_forest_light_cone_splits_the_rail_pairs_at_each_truncation():
             label = full_after.labels[aux + 1]
             assert full_after.labels.count(label) == 2 and full_after.required[label] == 1
     assert truncations == 2
-    # a certified truncation at step 0 checks every block, with its rail
-    # pairs split out of the block a later layer joins them into
-    joined = LinearLayer(6, (MeshBlock(2, BS_SETTING, "BS"),))
-    program = NetworkProgram(6, (TruncateAux((0,)), joined))
-    first = light_cone(program, QubitLayout(2), forest=True)[0]
-    assert first == (((0,), 0), ((1, 2), 1), ((3,), 0), ((4, 5), 1))
-    full_first = reference_light_cone(program, QubitLayout(2), forest=True)[0]
-    assert full_first.labels == (0, 3, 3, 1, 2, 2)
-    assert first == partition_checks(full_first)
 
 
 def test_certified_fold_keeps_one_ninth_per_truncation():
