@@ -175,14 +175,18 @@ def test_mzi_stack_equals_scalar_calls():
 def test_mesh_unitary_matches_embedded_mzi_blocks():
     rng = np.random.default_rng(8)
     params = rng.uniform(0.0, 2.0 * np.pi, size=(12, 16))
-    stack = analysis._mesh_unitary(params)
+
+    def mesh(rows):
+        return analysis._mesh_product(*analysis._mesh_parts(rows))
+
+    stack = mesh(params)
     assert stack.shape == (12, 4, 4)
     for k, row in enumerate(params):
         u = stack[k]
         assert np.allclose(u, reference_mesh_unitary(row, analysis._SLOT_TOPS), atol=1e-12)
         assert np.allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
         # a stack of rows is the row-by-row calls, bit for bit
-        assert np.array_equal(u, analysis._mesh_unitary(params[k : k + 1])[0])
+        assert np.array_equal(u, mesh(params[k : k + 1])[0])
 
 
 def test_process_fidelity_stack_equals_slices():
@@ -190,7 +194,7 @@ def test_process_fidelity_stack_equals_slices():
     maps = rng.normal(size=(40, 4, 4)) + 1j * rng.normal(size=(40, 4, 4))
     maps[7] = 0.0
     params = rng.uniform(0.0, 2.0 * np.pi, size=(40, 16))
-    search_maps = analysis._conditional_map(analysis._mesh_unitary(params))
+    search_maps = analysis._conditional_map(analysis._mesh_product(*analysis._mesh_parts(params)))
     other = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     for stack in (maps, search_maps):
         for target in (CZ_TARGET, np.eye(4, dtype=complex), other):
@@ -206,7 +210,7 @@ def test_evaluate_computes_the_power_once(monkeypatch):
     # One _power per evaluated stack, and still one process_fidelity call:
     # the benchmark's trace counts those calls as evaluations.
     params = np.random.default_rng(9).uniform(0.0, 2.0 * np.pi, size=(6, 16))
-    maps = analysis._conditional_map(analysis._mesh_unitary(params))
+    maps = analysis._conditional_map(analysis._mesh_product(*analysis._mesh_parts(params)))
     fid, power = process_fidelity(maps, CZ_TARGET), analysis._power(maps)
     calls = []
 
@@ -223,6 +227,43 @@ def test_evaluate_computes_the_power_once(monkeypatch):
     assert sorted(calls) == ["_power", "process_fidelity"]
     assert got_fid.tolist() == fid.tolist()
     assert got_succ.tolist() == (power / 4.0).tolist()
+
+
+def test_cached_parts_score_like_a_full_recompute():
+    # A candidate one coordinate away from a cached point is scored from
+    # the point's blocks and phase factors; that must equal a full
+    # recompute of its parameter row, bit for bit.
+    rng = np.random.default_rng(12)
+    points = rng.uniform(0.0, 2.0 * np.pi, size=(7, 16))
+    blocks, phases = analysis._mesh_parts(points)
+    rows = points.tolist()
+
+    def check(owner, coords, values):
+        cands = points[owner]
+        cands[np.arange(len(owner)), coords] = values
+        parts = analysis._candidate_parts(blocks, phases, rows, owner, coords, values)
+        full = analysis._mesh_parts(cands)
+        assert all(np.array_equal(a, b) for a, b in zip(parts, full))
+        fid, succ = analysis._evaluate_parts(*parts, CZ_TARGET)
+        want_fid, want_succ = analysis._evaluate(cands, CZ_TARGET)
+        assert fid.tolist() == want_fid.tolist()
+        assert succ.tolist() == want_succ.tolist()
+
+    # Both signs of every coordinate of every point, as one batch per point
+    # and one candidate at a time.
+    for r, row in enumerate(rows):
+        step = rng.uniform(1e-4, 0.8)
+        coords = [i for i in range(16) for _ in (0, 1)]
+        values = [row[i] + d for i in range(16) for d in (step, -step)]
+        check([r] * 32, coords, values)
+        for i, v in zip(coords, values):
+            check([r], [i], [v])
+    # Batches of mixed points and coordinates, K = 1 to 64.
+    for k in range(1, 65):
+        owner = rng.integers(0, len(rows), size=k).tolist()
+        coords = rng.integers(0, 16, size=k).tolist()
+        values = [rows[r][i] + d for r, i, d in zip(owner, coords, rng.uniform(-0.8, 0.8, k))]
+        check(owner, coords, values)
 
 
 def test_constraint_residual_broadcasts_like_scalar_calls():
@@ -259,9 +300,12 @@ def test_constraint_residual_stops_at_the_fixed_point():
     )
 
 
-def _sequential_descent(restarts, seed, target, max_sweeps):
+def _sequential_descent(restarts, seed, target, max_sweeps, skips=None):
     """The descent one restart and one candidate at a time, each candidate
-    scored as a stack of one: (best fidelity, success, parameters)."""
+    scored as a stack of one: (best fidelity, success, parameters).
+
+    ``skips``, if given, collects for every move the number of coordinates
+    its sweep tried without moving since the sweep began or last moved."""
     rng = np.random.default_rng(seed)
     floor = analysis._SUCCESS_FLOOR
     best = (0.0, 0.0, tuple([0.0] * 16))
@@ -279,6 +323,7 @@ def _sequential_descent(restarts, seed, target, max_sweeps):
         step = 0.8
         for _sweep in range(max_sweeps):
             improved = False
+            passed = 0
             for i in range(16):
                 for delta in (step, -step):
                     cand = params.copy()
@@ -287,7 +332,11 @@ def _sequential_descent(restarts, seed, target, max_sweeps):
                     if sc > current:
                         params, current = cand, sc
                         improved = True
+                        if skips is not None:
+                            skips.append(passed)
+                        passed = -1
                         break
+                passed += 1
             if not improved:
                 step *= 0.5
                 if step < 1e-4:
@@ -295,17 +344,44 @@ def _sequential_descent(restarts, seed, target, max_sweeps):
     return best
 
 
-@pytest.mark.parametrize(
-    "restarts, seed, target, max_sweeps",
-    [(2, 4, CZ_TARGET, 200), (2, 1, np.eye(4), 30), (5, 9, CZ_TARGET, 3)],
-)
-def test_lockstep_descent_walks_the_sequential_path(restarts, seed, target, max_sweeps):
-    report = search_cz_in_4x4(restarts, seed, target, max_sweeps)
-    assert (
+def _report_best(report):
+    return (
         report.best_process_fidelity,
         report.best_success_probability,
         report.best_parameters,
-    ) == _sequential_descent(restarts, seed, np.asarray(target, dtype=complex), max_sweeps)
+    )
+
+
+@pytest.mark.parametrize(
+    "restarts, seed, target, max_sweeps",
+    [
+        (2, 4, CZ_TARGET, 200),
+        (2, 1, np.eye(4), 30),
+        (5, 9, CZ_TARGET, 3),
+        (1, 7, CZ_TARGET, 200),  # one restart
+        (4, 2, CZ_TARGET, 0),  # start points only
+    ],
+)
+def test_lockstep_descent_walks_the_sequential_path(restarts, seed, target, max_sweeps):
+    report = search_cz_in_4x4(restarts, seed, target, max_sweeps)
+    assert _report_best(report) == _sequential_descent(
+        restarts, seed, np.asarray(target, dtype=complex), max_sweeps
+    )
+    # The report holds a copy of the best row, in Python floats.
+    assert type(report.best_parameters) is tuple
+    assert all(type(x) is float for x in _report_best(report)[:2] + report.best_parameters)
+
+
+@pytest.mark.parametrize("restarts, seed, max_sweeps", [(2, 1, 2), (3, 4, 2)])
+def test_lockstep_descent_walks_past_windows_without_a_move(restarts, seed, max_sweeps):
+    # Some sweep tries a whole window or more before it moves: a tick scores
+    # the restart and leaves it in place, and the next tick goes on from the
+    # first unscored coordinate.  (2, 1, 2) moves at the first coordinate
+    # after a full window, (3, 4, 2) only after two windows.
+    skips = []
+    best = _sequential_descent(restarts, seed, CZ_TARGET, max_sweeps, skips=skips)
+    assert max(skips) >= analysis._WINDOW
+    assert _report_best(search_cz_in_4x4(restarts, seed, CZ_TARGET, max_sweeps)) == best
 
 
 @pytest.mark.parametrize(
