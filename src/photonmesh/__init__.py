@@ -21,8 +21,6 @@ from .linalg import (
     check_unitary,
     embed_block,
     equal_mod_global_phase,
-    extended_mzi_unitary,
-    mzi_unitary,
     permanent,
     phase_shifter,
     solve_mzi_settings,
@@ -89,8 +87,6 @@ __all__ = [
     "check_unitary",
     "embed_block",
     "equal_mod_global_phase",
-    "extended_mzi_unitary",
-    "mzi_unitary",
     "permanent",
     "phase_shifter",
     "solve_mzi_settings",

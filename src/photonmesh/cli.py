@@ -92,21 +92,15 @@ def _load_circuit(path: str) -> compiler.CircuitIR:
     return compiler.parse_circuit(data)
 
 
-def _options(args) -> compiler.CompileOptions:
+def _options(args, **placement) -> compiler.CompileOptions:
     return compiler.CompileOptions(
-        scheme=args.scheme,
         cz_form=args.cz_form,
         restore_swaps=not args.no_restore_swaps,
+        **placement,
     )
 
 
 def _add_compile_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--scheme",
-        choices=("clements", "reck"),
-        default="clements",
-        help="mesh geometry (default: clements)",
-    )
     p.add_argument(
         "--cz-form",
         dest="cz_form",
@@ -207,7 +201,7 @@ def cmd_compile(args) -> int:
     (:meth:`compiler.MeshAssignment.phase_table`) with the qubit layout;
     ``slots_used`` is the number of listed slots."""
     circuit = _load_circuit(args.circuit)
-    result = compiler.compile_circuit(circuit, _options(args))
+    result = compiler.compile_circuit(circuit, _options(args, scheme=args.scheme))
     table = result.assignment.phase_table()
     table["qubit_count"] = result.qubit_count
     table["positions"] = list(result.positions)
@@ -426,6 +420,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile = sub.add_parser("compile", help="lower a circuit to a mesh phase table")
     p_compile.add_argument("circuit", help="circuit JSON file")
     p_compile.add_argument("--output", help="write the table here instead of stdout")
+    p_compile.add_argument(
+        "--scheme",
+        choices=("clements", "reck"),
+        default="clements",
+        help="mesh geometry (default: clements)",
+    )
     _add_compile_flags(p_compile)
     _add_format_flag(p_compile)
     p_compile.set_defaults(func=cmd_compile)

@@ -193,24 +193,15 @@ class GateDescriptor:
 def layer_matrix(
     layer: tuple[MeshBlock, ...], mode_count: int, offset: int = 0
 ) -> np.ndarray:
-    """Dense substitution matrix of one layer of blocks, applied in order,
-    each block on modes ``(top_mode + offset, top_mode + offset + 1)`` (see
-    :class:`~photonmesh.fock.LinearLayer`); the one builder of layer
-    matrices, which programs do not store."""
+    """Dense substitution matrix of a block sequence, applied in order, each
+    block on modes ``(top_mode + offset, top_mode + offset + 1)`` (see
+    :class:`~photonmesh.fock.LinearLayer`); the one builder of dense block
+    matrices, which programs do not store.  A layered network is the
+    sequence of its :attr:`GateDescriptor.blocks`."""
     out = np.eye(mode_count, dtype=complex)
     for blk in layer:
         device = setting_unitary(blk.setting)
         out = out @ embed_block(device.T, blk.top_mode + offset + 1, mode_count)
-    return out
-
-
-def layers_matrix(
-    layers: tuple[tuple[MeshBlock, ...], ...], mode_count: int
-) -> np.ndarray:
-    """Substitution matrix of a layer sequence (earliest layer leftmost)."""
-    out = np.eye(mode_count, dtype=complex)
-    for layer in layers:
-        out = out @ layer_matrix(layer, mode_count)
     return out
 
 
@@ -245,13 +236,7 @@ def _descriptor(
     layers: tuple[tuple[MeshBlock, ...], ...],
     truncate_after: bool = False,
 ) -> GateDescriptor:
-    built = layers_matrix(layers, matrix.shape[0])
-    deviation = float(np.max(np.abs(built - matrix)))
-    if deviation > 1e-9:
-        raise ValueError(
-            f"{name}: block decomposition deviates from matrix by {deviation:.3e}"
-        )
-    return GateDescriptor(
+    desc = GateDescriptor(
         name=name,
         arity=arity,
         matrix=np.asarray(matrix, dtype=complex),
@@ -259,6 +244,13 @@ def _descriptor(
         mzi_layers=layers,
         truncate_after=truncate_after,
     )
+    built = layer_matrix(desc.blocks, desc.mode_count)
+    deviation = float(np.max(np.abs(built - desc.matrix)))
+    if deviation > 1e-9:
+        raise ValueError(
+            f"{name}: block decomposition deviates from matrix by {deviation:.3e}"
+        )
+    return desc
 
 
 def single_qubit_descriptor(gate: str, angle: float | None = None) -> GateDescriptor:

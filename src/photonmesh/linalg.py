@@ -96,50 +96,32 @@ def _expi(x: float) -> complex:
     return complex(math.cos(x), math.sin(x))
 
 
-def _setting_entries(
-    setting: MziSetting, extended: bool | None = None
-) -> tuple[complex, complex, complex, complex]:
+def _setting_entries(setting: MziSetting) -> tuple[complex, complex, complex, complex]:
     """Entries ``(u00, u01, u10, u11)`` of the device unitary of ``setting``,
     in Python scalars: the one source of every MZI matrix in the package.
 
     ``BS . PS(theta1, theta2) . BS`` is ``[[d, o], [o, -d]]`` with
     ``d = (e1 - e2)/2`` and ``o = i(e1 + e2)/2``; the input phases scale
-    its columns and the output phases its rows.  ``extended`` defaults to
-    ``setting.is_extended``: ``False`` ignores the output phases and
-    ``True`` reads a missing one as 0.
+    its columns and, for an extended setting, the output phases its rows
+    (a missing ``phi4`` reads as 0).
     """
     e1, e2 = _expi(setting.theta1), _expi(setting.theta2)
     d = complex(0.5 * (e1.real - e2.real), 0.5 * (e1.imag - e2.imag))
     o = complex(-0.5 * (e1.imag + e2.imag), 0.5 * (e1.real + e2.real))
     f1, f2 = _expi(setting.phi1), _expi(setting.phi2)
     u00, u01, u10, u11 = d * f1, o * f2, o * f1, -d * f2
-    if extended is None:
-        extended = setting.is_extended
-    if not extended:
+    if not setting.is_extended:
         return u00, u01, u10, u11
-    g3 = _expi(0.0 if setting.phi3 is None else setting.phi3)
+    g3 = _expi(setting.phi3)
     g4 = _expi(0.0 if setting.phi4 is None else setting.phi4)
     return g3 * u00, g3 * u01, g4 * u10, g4 * u11
 
 
-def _as_array(entries: tuple[complex, complex, complex, complex]) -> np.ndarray:
-    u00, u01, u10, u11 = entries
-    return np.array(((u00, u01), (u10, u11)), dtype=complex)
-
-
-def mzi_unitary(setting: MziSetting) -> np.ndarray:
-    """2x2 unitary of a plain MZI (output phases of ``setting`` ignored)."""
-    return _as_array(_setting_entries(setting, extended=False))
-
-
-def extended_mzi_unitary(setting: MziSetting) -> np.ndarray:
-    """2x2 unitary of an MZI followed by output phases ``(phi3, phi4)``."""
-    return _as_array(_setting_entries(setting, extended=True))
-
-
 def setting_unitary(setting: MziSetting) -> np.ndarray:
-    """Unitary realized by ``setting``, extended or plain as appropriate."""
-    return _as_array(_setting_entries(setting))
+    """The 2x2 device unitary of ``setting`` as an array: the output phases
+    apply exactly when the setting is extended."""
+    u00, u01, u10, u11 = _setting_entries(setting)
+    return np.array(((u00, u01), (u10, u11)), dtype=complex)
 
 
 def embed_block(block: np.ndarray, k: int, m: int) -> np.ndarray:

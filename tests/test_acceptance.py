@@ -193,7 +193,7 @@ def test_criterion_07_oracle_equivalence():
             occ[int(rng.integers(0, m))] += 1
         occ = tuple(occ)
         mesh = random_mesh(m, rng)
-        u = gates.layers_matrix(mesh, m)
+        u = gates.layer_matrix(sum(mesh, ()), m)
         out = run_layers(PhotonicState(m, {occ: 1.0 + 0.0j}), mesh)
         for combo in itertools.combinations_with_replacement(range(m), photons):
             target = [0] * m

@@ -18,7 +18,7 @@ from photonmesh.analysis import (
     process_fidelity,
     search_cz_in_4x4,
 )
-from photonmesh.linalg import MziSetting, mzi_unitary
+from photonmesh.linalg import MziSetting, setting_unitary
 
 from helpers import numpy_blas_name, reference_constraint_residual, reference_mesh_unitary
 
@@ -158,7 +158,7 @@ def test_internal_mzi_matches_linalg_closed_form():
     for _ in range(10):
         theta, phi = rng.uniform(0.0, 2.0 * np.pi, size=2)
         block = analysis._mzi2(theta, phi)
-        full = mzi_unitary(MziSetting(theta, 0.0, phi, 0.0))
+        full = setting_unitary(MziSetting(theta, 0.0, phi, 0.0))
         assert np.allclose(block, full, atol=1e-12)
 
 

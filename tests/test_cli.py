@@ -604,6 +604,15 @@ def test_usage_errors(tmp_path):
     assert run_cli("simulate", path, "--format", "xml").returncode == 4
 
 
+def test_simulate_takes_no_scheme(tmp_path):
+    # simulate never places its program, so a mesh geometry is not an option
+    path = write_circuit(tmp_path, BELL)
+    proc = run_cli("simulate", path, "--scheme", "reck")
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert "unrecognized arguments: --scheme reck" in proc.stderr
+
+
 def run_formats(*argv):
     """The json record and the tsv and human lines of one command."""
     out = {}

@@ -41,7 +41,7 @@ from photonmesh.fock import (
     run_program_pruned,
     truncate_aux,
 )
-from photonmesh.gates import PAULI_X, layers_matrix, swap_networks
+from photonmesh.gates import PAULI_X, layer_matrix, swap_networks
 from photonmesh.linalg import (
     IDENTITY_SETTING,
     MziSetting,
@@ -91,7 +91,7 @@ def test_prepare_computational_basis_occupations():
 def test_single_photon_amplitudes_follow_matrix_row():
     rng = np.random.default_rng(2)
     mesh = random_mesh(4, rng)
-    t = layers_matrix(mesh, 4)
+    t = layer_matrix(sum(mesh, ()), 4)
     state = PhotonicState(4, {(0, 1, 0, 0): 1.0 + 0.0j})
     out = run_layers(state, mesh)
     for k in range(4):
@@ -117,7 +117,7 @@ def test_apply_linear_matches_permanent_formula():
     for _ in range(10):
         m = int(rng.integers(2, 6))
         mesh = random_mesh(m, rng)
-        t = layers_matrix(mesh, m)
+        t = layer_matrix(sum(mesh, ()), m)
         occ = [0] * m
         for _ in range(int(rng.integers(1, 4))):
             occ[int(rng.integers(0, m))] += 1
@@ -142,7 +142,7 @@ def test_apply_linear_matches_permanent_formula():
             layers += [tuple(monomial), blocks]
         program = NetworkProgram(m, tuple(LinearLayer(m, blk) for blk in layers))
         out = run_program(program, PhotonicState(m, {occ: 1.0 + 0.0j}))
-        t = layers_matrix(tuple(layers), m)
+        t = layer_matrix(sum(layers, ()), m)
         for combo in itertools.combinations_with_replacement(range(m), sum(occ)):
             target = tuple(combo.count(mode) for mode in range(m))
             ref = amplitude_via_permanent(t, occ, target)
@@ -216,7 +216,7 @@ def test_packed_keys_hold_every_photon_of_the_largest_term():
     # inside the fold each mode is a digit as wide as the bit length of the
     # input's largest photon count: (2, 2) on a 50:50 block leaves (4, 0)
     # and (0, 4), which need 3 bits, though 4 - 1 fits in 2
-    u = layers_matrix(((MeshBlock(0, BS_SETTING, "BS"),),), 2)
+    u = layer_matrix((MeshBlock(0, BS_SETTING, "BS"),), 2)
     out = apply_linear(PhotonicState(2, {(2, 2): 1.0 + 0.0j}), splitter_layer(2, 0))
     assert set(out.terms) == {(4, 0), (2, 2), (0, 4)}
     for p in range(5):
@@ -230,7 +230,7 @@ def test_packed_keys_hold_every_photon_of_the_largest_term():
     inputs = {(0, 1, 0, 0): 0.6 + 0.0j, (2, 0, 1, 1): 0.8j}
     program = NetworkProgram(m, tuple(LinearLayer(m, blocks) for blocks in layers))
     out = run_program(program, PhotonicState(m, inputs))
-    u = layers_matrix(layers, m)
+    u = layer_matrix(sum(layers, ()), m)
     assert (4, 0, 0, 0) in out.terms and (0, 0, 0, 4) in out.terms
     for photons in (1, 4):
         for combo in itertools.combinations_with_replacement(range(m), photons):
@@ -426,7 +426,7 @@ def test_light_cone_merges_on_exact_nonzero_coupling():
     assert list(full_last.restrict(state).terms) == [(0, 1, 0, 0, 0, 1)]
 
 
-def test_block_kernel_matches_permanent_of_layers_matrix():
+def test_block_kernel_matches_permanent_of_layer_matrix():
     rng = np.random.default_rng(53)
     for _ in range(30):
         m = int(rng.integers(2, 8))
@@ -452,7 +452,7 @@ def test_block_kernel_matches_permanent_of_layers_matrix():
             inputs[tuple(occ)] = complex(rng.normal(), rng.normal())
         program = NetworkProgram(m, tuple(LinearLayer(m, blk) for blk in layers))
         out = run_program(program, PhotonicState(m, inputs))
-        u = layers_matrix(tuple(layers), m)
+        u = layer_matrix(sum(layers, ()), m)
         outputs = set()
         for combo in itertools.combinations_with_replacement(range(m), photons):
             target = [0] * m

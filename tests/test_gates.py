@@ -25,7 +25,6 @@ from photonmesh.gates import (
     device_block,
     gate_library,
     layer_matrix,
-    layers_matrix,
     layers_to_steps,
     r13_matrices,
     single_qubit_descriptor,
@@ -108,9 +107,9 @@ def test_gate_descriptor_matrix_is_substitution_transpose():
     assert np.allclose(single_qubit_descriptor("T").matrix, T.T, atol=1e-12)
 
 
-def test_layer_and_layers_matrix_rebuild_descriptors():
+def test_layer_matrix_rebuilds_descriptors():
     for name, desc in gate_library().items():
-        rebuilt = layers_matrix(desc.mzi_layers, desc.mode_count)
+        rebuilt = layer_matrix(desc.blocks, desc.mode_count)
         assert np.allclose(rebuilt, desc.matrix, atol=1e-9), name
 
 
