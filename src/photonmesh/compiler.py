@@ -51,9 +51,10 @@ For a certified circuit the simulator therefore drops those terms at the
 truncation (``fock.run_program_pruned(..., forest=True)``), and that eager
 cut is its whole filter: every other mixing block acts inside one rail
 pair, so after each cut every term holds one photon per rail pair, and no
-light cone is computed.  Keys and key order of the projection stay those
-of the light-cone path, and amplitudes move by rounding only.  Uncertified
-circuits take the light-cone path alone.
+light cone is computed; each post-selected gate, its cut included, is
+then one rule (``fock.PostSelectedGate``).  Keys and key order of the
+projection stay those of the light-cone path, and amplitudes move by
+rounding only.  Uncertified circuits take the light-cone path alone.
 """
 
 from __future__ import annotations
@@ -544,6 +545,16 @@ def _fixed_gate_layers(name: str, flipped: bool) -> tuple[MeshBlock, ...]:
     return _gate_layers(name, None, flipped)
 
 
+@functools.cache
+def _post_selected_form(cz_form: str, h_top: int | None) -> fock.PostSelectedGate:
+    """The gate object of a CZ (``h_top`` None) or of a CNOT whose target's
+    rails start at window mode ``h_top``, built once per form, so a
+    certified fold builds each form's rule once per process."""
+    if h_top is None:
+        return fock.PostSelectedGate(_cz_layers(cz_form))
+    return fock.PostSelectedGate(_cz_layers(cz_form), _fixed_gate_layers("H", False), h_top)
+
+
 class _Emitter:
     """Accumulates program steps while tracking qubit positions and flips.
 
@@ -583,14 +594,14 @@ class _Emitter:
             photon = self.component[photon]
         return photon
 
-    def post_select(self, p: int) -> None:
-        """Truncate the aux modes of the post-selected gate on triplets ``p``
-        and ``p+1``, and join the gate's two photons."""
+    def post_select(self, p: int, gate: fock.PostSelectedGate) -> None:
+        """Truncate the aux modes of the post-selected ``gate`` on triplets
+        ``p`` and ``p+1``, and join the gate's two photons."""
         ra, rb = self._root(self.photon_at[p]), self._root(self.photon_at[p + 1])
         if ra == rb:
             self.forest = False
         self.component[ra] = rb
-        self.steps.append(TruncateAux((3 * p, 3 * p + 3)))
+        self.steps.append(TruncateAux((3 * p, 3 * p + 3), gate))
 
     def physical_swap(self, p: int, label: str) -> None:
         """SWAP2 between triplets ``p`` and ``p+1``; both photons rail-flip."""
@@ -636,15 +647,19 @@ class _Emitter:
         layers on the target's rails.  The post-selection directly follows
         the CZ network: the trailing H acts on rails only and the truncation
         on aux modes only, so the two commute, and no mixing block touches
-        the gate's failure terms before they are cut."""
+        the gate's failure terms before they are cut.  The steps hold the
+        cached gate form's own block tuples, and the truncation carries the
+        form, so a certified fold applies the gate as one rule
+        (:class:`fock.PostSelectedGate`)."""
         lo = min(self.positions[a], self.positions[b])
-        h_top = 3 * lo + (1 if self.positions[b] == lo else 4)
-        if name == "CNOT":
-            self.emit(_fixed_gate_layers("H", False), h_top, f"CNOT H q{b}")
-        self.emit(_cz_layers(self.options.cz_form), 3 * lo, f"{name} q{a}-q{b}")
-        self.post_select(lo)
-        if name == "CNOT":
-            self.emit(_fixed_gate_layers("H", False), h_top, f"CNOT H q{b}")
+        h_top = 1 if self.positions[b] == lo else 4  # the target's rails
+        gate = _post_selected_form(self.options.cz_form, h_top if name == "CNOT" else None)
+        if gate.h:
+            self.emit(gate.h, 3 * lo + h_top, f"CNOT H q{b}")
+        self.emit(gate.network, 3 * lo, f"{name} q{a}-q{b}")
+        self.post_select(lo, gate)
+        if gate.h:
+            self.emit(gate.h, 3 * lo + h_top, f"CNOT H q{b}")
 
     def two_qubit_gate(self, op: GateOp) -> None:
         a, b = op.qubits

@@ -9,6 +9,8 @@ blocks at an offset.  ``per_layer_program`` cuts each gate-network step
 into one step per mesh layer, the oracle for one step per network.
 ``reference_light_cone`` is the full-partition light cone that
 :func:`photonmesh.fock.light_cone`'s checks must agree with.
+``fused_fold_problems`` holds the certified fold, which applies each
+post-selected gate as one rule, to the unfused fold's result.
 ``reference_mzi_unitary`` is the product form of one MZI that the scalar
 device entries of :mod:`photonmesh.linalg` must reproduce.
 ``reference_mesh_unitary`` and ``reference_constraint_residual`` are the
@@ -32,10 +34,16 @@ from photonmesh.fock import (
     NetworkProgram,
     Partition,
     PhotonicState,
+    PostSelectionResult,
     QubitLayout,
     TruncateAux,
     apply_linear,
+    decode_logical,
+    prepare_computational_basis,
+    project_qubit_structure,
     qubit_structure,
+    run_program,
+    run_program_pruned,
 )
 from photonmesh.analysis import constrained_family
 from photonmesh.compiler import PlacedBlock, PlacementOverflow, TruncationMark
@@ -221,6 +229,42 @@ def per_layer_program(program: NetworkProgram) -> NetworkProgram:
         for layer in mesh_layers(step.blocks):
             steps.append(LinearLayer(step.mode_count, layer, step.label, step.offset))
     return NetworkProgram(program.mode_count, tuple(steps))
+
+
+# The fused rule's rounding contract against the unfused fold.
+FUSED_AMPLITUDE_TOL = 1e-15
+FUSED_PROBABILITY_RTOL = 2e-15
+
+
+def fused_fold_problems(result, bits: str, unfused: PhotonicState | None = None) -> list[str]:
+    """How the certified fold of a compiled circuit ``result``
+    (``run_program_pruned(..., forest=True)``) on input ``bits`` departs
+    from the unfused fold, ``unfused``, a projected state; by default
+    ``run_program`` of the same program, then ``project_qubit_structure``.
+    The contract: the fold holds only terms that pass the projection, with
+    the unfused keys in the unfused order; decoded amplitudes within
+    :data:`FUSED_AMPLITUDE_TOL` and the success probability within
+    :data:`FUSED_PROBABILITY_RTOL` relative.  Returns the broken clauses."""
+    layout = QubitLayout(result.qubit_count)
+    state = prepare_computational_basis(bits, layout)
+    if unfused is None:
+        unfused = project_qubit_structure(run_program(result.program, state), layout).projected_state
+    folded = run_program_pruned(result.program, state, layout, forest=True)
+    fused = project_qubit_structure(folded, layout)
+    if list(folded.terms) != list(fused.projected_state.terms):
+        return ["the fold keeps terms that fail the projection"]
+    if list(fused.projected_state.terms) != list(unfused.terms):
+        return ["keys or key order differ"]
+    relabel = (layout, result.positions, result.flips)
+    got, p = decode_logical(fused, *relabel)
+    want, q = decode_logical(PostSelectionResult(unfused, unfused.squared_norm()), *relabel)
+    problems = []
+    worst = max(abs(got[i] - want[i]) for i in want)
+    if worst > FUSED_AMPLITUDE_TOL:
+        problems.append(f"a decoded amplitude is off by {worst:.2e}")
+    if abs(p - q) > FUSED_PROBABILITY_RTOL * q:
+        problems.append(f"the success probability is off by {abs(p - q) / q:.2e} relative")
+    return problems
 
 
 def split_partition(partition: Partition, modes: tuple[int, ...], count: int) -> Partition:

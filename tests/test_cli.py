@@ -218,11 +218,13 @@ def ghz_chain_file(tmp_path, n):
 
 
 def test_empty_projection_raises_and_exits_4(tmp_path):
-    # The absolute PRUNE_THRESHOLD drops every GHZ term at n = 30 (relative
-    # pruning is still open), so decoding raises.  Guard: if the fold ever
-    # keeps terms, stop here and rewrite this test as the n = 40 regression
-    # of relative pruning.
-    n = 30
+    # The absolute PRUNE_THRESHOLD (ROADMAP item 1: a cut relative to the
+    # state is still open) drops both GHZ terms at n = 31, about 3.4e-15
+    # each after one prune per post-selected gate, so decoding raises.
+    # n = 31 is the smallest chain whose projection is empty (n = 30 keeps
+    # both terms, see below).  Guard: if the fold ever keeps terms here,
+    # stop and rewrite this test as a regression test of relative pruning.
+    n = 31
     circuit = compiler.ghz_chain_circuit(n)
     program = compiler.compile_circuit(circuit, compiler.CompileOptions(place=False)).program
     layout = fock.QubitLayout(n)
@@ -237,6 +239,21 @@ def test_empty_projection_raises_and_exits_4(tmp_path):
     assert proc.stdout == ""
     assert "no qubit-structure amplitude" in proc.stderr
     assert time.perf_counter() - start < 5.0
+
+
+def test_ghz_chain_of_30_keeps_both_terms(tmp_path):
+    # Each term is about 1.03e-14 at the end, just above the absolute cut:
+    # the certified fold prunes once per post-selected gate, after its rule,
+    # and never in between.  One qubit more and both fall below it (above).
+    n = 30
+    proc = run_cli("simulate", ghz_chain_file(tmp_path, n), "--format", "json")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    payload = json.loads(proc.stdout)
+    amp = payload["amplitudes"]
+    assert list(amp) == ["0" * n, "1" * n]
+    for re_im in amp.values():
+        assert complex(*re_im) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+    assert abs(payload["success_probability"] * 9.0 ** (n - 1) - 1) < 1e-12
 
 
 def test_simulate_json_does_no_dense_work_at_24_qubits(tmp_path):
@@ -494,7 +511,10 @@ def test_simulate_prints_the_pinned_bytes(tmp_path):
     # forests over both cz_forms and both restore_swaps values (half with an
     # --input), the uncertified triangle and a repeated photon pair.  The
     # file holds each circuit and flags with the bytes these same calls
-    # printed at commit b3131e1.
+    # printed at commit b3131e1; the 21 certified records were written
+    # again when the certified fold began to apply each post-selected gate
+    # as one rule (same keys, amplitudes within 5.6e-16, success within
+    # 1e-15 relative), and the 3 uncertified ones kept their bytes.
     with open(GOLDEN, encoding="utf-8") as fh:
         cases = json.load(fh)["cases"]
     assert len(cases) == 24

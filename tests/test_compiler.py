@@ -46,6 +46,7 @@ from helpers import (
     brickwork,
     dense_circuit_state,
     flat_program,
+    fused_fold_problems,
     keep_checked,
     mesh_layers,
     per_layer_program,
@@ -223,6 +224,7 @@ def test_networks_and_fixed_devices_are_built_once_per_process(monkeypatch):
     compiler._swap2_layers.cache_clear()
     compiler._cz_layers.cache_clear()
     compiler._fixed_gate_layers.cache_clear()
+    compiler._post_selected_form.cache_clear()  # it holds the networks above
     counts = collections.Counter()
     built = ("swap_networks", "cz_ps_regular", "cz_ps_nonregular", "solve_mzi_settings")
     for name in built:
@@ -753,6 +755,8 @@ def test_shared_blocks_act_like_absolute_blocks(options):
     # A layer that holds a cached block tuple at an offset does what the
     # same layer with its own blocks at absolute modes does, to the bit:
     # light cone, pruned fold (key order included), placement and matrix.
+    # A certified fold fuses the cached gates only, so there the two folds
+    # agree within the fused rule's contract (fused_fold_problems).
     rng = np.random.default_rng(53)
     shifted = placed = 0
     for circuit in _shared_block_circuits(rng):
@@ -771,7 +775,10 @@ def test_shared_blocks_act_like_absolute_blocks(options):
         state = fock.prepare_computational_basis(bits, layout)
         shared = fock.run_program_pruned(program, state, layout, result.forest)
         absolute = fock.run_program_pruned(flat, state, layout, result.forest)
-        assert list(shared.terms.items()) == list(absolute.terms.items())
+        if result.forest:  # rebuilt blocks take the unfused path
+            assert fused_fold_problems(result, bits, absolute) == []
+        else:
+            assert list(shared.terms.items()) == list(absolute.terms.items())
         try:
             expected = place_in_mesh(flat, "clements", 3 * n)
         except PlacementOverflow as overflow:
@@ -904,11 +911,14 @@ def test_network_steps_act_like_per_layer_steps(options):
     # One step per gate network does what one step per mesh layer does:
     # placement or its overflow message on both schemes, the pruned fold
     # (key order included) for both forest values, the unpruned fold, and
-    # the product of the step matrices.
+    # the product of the step matrices.  With forest, the network steps'
+    # gates are fused and the split ones are not, so those two folds agree
+    # within the fused rule's contract (fused_fold_problems).
     rng = np.random.default_rng(71)
     outcomes = collections.Counter()
     for circuit in _network_step_circuits(rng):
-        program = compile_circuit(circuit, options).program
+        result = compile_circuit(circuit, options)
+        program = result.program
         layered = per_layer_program(program)
         outcomes["layers"] += len(layered.steps) - len(program.steps)
         for scheme in ("clements", "reck"):
@@ -920,10 +930,11 @@ def test_network_steps_act_like_per_layer_steps(options):
         for _ in range(2):
             bits = "".join(str(int(rng.integers(0, 2))) for _ in range(n))
             state = fock.prepare_computational_basis(bits, layout)
-            for forest in (False, True):
-                network = fock.run_program_pruned(program, state, layout, forest)
-                per_layer = fock.run_program_pruned(layered, state, layout, forest)
-                assert list(network.terms.items()) == list(per_layer.terms.items())
+            network = fock.run_program_pruned(program, state, layout)
+            per_layer = fock.run_program_pruned(layered, state, layout)
+            assert list(network.terms.items()) == list(per_layer.terms.items())
+            per_layer = fock.run_program_pruned(layered, state, layout, True)
+            assert fused_fold_problems(result, bits, per_layer) == []
             if n <= 9:  # the unpruned fold carries every failure term
                 full = fock.run_program(program, state)
                 unpruned = fock.run_program(layered, state)
@@ -999,6 +1010,231 @@ def test_certified_runs_match_the_light_cone_path():
     assert min(seen.values()) >= 12, seen
 
 
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def _golden_runs():
+    """``(name, circuit, options, input bits)`` of every circuit whose
+    ``simulate`` output ``tests/data/simulate_golden.json`` pins."""
+    runs = []
+    for case in json.loads((DATA / "simulate_golden.json").read_text(encoding="utf-8"))["cases"]:
+        flags, circuit = case["flags"], parse_circuit(case["circuit"])
+        value = dict(zip(flags, flags[1:]))
+        options = CompileOptions(
+            place=False,
+            cz_form=value.get("--cz-form", "compressed"),
+            restore_swaps="--no-restore-swaps" not in flags,
+        )
+        runs.append((case["name"], circuit, options, value.get("--input", "0" * circuit.qubit_count)))
+    return runs
+
+
+def count_fused_gates(monkeypatch) -> list:
+    """The labels of the gates the fold applies as one rule, in order."""
+    labels = []
+    apply_gate = fock._apply_gate
+    monkeypatch.setattr(fock, "_apply_gate", lambda *a: labels.append(a[-1]) or apply_gate(*a))
+    return labels
+
+
+def _post_selections(circuit) -> int:
+    return sum(op.name in ("CZ", "CNOT") for op in circuit.gates)
+
+
+def test_fused_gates_fold_like_the_unfused_fold_on_the_golden_circuits(monkeypatch):
+    fused = count_fused_gates(monkeypatch)
+    certified = 0
+    for name, circuit, options, bits in _golden_runs():
+        result = compile_circuit(circuit, options)
+        if not result.forest:
+            continue
+        certified += 1
+        fused.clear()
+        assert fused_fold_problems(result, bits) == [], name
+        # each post-selected gate went through its rule, none step by step
+        assert len(fused) == _post_selections(circuit), name
+    assert certified == 21
+
+
+@pytest.mark.parametrize("options", ALL_OPTIONS, ids=lambda o: f"{o.cz_form}-{o.restore_swaps}")
+def test_fused_gates_fold_like_the_unfused_fold_on_random_forests(options, monkeypatch):
+    rng = np.random.default_rng(89)
+    fused = count_fused_gates(monkeypatch)
+    circuits = [_random_circuit(rng, n, 16, forest=True) for n in (2, 3, 4, 5, 6, 7) * 2]
+    circuits += [ghz_chain_circuit(n) for n in (2, 5)]
+    results = [compile_circuit(circuit, options) for circuit in circuits]
+    results.append(compile_ghz_swap_variant(options))
+    for result in results:
+        assert result.forest
+        bits = "".join(str(int(rng.integers(0, 2))) for _ in range(result.qubit_count))
+        assert fused_fold_problems(result, bits) == []
+    # CZs and CNOTs with the target on either side all occur
+    assert len(fused) >= 30 and {label.split()[0] for label in fused} == {"CZ", "CNOT"}
+
+
+def test_fused_gates_fold_the_20_qubit_forest_like_the_unfused_fold():
+    # The 20-qubit forest of ROADMAP item 1, random_forest(Random(7), 20,
+    # 80, 19, 2) of benchmarks/workloads.py, against the dense oracle; the
+    # unpruned fold is out of reach.  Split per layer, the program takes
+    # the unfused certified path.  Both folds keep the same keys in the
+    # same order, but both are off the oracle: the absolute prune (item 1,
+    # still open) drops eight amplitudes below 2e-5 and addends of up to
+    # about 1.1e-5 in the decoded amplitudes, at different steps of the
+    # two folds, so here they differ by up to about 3e-6, not by rounding.
+    circuit = parse_circuit(json.loads((DATA / "forest20.json").read_text(encoding="utf-8")))
+    n, k = circuit.qubit_count, _post_selections(circuit)
+    result = compile_circuit(circuit, CompileOptions(place=False))
+    assert n == 20 and result.forest
+    layout = fock.QubitLayout(n)
+    state = fock.prepare_computational_basis("0" * n, layout)
+    fused = fock.run_program_pruned(result.program, state, layout, True)
+    unfused = fock.run_program_pruned(per_layer_program(result.program), state, layout, True)
+    assert list(fused.terms) == list(unfused.terms)
+    oracle = fock.canonical_global_phase(dense_circuit_state(circuit, "0" * n))
+    keys = np.flatnonzero(np.abs(oracle) > 1e-12).tolist()
+    amps, p = decode_logical(
+        fock.project_qubit_structure(fused, layout), layout, result.positions, result.flips
+    )
+    lost = sorted(set(keys) - set(amps))
+    assert len(keys) == 8192 and set(amps) <= set(keys)
+    assert len(lost) == 8 and max(abs(oracle[i]) for i in lost) < 2e-5
+    for index, amp in amps.items():
+        assert abs(amp - oracle[index]) < 2e-5
+    assert abs(p * 9.0**k - 1) < 2e-8
+
+
+# Each form of a fused gate: (cz_form, the CNOT target's window rail top or
+# None for a CZ), and a two-qubit circuit that feeds it all four inputs.
+GATE_FORMS = [(form, h_top) for form in ("compressed", "swap-sandwich") for h_top in (None, 1, 4)]
+
+
+def _form_circuit(h_top):
+    gate = {None: {"g": "CZ", "c": 0, "t": 1}, 1: {"g": "CNOT", "c": 1, "t": 0}}.get(
+        h_top, {"g": "CNOT", "c": 0, "t": 1}
+    )
+    return parse_circuit({"qubits": 2, "gates": [{"g": "H", "q": 0}, {"g": "H", "q": 1}, gate]})
+
+
+def _mutant_caught(monkeypatch, form, h_top, rule) -> bool:
+    gate = compiler._post_selected_form(form, h_top)
+    gate.rule  # noqa: B018  (build the real rule, so the patch is undone to it)
+    with monkeypatch.context() as patch:
+        patch.setitem(gate.__dict__, "rule", rule)
+        result = compile_circuit(_form_circuit(h_top), CompileOptions(place=False, cz_form=form))
+        try:
+            return bool(fused_fold_problems(result, "00"))
+        except ValueError:
+            return True
+
+
+@pytest.mark.parametrize("form, h_top", GATE_FORMS)
+def test_the_fused_rule_oracle_catches_a_flipped_coefficient(monkeypatch, form, h_top):
+    gate = compiler._post_selected_form(form, h_top)
+    assert fused_fold_problems(
+        compile_circuit(_form_circuit(h_top), CompileOptions(place=False, cz_form=form)), "00"
+    ) == []
+    caught = 0
+    for occ, outputs in gate.rule.items():
+        for j, (out, amp) in enumerate(outputs):
+            flipped = outputs[:j] + ((out, -amp),) + outputs[j + 1 :]
+            caught += _mutant_caught(monkeypatch, form, h_top, {**gate.rule, occ: flipped})
+    assert caught == sum(map(len, gate.rule.values())) == 4
+
+
+@pytest.mark.parametrize("form, h_top", GATE_FORMS)
+def test_the_fused_rule_oracle_catches_a_skipped_cut(monkeypatch, form, h_top):
+    # the rule folded without its eager cut keeps the gate's failure terms
+    gate = compiler._post_selected_form(form, h_top)
+    uncut = {}
+    for occ in gate.rule:
+        dense = [0] * 6
+        for mode, photons in occ:
+            dense[mode] = photons
+        out = fock._fold(gate.program, fock.PhotonicState(6, {tuple(dense): 1.0 + 0.0j}), None)
+        uncut[occ] = tuple(
+            (tuple((mode, photons) for mode, photons in enumerate(key) if photons), amp)
+            for key, amp in out.terms.items()
+        )
+    assert any(len(uncut[occ]) > len(gate.rule[occ]) for occ in gate.rule)
+    assert _mutant_caught(monkeypatch, form, h_top, uncut)
+
+
+def _strip_gates(program):
+    """``program`` with every truncation rebuilt without its gate."""
+    return fock.NetworkProgram(
+        program.mode_count,
+        tuple(
+            fock.TruncateAux(step.modes) if isinstance(step, fock.TruncateAux) else step
+            for step in program.steps
+        ),
+    )
+
+
+def _drop_trailing_h(program):
+    """``program`` without the H step after each CNOT's truncation."""
+    steps = program.steps
+    return fock.NetworkProgram(
+        program.mode_count,
+        tuple(
+            step
+            for i, step in enumerate(steps)
+            if not (i and isinstance(steps[i - 1], fock.TruncateAux) and step.label.startswith("CNOT H"))
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "rebuild", [per_layer_program, flat_program, _strip_gates], ids=["split", "flat", "stripped"]
+)
+@pytest.mark.parametrize("options", ALL_OPTIONS, ids=lambda o: f"{o.cz_form}-{o.restore_swaps}")
+def test_split_rebuilt_and_hand_built_gates_take_the_unfused_path(monkeypatch, rebuild, options):
+    # A gate fuses only where its truncation's steps are the cached network
+    # and H tuples; anything else folds step by step, bit for bit as the
+    # unfused certified fold of the compiled program.
+    rng = np.random.default_rng(97)
+    fused = count_fused_gates(monkeypatch)
+    circuits = [ghz_chain_circuit(4)] + [_random_circuit(rng, n, 16, forest=True) for n in (3, 5)]
+    for circuit in circuits:
+        program = compile_circuit(circuit, options).program
+        layout = fock.QubitLayout(circuit.qubit_count)
+        state = fock.prepare_computational_basis("0" * circuit.qubit_count, layout)
+        folded = fock.run_program_pruned(rebuild(program), state, layout, True)
+        unfused = fock._fold(program, state, fock.light_cone(program, layout, True))
+        assert list(folded.terms.items()) == list(unfused.terms.items())
+    assert fused == []
+
+
+def test_a_cnot_without_its_trailing_h_is_not_fused(monkeypatch):
+    fused = count_fused_gates(monkeypatch)
+    circuit = parse_circuit({"qubits": 3, "gates": [
+        {"g": "H", "q": 0}, {"g": "CNOT", "c": 0, "t": 1}, {"g": "CZ", "c": 1, "t": 2},
+    ]})
+    program = _drop_trailing_h(compile_circuit(circuit, CompileOptions(place=False)).program)
+    assert len(program.steps) == 6
+    layout = fock.QubitLayout(3)
+    state = fock.prepare_computational_basis("000", layout)
+    folded = fock.run_program_pruned(program, state, layout, True)
+    assert fused == ["CZ q1-q2"]  # the CZ still fuses
+    unfused = fock.run_program_pruned(per_layer_program(program), state, layout, True)
+    assert list(folded.terms) == list(unfused.terms)
+    for occ, amp in unfused.terms.items():
+        assert abs(folded.terms[occ] - amp) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "occ",
+    [(0, 1, 1, 0, 0, 0), (1, 1, 0, 0, 1, 0), (0, 0, 0, 0, 1, 1)],
+    ids=["doubled-rails", "aux-photon", "empty-rails"],
+)
+def test_a_fused_gate_refuses_a_term_off_the_qubit_structure(occ):
+    # A certified fold assumes a computational-basis input; a term without
+    # one photon in each rail pair of a gate is a documented error.
+    program = compile_circuit(bell_circuit(), CompileOptions(place=False)).program
+    state = fock.PhotonicState(6, {occ: 1.0 + 0.0j})
+    with pytest.raises(ValueError, match="not one photon in each rail pair and empty aux"):
+        fock.run_program_pruned(program, state, fock.QubitLayout(2), forest=True)
+
+
 @pytest.mark.parametrize("options", ALL_OPTIONS, ids=lambda o: f"{o.cz_form}-{o.restore_swaps}")
 def test_every_truncation_directly_follows_its_cz_network(options):
     # The precondition of the forest cone's eager cuts (fock.light_cone):
@@ -1036,7 +1272,10 @@ def test_simulate_final_state_is_pruned_to_projectable_terms():
     full = fock.run_program(sim.compile_result.program, state)
     projected = fock.project_qubit_structure(full, layout).projected_state
     assert len(full.terms) > len(projected.terms)
-    assert list(sim.final_state.terms.items()) == list(projected.terms.items())
+    # the certified fold fuses each gate: the same keys in the same order,
+    # amplitudes within the fused rule's contract
+    assert list(sim.final_state.terms) == list(projected.terms)
+    assert fused_fold_problems(sim.compile_result, "00") == []
 
 
 def test_ghz_chain_20_qubits():
