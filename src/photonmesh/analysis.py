@@ -224,37 +224,23 @@ def _power(maps: np.ndarray) -> np.ndarray:
     return _sum16(np.abs(maps.transpose(2, 1, 0).reshape(16, len(maps))) ** 2)
 
 
-def _target_columns(target: np.ndarray) -> np.ndarray:
-    """``conj(T).T[:, :, None]``: the factor :func:`process_fidelity`
-    multiplies a batch-last stack by."""
-    return np.asarray(target).conj().T[:, :, None]
-
-
 def process_fidelity(
-    m: np.ndarray,
-    target: np.ndarray,
-    *,
-    power: np.ndarray | None = None,
-    columns: np.ndarray | None = None,
+    m: np.ndarray, target: np.ndarray, *, power: np.ndarray | None = None
 ) -> float | np.ndarray:
     """``|Tr(T^dag M)|^2 / (4 * ||M||_F^2)``: 1 iff M is proportional to T.
 
     ``m`` is one 4x4 map (giving a float) or a ``(K, 4, 4)`` stack (giving
     K fidelities, each equal to the call on its slice).  A caller that
-    already holds :func:`_power` of the stack passes it as ``power``, and
-    one that scores many stacks against one target passes
-    :func:`_target_columns` of it as ``columns``, so neither is computed
-    again.  The trace is a fixed sequence of elementwise products and
-    sums, with no matrix product.
+    already holds :func:`_power` of the stack passes it as ``power``, so
+    it is not computed twice.  The trace is a fixed sequence of
+    elementwise products and sums, with no matrix product.
     """
     m = np.asarray(m)
     stack = m if m.ndim == 3 else m[None]
     total = _power(stack) if power is None else power
-    if columns is None:
-        columns = _target_columns(target)
     # prod[i, j] = conj(T[j, i]) * M[j, i]; row i sums to (T^dag M)[i, i],
     # and the diagonal is summed in pairs, as ``np.trace`` does.
-    prod = columns * stack.transpose(2, 1, 0)
+    prod = np.asarray(target).conj().T[:, :, None] * stack.transpose(2, 1, 0)
     diag = ((prod[:, 0] + prod[:, 1]) + prod[:, 2]) + prod[:, 3]
     tr = (diag[0] + diag[1]) + (diag[2] + diag[3])
     # libm hypot and pow, as a Python-scalar ``abs(tr) ** 2`` uses; array
@@ -266,17 +252,13 @@ def process_fidelity(
 
 
 def _evaluate_parts(
-    blocks: np.ndarray,
-    phases: np.ndarray,
-    target: np.ndarray,
-    columns: np.ndarray | None = None,
+    blocks: np.ndarray, phases: np.ndarray, target: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Process fidelity and mean success probability of each mesh in a
-    batch of :func:`_mesh_parts`; ``columns`` as for
-    :func:`process_fidelity`."""
+    batch of :func:`_mesh_parts`."""
     maps = _conditional_map(_mesh_product(blocks, phases))
     power = _power(maps)
-    return process_fidelity(maps, target, power=power, columns=columns), power / 4.0
+    return process_fidelity(maps, target, power=power), power / 4.0
 
 
 def _evaluate(params: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -381,13 +363,12 @@ def search_cz_in_4x4(
     if target is None:
         target = CZ_TARGET
     target = np.asarray(target, dtype=complex)
-    columns = _target_columns(target)
     rng = np.random.default_rng(seed)
     # Row r holds the same draws as the r-th of ``restarts`` size-16 draws.
     start = rng.uniform(0.0, 2.0 * np.pi, size=(restarts, 16))
     # Parts of each restart's current point, updated in place on a move.
     blocks, phases = _mesh_parts(start)
-    fid, succ = (x.tolist() for x in _evaluate_parts(blocks, phases, target, columns))
+    fid, succ = (x.tolist() for x in _evaluate_parts(blocks, phases, target))
     params = start.tolist()
 
     # Best walked point per restart: its first strict maximum of fidelity
@@ -412,8 +393,7 @@ def search_cz_in_4x4(
                 coords += (i, i)
                 values += (row[i] + delta, row[i] - delta)
         cand_blocks, cand_phases = _candidate_parts(blocks, phases, params, owner, coords, values)
-        scored = _evaluate_parts(cand_blocks, cand_phases, target, columns)
-        fid, succ = (x.tolist() for x in scored)
+        fid, succ = (x.tolist() for x in _evaluate_parts(cand_blocks, cand_phases, target))
 
         moved, moved_at, still = [], [], []
         first = 0

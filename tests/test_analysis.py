@@ -201,9 +201,6 @@ def test_process_fidelity_stack_equals_slices():
             stacked = process_fidelity(stack, target)
             assert stacked.shape == (40,)
             assert stacked.tolist() == [process_fidelity(m, target) for m in stack]
-            # the search passes the target's columns, built once per search
-            columns = analysis._target_columns(target)
-            assert process_fidelity(stack, target, columns=columns).tolist() == stacked.tolist()
     fid, succ = analysis._evaluate(params, CZ_TARGET)
     for k in range(len(params)):
         assert (fid[k], succ[k]) == analysis._evaluate(params[k : k + 1], CZ_TARGET)

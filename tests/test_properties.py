@@ -97,19 +97,10 @@ def test_forest_circuits_match_the_dense_oracle(drawn, opts, data):
     assert state_fidelity(sim.amplitudes, oracle) > 1 - 1e-9
     entanglers = sum(op.name in ("CZ", "CNOT") for op in circuit.gates)
     assert sim.success_probability * 9.0**entanglers == pytest.approx(1.0, abs=1e-9)
-
-
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(circuits(forest=True), options, st.data())
-def test_fused_gates_fold_like_the_unfused_fold(drawn, opts, data):
     # The certified fold applies each post-selected gate as one rule; the
     # unpruned fold, projected, keeps its keys and order, and its decoded
     # amplitudes and success probability to rounding.
-    payload, _ = drawn
-    result = compile_circuit(parse_circuit(payload), opts)
-    assert result.forest
-    bits = data.draw(basis_input(result.qubit_count))
-    assert fused_fold_problems(result, bits) == []
+    assert fused_fold_problems(sim.compile_result, bits) == []
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
