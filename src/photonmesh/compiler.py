@@ -47,12 +47,13 @@ does too, leaves the circuit uncertified; ``CompileResult.forest`` is the
 certificate.  Inside a forest no failure term a truncation keeps can reach a
 passing configuration: the gate's two sides are joined by that gate alone,
 so no later layer can move a photon from the doubled side to the empty one.
-For a certified circuit the simulator therefore drops those terms at the
-truncation (``fock.run_program_pruned(..., forest=True)``), and that eager
-cut is its whole filter: every other mixing block acts inside one rail
-pair, so after each cut every term holds one photon per rail pair, and no
-light cone is computed; each post-selected gate, its cut included, is
-then one rule (``fock.PostSelectedGate``).  Keys and key order of the
+For a certified circuit the simulator therefore applies each
+post-selected gate, its network, its truncation and a CNOT's H steps, as
+one rule that keeps only the gate's successful outputs
+(``fock.run_program_pruned(..., forest=True)``, ``fock.PostSelectedGate``),
+and that eager cut is its whole filter: every other mixing block acts
+inside one rail pair, so after each gate every term holds one photon per
+rail pair, and no light cone is computed.  Keys and key order of the
 projection stay those of the light-cone path, and amplitudes move by
 rounding only.  Uncertified circuits take the light-cone path alone.
 """
@@ -254,10 +255,10 @@ class SimulationResult:
     index order (see :func:`decode_logical`); absent basis states have
     amplitude 0.  :attr:`amplitudes` is the dense ``2**n`` vector, built on
     each access.  ``final_state`` is the pruned output state of
-    ``fock.run_program_pruned``: the eager cuts alone for a certified
-    circuit, the light cone otherwise.  Either way it holds only the terms
-    that pass the final projection.  Rerun ``fock.run_program`` on
-    ``compile_result.program`` for the full Fock state."""
+    ``fock.run_program_pruned``: one rule per post-selected gate for a
+    certified circuit, the light cone otherwise.  Either way it holds only
+    the terms that pass the final projection.  Rerun ``fock.run_program``
+    on ``compile_result.program`` for the full Fock state."""
 
     sparse_amplitudes: dict[int, complex]
     success_probability: float
@@ -643,23 +644,24 @@ class _Emitter:
 
     def post_selected_gate(self, name: str, a: int, b: int) -> None:
         """Emit ``CZ`` or ``CNOT`` (target ``b``) on the adjacent qubits ``a``
-        and ``b`` as they stand.  A CNOT is the CZ network between two H
-        layers on the target's rails.  The post-selection directly follows
-        the CZ network: the trailing H acts on rails only and the truncation
-        on aux modes only, so the two commute, and no mixing block touches
-        the gate's failure terms before they are cut.  The steps hold the
-        cached gate form's own block tuples, and the truncation carries the
-        form, so a certified fold applies the gate as one rule
-        (:class:`fock.PostSelectedGate`)."""
+        and ``b`` as they stand: the steps of the cached gate form's
+        :attr:`~fock.PostSelectedGate.program` at the pair's window.  A
+        CNOT is the CZ network between two H layers on the target's rails.
+        The post-selection directly follows the CZ network: the trailing H
+        acts on rails only and the truncation on aux modes only, so the two
+        commute, and no mixing block touches the gate's failure terms
+        before they are cut.  The steps hold the form's own block tuples,
+        and the truncation carries the form, so a certified fold applies
+        the gate as one rule (:class:`fock.PostSelectedGate`)."""
         lo = min(self.positions[a], self.positions[b])
         h_top = 1 if self.positions[b] == lo else 4  # the target's rails
         gate = _post_selected_form(self.options.cz_form, h_top if name == "CNOT" else None)
-        if gate.h:
-            self.emit(gate.h, 3 * lo + h_top, f"CNOT H q{b}")
-        self.emit(gate.network, 3 * lo, f"{name} q{a}-q{b}")
-        self.post_select(lo, gate)
-        if gate.h:
-            self.emit(gate.h, 3 * lo + h_top, f"CNOT H q{b}")
+        for step in gate.program.steps:
+            if isinstance(step, TruncateAux):
+                self.post_select(lo, gate)
+            else:
+                label = f"{name} q{a}-q{b}" if step.blocks is gate.network else f"CNOT H q{b}"
+                self.emit(step.blocks, 3 * lo + step.offset, label)
 
     def two_qubit_gate(self, op: GateOp) -> None:
         a, b = op.qubits

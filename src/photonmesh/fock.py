@@ -39,17 +39,17 @@ The certified fold (:func:`run_program_pruned` with ``forest``) applies
 each post-selected gate the compiler emitted as one rule: its CZ network,
 the truncation of its two aux modes with the eager cut and, for a CNOT,
 the H steps before and after them.  The rule (:class:`PostSelectedGate`)
-maps the gate's four window inputs, one photon in each rail pair and none
-in aux, to their outputs that survive the cut; it is built once per gate
-form by folding the gate's own steps.  It applies only where the steps
-around a truncation are exactly that gate's cached block tuples at its
-window's offsets, so a split, rebuilt or hand-built network folds step by
-step.  In the frame the rule pays the owed phases of the four rail slots
-and resets them to 1, and leaves ``pos`` alone, because it absorbs the
-network's crossings; the aux slots stay empty.  It prunes at
-:data:`PRUNE_THRESHOLD` once, after the rule, where the step-by-step fold
-prunes after each mixing step, and its products round differently, so
-amplitudes move by rounding only (see :func:`run_program_pruned`).
+maps each of the gate's four window inputs, one photon in each rail pair
+and none in aux, to its one output that passes the projection; it is
+built once per gate form.  Every truncation must be such a gate's, with
+the gate's own cached block tuples around it at its window's offsets;
+the fold refuses any other with ``ValueError``.  In the frame the rule
+pays the owed phases of the four rail slots and resets them to 1, and
+leaves ``pos`` alone, because it absorbs the network's crossings; the aux
+slots stay empty.  It prunes at :data:`PRUNE_THRESHOLD` once, after the
+rule, where the light-cone path prunes after each mixing step, and its
+products round differently, so amplitudes move by rounding only (see
+:func:`run_program_pruned`).
 
 Path encoding: qubit ``q`` of an n-qubit register owns the mode triplet
 ``(3q, 3q+1, 3q+2)`` = (auxiliary, rail 0, rail 1); logical ``|0>`` is a
@@ -198,14 +198,16 @@ class PostSelectedGate:
     coordinates of its six-mode window ``(aux, r0, r1, aux, r0, r1)``: the
     CZ ``network`` at the window's offset, then the truncation of the two
     aux modes and, for a CNOT, the H block tuple ``h`` at window mode
-    ``h_top`` before the network and after the truncation.
+    ``h_top`` before the network and after the truncation.  Those steps
+    are :attr:`program`, the one statement of their order.
 
-    The compiler builds one object per form and hands it to the gate's
+    The compiler builds one object per form, emits its :attr:`program` at
+    the gate's window and hands the object to the gate's
     :class:`TruncateAux`.  A certified fold (:func:`run_program_pruned`
-    with ``forest``) applies the gate as one rule only where the steps
-    around that truncation hold exactly this object's block tuples at the
-    window's offsets (:meth:`first_step`); a split, rebuilt or hand-built
-    network takes the step-by-step path.  Objects compare by identity."""
+    with ``forest``) applies the gate as one rule, and needs the steps
+    around that truncation to hold exactly this object's block tuples at
+    the window's offsets (:meth:`first_step`).  Objects compare by
+    identity."""
 
     network: tuple[MeshBlock, ...]
     h: tuple[MeshBlock, ...] | None = None
@@ -222,61 +224,62 @@ class PostSelectedGate:
 
     def first_step(self, steps, cut: int) -> int:
         """The index of this gate's first step if ``steps[cut]`` is its
-        truncation, on a window ``(off, off + 3)``, and the steps around it
-        hold this gate's own block tuples at ``off`` plus their window
-        offsets; otherwise -1."""
+        truncation and the steps around it are :attr:`program`'s at the
+        window offset ``off``, the first truncated mode: the same truncated
+        modes and block tuples, at their own offsets plus ``off``;
+        otherwise -1."""
         own = self.program.steps
-        start = cut - (1 if self.h is None else 2)
-        trunc = steps[cut]
-        off = trunc.modes[0]
-        if start < 0 or start + len(own) > len(steps) or trunc.modes != (off, off + 3):
+        mine = next(i for i, step in enumerate(own) if isinstance(step, TruncateAux))
+        start, off = cut - mine, steps[cut].modes[0]
+        if start < 0 or start + len(own) > len(steps):
             return -1
-        for mine, step in zip(own, steps[start:]):
-            if isinstance(mine, LinearLayer) and not (
-                isinstance(step, LinearLayer)
-                and step.blocks is mine.blocks
-                and step.offset == off + mine.offset
+        if steps[cut].modes != tuple(off + mode for mode in own[mine].modes):
+            return -1
+        for step, theirs in zip(own, steps[start:]):
+            if isinstance(step, LinearLayer) and not (
+                isinstance(theirs, LinearLayer)
+                and theirs.blocks is step.blocks
+                and theirs.offset == off + step.offset
             ):
                 return -1
         return start
 
     @functools.cached_property
-    def rule(self) -> dict[SparseOccupation, tuple[tuple[SparseOccupation, complex], ...]]:
-        """The gate and its eager cut on the window.  Each of the four
-        inputs with one photon in each rail pair and empty aux maps to the
-        outputs that survive the cut, ``(occupation, amplitude)`` in sorted
-        order; an occupation is its ``(window mode, photons)`` pairs.
+    def rule(self) -> dict[SparseOccupation, tuple[SparseOccupation, complex]]:
+        """The gate and its eager cut on the window, as a monomial map: each
+        of the four inputs with one photon in each rail pair and empty aux
+        maps to ``(output, coefficient)``, its one output that passes the
+        projection; an occupation is its ``(window mode, photons)`` pairs.
 
-        Built once per object by folding :attr:`program` over each input
-        with the eager-cut checks (:func:`light_cone` with ``forest``).
-        That fold reads its result in window order with the owed phases
-        paid, so the rule absorbs the network's crossings and their
-        phases.
+        Built once per object as :func:`project_qubit_structure` of
+        :func:`run_program` of :attr:`program` on each input, which reads
+        the result in window order with the owed phases paid, so the rule
+        absorbs the network's crossings and their phases.  An input with
+        any other number of passing outputs raises ``ValueError``.
 
-        In exact arithmetic each input has one output, of modulus 1/3: the
-        gate acts as ``diag(1, 1, 1, -1) / 3`` up to phases, and a CNOT's H
-        steps make that a permutation.  The fold rounds the four moduli
-        apart by up to two ulps, which a chain of gates would compound
-        into a drift between its branches, so each coefficient keeps its
-        phase and takes the mean of the four moduli."""
-        program = self.program
-        cone = light_cone(program, QubitLayout(2), forest=True)
+        In exact arithmetic each output has modulus 1/3: the gate acts as
+        ``diag(1, 1, 1, -1) / 3`` up to phases, and a CNOT's H steps make
+        that a permutation.  The fold rounds the four moduli apart by up to
+        two ulps, which a chain of gates would compound into a drift
+        between its branches, so each coefficient keeps its phase and takes
+        the mean of the four moduli."""
+        layout = QubitLayout(2)
         rule = {}
         for photons in (((1, 1), (4, 1)), ((1, 1), (5, 1)), ((2, 1), (4, 1)), ((2, 1), (5, 1))):
             occ = [0] * 6
             for mode, n in photons:
                 occ[mode] = n
-            out = _fold(program, PhotonicState(6, {tuple(occ): 1.0 + 0.0j}), cone)
-            rule[photons] = tuple(
-                (tuple((mode, n) for mode, n in enumerate(key) if n), amp)
-                for key, amp in out.terms.items()
-            )
-        moduli = [abs(amp) for outputs in rule.values() for _, amp in outputs]
-        modulus = sum(moduli) / len(moduli)
-        return {
-            occ: tuple((out, modulus * (amp / abs(amp))) for out, amp in outputs)
-            for occ, outputs in rule.items()
-        }
+            state = run_program(self.program, PhotonicState(6, {tuple(occ): 1.0 + 0.0j}))
+            outputs = project_qubit_structure(state, layout).projected_state.terms
+            if len(outputs) != 1:
+                raise ValueError(
+                    f"post-selected gate: input {photons} has {len(outputs)} outputs "
+                    "that pass the projection, not one"
+                )
+            ((key, amp),) = outputs.items()
+            rule[photons] = (tuple((mode, n) for mode, n in enumerate(key) if n), amp)
+        modulus = sum(abs(amp) for _, amp in rule.values()) / len(rule)
+        return {occ: (out, modulus * (amp / abs(amp))) for occ, (out, amp) in rule.items()}
 
 
 @dataclass(frozen=True)
@@ -591,15 +594,12 @@ def dense_amplitudes(amplitudes: dict[int, complex], qubit_count: int) -> np.nda
     return dense
 
 
-def light_cone(
-    program: NetworkProgram, layout: QubitLayout, forest: bool = False
-) -> tuple[tuple[Check, ...], ...]:
+def light_cone(program: NetworkProgram, layout: QubitLayout) -> tuple[tuple[Check, ...], ...]:
     """The checks to filter the state by after each program step: a term
     passes a check ``(modes, count)`` when it holds exactly ``count``
     photons in ``modes``.  A step with no checks can drop no term.  Applied
     after every step, from step 0 on, the checks keep exactly the terms
-    that restricting by the whole partition in force would keep; with
-    ``forest`` (below), at each truncation and at the end.
+    that restricting by the whole partition in force would keep.
 
     A backward union-find pass: it starts from the final projection,
     :func:`qubit_structure`, and, walking the steps in reverse, joins the
@@ -617,33 +617,10 @@ def light_cone(
     kept as member lists, and a join moves the smaller lists into the
     largest, so a mode moves at most ``log2(m)`` times for ``m`` modes and
     no partition is built per join.
-
-    ``forest`` asserts the compiler's certificate (``CompileResult.forest``)
-    and its program shape, on a computational-basis input.  Then no failure
-    term that a truncation keeps can ever pass, so each :class:`TruncateAux`
-    checks the rail pair ``(aux + 1, aux + 2)`` of each truncated aux mode
-    for one photon (the eager cut), and every other step has no checks:
-    one forward pass, no union-find.  The eager cuts are the whole filter
-    because every mixing block of a compiled program lies inside one rail
-    pair or inside a post-selected window that the very next step
-    truncates.  After each cut every term has one photon per rail pair and
-    none in aux, which rail-pair gates and ``SWAP2`` keep.  So the
-    union-find checks could drop terms only after a CZ network, and those
-    are the terms the next step drops, with no mixing in between: the fold
-    gives the same result with them or without them, bit for bit.
-    Without the certificate the cut would change results outside the
-    forest envelope, so it is off by default.
     """
     if program.mode_count != layout.mode_count:
         raise ValueError(
             f"program has {program.mode_count} modes, layout needs {layout.mode_count}"
-        )
-    if forest:
-        return tuple(
-            tuple(((aux + 1, aux + 2), 1) for aux in step.modes)
-            if isinstance(step, TruncateAux)
-            else ()
-            for step in program.steps
         )
     seed = qubit_structure(layout)
     block = list(seed.labels)  # block[mode]: the block holding ``mode``
@@ -759,24 +736,22 @@ def _apply_gate(
 ) -> dict[int, complex]:
     """``terms``, packed keys (see :func:`_fold`), after the post-selected
     ``gate`` and its eager cut, by its :attr:`~PostSelectedGate.rule`;
-    ``slots[k]`` holds window mode ``k``.  Each photon on the window first
-    picks up the phase its slot owes.  Outputs that meet on one occupation
-    are added in insertion order and pruned once, at the end.  A term
-    whose window holds anything but one photon in each rail pair raises
-    ``ValueError``."""
+    ``slots[k]`` holds window mode ``k``.  Each term's window is relabeled
+    and its amplitude scaled by the rule's coefficient times the phases
+    its photons' slots owe.  The rule is a monomial map, so no two terms
+    meet; terms of amplitude at most :data:`PRUNE_THRESHOLD` are dropped.
+    A term whose window holds anything but one photon in each rail pair
+    raises ``ValueError``."""
     unit = [1 << shift[s] for s in slots]
     window = digit * sum(unit)
     rules = {}
-    for occ, outputs in gate.rule.items():
+    for occ, (out, amp) in gate.rule.items():
         bits, factor = 0, 1.0 + 0.0j
         for k, n in occ:
             bits += n * unit[k]
             factor *= owed[slots[k]] ** n
-        rules[bits] = [
-            (sum([n * unit[k] for k, n in out]) - bits, amp * factor) for out, amp in outputs
-        ]
-    accum: dict[int, complex] = {}
-    get = accum.get
+        rules[bits] = (sum([n * unit[k] for k, n in out]) - bits, amp * factor)
+    kept = {}
     for key, amp in terms.items():
         rule = rules.get(key & window)
         if rule is None:
@@ -786,10 +761,11 @@ def _apply_gate(
                 "not one photon in each rail pair and empty aux modes; a "
                 "certified fold needs a computational-basis input"
             )
-        for delta, c in rule:
-            out = key + delta
-            accum[out] = get(out, 0.0) + amp * c
-    return {key: amp for key, amp in accum.items() if abs(amp) > PRUNE_THRESHOLD}
+        delta, c = rule
+        amp *= c
+        if abs(amp) > PRUNE_THRESHOLD:
+            kept[key + delta] = amp
+    return kept
 
 
 def _fold(
@@ -802,7 +778,8 @@ def _fold(
     :func:`apply_linear`: every step in order, then, if ``cone`` is given,
     its checks after each step.  With ``fuse`` (the certified fold), the
     steps of each post-selected gate the compiler emitted are one step, the
-    gate's rule (:func:`_apply_gate`); that step has no checks.
+    gate's rule (:func:`_apply_gate`), and a truncation that is not such a
+    gate's raises ``ValueError`` (see :func:`run_program_pruned`).
 
     Inside the fold a term's key is one int: slot ``s`` is a digit of
     ``width`` bits at offset ``shift[s]``, slot 0 most significant, so
@@ -834,14 +811,21 @@ def _fold(
     owed = [1.0 + 0.0j] * m
     steps = program.steps
     # With ``fuse``: fused[start] = (gate, window offset, end, label) for
-    # each post-selected gate whose own steps are steps[start:end].
+    # each post-selected gate, whose own steps are steps[start:end].
     fused, end = {}, 0
     for cut, step in enumerate(steps if fuse else ()):
-        gate = step.gate if isinstance(step, TruncateAux) else None
+        if not isinstance(step, TruncateAux):
+            continue
+        gate = step.gate
         start = gate.first_step(steps, cut) if gate is not None else -1
-        if start >= end:
-            end = start + len(gate.program.steps)
-            fused[start] = (gate, step.modes[0], end, steps[cut - 1].label)
+        if start < end:
+            raise ValueError(
+                f"step {cut} truncates {step.modes} outside the steps of a "
+                "post-selected gate the compiler emitted; a certified fold "
+                "needs every gate's own steps around its truncation"
+            )
+        end = start + len(gate.program.steps)
+        fused[start] = (gate, step.modes[0], end, steps[cut - 1].label)
     resume = 0  # the step after the last fused gate
     for i, (step, checks) in enumerate(zip(steps, cuts)):
         if i < resume:
@@ -943,35 +927,40 @@ def run_program_pruned(
 
     ``forest`` asserts the compiler's certificate (pass
     ``CompileResult.forest``) and its program shape, on a
-    computational-basis input (see :func:`light_cone`).  The eager cut then
-    replaces the light cone: each truncation drops the failure terms of its
-    gate, the terms without exactly one photon in each operand rail pair,
-    and no other step checks anything.  Each post-selected gate whose steps
-    are the compiler's cached ones, its truncation carrying the gate
-    (:class:`PostSelectedGate`), is one rule on the packed keys: the
-    network, its truncation and cut and a CNOT's two H steps at once.  The
-    rule pays the owed phases of the gate's four rail slots, resets them to
-    1 and leaves ``pos`` and the empty aux slots alone, and the fold prunes
-    once per gate, after it.  Any other truncation is cut step by step.  A
-    term that enters a fused gate without one photon in each of its rail
-    pairs and empty aux modes, which a computational-basis input never
-    gives, raises ``ValueError``.
+    computational-basis input: every truncation is a post-selected gate the
+    compiler emitted, its steps the gate's own (:class:`PostSelectedGate`).
+    Then no failure term that a truncation keeps can ever pass, and each
+    gate, its network, its truncation with the eager cut and a CNOT's two H
+    steps, is one rule on the packed keys, which keeps only the terms with
+    one photon in each of the gate's rail pairs.  Every mixing block
+    outside the gates lies inside one rail pair, so after each rule every
+    term holds one photon per rail pair and none in aux, and no light cone
+    is computed.  The rule pays the owed phases of the gate's four rail
+    slots, resets them to 1 and leaves ``pos`` and the empty aux slots
+    alone, and the fold prunes once per gate, after it.  A truncation
+    without its gate's own steps around it, as in a program split per mesh
+    layer, rebuilt or built by hand, raises ``ValueError``: fold it with
+    ``forest=False``.  So does a term that enters a gate without one
+    photon in each of its rail pairs and empty aux modes, which a
+    computational-basis input never gives.
 
     The projection keeps the light-cone path's keys and order, and
-    amplitudes differ from it by rounding only: dropped terms' descendants
-    could meet kept ones and add what is zero in exact arithmetic, and the
-    fused rule multiplies in one precomputed product what the step-by-step
-    fold multiplies block by block.  Decoded amplitudes stay within
-    5.6e-16 on the pinned ``simulate`` circuits, the benchmark's random
-    forests and GHZ chains of up to 29 qubits, since the rule's
+    amplitudes differ from it by rounding only: the light-cone path's
+    dropped terms' descendants could meet kept ones and add what is zero
+    in exact arithmetic, and the rule multiplies in one precomputed product
+    what that path multiplies block by block.  Decoded amplitudes stay
+    within 5.6e-16 on the pinned ``simulate`` circuits, the benchmark's
+    random forests and GHZ chains of up to 29 qubits, since the rule's
     coefficients share one modulus (:attr:`PostSelectedGate.rule`).  The
     success probability stays within 5.3e-16 relative per post-selected
     gate: each gate rounds its factor of 1/9 anew in either fold.  Because
-    the fold prunes once per gate,
-    a GHZ chain keeps its two terms up to 30 qubits, one more than step by
-    step.  The result, too, holds only terms that pass the projection.
+    the fold prunes once per gate, a GHZ chain keeps its two terms up to
+    30 qubits, one more than the light-cone path.  The result, too, holds
+    only terms that pass the projection.
     """
-    return _fold(program, state, light_cone(program, layout, forest), fuse=forest)
+    if forest:
+        return _fold(program, state, None, fuse=True)
+    return _fold(program, state, light_cone(program, layout))
 
 
 def format_state_dump(state: PhotonicState) -> str:

@@ -652,14 +652,11 @@ def test_pruned_fold_projects_exactly_like_unpruned_fold():
 
 
 
-@pytest.mark.parametrize("forest", [False, True])
-def test_light_cone_checks_keep_what_the_full_partition_keeps(forest):
+def test_light_cone_checks_keep_what_the_full_partition_keeps():
     # Replayed step by step, each entry's checks keep exactly the keys, in
     # the same order, that the full partition in force keeps, on routed
     # forest circuits and on cycle-closing ones; so does the fold, run to
-    # that entry.  With ``forest`` the checks are the eager cuts alone, at
-    # the truncations: there, and at the end, they keep what the full
-    # partition keeps.
+    # that entry.
     rng = np.random.default_rng(31)
     cyclic = dropped = checked_modes = full_modes = 0
     for case in range(24):
@@ -674,14 +671,9 @@ def test_light_cone_checks_keep_what_the_full_partition_keeps(forest):
         layout = fock.QubitLayout(n)
         bits = "".join(str(int(rng.integers(0, 2))) for _ in range(n))
         start = fock.prepare_computational_basis(bits, layout)
-        cone = fock.light_cone(program, layout, forest)
-        reference = reference_light_cone(program, layout, forest)
-        if forest:
-            truncations = [isinstance(step, fock.TruncateAux) for step in program.steps]
-            assert [bool(checks) for checks in cone] == truncations
-            assert all(p is not None for p, cut in zip(reference, truncations) if cut)
-        else:
-            assert [bool(checks) for checks in cone] == [p is not None for p in reference]
+        cone = fock.light_cone(program, layout)
+        reference = reference_light_cone(program, layout)
+        assert [bool(checks) for checks in cone] == [p is not None for p in reference]
         state = start
         for i, (step, checks, partition) in enumerate(zip(program.steps, cone, reference)):
             if isinstance(step, fock.LinearLayer):
@@ -689,7 +681,7 @@ def test_light_cone_checks_keep_what_the_full_partition_keeps(forest):
             else:
                 state = fock.truncate_aux(state, step.modes)
             kept = keep_checked(state, checks)
-            if partition is not None and (checks or not forest):
+            if partition is not None:
                 full = partition.restrict(state)
                 assert list(kept.terms) == list(full.terms)
                 dropped += len(state.terms) - len(full.terms)
@@ -702,7 +694,7 @@ def test_light_cone_checks_keep_what_the_full_partition_keeps(forest):
                 prefix = fock.NetworkProgram(3 * n, program.steps[: i + 1])
                 folded = fock._fold(prefix, start, cone[: i + 1])
                 assert list(folded.terms) == list(state.terms)
-        pruned = fock.run_program_pruned(program, start, layout, forest)
+        pruned = fock.run_program_pruned(program, start, layout)
         assert list(pruned.terms) == list(state.terms)
         final = fock.qubit_structure(layout).restrict(state)
         assert list(final.terms) == list(state.terms)
@@ -755,8 +747,8 @@ def test_shared_blocks_act_like_absolute_blocks(options):
     # A layer that holds a cached block tuple at an offset does what the
     # same layer with its own blocks at absolute modes does, to the bit:
     # light cone, pruned fold (key order included), placement and matrix.
-    # A certified fold fuses the cached gates only, so there the two folds
-    # agree within the fused rule's contract (fused_fold_problems).
+    # A certified fold refuses the rebuilt gates (see
+    # test_a_certified_fold_refuses_split_rebuilt_and_hand_built_gates).
     rng = np.random.default_rng(53)
     shifted = placed = 0
     for circuit in _shared_block_circuits(rng):
@@ -767,18 +759,12 @@ def test_shared_blocks_act_like_absolute_blocks(options):
         assert all(layer.offset == 0 for layer in flat.steps if isinstance(layer, fock.LinearLayer))
         n = circuit.qubit_count
         layout = fock.QubitLayout(n)
-        for forest in (False, True):
-            assert fock.light_cone(program, layout, forest) == fock.light_cone(
-                flat, layout, forest
-            )
+        assert fock.light_cone(program, layout) == fock.light_cone(flat, layout)
         bits = "".join(str(int(rng.integers(0, 2))) for _ in range(n))
         state = fock.prepare_computational_basis(bits, layout)
-        shared = fock.run_program_pruned(program, state, layout, result.forest)
-        absolute = fock.run_program_pruned(flat, state, layout, result.forest)
-        if result.forest:  # rebuilt blocks take the unfused path
-            assert fused_fold_problems(result, bits, absolute) == []
-        else:
-            assert list(shared.terms.items()) == list(absolute.terms.items())
+        shared = fock.run_program_pruned(program, state, layout)
+        absolute = fock.run_program_pruned(flat, state, layout)
+        assert list(shared.terms.items()) == list(absolute.terms.items())
         try:
             expected = place_in_mesh(flat, "clements", 3 * n)
         except PlacementOverflow as overflow:
@@ -910,10 +896,9 @@ def _network_step_circuits(rng):
 def test_network_steps_act_like_per_layer_steps(options):
     # One step per gate network does what one step per mesh layer does:
     # placement or its overflow message on both schemes, the pruned fold
-    # (key order included) for both forest values, the unpruned fold, and
-    # the product of the step matrices.  With forest, the network steps'
-    # gates are fused and the split ones are not, so those two folds agree
-    # within the fused rule's contract (fused_fold_problems).
+    # on the light-cone path (key order included), the unpruned fold, and
+    # the product of the step matrices.  A certified fold refuses the split
+    # gates (see test_a_certified_fold_refuses_split_rebuilt_and_hand_built_gates).
     rng = np.random.default_rng(71)
     outcomes = collections.Counter()
     for circuit in _network_step_circuits(rng):
@@ -933,8 +918,6 @@ def test_network_steps_act_like_per_layer_steps(options):
             network = fock.run_program_pruned(program, state, layout)
             per_layer = fock.run_program_pruned(layered, state, layout)
             assert list(network.terms.items()) == list(per_layer.terms.items())
-            per_layer = fock.run_program_pruned(layered, state, layout, True)
-            assert fused_fold_problems(result, bits, per_layer) == []
             if n <= 9:  # the unpruned fold carries every failure term
                 full = fock.run_program(program, state)
                 unpruned = fock.run_program(layered, state)
@@ -1065,20 +1048,17 @@ def test_fused_gates_fold_like_the_unfused_fold_on_the_golden_circuits(monkeypat
         certified += 1
         fused.clear()
         assert fused_fold_problems(result, bits) == [], name
-        # each post-selected gate went through its rule, none step by step
+        # each post-selected gate went through its rule
         assert len(fused) == _post_selections(circuit), name
     assert certified == 21
 
 
-def test_fused_gates_fold_the_20_qubit_forest_like_the_unfused_fold():
+def test_fused_gates_fold_the_20_qubit_forest_like_the_dense_oracle():
     # The 20-qubit forest of ROADMAP item 1, random_forest(Random(7), 20,
     # 80, 19, 2) of benchmarks/workloads.py, against the dense oracle; the
-    # unpruned fold is out of reach.  Split per layer, the program takes
-    # the unfused certified path.  Both folds keep the same keys in the
-    # same order, but both are off the oracle: the absolute prune (item 1,
-    # still open) drops eight amplitudes below 2e-5 and addends of up to
-    # about 1.1e-5 in the decoded amplitudes, at different steps of the
-    # two folds, so here they differ by up to about 3e-6, not by rounding.
+    # unpruned fold is out of reach.  The fold is off the oracle: the
+    # absolute prune (item 1, still open) drops eight amplitudes below
+    # 2e-5 and addends of up to about 1.1e-5 in the decoded amplitudes.
     circuit = parse_circuit(json.loads((DATA / "forest20.json").read_text(encoding="utf-8")))
     n, k = circuit.qubit_count, _post_selections(circuit)
     result = compile_circuit(circuit, CompileOptions(place=False))
@@ -1086,8 +1066,6 @@ def test_fused_gates_fold_the_20_qubit_forest_like_the_unfused_fold():
     layout = fock.QubitLayout(n)
     state = fock.prepare_computational_basis("0" * n, layout)
     fused = fock.run_program_pruned(result.program, state, layout, True)
-    unfused = fock.run_program_pruned(per_layer_program(result.program), state, layout, True)
-    assert list(fused.terms) == list(unfused.terms)
     oracle = fock.canonical_global_phase(dense_circuit_state(circuit, "0" * n))
     keys = np.flatnonzero(np.abs(oracle) > 1e-12).tolist()
     amps, p = decode_logical(
@@ -1126,35 +1104,60 @@ def _mutant_caught(monkeypatch, form, h_top, rule) -> bool:
 
 
 @pytest.mark.parametrize("form, h_top", GATE_FORMS)
+def test_the_fused_rule_is_the_permanent_of_the_gate_network(form, h_top):
+    # Each coefficient is the transition amplitude of the gate's linear
+    # network, H before and after the CZ network for a CNOT, by the
+    # permanent formula, and no other qubit-structure output of its input
+    # has any: the truncation drops only terms with an aux photon, which
+    # the trailing H does not touch.  Worst seen: 5.6e-17 off a
+    # coefficient, 1.7e-16 on another output.
+    gate = compiler._post_selected_form(form, h_top)
+    matrix = gates.layer_matrix(gate.network, 6)
+    if gate.h is not None:
+        h = gates.layer_matrix(gate.h, 6, gate.h_top)
+        matrix = h @ matrix @ h
+
+    def dense(occ):
+        modes = [0] * 6
+        for mode, photons in occ:
+            modes[mode] = photons
+        return tuple(modes)
+
+    structured = [dense(((r0, 1), (r1, 1))) for r0 in (1, 2) for r1 in (4, 5)]
+    assert sorted(map(dense, gate.rule)) == sorted(structured)
+    for occ, (out, coefficient) in gate.rule.items():
+        for other in structured:
+            amp = fock.amplitude_via_permanent(matrix, dense(occ), other)
+            want = coefficient if other == dense(out) else 0.0
+            assert abs(amp - want) < 1e-15, (occ, other)
+
+
+@pytest.mark.parametrize("form, h_top", GATE_FORMS)
 def test_the_fused_rule_oracle_catches_a_flipped_coefficient(monkeypatch, form, h_top):
     gate = compiler._post_selected_form(form, h_top)
     assert fused_fold_problems(
         compile_circuit(_form_circuit(h_top), CompileOptions(place=False, cz_form=form)), "00"
     ) == []
     caught = 0
-    for occ, outputs in gate.rule.items():
-        for j, (out, amp) in enumerate(outputs):
-            flipped = outputs[:j] + ((out, -amp),) + outputs[j + 1 :]
-            caught += _mutant_caught(monkeypatch, form, h_top, {**gate.rule, occ: flipped})
-    assert caught == sum(map(len, gate.rule.values())) == 4
+    for occ, (out, amp) in gate.rule.items():
+        caught += _mutant_caught(monkeypatch, form, h_top, {**gate.rule, occ: (out, -amp)})
+    assert caught == len(gate.rule) == 4
 
 
 @pytest.mark.parametrize("form, h_top", GATE_FORMS)
-def test_the_fused_rule_oracle_catches_a_skipped_cut(monkeypatch, form, h_top):
-    # the rule folded without its eager cut keeps the gate's failure terms
+def test_a_rule_built_without_the_projection_raises(monkeypatch, form, h_top):
+    # The rule's fold without the projection keeps the gate's failure
+    # terms, so an input has more than one output, which the monomial
+    # rule refuses.
     gate = compiler._post_selected_form(form, h_top)
-    uncut = {}
-    for occ in gate.rule:
-        dense = [0] * 6
-        for mode, photons in occ:
-            dense[mode] = photons
-        out = fock._fold(gate.program, fock.PhotonicState(6, {tuple(dense): 1.0 + 0.0j}), None)
-        uncut[occ] = tuple(
-            (tuple((mode, photons) for mode, photons in enumerate(key) if photons), amp)
-            for key, amp in out.terms.items()
-        )
-    assert any(len(uncut[occ]) > len(gate.rule[occ]) for occ in gate.rule)
-    assert _mutant_caught(monkeypatch, form, h_top, uncut)
+    assert fock.PostSelectedGate(gate.network, gate.h, gate.h_top).rule == gate.rule
+    monkeypatch.setattr(
+        fock,
+        "project_qubit_structure",
+        lambda state, layout: fock.PostSelectionResult(state, state.squared_norm()),
+    )
+    with pytest.raises(ValueError, match="outputs that pass the projection, not one"):
+        fock.PostSelectedGate(gate.network, gate.h, gate.h_top).rule  # noqa: B018
 
 
 def _strip_gates(program):
@@ -1181,42 +1184,68 @@ def _drop_trailing_h(program):
     )
 
 
+def _copy_blocks(program):
+    """``program`` with each layer's blocks copied, at the same offsets."""
+    return fock.NetworkProgram(
+        program.mode_count,
+        tuple(
+            fock.LinearLayer(
+                step.mode_count,
+                tuple(fock.MeshBlock(blk.top_mode, blk.setting, blk.role) for blk in step.blocks),
+                step.label,
+                step.offset,
+            )
+            if isinstance(step, fock.LinearLayer)
+            else step
+            for step in program.steps
+        ),
+    )
+
+
+def _truncate_one_aux(program):
+    """``program`` with each truncation cut down to its first aux mode."""
+    return fock.NetworkProgram(
+        program.mode_count,
+        tuple(
+            fock.TruncateAux(step.modes[:1], step.gate)
+            if isinstance(step, fock.TruncateAux)
+            else step
+            for step in program.steps
+        ),
+    )
+
+
 @pytest.mark.parametrize(
-    "rebuild", [per_layer_program, flat_program, _strip_gates], ids=["split", "flat", "stripped"]
+    "rebuild",
+    [
+        per_layer_program,
+        flat_program,
+        _copy_blocks,
+        _strip_gates,
+        _drop_trailing_h,
+        _truncate_one_aux,
+    ],
+    ids=["split", "flat", "copied", "stripped", "no-trailing-h", "one-aux"],
 )
 @pytest.mark.parametrize("options", ALL_OPTIONS, ids=lambda o: f"{o.cz_form}-{o.restore_swaps}")
-def test_split_rebuilt_and_hand_built_gates_take_the_unfused_path(monkeypatch, rebuild, options):
-    # A gate fuses only where its truncation's steps are the cached network
-    # and H tuples; anything else folds step by step, bit for bit as the
-    # unfused certified fold of the compiled program.
+def test_a_certified_fold_refuses_split_rebuilt_and_hand_built_gates(rebuild, options):
+    # A certified fold applies every post-selected gate as its rule, so
+    # each truncation must carry its gate and sit among the gate's cached
+    # network and H tuples at its window; any other program is refused,
+    # even one whose copied blocks equal the cached ones at the same
+    # offsets.  The light-cone path folds it like the projected unpruned
+    # fold.
     rng = np.random.default_rng(97)
-    fused = count_fused_gates(monkeypatch)
     circuits = [ghz_chain_circuit(4)] + [_random_circuit(rng, n, 16, forest=True) for n in (3, 5)]
     for circuit in circuits:
-        program = compile_circuit(circuit, options).program
+        program = rebuild(compile_circuit(circuit, options).program)
         layout = fock.QubitLayout(circuit.qubit_count)
         state = fock.prepare_computational_basis("0" * circuit.qubit_count, layout)
-        folded = fock.run_program_pruned(rebuild(program), state, layout, True)
-        unfused = fock._fold(program, state, fock.light_cone(program, layout, True))
-        assert list(folded.terms.items()) == list(unfused.terms.items())
-    assert fused == []
-
-
-def test_a_cnot_without_its_trailing_h_is_not_fused(monkeypatch):
-    fused = count_fused_gates(monkeypatch)
-    circuit = parse_circuit({"qubits": 3, "gates": [
-        {"g": "H", "q": 0}, {"g": "CNOT", "c": 0, "t": 1}, {"g": "CZ", "c": 1, "t": 2},
-    ]})
-    program = _drop_trailing_h(compile_circuit(circuit, CompileOptions(place=False)).program)
-    assert len(program.steps) == 6
-    layout = fock.QubitLayout(3)
-    state = fock.prepare_computational_basis("000", layout)
-    folded = fock.run_program_pruned(program, state, layout, True)
-    assert fused == ["CZ q1-q2"]  # the CZ still fuses
-    unfused = fock.run_program_pruned(per_layer_program(program), state, layout, True)
-    assert list(folded.terms) == list(unfused.terms)
-    for occ, amp in unfused.terms.items():
-        assert abs(folded.terms[occ] - amp) < 1e-15
+        with pytest.raises(ValueError, match="outside the steps of a post-selected gate"):
+            fock.run_program_pruned(program, state, layout, True)
+        full = fock.project_qubit_structure(fock.run_program(program, state), layout)
+        pruned = fock.run_program_pruned(program, state, layout)
+        assert list(pruned.terms.items()) == list(full.projected_state.terms.items())
 
 
 @pytest.mark.parametrize(
@@ -1235,7 +1264,8 @@ def test_a_fused_gate_refuses_a_term_off_the_qubit_structure(occ):
 
 @pytest.mark.parametrize("options", ALL_OPTIONS, ids=lambda o: f"{o.cz_form}-{o.restore_swaps}")
 def test_every_truncation_directly_follows_its_cz_network(options):
-    # The precondition of the forest cone's eager cuts (fock.light_cone):
+    # The precondition of the certified fold's eager cuts
+    # (fock.run_program_pruned):
     # no step, not even a CNOT's trailing H, lies between a CZ network and
     # the truncation of its window's two aux modes.
     rng = np.random.default_rng(83)

@@ -515,7 +515,7 @@ def test_light_cone_of_a_long_chain_moves_small_blocks_into_large():
     layout = QubitLayout(n)
     program = compile_circuit(ghz_chain_circuit(n), CompileOptions(place=False)).program
     start = time.perf_counter()
-    cone = light_cone(program, layout, forest=False)
+    cone = light_cone(program, layout)
     elapsed = time.perf_counter() - start
     assert len(cone) == len(program.steps)
     # after the input, only the blocks joined to the chain are checked,
@@ -557,28 +557,25 @@ def test_partition_split_moves_modes_into_a_new_block():
 
 
 def test_forest_light_cone_splits_the_rail_pairs_at_each_truncation():
+    # The reference forest cone is the plain partition in force with each
+    # truncated aux mode's rail pair split out as a block that must hold
+    # one photon: the eager cut each post-selected gate's rule applies.
     layout = QubitLayout(3)
     circuit = ghz_chain_circuit(3)
     program = compile_circuit(circuit, CompileOptions(place=False)).program
     plain = light_cone(program, layout)
-    eager = light_cone(program, layout, forest=True)
     full_plain = reference_light_cone(program, layout)
     full_eager = reference_light_cone(program, layout, forest=True)
-    assert len(eager) == len(program.steps)
     truncations = 0
     held = None  # the plain partition in force: an entry of None keeps it
-    entries = zip(program.steps, plain, eager, full_plain, full_eager)
-    for step, before, after, full_before, full_after in entries:
+    entries = zip(program.steps, plain, full_plain, full_eager)
+    for step, before, full_before, full_after in entries:
         held = full_before or held
         if not isinstance(step, TruncateAux):
-            # the eager cuts are the whole forest cone
-            assert after == ()
             assert full_after == full_before
             continue
         assert before == () and full_before is None
         truncations += 1
-        # the eager cut checks each truncated rail pair for one photon
-        assert after == tuple(((aux + 1, aux + 2), 1) for aux in step.modes)
         expected = held
         for aux in step.modes:
             expected = split_partition(expected, (aux + 1, aux + 2), 1)
@@ -610,12 +607,13 @@ def test_certified_fold_keeps_one_ninth_per_truncation():
         assert result.forest
         layout = QubitLayout(n)
         state = prepare_computational_basis("0" * n, layout)
-        cone = light_cone(result.program, layout, forest=True)
         k = 0
-        for step, cut in zip(result.program.steps, cone):
+        for step in result.program.steps:
             if isinstance(step, LinearLayer):
-                state = keep_checked(apply_linear(state, step), cut)
+                state = apply_linear(state, step)
                 continue
+            # the eager cut: one photon in each truncated aux mode's rail pair
+            cut = tuple(((aux + 1, aux + 2), 1) for aux in step.modes)
             state = keep_checked(truncate_aux(state, step.modes), cut)
             k += 1
             assert state.squared_norm() == pytest.approx(9.0**-k, rel=1e-12)
