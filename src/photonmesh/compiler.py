@@ -652,16 +652,23 @@ class _Emitter:
         commute, and no mixing block touches the gate's failure terms
         before they are cut.  The steps hold the form's own block tuples,
         and the truncation carries the form, so a certified fold applies
-        the gate as one rule (:class:`fock.PostSelectedGate`)."""
+        the gate as one rule (:class:`fock.PostSelectedGate`).  A CNOT's
+        H step is built once and appended twice, as the form's program
+        holds it."""
         lo = min(self.positions[a], self.positions[b])
         h_top = 1 if self.positions[b] == lo else 4  # the target's rails
         gate = _post_selected_form(self.options.cz_form, h_top if name == "CNOT" else None)
+        h = None
         for step in gate.program.steps:
             if isinstance(step, TruncateAux):
                 self.post_select(lo, gate)
+            elif step.blocks is gate.network:
+                self.emit(step.blocks, 3 * lo + step.offset, f"{name} q{a}-q{b}")
             else:
-                label = f"{name} q{a}-q{b}" if step.blocks is gate.network else f"CNOT H q{b}"
-                self.emit(step.blocks, 3 * lo + step.offset, label)
+                if h is None:
+                    top = 3 * lo + step.offset
+                    h = gates.layers_to_steps(step.blocks, self.m, top, f"CNOT H q{b}")
+                self.steps.append(h)
 
     def two_qubit_gate(self, op: GateOp) -> None:
         a, b = op.qubits

@@ -40,10 +40,12 @@ each post-selected gate the compiler emitted as one rule: its CZ network,
 the truncation of its two aux modes with the eager cut and, for a CNOT,
 the H steps before and after them.  The rule (:class:`PostSelectedGate`)
 maps each of the gate's four window inputs, one photon in each rail pair
-and none in aux, to its one output that passes the projection; it is
-built once per gate form.  Every truncation must be such a gate's, with
-the gate's own cached block tuples around it at its window's offsets;
-the fold refuses any other with ``ValueError``.  In the frame the rule
+and none in aux, keyed by the window modes of its two photons, to its one
+output that passes the projection; it is built once per gate form, as is
+the shape of the gate's steps.  Every truncation must be such a gate's,
+with the gate's own cached block tuples around it at its window's
+offsets; the fold refuses any other with ``ValueError``, applies the rule
+at the gate's first step and jumps past its last.  In the frame the rule
 pays the owed phases of the four rail slots and resets them to 1, and
 leaves ``pos`` alone, because it absorbs the network's crossings; the aux
 slots stay empty.  It prunes at :data:`PRUNE_THRESHOLD` once, after the
@@ -72,8 +74,6 @@ from .linalg import MziSetting, _setting_entries, permanent
 Occupation = tuple[int, ...]
 # A light-cone check: a term must hold exactly ``count`` photons in ``modes``.
 Check = tuple[tuple[int, ...], int]
-# An occupation as its ``(mode, photons)`` pairs for the occupied modes.
-SparseOccupation = tuple[tuple[int, int], ...]
 
 # Amplitudes at or below this threshold are dropped after each layer that
 # rewrites terms, and pair-rule outputs (relative to their input term, see
@@ -206,8 +206,9 @@ class PostSelectedGate:
     :class:`TruncateAux`.  A certified fold (:func:`run_program_pruned`
     with ``forest``) applies the gate as one rule, and needs the steps
     around that truncation to hold exactly this object's block tuples at
-    the window's offsets (:meth:`first_step`).  Objects compare by
-    identity."""
+    the window's offsets (:meth:`first_step`).  Per object, and so once per
+    form, it caches :attr:`program`, the shape :meth:`first_step` checks
+    and :attr:`rule`.  Objects compare by identity."""
 
     network: tuple[MeshBlock, ...]
     h: tuple[MeshBlock, ...] | None = None
@@ -222,40 +223,62 @@ class PostSelectedGate:
         h = LinearLayer(6, self.h, offset=self.h_top)
         return NetworkProgram(6, (h, *core, h))
 
+    @functools.cached_property
+    def _shape(self) -> tuple[int, tuple[int, ...], tuple, int]:
+        """What :meth:`first_step` checks, read once from :attr:`program`:
+        the truncation's index and window modes, each linear step's
+        ``(index, block tuple, offset)`` and the number of steps."""
+        own = self.program.steps
+        cut = next(i for i, step in enumerate(own) if isinstance(step, TruncateAux))
+        linear = tuple(
+            (i, step.blocks, step.offset)
+            for i, step in enumerate(own)
+            if isinstance(step, LinearLayer)
+        )
+        return cut, own[cut].modes, linear, len(own)
+
     def first_step(self, steps, cut: int) -> int:
         """The index of this gate's first step if ``steps[cut]`` is its
-        truncation and the steps around it are :attr:`program`'s at the
-        window offset ``off``, the first truncated mode: the same truncated
-        modes and block tuples, at their own offsets plus ``off``;
-        otherwise -1."""
-        own = self.program.steps
-        mine = next(i for i, step in enumerate(own) if isinstance(step, TruncateAux))
-        start, off = cut - mine, steps[cut].modes[0]
-        if start < 0 or start + len(own) > len(steps):
+        truncation and the steps around it are :attr:`program`'s at a window
+        offset ``off``: the same truncated modes plus ``off``, and at each
+        linear step the same block tuple at its own offset plus ``off``;
+        otherwise -1, also for a truncation of no modes.  The shape it
+        checks is read from :attr:`program` once per object."""
+        mine, modes, linear, size = self._shape
+        truncated = steps[cut].modes
+        start = cut - mine
+        if not truncated or start < 0 or start + size > len(steps):
             return -1
-        if steps[cut].modes != tuple(off + mode for mode in own[mine].modes):
+        off = truncated[0] - modes[0]
+        if truncated != tuple([off + mode for mode in modes]):
             return -1
-        for step, theirs in zip(own, steps[start:]):
-            if isinstance(step, LinearLayer) and not (
+        for i, blocks, offset in linear:
+            theirs = steps[start + i]
+            if not (
                 isinstance(theirs, LinearLayer)
-                and theirs.blocks is step.blocks
-                and theirs.offset == off + step.offset
+                and theirs.blocks is blocks
+                and theirs.offset == off + offset
             ):
                 return -1
         return start
 
     @functools.cached_property
-    def rule(self) -> dict[SparseOccupation, tuple[SparseOccupation, complex]]:
-        """The gate and its eager cut on the window, as a monomial map: each
-        of the four inputs with one photon in each rail pair and empty aux
-        maps to ``(output, coefficient)``, its one output that passes the
-        projection; an occupation is its ``(window mode, photons)`` pairs.
+    def rule(self) -> dict[tuple[int, int], tuple[tuple[int, int], complex]]:
+        """The gate and its eager cut on the window, as a monomial map
+        ``{(i, j): ((o, p), coefficient)}``: the input with one photon in
+        window mode ``i`` of the first rail pair (1 or 2), one in mode ``j``
+        of the second (4 or 5) and none in aux maps to its one output that
+        passes the projection, one photon in each of ``o`` and ``p``.  Every
+        input and output holds one photon per rail pair, so a mode names
+        its photon.
 
         Built once per object as :func:`project_qubit_structure` of
         :func:`run_program` of :attr:`program` on each input, which reads
         the result in window order with the owed phases paid, so the rule
         absorbs the network's crossings and their phases.  An input with
-        any other number of passing outputs raises ``ValueError``.
+        any other number of passing outputs raises ``ValueError``.  The fold
+        (:func:`_apply_gate`) reads this map on every use and keeps no
+        derived copy of it.
 
         In exact arithmetic each output has modulus 1/3: the gate acts as
         ``diag(1, 1, 1, -1) / 3`` up to phases, and a CNOT's H steps make
@@ -265,21 +288,20 @@ class PostSelectedGate:
         the mean of the four moduli."""
         layout = QubitLayout(2)
         rule = {}
-        for photons in (((1, 1), (4, 1)), ((1, 1), (5, 1)), ((2, 1), (4, 1)), ((2, 1), (5, 1))):
+        for i, j in ((1, 4), (1, 5), (2, 4), (2, 5)):
             occ = [0] * 6
-            for mode, n in photons:
-                occ[mode] = n
+            occ[i] = occ[j] = 1
             state = run_program(self.program, PhotonicState(6, {tuple(occ): 1.0 + 0.0j}))
             outputs = project_qubit_structure(state, layout).projected_state.terms
             if len(outputs) != 1:
                 raise ValueError(
-                    f"post-selected gate: input {photons} has {len(outputs)} outputs "
+                    f"post-selected gate: input {(i, j)} has {len(outputs)} outputs "
                     "that pass the projection, not one"
                 )
             ((key, amp),) = outputs.items()
-            rule[photons] = (tuple((mode, n) for mode, n in enumerate(key) if n), amp)
+            rule[i, j] = (tuple(mode for mode, n in enumerate(key) if n), amp)
         modulus = sum(abs(amp) for _, amp in rule.values()) / len(rule)
-        return {occ: (out, modulus * (amp / abs(amp))) for occ, (out, amp) in rule.items()}
+        return {ij: (out, modulus * (amp / abs(amp))) for ij, (out, amp) in rule.items()}
 
 
 @dataclass(frozen=True)
@@ -736,21 +758,20 @@ def _apply_gate(
 ) -> dict[int, complex]:
     """``terms``, packed keys (see :func:`_fold`), after the post-selected
     ``gate`` and its eager cut, by its :attr:`~PostSelectedGate.rule`;
-    ``slots[k]`` holds window mode ``k``.  Each term's window is relabeled
-    and its amplitude scaled by the rule's coefficient times the phases
-    its photons' slots owe.  The rule is a monomial map, so no two terms
-    meet; terms of amplitude at most :data:`PRUNE_THRESHOLD` are dropped.
-    A term whose window holds anything but one photon in each rail pair
-    raises ``ValueError``."""
+    ``slots[k]`` holds window mode ``k``.  Each rule entry ``(i, j)`` is
+    read straight into a packed input, the delta to its output and its
+    coefficient times the phases owed by the slots of ``i`` and ``j``, so
+    each term's window is relabeled and its amplitude scaled by one
+    factor.  The rule is a monomial map, so no two terms meet; terms of
+    amplitude at most :data:`PRUNE_THRESHOLD` are dropped.  A term whose
+    window holds anything but one photon in each rail pair raises
+    ``ValueError``; ``label`` names the gate in it."""
     unit = [1 << shift[s] for s in slots]
     window = digit * sum(unit)
     rules = {}
-    for occ, (out, amp) in gate.rule.items():
-        bits, factor = 0, 1.0 + 0.0j
-        for k, n in occ:
-            bits += n * unit[k]
-            factor *= owed[slots[k]] ** n
-        rules[bits] = (sum([n * unit[k] for k, n in out]) - bits, amp * factor)
+    for (i, j), ((o, p), c) in gate.rule.items():
+        bits = unit[i] + unit[j]
+        rules[bits] = (unit[o] + unit[p] - bits, c * (owed[slots[i]] * owed[slots[j]]))
     kept = {}
     for key, amp in terms.items():
         rule = rules.get(key & window)
@@ -777,9 +798,10 @@ def _fold(
     """The fold behind :func:`run_program`, :func:`run_program_pruned` and
     :func:`apply_linear`: every step in order, then, if ``cone`` is given,
     its checks after each step.  With ``fuse`` (the certified fold), the
-    steps of each post-selected gate the compiler emitted are one step, the
-    gate's rule (:func:`_apply_gate`), and a truncation that is not such a
-    gate's raises ``ValueError`` (see :func:`run_program_pruned`).
+    steps of each post-selected gate the compiler emitted are one step: at
+    the gate's first step the fold applies its rule (:func:`_apply_gate`)
+    and jumps past its last.  A truncation that is not such a gate's
+    raises ``ValueError`` (see :func:`run_program_pruned`).
 
     Inside the fold a term's key is one int: slot ``s`` is a digit of
     ``width`` bits at offset ``shift[s]``, slot 0 most significant, so
@@ -826,17 +848,17 @@ def _fold(
             )
         end = start + len(gate.program.steps)
         fused[start] = (gate, step.modes[0], end, steps[cut - 1].label)
-    resume = 0  # the step after the last fused gate
-    for i, (step, checks) in enumerate(zip(steps, cuts)):
-        if i < resume:
-            continue
-        if i in fused:
-            gate, off, resume, label = fused[i]
+    i = 0
+    while i < len(steps):
+        if i in fused:  # the gate's rule, then on past its last step
+            gate, off, i, label = fused[i]
             slots = pos[off : off + 6]
             terms = _apply_gate(terms, gate, slots, shift, digit, owed, label)
             for k in (1, 2, 4, 5):
                 owed[slots[k]] = 1.0 + 0.0j
             continue
+        step, checks = steps[i], cuts[i]
+        i += 1
         mixed, empty = False, 0
         if isinstance(step, LinearLayer):
             off = step.offset
@@ -937,12 +959,16 @@ def run_program_pruned(
     term holds one photon per rail pair and none in aux, and no light cone
     is computed.  The rule pays the owed phases of the gate's four rail
     slots, resets them to 1 and leaves ``pos`` and the empty aux slots
-    alone, and the fold prunes once per gate, after it.  A truncation
-    without its gate's own steps around it, as in a program split per mesh
-    layer, rebuilt or built by hand, raises ``ValueError``: fold it with
-    ``forest=False``.  So does a term that enters a gate without one
-    photon in each of its rail pairs and empty aux modes, which a
-    computational-basis input never gives.
+    alone, and the fold prunes once per gate, after it, then jumps past
+    the gate's last step.  The steps around each truncation are checked
+    against the shape its gate form caches
+    (:meth:`PostSelectedGate.first_step`), and the rule is read from
+    :attr:`PostSelectedGate.rule`, keyed by window modes, on every use.  A
+    truncation without its gate's own steps around it, as in a program
+    split per mesh layer, rebuilt or built by hand, or one of no modes,
+    raises ``ValueError``: fold it with ``forest=False``.  So does a term
+    that enters a gate without one photon in each of its rail pairs and
+    empty aux modes, which a computational-basis input never gives.
 
     The projection keeps the light-cone path's keys and order, and
     amplitudes differ from it by rounding only: the light-cone path's

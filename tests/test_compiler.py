@@ -1080,23 +1080,33 @@ def test_fused_gates_fold_the_20_qubit_forest_like_the_dense_oracle():
 
 
 # Each form of a fused gate: (cz_form, the CNOT target's window rail top or
-# None for a CZ), and a two-qubit circuit that feeds it all four inputs.
+# None for a CZ), and two-qubit circuits that feed it all four inputs.
 GATE_FORMS = [(form, h_top) for form in ("compressed", "swap-sandwich") for h_top in (None, 1, 4)]
 
 
-def _form_circuit(h_top):
-    gate = {None: {"g": "CZ", "c": 0, "t": 1}, 1: {"g": "CNOT", "c": 1, "t": 0}}.get(
-        h_top, {"g": "CNOT", "c": 0, "t": 1}
-    )
-    return parse_circuit({"qubits": 2, "gates": [{"g": "H", "q": 0}, {"g": "H", "q": 1}, gate]})
+def _form_circuits(h_top):
+    """H on both qubits, then the gate; and the same with T, Y on the
+    control and RZ, X on the target before the gate, so that every rail
+    slot enters the rule owing a phase and each rail pair's slots are
+    crossed."""
+    c, t = (1, 0) if h_top == 1 else (0, 1)
+    gate = {"g": "CZ" if h_top is None else "CNOT", "c": c, "t": t}
+    plain = [{"g": "H", "q": 0}, {"g": "H", "q": 1}]
+    phased = plain + [
+        {"g": "T", "q": c},
+        {"g": "Y", "q": c},
+        {"g": "RZ", "q": t, "angle": 0.7},
+        {"g": "X", "q": t},
+    ]
+    return [parse_circuit({"qubits": 2, "gates": [*ops, gate]}) for ops in (plain, phased)]
 
 
-def _mutant_caught(monkeypatch, form, h_top, rule) -> bool:
+def _mutant_caught(monkeypatch, form, h_top, rule, circuit) -> bool:
     gate = compiler._post_selected_form(form, h_top)
     gate.rule  # noqa: B018  (build the real rule, so the patch is undone to it)
     with monkeypatch.context() as patch:
         patch.setitem(gate.__dict__, "rule", rule)
-        result = compile_circuit(_form_circuit(h_top), CompileOptions(place=False, cz_form=form))
+        result = compile_circuit(circuit, CompileOptions(place=False, cz_form=form))
         try:
             return bool(fused_fold_problems(result, "00"))
         except ValueError:
@@ -1117,38 +1127,41 @@ def test_the_fused_rule_is_the_permanent_of_the_gate_network(form, h_top):
         h = gates.layer_matrix(gate.h, 6, gate.h_top)
         matrix = h @ matrix @ h
 
-    def dense(occ):
-        modes = [0] * 6
-        for mode, photons in occ:
-            modes[mode] = photons
-        return tuple(modes)
+    def dense(modes):
+        # the window occupation with one photon in each of ``modes``
+        return tuple(int(mode in modes) for mode in range(6))
 
-    structured = [dense(((r0, 1), (r1, 1))) for r0 in (1, 2) for r1 in (4, 5)]
-    assert sorted(map(dense, gate.rule)) == sorted(structured)
-    for occ, (out, coefficient) in gate.rule.items():
+    structured = [dense((r0, r1)) for r0 in (1, 2) for r1 in (4, 5)]
+    assert list(gate.rule) == [(1, 4), (1, 5), (2, 4), (2, 5)]
+    for (i, j), ((o, p), coefficient) in gate.rule.items():
+        assert o in (1, 2) and p in (4, 5)
         for other in structured:
-            amp = fock.amplitude_via_permanent(matrix, dense(occ), other)
-            want = coefficient if other == dense(out) else 0.0
-            assert abs(amp - want) < 1e-15, (occ, other)
+            amp = fock.amplitude_via_permanent(matrix, dense((i, j)), other)
+            want = coefficient if other == dense((o, p)) else 0.0
+            assert abs(amp - want) < 1e-15, ((i, j), other)
 
 
 @pytest.mark.parametrize("form, h_top", GATE_FORMS)
 def test_the_fused_rule_oracle_catches_a_flipped_coefficient(monkeypatch, form, h_top):
+    # On both inputs of each form, the plain one and the one whose rail
+    # slots all owe a phase and are crossed, the oracle passes the real
+    # rule and catches each of its four coefficients negated.
     gate = compiler._post_selected_form(form, h_top)
-    assert fused_fold_problems(
-        compile_circuit(_form_circuit(h_top), CompileOptions(place=False, cz_form=form)), "00"
-    ) == []
-    caught = 0
-    for occ, (out, amp) in gate.rule.items():
-        caught += _mutant_caught(monkeypatch, form, h_top, {**gate.rule, occ: (out, -amp)})
-    assert caught == len(gate.rule) == 4
+    for circuit in _form_circuits(h_top):
+        options = CompileOptions(place=False, cz_form=form)
+        assert fused_fold_problems(compile_circuit(circuit, options), "00") == []
+        caught = 0
+        for ij, (out, amp) in gate.rule.items():
+            mutant = {**gate.rule, ij: (out, -amp)}
+            caught += _mutant_caught(monkeypatch, form, h_top, mutant, circuit)
+        assert caught == len(gate.rule) == 4
 
 
 @pytest.mark.parametrize("form, h_top", GATE_FORMS)
 def test_a_rule_built_without_the_projection_raises(monkeypatch, form, h_top):
     # The rule's fold without the projection keeps the gate's failure
     # terms, so an input has more than one output, which the monomial
-    # rule refuses.
+    # rule refuses, naming the input by its two photons' window modes.
     gate = compiler._post_selected_form(form, h_top)
     assert fock.PostSelectedGate(gate.network, gate.h, gate.h_top).rule == gate.rule
     monkeypatch.setattr(
@@ -1156,7 +1169,8 @@ def test_a_rule_built_without_the_projection_raises(monkeypatch, form, h_top):
         "project_qubit_structure",
         lambda state, layout: fock.PostSelectionResult(state, state.squared_norm()),
     )
-    with pytest.raises(ValueError, match="outputs that pass the projection, not one"):
+    refused = r"input \(1, 4\) has \d+ outputs that pass the projection, not one"
+    with pytest.raises(ValueError, match=refused):
         fock.PostSelectedGate(gate.network, gate.h, gate.h_top).rule  # noqa: B018
 
 
@@ -1215,6 +1229,17 @@ def _truncate_one_aux(program):
     )
 
 
+def _truncate_no_aux(program):
+    """``program`` with each truncation emptied of modes, its gate kept."""
+    return fock.NetworkProgram(
+        program.mode_count,
+        tuple(
+            fock.TruncateAux((), step.gate) if isinstance(step, fock.TruncateAux) else step
+            for step in program.steps
+        ),
+    )
+
+
 @pytest.mark.parametrize(
     "rebuild",
     [
@@ -1224,8 +1249,9 @@ def _truncate_one_aux(program):
         _strip_gates,
         _drop_trailing_h,
         _truncate_one_aux,
+        _truncate_no_aux,
     ],
-    ids=["split", "flat", "copied", "stripped", "no-trailing-h", "one-aux"],
+    ids=["split", "flat", "copied", "stripped", "no-trailing-h", "one-aux", "no-aux"],
 )
 @pytest.mark.parametrize("options", ALL_OPTIONS, ids=lambda o: f"{o.cz_form}-{o.restore_swaps}")
 def test_a_certified_fold_refuses_split_rebuilt_and_hand_built_gates(rebuild, options):
