@@ -527,6 +527,37 @@ def test_simulate_prints_the_pinned_bytes(tmp_path):
             assert proc.stdout == case[fmt], (case["name"], fmt)
 
 
+COMPILE_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "compile_golden.json")
+
+
+def test_compile_prints_the_pinned_bytes(tmp_path):
+    # The stdout of `compile --format json` and `--format tsv`, pinned byte
+    # for byte, on seeded routed brickworks (tests/helpers.py `brickwork`
+    # with numpy's default_rng(seed)) over both cz_forms, both mesh schemes
+    # where the circuit fits, and one run without restore swaps.  Four more
+    # brickworks overflow their mesh: their exit code, empty stdout and
+    # stderr are pinned, so the step label an overflow names is too.
+    with open(COMPILE_GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    cases, overflows = golden["cases"], golden["overflows"]
+    assert len(cases) == 12 and len(overflows) == 4
+    assert {"reck", "clements"} == {case["flags"][1] for case in cases}
+    assert {"compressed", "swap-sandwich"} == {case["flags"][3] for case in cases}
+    assert sum("[CNOT" in case["stderr"] for case in overflows) == 3
+    for case in cases:
+        path = write_circuit(tmp_path, case["circuit"])
+        for fmt in ("json", "tsv"):
+            proc = run_cli("compile", path, *case["flags"], "--format", fmt)
+            assert (proc.returncode, proc.stderr) == (0, ""), case["name"]
+            assert proc.stdout == case[fmt], (case["name"], fmt)
+    for case in overflows:
+        path = write_circuit(tmp_path, case["circuit"])
+        proc = run_cli("compile", path, *case["flags"], "--format", "json")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            case["exit"], "", case["stderr"]
+        ), case["name"]
+
+
 @pytest.mark.skipif(
     "openblas" not in numpy_blas_name().lower(), reason="numpy is not built on OpenBLAS"
 )
