@@ -16,13 +16,14 @@ entangling gate are discharged with an explicit X block beforehand
 gate); the final relabeling is applied when decoding measurement
 amplitudes.
 
-Every post-selected gate's CZ network is directly followed by truncation
-of the two auxiliary modes it used; a CNOT's trailing H on the target's
-rails comes after the truncation, which acts on aux modes only, so the two
-commute.  A pair of qubits may share at most one post-selected gate: a
-second one would post-select on photons that are no longer in the
-product-form the gate's success accounting assumes, so the compiler
-refuses it (:class:`IllegalCascade`).
+Every post-selected gate is two program steps: its whole network, then the
+truncation of the two auxiliary modes it used.  A CNOT's network holds the
+CZ network between two H blocks on the target's rails; the trailing H acts
+on rails only and the truncation on aux modes only, so the two commute and
+the truncation may follow it.  A pair of qubits may share at most one
+post-selected gate: a second one would post-select on photons that are no
+longer in the product-form the gate's success accounting assumes, so the
+compiler refuses it (:class:`IllegalCascade`).
 
 Distinct pairs always compile, but exactness has a sharper boundary.  Each
 post-selected gate leaves failure terms in which one operand's rail pair
@@ -48,8 +49,8 @@ certificate.  Inside a forest no failure term a truncation keeps can reach a
 passing configuration: the gate's two sides are joined by that gate alone,
 so no later layer can move a photon from the doubled side to the empty one.
 For a certified circuit the simulator therefore applies each
-post-selected gate, its network, its truncation and a CNOT's H steps, as
-one rule that keeps only the gate's successful outputs
+post-selected gate, its network and its truncation, as one rule that
+keeps only the gate's successful outputs
 (``fock.run_program_pruned(..., forest=True)``, ``fock.PostSelectedGate``),
 and that eager cut is its whole filter: every other mixing block acts
 inside one rail pair, so after each gate every term holds one photon per
@@ -549,11 +550,14 @@ def _fixed_gate_layers(name: str, flipped: bool) -> tuple[MeshBlock, ...]:
 @functools.cache
 def _post_selected_form(cz_form: str, h_top: int | None) -> fock.PostSelectedGate:
     """The gate object of a CZ (``h_top`` None) or of a CNOT whose target's
-    rails start at window mode ``h_top``, built once per form, so a
-    certified fold builds each form's rule once per process."""
+    rails start at window mode ``h_top``: the CZ network, for a CNOT between
+    two H blocks on those rails, as one block tuple.  Built once per form,
+    so a certified fold builds each form's rule once per process."""
     if h_top is None:
         return fock.PostSelectedGate(_cz_layers(cz_form))
-    return fock.PostSelectedGate(_cz_layers(cz_form), _fixed_gate_layers("H", False), h_top)
+    (h,) = _fixed_gate_layers("H", False)
+    h = replace(h, top_mode=h_top)
+    return fock.PostSelectedGate((h, *_cz_layers(cz_form), h))
 
 
 class _Emitter:
@@ -644,31 +648,16 @@ class _Emitter:
 
     def post_selected_gate(self, name: str, a: int, b: int) -> None:
         """Emit ``CZ`` or ``CNOT`` (target ``b``) on the adjacent qubits ``a``
-        and ``b`` as they stand: the steps of the cached gate form's
-        :attr:`~fock.PostSelectedGate.program` at the pair's window.  A
-        CNOT is the CZ network between two H layers on the target's rails.
-        The post-selection directly follows the CZ network: the trailing H
-        acts on rails only and the truncation on aux modes only, so the two
-        commute, and no mixing block touches the gate's failure terms
-        before they are cut.  The steps hold the form's own block tuples,
-        and the truncation carries the form, so a certified fold applies
-        the gate as one rule (:class:`fock.PostSelectedGate`).  A CNOT's
-        H step is built once and appended twice, as the form's program
-        holds it."""
+        and ``b`` as they stand: the cached gate form's whole network, a
+        CNOT's two H blocks included, as one step at the pair's window, then
+        its post-selection.  The step holds the form's own block tuple and
+        the truncation carries the form, so a certified fold applies the
+        gate as one rule (:class:`fock.PostSelectedGate`)."""
         lo = min(self.positions[a], self.positions[b])
         h_top = 1 if self.positions[b] == lo else 4  # the target's rails
         gate = _post_selected_form(self.options.cz_form, h_top if name == "CNOT" else None)
-        h = None
-        for step in gate.program.steps:
-            if isinstance(step, TruncateAux):
-                self.post_select(lo, gate)
-            elif step.blocks is gate.network:
-                self.emit(step.blocks, 3 * lo + step.offset, f"{name} q{a}-q{b}")
-            else:
-                if h is None:
-                    top = 3 * lo + step.offset
-                    h = gates.layers_to_steps(step.blocks, self.m, top, f"CNOT H q{b}")
-                self.steps.append(h)
+        self.emit(gate.blocks, 3 * lo, f"{name} q{a}-q{b}")
+        self.post_select(lo, gate)
 
     def two_qubit_gate(self, op: GateOp) -> None:
         a, b = op.qubits

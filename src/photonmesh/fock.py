@@ -35,17 +35,18 @@ phases paid, keys read in logical order and sorted.  Terms are never
 sorted in between, so accumulation follows dict insertion order, which the
 input state and the program determine.
 
-The certified fold (:func:`run_program_pruned` with ``forest``) applies
-each post-selected gate the compiler emitted as one rule: its CZ network,
-the truncation of its two aux modes with the eager cut and, for a CNOT,
-the H steps before and after them.  The rule (:class:`PostSelectedGate`)
-maps each of the gate's four window inputs, one photon in each rail pair
-and none in aux, keyed by the window modes of its two photons, to its one
-output that passes the projection; it is built once per gate form, as is
-the shape of the gate's steps.  Every truncation must be such a gate's,
-with the gate's own cached block tuples around it at its window's
-offsets; the fold refuses any other with ``ValueError``, applies the rule
-at the gate's first step and jumps past its last.  In the frame the rule
+The compiler emits each post-selected gate as two steps: one linear step
+holding its whole network (the CZ network and, for a CNOT, the H blocks
+before and after it) and then the truncation of its two aux modes, which
+carries the gate (:class:`PostSelectedGate`).  The certified fold
+(:func:`run_program_pruned` with ``forest``) applies those two steps as
+one rule, with the eager cut.  The rule maps each of the gate's four
+window inputs, one photon in each rail pair and none in aux, keyed by the
+window modes of its two photons, to its one output that passes the
+projection; it is built once per gate form.  A linear step is the gate
+when the next step is a truncation whose gate holds the step's very block
+tuple and whose modes are the aux modes of the step's window; any other
+truncation the fold reaches raises ``ValueError``.  In the frame the rule
 pays the owed phases of the four rail slots and resets them to 1, and
 leaves ``pos`` alone, because it absorbs the network's crossings; the aux
 slots stay empty.  It prunes at :data:`PRUNE_THRESHOLD` once, after the
@@ -194,73 +195,20 @@ class TruncateAux:
 
 @dataclass(frozen=True, eq=False)
 class PostSelectedGate:
-    """One form of a post-selected gate as the compiler emits it, in the
-    coordinates of its six-mode window ``(aux, r0, r1, aux, r0, r1)``: the
-    CZ ``network`` at the window's offset, then the truncation of the two
-    aux modes and, for a CNOT, the H block tuple ``h`` at window mode
-    ``h_top`` before the network and after the truncation.  Those steps
-    are :attr:`program`, the one statement of their order.
+    """One form of a post-selected gate as the compiler emits it: the
+    ``blocks`` of its whole network in the coordinates of its six-mode
+    window ``(aux, r0, r1, aux, r0, r1)``, the CZ network and, for a CNOT,
+    an H block on the target's rails before and after it.  The compiler
+    emits the gate as two steps, the network at the window's offset and
+    then the truncation of the two aux modes, which carries this object.
 
-    The compiler builds one object per form, emits its :attr:`program` at
-    the gate's window and hands the object to the gate's
-    :class:`TruncateAux`.  A certified fold (:func:`run_program_pruned`
-    with ``forest``) applies the gate as one rule, and needs the steps
-    around that truncation to hold exactly this object's block tuples at
-    the window's offsets (:meth:`first_step`).  Per object, and so once per
-    form, it caches :attr:`program`, the shape :meth:`first_step` checks
-    and :attr:`rule`.  Objects compare by identity."""
+    A certified fold (:func:`run_program_pruned` with ``forest``) applies
+    the gate as one rule where a linear step holding exactly this object's
+    ``blocks`` is directly followed by that truncation of its own window.
+    The rule is cached per object, and so once per form.  Objects compare
+    by identity."""
 
-    network: tuple[MeshBlock, ...]
-    h: tuple[MeshBlock, ...] | None = None
-    h_top: int = 0
-
-    @functools.cached_property
-    def program(self) -> NetworkProgram:
-        """The gate's own steps on its six-mode window."""
-        core = (LinearLayer(6, self.network), TruncateAux((0, 3)))
-        if self.h is None:
-            return NetworkProgram(6, core)
-        h = LinearLayer(6, self.h, offset=self.h_top)
-        return NetworkProgram(6, (h, *core, h))
-
-    @functools.cached_property
-    def _shape(self) -> tuple[int, tuple[int, ...], tuple, int]:
-        """What :meth:`first_step` checks, read once from :attr:`program`:
-        the truncation's index and window modes, each linear step's
-        ``(index, block tuple, offset)`` and the number of steps."""
-        own = self.program.steps
-        cut = next(i for i, step in enumerate(own) if isinstance(step, TruncateAux))
-        linear = tuple(
-            (i, step.blocks, step.offset)
-            for i, step in enumerate(own)
-            if isinstance(step, LinearLayer)
-        )
-        return cut, own[cut].modes, linear, len(own)
-
-    def first_step(self, steps, cut: int) -> int:
-        """The index of this gate's first step if ``steps[cut]`` is its
-        truncation and the steps around it are :attr:`program`'s at a window
-        offset ``off``: the same truncated modes plus ``off``, and at each
-        linear step the same block tuple at its own offset plus ``off``;
-        otherwise -1, also for a truncation of no modes.  The shape it
-        checks is read from :attr:`program` once per object."""
-        mine, modes, linear, size = self._shape
-        truncated = steps[cut].modes
-        start = cut - mine
-        if not truncated or start < 0 or start + size > len(steps):
-            return -1
-        off = truncated[0] - modes[0]
-        if truncated != tuple([off + mode for mode in modes]):
-            return -1
-        for i, blocks, offset in linear:
-            theirs = steps[start + i]
-            if not (
-                isinstance(theirs, LinearLayer)
-                and theirs.blocks is blocks
-                and theirs.offset == off + offset
-            ):
-                return -1
-        return start
+    blocks: tuple[MeshBlock, ...]
 
     @functools.cached_property
     def rule(self) -> dict[tuple[int, int], tuple[tuple[int, int], complex]]:
@@ -272,26 +220,26 @@ class PostSelectedGate:
         input and output holds one photon per rail pair, so a mode names
         its photon.
 
-        Built once per object as :func:`project_qubit_structure` of
-        :func:`run_program` of :attr:`program` on each input, which reads
-        the result in window order with the owed phases paid, so the rule
-        absorbs the network's crossings and their phases.  An input with
-        any other number of passing outputs raises ``ValueError``.  The fold
-        (:func:`_apply_gate`) reads this map on every use and keeps no
-        derived copy of it.
+        Built once per object: :func:`apply_linear` of ``blocks`` on each
+        input, then :func:`project_qubit_structure`, which also makes the
+        truncation of the aux modes.  The fold reads the result in window
+        order with the owed phases paid, so the rule absorbs the network's
+        crossings and their phases.  An input with any other number of
+        passing outputs raises ``ValueError``.  The fold (:func:`_apply_gate`)
+        reads this map on every use and keeps no derived copy of it.
 
         In exact arithmetic each output has modulus 1/3: the gate acts as
-        ``diag(1, 1, 1, -1) / 3`` up to phases, and a CNOT's H steps make
+        ``diag(1, 1, 1, -1) / 3`` up to phases, and a CNOT's H blocks make
         that a permutation.  The fold rounds the four moduli apart by up to
         two ulps, which a chain of gates would compound into a drift
         between its branches, so each coefficient keeps its phase and takes
         the mean of the four moduli."""
-        layout = QubitLayout(2)
+        layout, network = QubitLayout(2), LinearLayer(6, self.blocks)
         rule = {}
         for i, j in ((1, 4), (1, 5), (2, 4), (2, 5)):
             occ = [0] * 6
             occ[i] = occ[j] = 1
-            state = run_program(self.program, PhotonicState(6, {tuple(occ): 1.0 + 0.0j}))
+            state = apply_linear(PhotonicState(6, {tuple(occ): 1.0 + 0.0j}), network)
             outputs = project_qubit_structure(state, layout).projected_state.terms
             if len(outputs) != 1:
                 raise ValueError(
@@ -797,11 +745,13 @@ def _fold(
 ) -> PhotonicState:
     """The fold behind :func:`run_program`, :func:`run_program_pruned` and
     :func:`apply_linear`: every step in order, then, if ``cone`` is given,
-    its checks after each step.  With ``fuse`` (the certified fold), the
-    steps of each post-selected gate the compiler emitted are one step: at
-    the gate's first step the fold applies its rule (:func:`_apply_gate`)
-    and jumps past its last.  A truncation that is not such a gate's
-    raises ``ValueError`` (see :func:`run_program_pruned`).
+    its checks after each step.  With ``fuse`` (the certified fold), a
+    linear step directly followed by a truncation of its window's aux
+    modes ``(offset, offset + 3)`` whose gate holds the step's own block
+    tuple is that post-selected gate: the fold applies the gate's rule
+    (:func:`_apply_gate`) and steps past both, a check of O(1) per step.
+    Any other truncation raises ``ValueError`` (see
+    :func:`run_program_pruned`).
 
     Inside the fold a term's key is one int: slot ``s`` is a digit of
     ``width`` bits at offset ``shift[s]``, slot 0 most significant, so
@@ -832,36 +782,23 @@ def _fold(
     pos = list(range(m))
     owed = [1.0 + 0.0j] * m
     steps = program.steps
-    # With ``fuse``: fused[start] = (gate, window offset, end, label) for
-    # each post-selected gate, whose own steps are steps[start:end].
-    fused, end = {}, 0
-    for cut, step in enumerate(steps if fuse else ()):
-        if not isinstance(step, TruncateAux):
-            continue
-        gate = step.gate
-        start = gate.first_step(steps, cut) if gate is not None else -1
-        if start < end:
-            raise ValueError(
-                f"step {cut} truncates {step.modes} outside the steps of a "
-                "post-selected gate the compiler emitted; a certified fold "
-                "needs every gate's own steps around its truncation"
-            )
-        end = start + len(gate.program.steps)
-        fused[start] = (gate, step.modes[0], end, steps[cut - 1].label)
     i = 0
     while i < len(steps):
-        if i in fused:  # the gate's rule, then on past its last step
-            gate, off, i, label = fused[i]
-            slots = pos[off : off + 6]
-            terms = _apply_gate(terms, gate, slots, shift, digit, owed, label)
-            for k in (1, 2, 4, 5):
-                owed[slots[k]] = 1.0 + 0.0j
-            continue
         step, checks = steps[i], cuts[i]
         i += 1
         mixed, empty = False, 0
         if isinstance(step, LinearLayer):
             off = step.offset
+            cut = steps[i] if fuse and i < len(steps) else None
+            gate = cut.gate if isinstance(cut, TruncateAux) else None
+            if gate is not None and step.blocks is gate.blocks and cut.modes == (off, off + 3):
+                # the gate's rule, then on past its truncation
+                slots = pos[off : off + 6]
+                terms = _apply_gate(terms, gate, slots, shift, digit, owed, step.label)
+                for k in (1, 2, 4, 5):
+                    owed[slots[k]] = 1.0 + 0.0j
+                i += 1
+                continue
             for blk in step.blocks:
                 device = blk._device
                 a = blk.top_mode + off
@@ -880,6 +817,12 @@ def _fold(
                 if device.swaps:
                     pos[a], pos[b] = sb, sa
         elif isinstance(step, TruncateAux):
+            if fuse:
+                raise ValueError(
+                    f"step {i - 1} truncates {step.modes} outside the steps of a "
+                    "post-selected gate the compiler emitted; a certified fold "
+                    "needs each gate's truncation directly after its network"
+                )
             for mode in step.modes:
                 empty |= digit << shift[pos[mode]]
         else:
@@ -950,25 +893,27 @@ def run_program_pruned(
     ``forest`` asserts the compiler's certificate (pass
     ``CompileResult.forest``) and its program shape, on a
     computational-basis input: every truncation is a post-selected gate the
-    compiler emitted, its steps the gate's own (:class:`PostSelectedGate`).
-    Then no failure term that a truncation keeps can ever pass, and each
-    gate, its network, its truncation with the eager cut and a CNOT's two H
-    steps, is one rule on the packed keys, which keeps only the terms with
-    one photon in each of the gate's rail pairs.  Every mixing block
-    outside the gates lies inside one rail pair, so after each rule every
-    term holds one photon per rail pair and none in aux, and no light cone
-    is computed.  The rule pays the owed phases of the gate's four rail
-    slots, resets them to 1 and leaves ``pos`` and the empty aux slots
-    alone, and the fold prunes once per gate, after it, then jumps past
-    the gate's last step.  The steps around each truncation are checked
-    against the shape its gate form caches
-    (:meth:`PostSelectedGate.first_step`), and the rule is read from
-    :attr:`PostSelectedGate.rule`, keyed by window modes, on every use.  A
-    truncation without its gate's own steps around it, as in a program
-    split per mesh layer, rebuilt or built by hand, or one of no modes,
+    compiler emitted, directly after the step holding the gate's network
+    (:class:`PostSelectedGate`).  Then no failure term that a truncation
+    keeps can ever pass, and each gate, its network with a CNOT's two H
+    blocks and its truncation with the eager cut, is one rule on the packed
+    keys, which keeps only the terms with one photon in each of the gate's
+    rail pairs.  Every mixing block outside the gates lies inside one rail
+    pair, so after each rule every term holds one photon per rail pair and
+    none in aux, and no light cone is computed.  The rule pays the owed
+    phases of the gate's four rail slots, resets them to 1 and leaves
+    ``pos`` and the empty aux slots alone, and the fold prunes once per
+    gate, after it.  A network step is the gate when it holds the very
+    block tuple of the gate the next step's truncation carries and that
+    truncation's modes are its window's aux modes, and the rule is read
+    from :attr:`PostSelectedGate.rule`, keyed by window modes, on every
+    use.  Any other truncation, as in a program split per mesh layer,
+    rebuilt or built by hand, one of other modes or a repeated one,
     raises ``ValueError``: fold it with ``forest=False``.  So does a term
     that enters a gate without one photon in each of its rail pairs and
-    empty aux modes, which a computational-basis input never gives.
+    empty aux modes, which a computational-basis input never gives.  On
+    either path a ``layout`` of another mode count than ``program``
+    raises ``ValueError``.
 
     The projection keeps the light-cone path's keys and order, and
     amplitudes differ from it by rounding only: the light-cone path's
@@ -984,6 +929,10 @@ def run_program_pruned(
     30 qubits, one more than the light-cone path.  The result, too, holds
     only terms that pass the projection.
     """
+    if program.mode_count != layout.mode_count:
+        raise ValueError(
+            f"program has {program.mode_count} modes, layout needs {layout.mode_count}"
+        )
     if forest:
         return _fold(program, state, None, fuse=True)
     return _fold(program, state, light_cone(program, layout))

@@ -335,25 +335,30 @@ def test_ghz_swap_variant_relabeling_and_state():
 @pytest.mark.parametrize("cz_form", ["compressed", "swap-sandwich"])
 def test_ghz_swap_variant_emits_two_cnots_around_one_route(cz_form):
     # one program step per emitted network, each holding the cached tuple;
-    # each CNOT is post-selected right after its CZ network, before the H
+    # each CNOT is two steps, its whole network (H, the CZ network, H on
+    # the target's rails) and then its post-selection
     program = compile_ghz_swap_variant(CompileOptions(cz_form=cz_form)).program
 
     def cnot(t):
-        return [(f"CNOT H q{t}", 4), (f"CNOT q0-q{t}", 0), (0, 3), (f"CNOT H q{t}", 4)]
+        return [(f"CNOT q0-q{t}", 0), (0, 3)]
 
     steps = [
         (s.label, s.offset) if isinstance(s, fock.LinearLayer) else s.modes
         for s in program.steps
     ]
     assert steps == [("H q0", 1)] + cnot(1) + [("route q2", 3)] + cnot(2)
-    networks = {
-        "CNOT q": compiler._cz_layers(cz_form),
-        "route ": compiler._swap2_layers(),
-        "CNOT H": compiler._fixed_gate_layers("H", False),
-    }
+    gate = compiler._post_selected_form(cz_form, 4)  # both targets sit at triplet 1
+    (h,) = compiler._fixed_gate_layers("H", False)
+    cz = compiler._cz_layers(cz_form)
+    assert gate.blocks[0] is gate.blocks[-1] and len(gate.blocks) == len(cz) + 2
+    assert (gate.blocks[0].top_mode, gate.blocks[0].setting, gate.blocks[0].role) == (4, h.setting, "H")
+    assert all(mine is theirs for mine, theirs in zip(gate.blocks[1:-1], cz))
+    networks = {"CNOT q": gate.blocks, "route ": compiler._swap2_layers()}
     for step in program.steps:
         if isinstance(step, fock.LinearLayer) and step.label[:6] in networks:
             assert step.blocks is networks[step.label[:6]], step.label
+        elif isinstance(step, fock.TruncateAux):
+            assert step.gate is gate
 
 
 def test_nonadjacent_gate_routes_and_restores():
@@ -804,14 +809,15 @@ def _cached_networks():
 
 @pytest.mark.parametrize("options", ALL_OPTIONS, ids=lambda o: f"{o.cz_form}-{o.restore_swaps}")
 def test_network_layers_share_the_cached_blocks(options):
-    # Every SWAP2, CZ and fixed-gate step holds the compiler's cached block
-    # tuple of the whole network itself; only a rotation's step has a block
-    # of its own.
+    # Every SWAP2, post-selected-gate and fixed-gate step holds the
+    # compiler's cached block tuple of the whole network itself, a CZ's or
+    # CNOT's that of its gate form; only a rotation's step has a block of
+    # its own.
     rng = np.random.default_rng(59)
     networks = _cached_networks()
     cached = {
         "swap": (networks["SWAP2"],),
-        "cz": (networks[options.cz_form],),
+        "cz": tuple(compiler._post_selected_form(options.cz_form, h).blocks for h in (None, 1, 4)),
         "fixed": tuple(b for name, b in networks.items() if name not in NETWORK_LAYER_TOPS),
     }
     kinds = collections.Counter()
@@ -897,8 +903,12 @@ def test_network_steps_act_like_per_layer_steps(options):
     # One step per gate network does what one step per mesh layer does:
     # placement or its overflow message on both schemes, the pruned fold
     # on the light-cone path (key order included), the unpruned fold, and
-    # the product of the step matrices.  A certified fold refuses the split
-    # gates (see test_a_certified_fold_refuses_split_rebuilt_and_hand_built_gates).
+    # the product of the step matrices.  The unpruned fold keeps the keys
+    # and their order; its amplitudes may differ in the last bits, since
+    # the per-layer fold prunes between a CNOT's CZ network and its
+    # trailing H, where the one network step does not.  A certified fold
+    # refuses the split gates (see
+    # test_a_certified_fold_refuses_split_rebuilt_and_hand_built_gates).
     rng = np.random.default_rng(71)
     outcomes = collections.Counter()
     for circuit in _network_step_circuits(rng):
@@ -921,7 +931,9 @@ def test_network_steps_act_like_per_layer_steps(options):
             if n <= 9:  # the unpruned fold carries every failure term
                 full = fock.run_program(program, state)
                 unpruned = fock.run_program(layered, state)
-                assert list(full.terms.items()) == list(unpruned.terms.items())
+                assert list(full.terms) == list(unpruned.terms)
+                worst = max(abs(full.terms[k] - unpruned.terms[k]) for k in full.terms)
+                assert worst <= 1e-16, worst
         products = [np.eye(3 * n, dtype=complex), np.eye(3 * n, dtype=complex)]
         for i, steps in enumerate((program.steps, layered.steps)):
             for step in steps:
@@ -1118,13 +1130,13 @@ def test_the_fused_rule_is_the_permanent_of_the_gate_network(form, h_top):
     # Each coefficient is the transition amplitude of the gate's linear
     # network, H before and after the CZ network for a CNOT, by the
     # permanent formula, and no other qubit-structure output of its input
-    # has any: the truncation drops only terms with an aux photon, which
-    # the trailing H does not touch.  Worst seen: 5.6e-17 off a
-    # coefficient, 1.7e-16 on another output.
+    # has any.  The matrix is built from the cached CZ network and H
+    # block, not from the form's own block tuple.  Worst seen: 5.6e-17
+    # off a coefficient, 1.7e-16 on another output.
     gate = compiler._post_selected_form(form, h_top)
-    matrix = gates.layer_matrix(gate.network, 6)
-    if gate.h is not None:
-        h = gates.layer_matrix(gate.h, 6, gate.h_top)
+    matrix = gates.layer_matrix(compiler._cz_layers(form), 6)
+    if h_top is not None:
+        h = gates.layer_matrix(compiler._fixed_gate_layers("H", False), 6, h_top)
         matrix = h @ matrix @ h
 
     def dense(modes):
@@ -1163,7 +1175,7 @@ def test_a_rule_built_without_the_projection_raises(monkeypatch, form, h_top):
     # terms, so an input has more than one output, which the monomial
     # rule refuses, naming the input by its two photons' window modes.
     gate = compiler._post_selected_form(form, h_top)
-    assert fock.PostSelectedGate(gate.network, gate.h, gate.h_top).rule == gate.rule
+    assert fock.PostSelectedGate(gate.blocks).rule == gate.rule
     monkeypatch.setattr(
         fock,
         "project_qubit_structure",
@@ -1171,7 +1183,7 @@ def test_a_rule_built_without_the_projection_raises(monkeypatch, form, h_top):
     )
     refused = r"input \(1, 4\) has \d+ outputs that pass the projection, not one"
     with pytest.raises(ValueError, match=refused):
-        fock.PostSelectedGate(gate.network, gate.h, gate.h_top).rule  # noqa: B018
+        fock.PostSelectedGate(gate.blocks).rule  # noqa: B018
 
 
 def _strip_gates(program):
@@ -1185,15 +1197,54 @@ def _strip_gates(program):
     )
 
 
-def _drop_trailing_h(program):
-    """``program`` without the H step after each CNOT's truncation."""
-    steps = program.steps
+def _swap_gate_forms(program):
+    """``program`` with each truncation carrying another form of its gate
+    than its network step holds: a CZ the CNOT form of its cz_form, a CNOT
+    the CZ form."""
+    forms = {compiler._post_selected_form(form, h): (form, h) for form, h in GATE_FORMS}
+
+    def other(gate):
+        form, h_top = forms[gate]
+        return compiler._post_selected_form(form, 4 if h_top is None else None)
+
     return fock.NetworkProgram(
         program.mode_count,
         tuple(
-            step
-            for i, step in enumerate(steps)
-            if not (i and isinstance(steps[i - 1], fock.TruncateAux) and step.label.startswith("CNOT H"))
+            fock.TruncateAux(step.modes, other(step.gate))
+            if isinstance(step, fock.TruncateAux)
+            else step
+            for step in program.steps
+        ),
+    )
+
+
+def _shift_truncations(program):
+    """``program`` with each truncation moved one window up, or down where
+    its window is the last, its gate kept."""
+
+    def moved(modes):
+        by = 3 if modes[1] + 3 < program.mode_count else -3
+        return tuple(mode + by for mode in modes)
+
+    return fock.NetworkProgram(
+        program.mode_count,
+        tuple(
+            fock.TruncateAux(moved(step.modes), step.gate)
+            if isinstance(step, fock.TruncateAux)
+            else step
+            for step in program.steps
+        ),
+    )
+
+
+def _double_truncations(program):
+    """``program`` with each truncation repeated right after itself."""
+    return fock.NetworkProgram(
+        program.mode_count,
+        tuple(
+            repeated
+            for step in program.steps
+            for repeated in ((step, step) if isinstance(step, fock.TruncateAux) else (step,))
         ),
     )
 
@@ -1247,19 +1298,24 @@ def _truncate_no_aux(program):
         flat_program,
         _copy_blocks,
         _strip_gates,
-        _drop_trailing_h,
+        _swap_gate_forms,
+        _shift_truncations,
+        _double_truncations,
         _truncate_one_aux,
         _truncate_no_aux,
     ],
-    ids=["split", "flat", "copied", "stripped", "no-trailing-h", "one-aux", "no-aux"],
+    ids=[
+        "split", "flat", "copied", "stripped", "other-form", "off-window", "doubled",
+        "one-aux", "no-aux",
+    ],
 )
 @pytest.mark.parametrize("options", ALL_OPTIONS, ids=lambda o: f"{o.cz_form}-{o.restore_swaps}")
 def test_a_certified_fold_refuses_split_rebuilt_and_hand_built_gates(rebuild, options):
     # A certified fold applies every post-selected gate as its rule, so
-    # each truncation must carry its gate and sit among the gate's cached
-    # network and H tuples at its window; any other program is refused,
-    # even one whose copied blocks equal the cached ones at the same
-    # offsets.  The light-cone path folds it like the projected unpruned
+    # each truncation must carry its gate and directly follow the step that
+    # holds the gate's cached block tuple, truncating that step's window;
+    # any other program is refused, even one whose copied blocks equal the
+    # cached ones at the same offsets.  The light-cone path folds it like the projected unpruned
     # fold.
     rng = np.random.default_rng(97)
     circuits = [ghz_chain_circuit(4)] + [_random_circuit(rng, n, 16, forest=True) for n in (3, 5)]
@@ -1289,18 +1345,21 @@ def test_a_fused_gate_refuses_a_term_off_the_qubit_structure(occ):
 
 
 @pytest.mark.parametrize("options", ALL_OPTIONS, ids=lambda o: f"{o.cz_form}-{o.restore_swaps}")
-def test_every_truncation_directly_follows_its_cz_network(options):
+def test_every_truncation_directly_follows_its_gate_network(options):
     # The precondition of the certified fold's eager cuts
-    # (fock.run_program_pruned):
-    # no step, not even a CNOT's trailing H, lies between a CZ network and
-    # the truncation of its window's two aux modes.
+    # (fock.run_program_pruned): each post-selected gate is two steps, the
+    # whole network of its cached form (a CNOT's H blocks included) and
+    # then the truncation of its window's two aux modes, which carries
+    # that form; no other step holds a form's blocks.
     rng = np.random.default_rng(83)
     circuits = [_random_circuit(rng, n, 16, forest=n % 2 == 0) for n in (3, 4, 5, 6, 7) * 2]
     circuits += [ghz_chain_circuit(n) for n in (2, 5)]
     circuits += [parse_circuit(brickwork(rng, n, 2)) for n in (4, 7)]
     programs = [compile_circuit(circuit, options).program for circuit in circuits]
     programs.append(compile_ghz_swap_variant(options).program)
-    cz = compiler._cz_layers(options.cz_form)
+    forms = {"CZ": [compiler._post_selected_form(options.cz_form, None)]}
+    forms["CNOT"] = [compiler._post_selected_form(options.cz_form, h) for h in (1, 4)]
+    blocks = {id(gate.blocks) for kind in forms.values() for gate in kind}
     labels = collections.Counter()
     for program in programs:
         steps = program.steps
@@ -1310,9 +1369,10 @@ def test_every_truncation_directly_follows_its_cz_network(options):
             if isinstance(step, fock.TruncateAux):
                 network = steps[i - 1]
                 assert i > 0 and isinstance(network, fock.LinearLayer), i
-                assert network.blocks is cz, network.label
+                assert any(step.gate is gate for gate in forms[network.label.split()[0]])
+                assert network.blocks is step.gate.blocks, network.label
                 assert step.modes == (network.offset, network.offset + 3)
-            elif isinstance(step, fock.LinearLayer) and step.blocks is cz:
+            elif isinstance(step, fock.LinearLayer) and id(step.blocks) in blocks:
                 assert isinstance(steps[i + 1], fock.TruncateAux), step.label
     # every kind of step occurs: CNOTs, CZs, routing and logical SWAPs
     assert min(labels[kind] for kind in ("CNOT", "CZ", "route", "SWAP")) >= 3, labels

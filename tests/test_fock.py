@@ -12,6 +12,7 @@ import pytest
 from photonmesh import fock
 from photonmesh.compiler import (
     CompileOptions,
+    bell_circuit,
     compile_circuit,
     ghz_chain_circuit,
     parse_circuit,
@@ -479,6 +480,18 @@ def test_run_program_pruned_drops_terms_that_cannot_pass():
     assert len(full.terms) == 2
     assert pruned.terms == {}
     assert project_qubit_structure(full, layout).projected_state.terms == {}
+
+
+@pytest.mark.parametrize("forest", [False, True], ids=["light-cone", "certified"])
+def test_run_program_pruned_refuses_a_layout_of_other_modes(forest):
+    # Both paths check the layout against the program: the certified fold
+    # reads no light cone, so without the check a 5-qubit layout given with
+    # the 2-qubit Bell program would fold it and return its terms silently.
+    program = compile_circuit(bell_circuit(), CompileOptions(place=False)).program
+    state = prepare_computational_basis("00", QubitLayout(2))
+    with pytest.raises(ValueError, match="program has 6 modes, layout needs 15"):
+        run_program_pruned(program, state, QubitLayout(5), forest)
+    assert len(run_program_pruned(program, state, QubitLayout(2), forest).terms) == 2
 
 
 def test_light_cone_starts_from_the_qubit_structure():
