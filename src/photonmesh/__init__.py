@@ -38,6 +38,7 @@ from .fock import (
     light_cone,
     prepare_computational_basis,
     project_qubit_structure,
+    run_certified,
     run_program,
     run_program_pruned,
     truncate_aux,
@@ -102,6 +103,7 @@ __all__ = [
     "light_cone",
     "prepare_computational_basis",
     "project_qubit_structure",
+    "run_certified",
     "run_program",
     "run_program_pruned",
     "truncate_aux",

@@ -244,7 +244,7 @@ def cmd_simulate(args) -> int:
     sim = compiler.simulate_circuit(circuit, bits, _options(args))
     n = circuit.qubit_count
     if args.dump_state:
-        # sim.final_state is pruned; the dump is the full Fock state.
+        # the simulation keeps no Fock state; the dump is the full one.
         layout = fock.QubitLayout(n)
         full = fock.run_program(
             sim.compile_result.program, fock.prepare_computational_basis(bits, layout)

@@ -50,13 +50,13 @@ passing configuration: the gate's two sides are joined by that gate alone,
 so no later layer can move a photon from the doubled side to the empty one.
 For a certified circuit the simulator therefore applies each
 post-selected gate, its network and its truncation, as one rule that
-keeps only the gate's successful outputs
-(``fock.run_program_pruned(..., forest=True)``, ``fock.PostSelectedGate``),
-and that eager cut is its whole filter: every other mixing block acts
-inside one rail pair, so after each gate every term holds one photon per
-rail pair, and no light cone is computed.  Keys and key order of the
-projection stay those of the light-cone path, and amplitudes move by
-rounding only.  Uncertified circuits take the light-cone path alone.
+keeps only the gate's successful outputs (``fock.PostSelectedGate``), and
+that eager cut is its whole filter: every other mixing block acts inside
+one rail pair, so every term is one bit per photon, the rail it is in
+(``fock.run_certified``), and no light cone is computed.  The decoded
+basis states stay those of the light-cone path, and amplitudes move by
+rounding only.  Uncertified circuits take the light-cone path
+(``fock.run_program_pruned``) alone.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ from .fock import (
     LinearLayer,
     MeshBlock,
     NetworkProgram,
-    PhotonicState,
     QubitLayout,
     TruncateAux,
     decode_logical,
@@ -255,15 +254,11 @@ class SimulationResult:
     ``{basis index: amplitude}``, one entry per projected term in ascending
     index order (see :func:`decode_logical`); absent basis states have
     amplitude 0.  :attr:`amplitudes` is the dense ``2**n`` vector, built on
-    each access.  ``final_state`` is the pruned output state of
-    ``fock.run_program_pruned``: one rule per post-selected gate for a
-    certified circuit, the light cone otherwise.  Either way it holds only
-    the terms that pass the final projection.  Rerun ``fock.run_program``
-    on ``compile_result.program`` for the full Fock state."""
+    each access.  Rerun ``fock.run_program`` on ``compile_result.program``
+    for the full Fock state."""
 
     sparse_amplitudes: dict[int, complex]
     success_probability: float
-    final_state: PhotonicState
     compile_result: CompileResult
 
     @property
@@ -770,19 +765,21 @@ def simulate_circuit(
     is the chance that all post-selections succeed and the photons come
     out in qubit structure.  Simulation runs the program directly and skips
     mesh placement, so circuit depth is not limited by a mesh column budget
-    here.
+    here.  A certified program (``result.forest``) folds on one bit per
+    photon (:func:`fock.run_certified`), any other through the light cone
+    (:func:`fock.run_program_pruned`); both refuse the same bad input.
     """
     result = compile_circuit(circuit, replace(options or CompileOptions(), place=False))
-    layout = QubitLayout(circuit.qubit_count)
     if input_bits == "":
         input_bits = "0" * circuit.qubit_count
-    state = fock.prepare_computational_basis(input_bits, layout)
-    final = fock.run_program_pruned(result.program, state, layout, result.forest)
-    projected = fock.project_qubit_structure(final, layout)
-    amps, prob = decode_logical(projected, layout, result.positions, result.flips)
+    if result.forest:
+        amps, prob = fock.run_certified(result.program, input_bits, result.positions, result.flips)
+    else:
+        layout = QubitLayout(circuit.qubit_count)
+        state = fock.prepare_computational_basis(input_bits, layout)
+        final = fock.run_program_pruned(result.program, state, layout)
+        projected = fock.project_qubit_structure(final, layout)
+        amps, prob = decode_logical(projected, layout, result.positions, result.flips)
     return SimulationResult(
-        sparse_amplitudes=amps,
-        success_probability=prob,
-        final_state=final,
-        compile_result=result,
+        sparse_amplitudes=amps, success_probability=prob, compile_result=result
     )

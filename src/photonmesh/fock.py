@@ -27,32 +27,21 @@ the unit phases ``t/|t|`` of its nonzero entries.  A mixing block acts on
 the slots ``(pos[a], pos[a+1])``, which need not be adjacent, and first
 pays their owed phases into the terms it rewrites.  Truncations and
 light-cone checks map their modes through ``pos`` once per step.  Inside
-the fold each key is one packed int, a fixed-width digit per slot, so a
-block reads its pair and a truncation its aux modes with one AND (see
-:func:`_fold`); :class:`PhotonicState` and every function that returns one
-keep occupation tuples.  The fold's result is materialized once: owed
-phases paid, keys read in logical order and sorted.  Terms are never
-sorted in between, so accumulation follows dict insertion order, which the
-input state and the program determine.
+the fold each key is one packed int (see :func:`_fold`); the result is
+materialized once, as a :class:`PhotonicState` with owed phases paid and
+occupation tuples sorted.  Terms are never sorted in between, so
+accumulation follows dict insertion order, which the input state and the
+program determine.
 
-The compiler emits each post-selected gate as two steps: one linear step
-holding its whole network (the CZ network and, for a CNOT, the H blocks
-before and after it) and then the truncation of its two aux modes, which
-carries the gate (:class:`PostSelectedGate`).  The certified fold
-(:func:`run_program_pruned` with ``forest``) applies those two steps as
-one rule, with the eager cut.  The rule maps each of the gate's four
-window inputs, one photon in each rail pair and none in aux, keyed by the
-window modes of its two photons, to its one output that passes the
-projection; it is built once per gate form.  A linear step is the gate
-when the next step is a truncation whose gate holds the step's very block
-tuple and whose modes are the aux modes of the step's window; any other
-truncation the fold reaches raises ``ValueError``.  In the frame the rule
-pays the owed phases of the four rail slots and resets them to 1, and
-leaves ``pos`` alone, because it absorbs the network's crossings; the aux
-slots stay empty.  It prunes at :data:`PRUNE_THRESHOLD` once, after the
-rule, where the light-cone path prunes after each mixing step, and its
-products round differently, so amplitudes move by rounding only (see
-:func:`run_program_pruned`).
+The compiler emits each post-selected gate as two steps: its whole network
+(for a CNOT, with an H block before and after the CZ network), then the
+truncation of its two aux modes, which carries the gate
+(:class:`PostSelectedGate`).  Under the compiler's certificate
+(``CompileResult.forest``) each photon stays inside its own rail pair, so
+the certified fold (:func:`run_certified`) holds one bit per photon and
+applies those two steps as one rule, with the eager cut; its products
+round differently from the light-cone path's, so amplitudes move by
+rounding only.
 
 Path encoding: qubit ``q`` of an n-qubit register owns the mode triplet
 ``(3q, 3q+1, 3q+2)`` = (auxiliary, rail 0, rail 1); logical ``|0>`` is a
@@ -198,15 +187,12 @@ class PostSelectedGate:
     """One form of a post-selected gate as the compiler emits it: the
     ``blocks`` of its whole network in the coordinates of its six-mode
     window ``(aux, r0, r1, aux, r0, r1)``, the CZ network and, for a CNOT,
-    an H block on the target's rails before and after it.  The compiler
-    emits the gate as two steps, the network at the window's offset and
-    then the truncation of the two aux modes, which carries this object.
-
-    A certified fold (:func:`run_program_pruned` with ``forest``) applies
-    the gate as one rule where a linear step holding exactly this object's
-    ``blocks`` is directly followed by that truncation of its own window.
-    The rule is cached per object, and so once per form.  Objects compare
-    by identity."""
+    an H block on the target's rails before and after it.  The certified
+    fold (:func:`run_certified`) applies the gate as one rule where a
+    linear step holding exactly this object's ``blocks`` is directly
+    followed by the truncation of its own window's aux modes, which carries
+    this object.  The rule is cached per object, and so once per form.
+    Objects compare by identity."""
 
     blocks: tuple[MeshBlock, ...]
 
@@ -222,11 +208,10 @@ class PostSelectedGate:
 
         Built once per object: :func:`apply_linear` of ``blocks`` on each
         input, then :func:`project_qubit_structure`, which also makes the
-        truncation of the aux modes.  The fold reads the result in window
-        order with the owed phases paid, so the rule absorbs the network's
+        truncation of the aux modes, so the rule absorbs the network's
         crossings and their phases.  An input with any other number of
-        passing outputs raises ``ValueError``.  The fold (:func:`_apply_gate`)
-        reads this map on every use and keeps no derived copy of it.
+        passing outputs raises ``ValueError``.  The certified fold reads
+        this map on every use (:func:`_gate`).
 
         In exact arithmetic each output has modulus 1/3: the gate acts as
         ``diag(1, 1, 1, -1) / 3`` up to phases, and a CNOT's H blocks make
@@ -298,14 +283,10 @@ def _pair_transform(
     times the bosonic normalization ``sqrt(p! q! / (na! nb!))``.
 
     Outputs of magnitude at most :data:`PRUNE_THRESHOLD` are left out.  In
-    exact arithmetic they are zeros: a crossing whose inner phases are 2 pi
-    apart has a diagonal of about 1e-16 rather than 0, and two photons on a
-    50:50 device leave a Hong-Ou-Mandel residue of about 1e-16.  (The fold
-    never expands a crossing; see :class:`_Device`.)  The rule is the
-    image of one Fock basis vector under a unitary, so its outputs' squared
-    magnitudes add up to 1 and the cut is relative to the input term's
-    amplitude: it never drops more than the end-of-layer prune drops from a
-    term of amplitude 1.
+    exact arithmetic they are zeros, such as the Hong-Ou-Mandel residue of
+    about 1e-16 of two photons on a 50:50 device.  The outputs' squared
+    magnitudes add up to 1, so the cut never drops more than the
+    end-of-layer prune drops from a term of amplitude 1.
     """
     (t00, t01), (t10, t11) = t
     n = na + nb
@@ -356,13 +337,8 @@ class _Device:
 
 
 def _mix(
-    terms: dict[int, complex],
-    device: _Device,
-    top: int,
-    bottom: int,
-    digit: int,
-    owed_top: complex,
-    owed_bottom: complex,
+    terms: dict[int, complex], device: _Device, top: int, bottom: int, digit: int,
+    owed_top: complex, owed_bottom: complex,
 ) -> dict[int, complex]:
     """``terms``, packed keys (see :func:`_fold`), after the mixing
     ``device`` acts with its top mode on the slot at bit offset ``top`` and
@@ -398,14 +374,10 @@ def apply_linear(state: PhotonicState, layer: LinearLayer) -> PhotonicState:
     the fold (:func:`run_program`) of a one-step program, materialized on
     return.
 
-    Each block rewrites only the occupations of its own mode pair, by the
-    closed form of :func:`_pair_transform`, which leaves out rounding
-    residue.  A crossing or pure-phase block splits no term: the fold
-    carries it as a relabeling and a phase per mode.  A term with no photon
-    on a pair passes through.  Amplitudes that several terms add to one
-    occupation are pruned at :data:`PRUNE_THRESHOLD` once, at the end of the
-    step, so once per gate network in a compiled program, and the result is
-    in sorted occupation order.
+    Each block rewrites only the occupations of its own mode pair, by
+    :func:`_pair_transform`; a crossing or pure-phase block splits no term.
+    Amplitudes are pruned at :data:`PRUNE_THRESHOLD` once, at the end of
+    the step, and the result is in sorted occupation order.
     """
     m = state.mode_count
     if layer.mode_count != m:
@@ -529,31 +501,40 @@ def decode_logical(
     entry per projected term, in ascending index order; basis states the
     projection does not reach are absent and have amplitude 0, so nothing
     of size ``2**n`` is allocated (:func:`dense_amplitudes` builds the
-    vector).  Logical qubit ``q`` is read from triplet ``positions[q]``;
-    its bit is XORed with ``flips[q]``.  Both default to the identity
-    relabeling.  Qubit 0 is the most significant bit.  The amplitudes are
-    normalized over the projected values, and their global phase is fixed
-    by :func:`canonical_global_phase` applied to them in index order, which
-    picks the same anchor as on the dense vector.
+    vector).  Logical qubit ``q``, the most significant bit for ``q = 0``,
+    is read from triplet ``positions[q]`` and XORed with ``flips[q]``, by
+    default the identity relabeling.  The amplitudes are normalized, and
+    their global phase is fixed by :func:`canonical_global_phase` in index
+    order, which picks the same anchor as on the dense vector.
     """
     n = layout.qubit_count
     positions = tuple(range(n)) if positions is None else positions
     flips = (0,) * n if flips is None else flips
     ones = [layout.one_mode(p) for p in positions]
-    decoded = {}
+    decoded = []
     for occ, amp in result.projected_state.terms.items():
         idx = 0
         for mode, flip in zip(ones, flips):
             idx = (idx << 1) | (occ[mode] ^ flip)
-        decoded[idx] = decoded.get(idx, 0j) + amp
-    indices = sorted(decoded)
-    values = [decoded[i] for i in indices]
+        decoded.append((idx, amp))
+    return _normalized(decoded), result.success_probability
+
+
+def _normalized(decoded: list[tuple[int, complex]]) -> dict[int, complex]:
+    """The tail of :func:`decode_logical` and :func:`run_certified`: the
+    ``(basis index, amplitude)`` pairs summed per index, in ascending index
+    order, normalized and rotated by :func:`canonical_global_phase`."""
+    summed: dict[int, complex] = {}
+    for idx, amp in decoded:
+        summed[idx] = summed.get(idx, 0j) + amp
+    indices = sorted(summed)
+    values = [summed[i] for i in indices]
     # summed in index order: np.linalg.norm is a BLAS dot product
     norm = math.sqrt(sum(v.real * v.real + v.imag * v.imag for v in values))
     if norm == 0.0:
         raise ValueError("projection left no qubit-structure amplitude")
     values = canonical_global_phase(np.array(values, dtype=complex) / norm)
-    return dict(zip(indices, values.tolist())), result.success_probability
+    return dict(zip(indices, values.tolist()))
 
 
 def dense_amplitudes(amplitudes: dict[int, complex], qubit_count: int) -> np.ndarray:
@@ -578,15 +559,11 @@ def light_cone(program: NetworkProgram, layout: QubitLayout) -> tuple[tuple[Chec
     the partition in force after step ``i``, so a term whose count differs
     from the requirement in any block can never pass the projection.
 
-    Only the checks a term can newly fail are listed.  After step 0, whose
-    input is not yet restricted, every block is one.  A layer that joins
-    blocks keeps each joined group's total, which its term already matched,
-    so its checks are the blocks it joins, all but the largest of each
-    group, whose count the others fix.  A layer that joins nothing couples
-    modes only inside blocks; a truncation only removes terms.  Blocks are
-    kept as member lists, and a join moves the smaller lists into the
-    largest, so a mode moves at most ``log2(m)`` times for ``m`` modes and
-    no partition is built per join.
+    Only the checks a term can newly fail are listed: after step 0 every
+    block, and after a layer that joins blocks the joined blocks but the
+    largest of each group, whose count the others fix.  A join moves the
+    smaller member lists into the largest, so a mode moves at most
+    ``log2(m)`` times for ``m`` modes.
     """
     if program.mode_count != layout.mode_count:
         raise ValueError(
@@ -659,11 +636,8 @@ def _join(
 
 
 def _keep(
-    terms: dict[int, complex],
-    empty: int,
-    prune: bool,
-    counted: list[tuple[tuple[int, ...], int]],
-    digit: int,
+    terms: dict[int, complex], empty: int, prune: bool,
+    counted: list[tuple[tuple[int, ...], int]], digit: int,
 ) -> dict[int, complex]:
     """The packed ``terms`` with no photon under the mask ``empty``, above
     :data:`PRUNE_THRESHOLD` if ``prune``, and with exactly ``count`` photons
@@ -695,72 +669,39 @@ def _keep(
     return kept
 
 
-def _apply_gate(
-    terms: dict[int, complex],
-    gate: PostSelectedGate,
-    slots: list[int],
-    shift: list[int],
-    digit: int,
-    owed: list[complex],
-    label: str,
-) -> dict[int, complex]:
-    """``terms``, packed keys (see :func:`_fold`), after the post-selected
-    ``gate`` and its eager cut, by its :attr:`~PostSelectedGate.rule`;
-    ``slots[k]`` holds window mode ``k``.  Each rule entry ``(i, j)`` is
-    read straight into a packed input, the delta to its output and its
-    coefficient times the phases owed by the slots of ``i`` and ``j``, so
-    each term's window is relabeled and its amplitude scaled by one
-    factor.  The rule is a monomial map, so no two terms meet; terms of
-    amplitude at most :data:`PRUNE_THRESHOLD` are dropped.  A term whose
-    window holds anything but one photon in each rail pair raises
-    ``ValueError``; ``label`` names the gate in it."""
-    unit = [1 << shift[s] for s in slots]
-    window = digit * sum(unit)
-    rules = {}
-    for (i, j), ((o, p), c) in gate.rule.items():
-        bits = unit[i] + unit[j]
-        rules[bits] = (unit[o] + unit[p] - bits, c * (owed[slots[i]] * owed[slots[j]]))
-    kept = {}
-    for key, amp in terms.items():
-        rule = rules.get(key & window)
-        if rule is None:
-            occ = tuple([key >> shift[s] & digit for s in slots])
-            raise ValueError(
-                f"post-selected gate {label!r}: a term holds {occ} on its window, "
-                "not one photon in each rail pair and empty aux modes; a "
-                "certified fold needs a computational-basis input"
-            )
-        delta, c = rule
-        amp *= c
-        if abs(amp) > PRUNE_THRESHOLD:
-            kept[key + delta] = amp
-    return kept
+def _mixing(step: LinearLayer, pos: list[int], owed: list[complex]):
+    """The frame's walk over ``step``'s blocks (see the module docstring):
+    it carries each crossing and pure phase in ``pos`` and ``owed`` and
+    yields each mixing block as ``(device, top slot, bottom slot)``, whose
+    owed phases the caller pays into the terms it rewrites; on the next
+    block both slots owe nothing."""
+    for blk in step.blocks:
+        device, a = blk._device, blk.top_mode + step.offset
+        sa, sb = pos[a], pos[a + 1]
+        if device.units is None:
+            yield device, sa, sb
+            owed[sa] = owed[sb] = 1.0 + 0.0j
+            continue
+        owed[sa] *= device.units[0]
+        owed[sb] *= device.units[1]
+        if device.swaps:
+            pos[a], pos[a + 1] = sb, sa
 
 
 def _fold(
     program: NetworkProgram,
     state: PhotonicState,
     cone: tuple[tuple[Check, ...], ...] | None,
-    fuse: bool = False,
 ) -> PhotonicState:
     """The fold behind :func:`run_program`, :func:`run_program_pruned` and
     :func:`apply_linear`: every step in order, then, if ``cone`` is given,
-    its checks after each step.  With ``fuse`` (the certified fold), a
-    linear step directly followed by a truncation of its window's aux
-    modes ``(offset, offset + 3)`` whose gate holds the step's own block
-    tuple is that post-selected gate: the fold applies the gate's rule
-    (:func:`_apply_gate`) and steps past both, a check of O(1) per step.
-    Any other truncation raises ``ValueError`` (see
-    :func:`run_program_pruned`).
+    its checks after each step.
 
     Inside the fold a term's key is one int: slot ``s`` is a digit of
-    ``width`` bits at offset ``shift[s]``, slot 0 most significant, so
-    integer order is tuple order.  ``width`` is the bit length of the
-    input's largest photon count, which no mode can exceed.  A mixing block
-    reads its pair with one AND and writes each rule output by adding a
-    precomputed delta; a truncation and the zero-count checks of a step are
-    one AND against a mask of the slots that must be empty.  Keys are
-    packed once on entry and read back as tuples once, on return.
+    ``width`` bits, the bit length of the input's largest photon count, at
+    offset ``shift[s]``, slot 0 most significant.  A mixing block reads its
+    pair with one AND and adds a precomputed delta per output; a truncation
+    and the zero-count checks of a step are one AND against a mask.
     """
     m = program.mode_count
     if state.mode_count != m:
@@ -781,48 +722,13 @@ def _fold(
     # and each photon in ``slot`` still owes the unit phase owed[slot].
     pos = list(range(m))
     owed = [1.0 + 0.0j] * m
-    steps = program.steps
-    i = 0
-    while i < len(steps):
-        step, checks = steps[i], cuts[i]
-        i += 1
+    for step, checks in zip(program.steps, cuts):
         mixed, empty = False, 0
         if isinstance(step, LinearLayer):
-            off = step.offset
-            cut = steps[i] if fuse and i < len(steps) else None
-            gate = cut.gate if isinstance(cut, TruncateAux) else None
-            if gate is not None and step.blocks is gate.blocks and cut.modes == (off, off + 3):
-                # the gate's rule, then on past its truncation
-                slots = pos[off : off + 6]
-                terms = _apply_gate(terms, gate, slots, shift, digit, owed, step.label)
-                for k in (1, 2, 4, 5):
-                    owed[slots[k]] = 1.0 + 0.0j
-                i += 1
-                continue
-            for blk in step.blocks:
-                device = blk._device
-                a = blk.top_mode + off
-                b = a + 1
-                sa, sb = pos[a], pos[b]
-                units = device.units
-                if units is None:
-                    terms = _mix(
-                        terms, device, shift[sa], shift[sb], digit, owed[sa], owed[sb]
-                    )
-                    owed[sa] = owed[sb] = 1.0 + 0.0j
-                    mixed = True
-                    continue
-                owed[sa] *= units[0]
-                owed[sb] *= units[1]
-                if device.swaps:
-                    pos[a], pos[b] = sb, sa
+            for device, sa, sb in _mixing(step, pos, owed):
+                terms = _mix(terms, device, shift[sa], shift[sb], digit, owed[sa], owed[sb])
+                mixed = True
         elif isinstance(step, TruncateAux):
-            if fuse:
-                raise ValueError(
-                    f"step {i - 1} truncates {step.modes} outside the steps of a "
-                    "post-selected gate the compiler emitted; a certified fold "
-                    "needs each gate's truncation directly after its network"
-                )
             for mode in step.modes:
                 empty |= digit << shift[pos[mode]]
         else:
@@ -873,69 +779,162 @@ def run_program_pruned(
     program: NetworkProgram,
     state: PhotonicState,
     layout: QubitLayout,
-    forest: bool = False,
 ) -> PhotonicState:
     """:func:`run_program` that drops, after each step, every term that can
     never pass :func:`project_qubit_structure` (see :func:`light_cone`).
 
     Each step's checks are mapped through the fold's frame once, not per
-    term, and read the fold's packed keys: the zero-count checks and a
-    truncation are one AND against a mask, and the other checks' digits
-    are judged once per distinct combination.  The result keeps tuple keys
-    in sorted order.  Without ``forest``, the projection of the result equals
-    that of the unpruned fold bit for bit, key order included: both folds
-    carry the same frame, keep their terms in insertion order, and a
-    dropped term's descendants never share an occupation with a kept
-    term's, so every kept amplitude is the same sum of the same addends in
-    the same order.  The test is only a necessary condition, so circuits
-    outside the forest envelope keep their deviating output.
-
-    ``forest`` asserts the compiler's certificate (pass
-    ``CompileResult.forest``) and its program shape, on a
-    computational-basis input: every truncation is a post-selected gate the
-    compiler emitted, directly after the step holding the gate's network
-    (:class:`PostSelectedGate`).  Then no failure term that a truncation
-    keeps can ever pass, and each gate, its network with a CNOT's two H
-    blocks and its truncation with the eager cut, is one rule on the packed
-    keys, which keeps only the terms with one photon in each of the gate's
-    rail pairs.  Every mixing block outside the gates lies inside one rail
-    pair, so after each rule every term holds one photon per rail pair and
-    none in aux, and no light cone is computed.  The rule pays the owed
-    phases of the gate's four rail slots, resets them to 1 and leaves
-    ``pos`` and the empty aux slots alone, and the fold prunes once per
-    gate, after it.  A network step is the gate when it holds the very
-    block tuple of the gate the next step's truncation carries and that
-    truncation's modes are its window's aux modes, and the rule is read
-    from :attr:`PostSelectedGate.rule`, keyed by window modes, on every
-    use.  Any other truncation, as in a program split per mesh layer,
-    rebuilt or built by hand, one of other modes or a repeated one,
-    raises ``ValueError``: fold it with ``forest=False``.  So does a term
-    that enters a gate without one photon in each of its rail pairs and
-    empty aux modes, which a computational-basis input never gives.  On
-    either path a ``layout`` of another mode count than ``program``
-    raises ``ValueError``.
-
-    The projection keeps the light-cone path's keys and order, and
-    amplitudes differ from it by rounding only: the light-cone path's
-    dropped terms' descendants could meet kept ones and add what is zero
-    in exact arithmetic, and the rule multiplies in one precomputed product
-    what that path multiplies block by block.  Decoded amplitudes stay
-    within 5.6e-16 on the pinned ``simulate`` circuits, the benchmark's
-    random forests and GHZ chains of up to 29 qubits, since the rule's
-    coefficients share one modulus (:attr:`PostSelectedGate.rule`).  The
-    success probability stays within 5.3e-16 relative per post-selected
-    gate: each gate rounds its factor of 1/9 anew in either fold.  Because
-    the fold prunes once per gate, a GHZ chain keeps its two terms up to
-    30 qubits, one more than the light-cone path.  The result, too, holds
-    only terms that pass the projection.
+    term.  The projection of the result equals that of the unpruned fold
+    bit for bit, key order included: both folds carry the same frame, keep
+    their terms in insertion order, and a dropped term's descendants never
+    share an occupation with a kept term's.  The test is only a necessary
+    condition, so circuits outside the forest envelope keep their
+    deviating output.  A ``layout`` of another mode count raises
+    ``ValueError``.
     """
     if program.mode_count != layout.mode_count:
         raise ValueError(
             f"program has {program.mode_count} modes, layout needs {layout.mode_count}"
         )
-    if forest:
-        return _fold(program, state, None, fuse=True)
     return _fold(program, state, light_cone(program, layout))
+
+
+def _photon(top: int, bottom: int) -> int | None:
+    """The photon whose two rail slots are ``top`` and ``bottom``, or None."""
+    p = top // 3
+    return p if bottom // 3 == p and top % 3 and bottom % 3 else None
+
+
+def _turn(terms, t, photon: int, top: int, owed_top: complex, owed_bottom: complex):
+    """Bit-keyed ``terms`` after the mixing substitution ``t`` on the rails
+    of ``photon``, its top mode on the rail of bit value ``top``: the
+    steps of :func:`_mix` for one photon, owed phases paid, outputs listed
+    and cut as :func:`_pair_transform` lists and cuts them."""
+    (t00, t01), (t10, t11) = t
+    flip = 1 << photon
+    rules, cut = [(), ()], PRUNE_THRESHOLD
+    rules[top] = [(m, c * owed_top) for m, c in ((flip, t01), (0, t00)) if abs(c) > cut]
+    rules[1 - top] = [(m, c * owed_bottom) for m, c in ((0, t11), (flip, t10)) if abs(c) > cut]
+    accum: dict[int, complex] = {}
+    get = accum.get
+    for key, amp in terms.items():
+        for m, c in rules[key >> photon & 1]:
+            accum[key ^ m] = get(key ^ m, 0.0) + amp * c
+    return accum
+
+
+def _gate(terms, gate: PostSelectedGate, slots: list[int], owed: list[complex], label: str):
+    """Bit-keyed ``terms`` after ``gate`` and its eager cut, ``slots[k]``
+    holding window mode ``k``: its :attr:`~PostSelectedGate.rule` as a
+    table on the two photons' bits, of XOR masks and coefficients times
+    the owed phases of their input slots, which then owe nothing."""
+    q, r = _photon(slots[1], slots[2]), _photon(slots[4], slots[5])
+    if q is None or r is None or slots[0] % 3 or slots[3] % 3:
+        raise ValueError(
+            f"post-selected gate {label!r}: its window holds slots {tuple(slots)}, "
+            "not two aux slots and the rail pairs of two photons"
+        )
+    bit = [s % 3 - 1 for s in slots]
+    table = [(0, 0j)] * 4
+    for (i, j), ((o, p), c) in gate.rule.items():
+        mask = (bit[i] ^ bit[o]) << q | (bit[j] ^ bit[p]) << r
+        table[bit[i] | bit[j] << 1] = (mask, c * (owed[slots[i]] * owed[slots[j]]))
+    kept = {}
+    for key, amp in terms.items():
+        mask, c = table[key >> q & 1 | (key >> r & 1) << 1]
+        amp *= c
+        if abs(amp) > PRUNE_THRESHOLD:
+            kept[key ^ mask] = amp
+    for k in (1, 2, 4, 5):
+        owed[slots[k]] = 1.0 + 0.0j
+    return kept
+
+
+def run_certified(
+    program: NetworkProgram, bits, positions: tuple[int, ...], flips: tuple[int, ...]
+) -> tuple[dict[int, complex], float]:
+    """:func:`decode_logical` of a certified program (``CompileResult.forest``)
+    on the computational-basis input ``bits``, read through ``positions``
+    and ``flips``, with each post-selected gate applied as its rule.
+
+    A term is an int whose bit ``p`` puts photon ``p`` in slot ``3p + 1``
+    (0) or ``3p + 2`` (1).  The fold carries :func:`_fold`'s frame.  A
+    mixing block is a 2x2 map on one bit (:func:`_turn`), pruned at
+    :data:`PRUNE_THRESHOLD` after its step.  A linear step directly
+    followed by a truncation of its window's aux modes, whose gate holds
+    the step's very block tuple, is that gate: a table on two bits
+    (:func:`_gate`), pruned after it.  The success probability is summed
+    in occupation order, the light-cone path's.  Amplitudes differ from
+    that path's by rounding only: within 5.6e-16 on the pinned
+    ``simulate`` circuits, the benchmark's random forests and GHZ chains
+    of up to 29 qubits, and 5.3e-16 relative per gate on the success
+    probability.
+
+    What a bit cannot hold raises ``ValueError``: a truncation outside the
+    steps of a gate, as in a program split or rebuilt, a mixing block
+    outside a gate on anything but one photon's two rails, a gate window
+    not of two aux slots and two photons' rails, and a final frame that
+    splits a rail pair.  :func:`run_program_pruned` folds such programs.
+    """
+    n = len(positions)
+    (occ,) = prepare_computational_basis(bits, QubitLayout(n)).terms
+    if program.mode_count != 3 * n:
+        raise ValueError(f"program has {program.mode_count} modes, layout needs {3 * n}")
+    terms = {sum(occ[3 * p + 2] << p for p in range(n)): 1.0 + 0.0j}
+    pos, owed = list(range(3 * n)), [1.0 + 0.0j] * (3 * n)
+    steps = program.steps
+    i = 0
+    while i < len(steps):
+        step, i = steps[i], i + 1
+        if isinstance(step, TruncateAux):
+            raise ValueError(
+                f"step {i - 1} truncates {step.modes} outside the steps of a "
+                "post-selected gate the compiler emitted; a certified fold "
+                "needs each gate's truncation directly after its network"
+            )
+        if not isinstance(step, LinearLayer):
+            raise TypeError(f"unknown program step {type(step).__name__}")
+        off, cut = step.offset, steps[i] if i < len(steps) else None
+        gate = cut.gate if isinstance(cut, TruncateAux) else None
+        if gate is not None and step.blocks is gate.blocks and cut.modes == (off, off + 3):
+            terms = _gate(terms, gate, pos[off : off + 6], owed, step.label)
+            i += 1
+            continue
+        mixed = False
+        for device, sa, sb in _mixing(step, pos, owed):
+            p = _photon(sa, sb)
+            if p is None:
+                raise ValueError(
+                    f"step {i - 1} ({step.label!r}) mixes slots {sa} and {sb} outside "
+                    "the steps of a post-selected gate, not the two rails of one photon"
+                )
+            terms = _turn(terms, device.t, p, sa % 3 - 1, owed[sa], owed[sb])
+            mixed = True
+        if mixed:
+            terms = {k: amp for k, amp in terms.items() if abs(amp) > PRUNE_THRESHOLD}
+    # reads[t]: the photon of logical rail pair t, and its bit when in mode 3t + 2
+    reads = []
+    for t in range(n):
+        a, b = pos[3 * t + 1], pos[3 * t + 2]
+        p = _photon(a, b)
+        if p is None:
+            raise ValueError(f"the final frame splits rail pair {t}: slots {a} and {b}")
+        reads.append((p, b % 3 - 1))
+    debts = [(s // 3, s % 3 - 1, f) for s, f in enumerate(owed) if f != 1.0 and s % 3]
+    rows = []
+    for key, amp in terms.items():
+        for p, v, f in debts:
+            if key >> p & 1 == v:
+                amp *= f
+        rail1 = [key >> p & 1 ^ v ^ 1 for p, v in reads]
+        idx = 0
+        for t, f in zip(positions, flips):
+            idx = idx << 1 | rail1[t] ^ f
+        rows.append((rail1, idx, amp))
+    # occupation order: rail 0 occupied sorts after rail 1 occupied
+    rows.sort(key=lambda row: row[0], reverse=True)
+    probability = float(sum(abs(amp) ** 2 for _, _, amp in rows))
+    return _normalized([(idx, amp) for _, idx, amp in rows]), probability
 
 
 def format_state_dump(state: PhotonicState) -> str:

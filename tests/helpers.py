@@ -9,8 +9,10 @@ blocks at an offset.  ``per_layer_program`` cuts each gate-network step
 into one step per mesh layer, the oracle for one step per network.
 ``reference_light_cone`` is the full-partition light cone that
 :func:`photonmesh.fock.light_cone`'s checks must agree with.
-``fused_fold_problems`` holds the certified fold, which applies each
-post-selected gate as one rule, to the unfused fold's result.
+``fused_fold_problems`` holds the certified fold
+(:func:`photonmesh.fock.run_certified`), which applies each post-selected
+gate as one rule on one bit per photon, to the unfused fold's decoded
+result.
 ``reference_mzi_unitary`` is the product form of one MZI that the scalar
 device entries of :mod:`photonmesh.linalg` must reproduce.
 ``reference_mesh_unitary`` and ``reference_constraint_residual`` are the
@@ -42,8 +44,8 @@ from photonmesh.fock import (
     prepare_computational_basis,
     project_qubit_structure,
     qubit_structure,
+    run_certified,
     run_program,
-    run_program_pruned,
 )
 from photonmesh.analysis import constrained_family
 from photonmesh.compiler import PlacedBlock, PlacementOverflow, TruncationMark
@@ -241,27 +243,23 @@ FUSED_PROBABILITY_RTOL_PER_GATE = 1e-15
 
 def fused_fold_problems(result, bits: str, unfused: PhotonicState | None = None) -> list[str]:
     """How the certified fold of a compiled circuit ``result``
-    (``run_program_pruned(..., forest=True)``) on input ``bits`` departs
-    from the unfused fold, ``unfused``, a projected state; by default
-    ``run_program`` of the same program, then ``project_qubit_structure``.
-    The contract: the fold holds only terms that pass the projection, with
-    the unfused keys in the unfused order; decoded amplitudes within
+    (``run_certified``) on input ``bits`` departs from the unfused fold,
+    ``unfused``, a projected state; by default ``run_program`` of the same
+    program, then ``project_qubit_structure``.  The contract: the unfused
+    basis indices in the unfused order; decoded amplitudes within
     :data:`FUSED_AMPLITUDE_TOL` and the success probability within
     :data:`FUSED_PROBABILITY_RTOL_PER_GATE` relative times the number of
     post-selected gates.  Returns the broken clauses."""
     layout = QubitLayout(result.qubit_count)
-    state = prepare_computational_basis(bits, layout)
     if unfused is None:
+        state = prepare_computational_basis(bits, layout)
         unfused = project_qubit_structure(run_program(result.program, state), layout).projected_state
-    folded = run_program_pruned(result.program, state, layout, forest=True)
-    fused = project_qubit_structure(folded, layout)
-    if list(folded.terms) != list(fused.projected_state.terms):
-        return ["the fold keeps terms that fail the projection"]
-    if list(fused.projected_state.terms) != list(unfused.terms):
-        return ["keys or key order differ"]
-    relabel = (layout, result.positions, result.flips)
-    got, p = decode_logical(fused, *relabel)
-    want, q = decode_logical(PostSelectionResult(unfused, unfused.squared_norm()), *relabel)
+    got, p = run_certified(result.program, bits, result.positions, result.flips)
+    want, q = decode_logical(
+        PostSelectionResult(unfused, unfused.squared_norm()), layout, result.positions, result.flips
+    )
+    if list(got) != list(want):
+        return ["basis indices or their order differ"]
     problems = []
     worst = max(abs(got[i] - want[i]) for i in want)
     if worst > FUSED_AMPLITUDE_TOL:

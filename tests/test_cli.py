@@ -226,11 +226,10 @@ def test_empty_projection_raises_and_exits_4(tmp_path):
     # stop and rewrite this test as a regression test of relative pruning.
     n = 31
     circuit = compiler.ghz_chain_circuit(n)
-    program = compiler.compile_circuit(circuit, compiler.CompileOptions(place=False)).program
-    layout = fock.QubitLayout(n)
-    state = fock.prepare_computational_basis("0" * n, layout)
-    final = fock.run_program_pruned(program, state, layout, forest=True)
-    assert not fock.project_qubit_structure(final, layout).projected_state.terms
+    result = compiler.compile_circuit(circuit, compiler.CompileOptions(place=False))
+    assert result.forest
+    with pytest.raises(ValueError, match="no qubit-structure amplitude"):
+        fock.run_certified(result.program, "0" * n, result.positions, result.flips)
     start = time.perf_counter()
     with pytest.raises(ValueError, match="no qubit-structure amplitude"):
         compiler.simulate_circuit(circuit)

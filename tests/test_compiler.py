@@ -962,11 +962,26 @@ def test_triangle_is_not_certified_and_keeps_its_light_cone_output(options):
     assert not sim.compile_result.forest
     assert sim.success_probability * 729 == pytest.approx(30.6012825257642, abs=1e-9)
     # the eager cut would have dropped the terms that close the cycle
-    layout = fock.QubitLayout(3)
-    state = fock.prepare_computational_basis("000", layout)
-    forced = fock.run_program_pruned(sim.compile_result.program, state, layout, True)
-    forced_p = fock.project_qubit_structure(forced, layout).success_probability
+    result = sim.compile_result
+    _, forced_p = fock.run_certified(result.program, "000", result.positions, result.flips)
     assert forced_p * 729 == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("certified", [True, False], ids=["bell", "triangle"])
+def test_simulate_refuses_bad_input_bits_on_either_path(certified):
+    # The certified fold packs the bits itself; it must refuse what the
+    # light-cone path's prepare_computational_basis refuses, not read "2"
+    # as a set bit.
+    circuit = bell_circuit() if certified else parse_circuit({"qubits": 3, "gates": TRIANGLE})
+    n = circuit.qubit_count
+    assert simulate_circuit(circuit, "1" * n).compile_result.forest == certified
+    for bits in ("02", "0a", "2" * n, [0, 2]):
+        with pytest.raises(ValueError, match="bits must be 0/1"):
+            simulate_circuit(circuit, bits)
+    with pytest.raises(ValueError, match=f"{n + 1} bits for {n}-qubit layout"):
+        simulate_circuit(circuit, "0" * (n + 1))
+    with pytest.raises(ValueError, match="3 bits for 2-qubit layout"):
+        simulate_circuit(bell_circuit(), "000")
 
 
 @pytest.mark.parametrize("options", ALL_OPTIONS, ids=lambda o: f"{o.cz_form}-{o.restore_swaps}")
@@ -981,9 +996,9 @@ def test_repeated_photon_pair_is_not_certified(options):
 
 def test_certified_runs_match_the_light_cone_path(monkeypatch):
     # Uncertified: the same fold as the light cone alone, bit for bit.
-    # Certified: each post-selected gate is one rule, and the projection
-    # keeps the light-cone path's keys and order, with amplitudes and the
-    # success probability within the fused rule's contract
+    # Certified: each post-selected gate is one rule on one bit per photon,
+    # and the decoded state keeps the light-cone path's basis indices, with
+    # amplitudes and the success probability within the fused rule's contract
     # (fused_fold_problems).  Random circuits under every option set, GHZ
     # chains up to 29 qubits, where the same rule rounds once per CNOT,
     # and the GHZ swap variant.
@@ -1007,16 +1022,18 @@ def test_certified_runs_match_the_light_cone_path(monkeypatch):
         layout = fock.QubitLayout(result.qubit_count)
         state = fock.prepare_computational_basis(bits, layout)
         cone = fock.run_program_pruned(result.program, state, layout)
+        projected = fock.project_qubit_structure(cone, layout)
         seen[result.forest].add(options)
         if not result.forest:
             sim = simulate_circuit(circuit, bits, options)
-            assert list(sim.final_state.terms.items()) == list(cone.terms.items())
+            amps, p = decode_logical(projected, layout, result.positions, result.flips)
+            assert list(sim.sparse_amplitudes.items()) == list(amps.items())
+            assert sim.success_probability == p
             continue
-        projected = fock.project_qubit_structure(cone, layout).projected_state
-        assert fused_fold_problems(result, bits, projected) == []
+        assert fused_fold_problems(result, bits, projected.projected_state) == []
     assert seen[True] == seen[False] == set(ALL_OPTIONS)
     # CZs and CNOTs with the target on either side all occur
-    assert len(fused) >= 200 and {label.split()[0] for label in fused} == {"CZ", "CNOT"}
+    assert len(fused) >= 200 and set(fused) == {"CZ", "CNOT"}
 
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -1039,11 +1056,18 @@ def _golden_runs():
 
 
 def count_fused_gates(monkeypatch) -> list:
-    """The labels of the gates the fold applies as one rule, in order."""
-    labels = []
-    apply_gate = fock._apply_gate
-    monkeypatch.setattr(fock, "_apply_gate", lambda *a: labels.append(a[-1]) or apply_gate(*a))
-    return labels
+    """The kinds, ``"CZ"`` or ``"CNOT"``, of the gates the certified fold
+    applies as one rule, in order: it reads :attr:`PostSelectedGate.rule`
+    once per gate it applies, and a CNOT's blocks start with an H."""
+    kinds = []
+    rule = fock.PostSelectedGate.rule
+
+    def counted(gate):
+        kinds.append("CNOT" if gate.blocks[0].role == "H" else "CZ")
+        return rule.__get__(gate, fock.PostSelectedGate)
+
+    monkeypatch.setattr(fock.PostSelectedGate, "rule", property(counted))
+    return kinds
 
 
 def _post_selections(circuit) -> int:
@@ -1075,14 +1099,9 @@ def test_fused_gates_fold_the_20_qubit_forest_like_the_dense_oracle():
     n, k = circuit.qubit_count, _post_selections(circuit)
     result = compile_circuit(circuit, CompileOptions(place=False))
     assert n == 20 and result.forest
-    layout = fock.QubitLayout(n)
-    state = fock.prepare_computational_basis("0" * n, layout)
-    fused = fock.run_program_pruned(result.program, state, layout, True)
     oracle = fock.canonical_global_phase(dense_circuit_state(circuit, "0" * n))
     keys = np.flatnonzero(np.abs(oracle) > 1e-12).tolist()
-    amps, p = decode_logical(
-        fock.project_qubit_structure(fused, layout), layout, result.positions, result.flips
-    )
+    amps, p = fock.run_certified(result.program, "0" * n, result.positions, result.flips)
     lost = sorted(set(keys) - set(amps))
     assert len(keys) == 8192 and set(amps) <= set(keys)
     assert len(lost) == 8 and max(abs(oracle[i]) for i in lost) < 2e-5
@@ -1320,34 +1339,22 @@ def test_a_certified_fold_refuses_split_rebuilt_and_hand_built_gates(rebuild, op
     rng = np.random.default_rng(97)
     circuits = [ghz_chain_circuit(4)] + [_random_circuit(rng, n, 16, forest=True) for n in (3, 5)]
     for circuit in circuits:
-        program = rebuild(compile_circuit(circuit, options).program)
+        result = compile_circuit(circuit, options)
+        program = rebuild(result.program)
+        bits = "0" * circuit.qubit_count
         layout = fock.QubitLayout(circuit.qubit_count)
-        state = fock.prepare_computational_basis("0" * circuit.qubit_count, layout)
+        state = fock.prepare_computational_basis(bits, layout)
         with pytest.raises(ValueError, match="outside the steps of a post-selected gate"):
-            fock.run_program_pruned(program, state, layout, True)
+            fock.run_certified(program, bits, result.positions, result.flips)
         full = fock.project_qubit_structure(fock.run_program(program, state), layout)
         pruned = fock.run_program_pruned(program, state, layout)
         assert list(pruned.terms.items()) == list(full.projected_state.terms.items())
 
 
-@pytest.mark.parametrize(
-    "occ",
-    [(0, 1, 1, 0, 0, 0), (1, 1, 0, 0, 1, 0), (0, 0, 0, 0, 1, 1)],
-    ids=["doubled-rails", "aux-photon", "empty-rails"],
-)
-def test_a_fused_gate_refuses_a_term_off_the_qubit_structure(occ):
-    # A certified fold assumes a computational-basis input; a term without
-    # one photon in each rail pair of a gate is a documented error.
-    program = compile_circuit(bell_circuit(), CompileOptions(place=False)).program
-    state = fock.PhotonicState(6, {occ: 1.0 + 0.0j})
-    with pytest.raises(ValueError, match="not one photon in each rail pair and empty aux"):
-        fock.run_program_pruned(program, state, fock.QubitLayout(2), forest=True)
-
-
 @pytest.mark.parametrize("options", ALL_OPTIONS, ids=lambda o: f"{o.cz_form}-{o.restore_swaps}")
 def test_every_truncation_directly_follows_its_gate_network(options):
     # The precondition of the certified fold's eager cuts
-    # (fock.run_program_pruned): each post-selected gate is two steps, the
+    # (fock.run_certified): each post-selected gate is two steps, the
     # whole network of its cached form (a CNOT's H blocks included) and
     # then the truncation of its window's two aux modes, which carries
     # that form; no other step holds a form's blocks.
@@ -1378,18 +1385,21 @@ def test_every_truncation_directly_follows_its_gate_network(options):
     assert min(labels[kind] for kind in ("CNOT", "CZ", "route", "SWAP")) >= 3, labels
 
 
-def test_simulate_final_state_is_pruned_to_projectable_terms():
+def test_simulate_decodes_a_certified_circuit_like_the_projected_full_fold():
     circuit = bell_circuit()
     sim = simulate_circuit(circuit)
     layout = fock.QubitLayout(2)
     state = fock.prepare_computational_basis("00", layout)
     full = fock.run_program(sim.compile_result.program, state)
-    projected = fock.project_qubit_structure(full, layout).projected_state
-    assert len(full.terms) > len(projected.terms)
-    # the certified fold fuses each gate: the same keys in the same order,
-    # amplitudes within the fused rule's contract
-    assert list(sim.final_state.terms) == list(projected.terms)
-    assert fused_fold_problems(sim.compile_result, "00") == []
+    projected = fock.project_qubit_structure(full, layout)
+    assert len(full.terms) > len(projected.projected_state.terms)
+    # the certified fold fuses each gate: the same basis indices, amplitudes
+    # within the fused rule's contract
+    result = sim.compile_result
+    amps, p = decode_logical(projected, layout, result.positions, result.flips)
+    assert list(sim.sparse_amplitudes) == list(amps) == [0b00, 0b11]
+    assert sim.success_probability == pytest.approx(p, rel=1e-15)
+    assert fused_fold_problems(result, "00") == []
 
 
 def test_ghz_chain_20_qubits():
@@ -1403,7 +1413,7 @@ def test_ghz_chain_20_qubits():
     assert sim.amplitudes[-1] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
     assert np.sum(np.abs(sim.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-12)
     assert sim.success_probability * 9.0 ** (n - 1) == pytest.approx(1.0, abs=1e-9)
-    assert len(sim.final_state.terms) == 2
+    assert len(sim.sparse_amplitudes) == 2
     assert elapsed < 30.0
 
 

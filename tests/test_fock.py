@@ -12,6 +12,7 @@ import pytest
 from photonmesh import fock
 from photonmesh.compiler import (
     CompileOptions,
+    _post_selected_form,
     bell_circuit,
     compile_circuit,
     ghz_chain_circuit,
@@ -38,6 +39,7 @@ from photonmesh.fock import (
     prepare_computational_basis,
     project_qubit_structure,
     qubit_structure,
+    run_certified,
     run_program,
     run_program_pruned,
     truncate_aux,
@@ -484,14 +486,97 @@ def test_run_program_pruned_drops_terms_that_cannot_pass():
 
 @pytest.mark.parametrize("forest", [False, True], ids=["light-cone", "certified"])
 def test_run_program_pruned_refuses_a_layout_of_other_modes(forest):
-    # Both paths check the layout against the program: the certified fold
-    # reads no light cone, so without the check a 5-qubit layout given with
+    # Both paths check the qubit count against the program: the certified
+    # fold reads no light cone, so without the check five bits given with
     # the 2-qubit Bell program would fold it and return its terms silently.
-    program = compile_circuit(bell_circuit(), CompileOptions(place=False)).program
-    state = prepare_computational_basis("00", QubitLayout(2))
+    result = compile_circuit(bell_circuit(), CompileOptions(place=False))
+    program, relabel = result.program, (result.positions, result.flips)
+    if not forest:
+        state = prepare_computational_basis("00", QubitLayout(2))
+        with pytest.raises(ValueError, match="program has 6 modes, layout needs 15"):
+            run_program_pruned(program, state, QubitLayout(5))
+        assert len(run_program_pruned(program, state, QubitLayout(2)).terms) == 2
+        return
+    with pytest.raises(ValueError, match="5 bits for 2-qubit layout"):
+        run_certified(program, "00000", *relabel)
     with pytest.raises(ValueError, match="program has 6 modes, layout needs 15"):
-        run_program_pruned(program, state, QubitLayout(5), forest)
-    assert len(run_program_pruned(program, state, QubitLayout(2), forest).terms) == 2
+        run_certified(program, "00000", tuple(range(5)), (0,) * 5)
+    assert len(run_certified(program, "00", *relabel)[0]) == 2
+
+
+def _crossed(top: int) -> LinearLayer:
+    """A crossing on modes ``(top, top + 1)`` of a 2-qubit program."""
+    return LinearLayer(6, (MeshBlock(top, solve_mzi_settings(PAULI_X), "X"),))
+
+
+def _bare_cz() -> tuple[LinearLayer, TruncateAux]:
+    """The two steps of a CZ on triplets 0 and 1, as the compiler emits them."""
+    gate = _post_selected_form("compressed", None)
+    return LinearLayer(6, gate.blocks, "CZ q0-q1"), TruncateAux((0, 3), gate)
+
+
+@pytest.mark.parametrize(
+    "steps, refused",
+    [
+        # after a crossing of aux 3 and rail 4, a splitter on modes (2, 3)
+        # mixes a rail of each photon
+        ((_crossed(3), splitter_layer(6, 2)), r"mixes slots 2 and 4 .*not the two rails of one photon"),
+        ((splitter_layer(6, 0),), r"mixes slots 0 and 1 .*not the two rails of one photon"),
+        # a rail crossed into the gate window's first aux position
+        ((_crossed(0), *_bare_cz()), r"window holds slots \(1, 0, 2, 3, 4, 5\), not two aux slots"),
+        # rail 2 and aux 3 crossed: logical rail pair 0 is slots 1 and 3
+        ((_crossed(2),), "final frame splits rail pair 0: slots 1 and 3"),
+    ],
+    ids=["two-photons", "onto-aux", "rail-in-aux-position", "split-final-frame"],
+)
+def test_the_certified_fold_refuses_a_frame_its_bits_cannot_hold(steps, refused):
+    # A bit per photon holds only a photon inside its own rail pair; where
+    # the frame would take one out of it, the fold raises rather than
+    # answer.  The light-cone path folds the same programs.
+    program = NetworkProgram(6, steps)
+    with pytest.raises(ValueError, match=refused):
+        run_certified(program, "01", (0, 1), (0, 0))
+    state = prepare_computational_basis("01", QubitLayout(2))
+    run_program_pruned(program, state, QubitLayout(2))
+
+
+def test_the_certified_fold_reads_crossed_rails_and_a_bare_gate():
+    # Controls for the guards above: a crossing inside a rail pair, a
+    # splitter on the crossed rails and a gate on crossed rail slots fold
+    # like the light-cone path.
+    steps = (_crossed(1), splitter_layer(6, 1), _crossed(4), *_bare_cz())
+    program = NetworkProgram(6, steps)
+    layout = QubitLayout(2)
+    for bits in ("00", "01", "10", "11"):
+        got, p = run_certified(program, bits, (0, 1), (0, 1))
+        pruned = run_program_pruned(program, prepare_computational_basis(bits, layout), layout)
+        want, q = decode_logical(project_qubit_structure(pruned, layout), layout, (0, 1), (0, 1))
+        assert list(got) == list(want) and len(got) == 2, bits
+        assert max(abs(got[i] - want[i]) for i in want) < 1e-15
+        assert p == pytest.approx(q, rel=1e-15) and p == pytest.approx(1 / 9, rel=1e-14)
+
+
+def test_a_bit_map_keeps_the_packed_folds_terms_and_order():
+    # The certified fold's 2x2 map on one bit (_turn) must give the packed
+    # fold's mixing step (_mix) term for term: the same amplitudes, owed
+    # phases paid, and the same insertion order, bottom output first as
+    # _pair_transform lists it.  At most two addends meet on a key, so the
+    # order changes no amplitude today and only this test pins it.
+    rng = np.random.default_rng(13)
+    owed_top, owed_bottom = np.exp(0.3j), np.exp(1.1j)
+    for setting in [BS_SETTING] + [random_setting(rng, False) for _ in range(4)]:
+        device = MeshBlock(0, setting, "U")._device
+        for top in (0, 1):  # the bit value of the photon in the top slot
+
+            def packed(bit):  # the top slot at bit offset 1, the bottom at 0
+                return 0b10 if bit == top else 0b01
+
+            for terms in ({0: 0.6}, {1: 0.8j}, {0: 0.6, 1: 0.8j}, {1: 0.8j, 0: 0.6}):
+                got = fock._turn(terms, device.t, 0, top, owed_top, owed_bottom)
+                want = fock._mix(
+                    {packed(b): a for b, a in terms.items()}, device, 1, 0, 1, owed_top, owed_bottom
+                )
+                assert [(packed(b), a) for b, a in got.items()] == list(want.items())
 
 
 def test_light_cone_starts_from_the_qubit_structure():
@@ -552,8 +637,10 @@ def test_light_cone_of_a_long_chain_moves_small_blocks_into_large():
 )
 def test_pruned_final_state_equals_its_projection(gates):
     circuit = parse_circuit({"qubits": 3, "gates": gates})
-    final = simulate_circuit(circuit, "000").final_state
-    projected = project_qubit_structure(final, QubitLayout(3)).projected_state
+    layout = QubitLayout(3)
+    program = compile_circuit(circuit, CompileOptions(place=False)).program
+    final = run_program_pruned(program, prepare_computational_basis("000", layout), layout)
+    projected = project_qubit_structure(final, layout).projected_state
     assert final.terms
     assert list(final.terms.items()) == list(projected.terms.items())
 
@@ -650,7 +737,8 @@ def test_skipped_restricts_drop_nothing(forest):
             gates.append({"g": "RX", "q": int(rng.integers(0, n)), "angle": 0.7})
         circuit = parse_circuit({"qubits": n, "gates": gates})
         options = CompileOptions(place=False, restore_swaps=case % 4 < 2)
-        program = compile_circuit(circuit, options).program
+        result = compile_circuit(circuit, options)
+        program = result.program
         layout = QubitLayout(n)
         start = prepare_computational_basis("0" * n, layout)
         plain = reference_light_cone(program, layout)
@@ -665,12 +753,20 @@ def test_skipped_restricts_drop_nothing(forest):
             state = (cut or held).restrict(state)
             skipped_after_cut += cut is None and after_cut
             after_cut = forest and isinstance(step, TruncateAux)
-        pruned = run_program_pruned(program, start, layout, forest)
         # the stepwise reference materializes and sorts every layer, so its
         # additions come in another order: keys agree, amplitudes to rounding
-        assert list(state.terms) == list(pruned.terms)
-        for occ, amp in pruned.terms.items():
-            assert abs(state.terms[occ] - amp) < 1e-14
+        if forest:
+            relabel = (result.positions, result.flips)
+            got, p = run_certified(program, "0" * n, *relabel)
+            want, q = decode_logical(project_qubit_structure(state, layout), layout, *relabel)
+            assert list(got) == list(want)
+            assert max(abs(got[i] - want[i]) for i in want) < 1e-14
+            assert p == pytest.approx(q, rel=1e-14)
+        else:
+            pruned = run_program_pruned(program, start, layout)
+            assert list(state.terms) == list(pruned.terms)
+            for occ, amp in pruned.terms.items():
+                assert abs(state.terms[occ] - amp) < 1e-14
         assert sum(cut is None for cut in cone) > len(cone) // 2
     assert skipped_after_cut or not forest
 

@@ -97,9 +97,9 @@ def test_forest_circuits_match_the_dense_oracle(drawn, opts, data):
     assert state_fidelity(sim.amplitudes, oracle) > 1 - 1e-9
     entanglers = sum(op.name in ("CZ", "CNOT") for op in circuit.gates)
     assert sim.success_probability * 9.0**entanglers == pytest.approx(1.0, abs=1e-9)
-    # The certified fold applies each post-selected gate as one rule; the
-    # unpruned fold, projected, keeps its keys and order, and its decoded
-    # amplitudes and success probability to rounding.
+    # The certified fold applies each post-selected gate as one rule on one
+    # bit per photon; the unpruned fold, projected and decoded, keeps its
+    # basis indices, and its amplitudes and success probability to rounding.
     assert fused_fold_problems(sim.compile_result, bits) == []
 
 
@@ -109,15 +109,18 @@ def test_sparse_amplitudes_are_the_nonzero_entries_of_the_dense_view(drawn, opts
     payload, _ = drawn
     circuit = parse_circuit(payload)
     n = circuit.qubit_count
-    sim = simulate_circuit(circuit, data.draw(basis_input(n)), opts)
+    bits = data.draw(basis_input(n))
+    sim = simulate_circuit(circuit, bits, opts)
     dense = sim.amplitudes
     nonzero = np.flatnonzero(dense).tolist()
     assert list(sim.sparse_amplitudes) == nonzero
     assert list(sim.sparse_amplitudes.values()) == dense[nonzero].tolist()
-    # a dense decode of the same projection, written out here
+    # a dense decode of the unpruned fold's projection, written out here
     layout = fock.QubitLayout(n)
     result = sim.compile_result
-    projected = fock.project_qubit_structure(sim.final_state, layout).projected_state
+    state = fock.prepare_computational_basis(bits, layout)
+    full = fock.run_program(result.program, state)
+    projected = fock.project_qubit_structure(full, layout).projected_state
     oracle = np.zeros(2**n, dtype=complex)
     for occ, amp in projected.terms.items():
         bits = [occ[layout.one_mode(result.positions[q])] ^ result.flips[q] for q in range(n)]
@@ -138,30 +141,35 @@ def test_any_circuit_projects_like_the_unpruned_fold(drawn, opts, data):
     assert sim.compile_result.forest == acyclic
     layout = fock.QubitLayout(n)
     state = fock.prepare_computational_basis(bits, layout)
-    full = fock.project_qubit_structure(
-        fock.run_program(sim.compile_result.program, state), layout
-    )
+    result = sim.compile_result
+    full = fock.project_qubit_structure(fock.run_program(result.program, state), layout)
+    amps, p = fock.decode_logical(full, layout, result.positions, result.flips)
     if not acyclic:  # the light cone alone: bit for bit
-        assert list(sim.final_state.terms.items()) == list(full.projected_state.terms.items())
+        assert list(sim.sparse_amplitudes.items()) == list(amps.items())
+        assert sim.success_probability == p
         return
-    assert list(sim.final_state.terms) == list(full.projected_state.terms)
-    for occ, amp in full.projected_state.terms.items():
-        assert abs(sim.final_state.terms[occ] - amp) < 1e-14
+    assert list(sim.sparse_amplitudes) == list(amps)
+    for index, amp in amps.items():
+        assert abs(sim.sparse_amplitudes[index] - amp) < 1e-14
+    assert sim.success_probability == pytest.approx(p, rel=1e-13)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.booleans(), options, st.data())
 def test_projecting_the_pruned_fold_keeps_every_term(forest_circuit, opts, data):
     # The pruned fold's last checks already enforce qubit structure, so the
-    # final projection drops no term and keeps the key order, whichever
-    # forest value the fold is given.
+    # final projection drops no term and keeps the key order.  The
+    # certified fold folds any compiled program, certified or not, and
+    # decodes to as many basis states as it keeps terms.
     payload, _ = data.draw(circuits(forest=forest_circuit))
     circuit = parse_circuit(payload)
     n = circuit.qubit_count
     layout = fock.QubitLayout(n)
-    state = fock.prepare_computational_basis(data.draw(basis_input(n)), layout)
-    program = compile_circuit(circuit, opts).program
-    for forest in (False, True):
-        pruned = fock.run_program_pruned(program, state, layout, forest)
-        projected = fock.project_qubit_structure(pruned, layout).projected_state
-        assert list(projected.terms.items()) == list(pruned.terms.items())
+    bits = data.draw(basis_input(n))
+    state = fock.prepare_computational_basis(bits, layout)
+    result = compile_circuit(circuit, opts)
+    pruned = fock.run_program_pruned(result.program, state, layout)
+    projected = fock.project_qubit_structure(pruned, layout).projected_state
+    assert list(projected.terms.items()) == list(pruned.terms.items())
+    amps, p = fock.run_certified(result.program, bits, result.positions, result.flips)
+    assert 0 < len(amps) <= 2**n and 0 < p <= 1
