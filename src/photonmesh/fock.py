@@ -503,29 +503,28 @@ def decode_logical(
     of size ``2**n`` is allocated (:func:`dense_amplitudes` builds the
     vector).  Logical qubit ``q``, the most significant bit for ``q = 0``,
     is read from triplet ``positions[q]`` and XORed with ``flips[q]``, by
-    default the identity relabeling.  The amplitudes are normalized, and
-    their global phase is fixed by :func:`canonical_global_phase` in index
-    order, which picks the same anchor as on the dense vector.
+    default the identity relabeling (see :func:`_decode`).
     """
     n = layout.qubit_count
     positions = tuple(range(n)) if positions is None else positions
     flips = (0,) * n if flips is None else flips
-    ones = [layout.one_mode(p) for p in positions]
-    decoded = []
-    for occ, amp in result.projected_state.terms.items():
-        idx = 0
-        for mode, flip in zip(ones, flips):
-            idx = (idx << 1) | (occ[mode] ^ flip)
-        decoded.append((idx, amp))
-    return _normalized(decoded), result.success_probability
+    rows = [(occ[2::3], amp) for occ, amp in result.projected_state.terms.items()]
+    return _decode(rows, positions, flips), result.success_probability
 
 
-def _normalized(decoded: list[tuple[int, complex]]) -> dict[int, complex]:
-    """The tail of :func:`decode_logical` and :func:`run_certified`: the
-    ``(basis index, amplitude)`` pairs summed per index, in ascending index
-    order, normalized and rotated by :func:`canonical_global_phase`."""
+def _decode(rows, positions: tuple[int, ...], flips: tuple[int, ...]) -> dict[int, complex]:
+    """The one decoder, of :func:`decode_logical` and :func:`run_certified`:
+    rows ``(rails, amplitude)``, ``rails[t]`` the rail (0 or 1) of triplet
+    ``t``'s photon, read as basis index ``rails[positions[0]] ^ flips[0]``
+    (most significant) to ``rails[positions[-1]] ^ flips[-1]``, summed per
+    index, in ascending index order, normalized and rotated by
+    :func:`canonical_global_phase`, which picks the same anchor as on the
+    dense vector."""
     summed: dict[int, complex] = {}
-    for idx, amp in decoded:
+    for rails, amp in rows:
+        idx = 0
+        for t, f in zip(positions, flips):
+            idx = idx << 1 | rails[t] ^ f
         summed[idx] = summed.get(idx, 0j) + amp
     indices = sorted(summed)
     values = [summed[i] for i in indices]
@@ -926,15 +925,11 @@ def run_certified(
         for p, v, f in debts:
             if key >> p & 1 == v:
                 amp *= f
-        rail1 = [key >> p & 1 ^ v ^ 1 for p, v in reads]
-        idx = 0
-        for t, f in zip(positions, flips):
-            idx = idx << 1 | rail1[t] ^ f
-        rows.append((rail1, idx, amp))
+        rows.append(([key >> p & 1 ^ v ^ 1 for p, v in reads], amp))
     # occupation order: rail 0 occupied sorts after rail 1 occupied
     rows.sort(key=lambda row: row[0], reverse=True)
-    probability = float(sum(abs(amp) ** 2 for _, _, amp in rows))
-    return _normalized([(idx, amp) for _, idx, amp in rows]), probability
+    probability = float(sum(abs(amp) ** 2 for _, amp in rows))
+    return _decode(rows, positions, flips), probability
 
 
 def format_state_dump(state: PhotonicState) -> str:
