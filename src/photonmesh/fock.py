@@ -39,9 +39,10 @@ truncation of its two aux modes, which carries the gate
 (:class:`PostSelectedGate`).  Under the compiler's certificate
 (``CompileResult.forest``) each photon stays inside its own rail pair, so
 the certified fold (:func:`run_certified`) holds one bit per photon and
-applies those two steps as one rule, with the eager cut; its products
-round differently from the light-cone path's, so amplitudes move by
-rounding only.
+applies those two steps as one rule, with the eager cut.  Each gate then
+succeeds with exactly 1/9 on every input, so the fold keeps its amplitudes
+at unit scale, scales each rule by 3 and counts the gates instead; its
+amplitudes differ from the light-cone path's by rounding only.
 
 Path encoding: qubit ``q`` of an n-qubit register owns the mode triplet
 ``(3q, 3q+1, 3q+2)`` = (auxiliary, rail 0, rail 1); logical ``|0>`` is a
@@ -68,8 +69,10 @@ Check = tuple[tuple[int, ...], int]
 # Amplitudes at or below this threshold are dropped after each layer that
 # rewrites terms, and pair-rule outputs (relative to their input term, see
 # _pair_transform) at or below it are never produced; keeps rounding residue
-# out of the state.  A block whose diagonal or off-diagonal is at most this
-# is a crossing or a pure phase, which the fold carries without a rule.
+# out of the state.  The cut is relative in the certified fold, whose state
+# has unit norm, and absolute in the light-cone fold, whose truncations
+# shrink it.  A block whose diagonal or off-diagonal is at most this is a
+# crossing or a pure phase, which the fold carries without a rule.
 PRUNE_THRESHOLD = 1e-14
 
 
@@ -211,14 +214,14 @@ class PostSelectedGate:
         truncation of the aux modes, so the rule absorbs the network's
         crossings and their phases.  An input with any other number of
         passing outputs raises ``ValueError``.  The certified fold reads
-        this map on every use (:func:`_gate`).
+        this map on every use (:func:`_gate`), times 3.
 
-        In exact arithmetic each output has modulus 1/3: the gate acts as
-        ``diag(1, 1, 1, -1) / 3`` up to phases, and a CNOT's H blocks make
-        that a permutation.  The fold rounds the four moduli apart by up to
-        two ulps, which a chain of gates would compound into a drift
-        between its branches, so each coefficient keeps its phase and takes
-        the mean of the four moduli."""
+        In exact arithmetic each output has modulus 1/3, the physical map:
+        the gate acts as ``diag(1, 1, 1, -1) / 3`` up to phases, and a
+        CNOT's H blocks make that a permutation.  The fold rounds the four
+        moduli apart by up to two ulps, which a chain of gates would
+        compound into a drift between its branches, so each coefficient
+        keeps its phase and takes the mean of the four moduli."""
         layout, network = QubitLayout(2), LinearLayer(6, self.blocks)
         rule = {}
         for i, j in ((1, 4), (1, 5), (2, 4), (2, 5)):
@@ -824,9 +827,10 @@ def _turn(terms, t, photon: int, top: int, owed_top: complex, owed_bottom: compl
 
 def _gate(terms, gate: PostSelectedGate, slots: list[int], owed: list[complex], label: str):
     """Bit-keyed ``terms`` after ``gate`` and its eager cut, ``slots[k]``
-    holding window mode ``k``: its :attr:`~PostSelectedGate.rule` as a
-    table on the two photons' bits, of XOR masks and coefficients times
-    the owed phases of their input slots, which then owe nothing."""
+    holding window mode ``k``: its :attr:`~PostSelectedGate.rule` times 3,
+    a unit-modulus bijection on the two photons' bits that merges and
+    shrinks no term, as a table of XOR masks and coefficients times the
+    owed phases of their input slots, which then owe nothing."""
     q, r = _photon(slots[1], slots[2]), _photon(slots[4], slots[5])
     if q is None or r is None or slots[0] % 3 or slots[3] % 3:
         raise ValueError(
@@ -837,13 +841,11 @@ def _gate(terms, gate: PostSelectedGate, slots: list[int], owed: list[complex], 
     table = [(0, 0j)] * 4
     for (i, j), ((o, p), c) in gate.rule.items():
         mask = (bit[i] ^ bit[o]) << q | (bit[j] ^ bit[p]) << r
-        table[bit[i] | bit[j] << 1] = (mask, c * (owed[slots[i]] * owed[slots[j]]))
+        table[bit[i] | bit[j] << 1] = (mask, 3 * c * (owed[slots[i]] * owed[slots[j]]))
     kept = {}
     for key, amp in terms.items():
         mask, c = table[key >> q & 1 | (key >> r & 1) << 1]
-        amp *= c
-        if abs(amp) > PRUNE_THRESHOLD:
-            kept[key ^ mask] = amp
+        kept[key ^ mask] = amp * c
     for k in (1, 2, 4, 5):
         owed[slots[k]] = 1.0 + 0.0j
     return kept
@@ -862,12 +864,14 @@ def run_certified(
     :data:`PRUNE_THRESHOLD` after its step.  A linear step directly
     followed by a truncation of its window's aux modes, whose gate holds
     the step's very block tuple, is that gate: a table on two bits
-    (:func:`_gate`), pruned after it.  The success probability is summed
-    in occupation order, the light-cone path's.  Amplitudes differ from
-    that path's by rounding only: within 5.6e-16 on the pinned
-    ``simulate`` circuits, the benchmark's random forests and GHZ chains
-    of up to 29 qubits, and 5.3e-16 relative per gate on the success
-    probability.
+    (:func:`_gate`).  The fold counts the gates it applies, ``k``, and
+    each succeeds with exactly 1/9 on every input, so the state stays at
+    unit norm and the success probability is its squared norm, summed in
+    insertion order, times ``9.0**-k``.  The decoded rows go to
+    :func:`_decode`.  Amplitudes differ from the light-cone path's by
+    rounding only: within 5.6e-16 on the pinned ``simulate`` circuits, the
+    benchmark's random forests and GHZ chains of up to 29 qubits, where
+    ``|p * 9**k - 1|`` stays within 9.5e-15.
 
     What a bit cannot hold raises ``ValueError``: a truncation outside the
     steps of a gate, as in a program split or rebuilt, a mixing block
@@ -882,7 +886,7 @@ def run_certified(
     terms = {sum(occ[3 * p + 2] << p for p in range(n)): 1.0 + 0.0j}
     pos, owed = list(range(3 * n)), [1.0 + 0.0j] * (3 * n)
     steps = program.steps
-    i = 0
+    i = k = 0
     while i < len(steps):
         step, i = steps[i], i + 1
         if isinstance(step, TruncateAux):
@@ -897,7 +901,7 @@ def run_certified(
         gate = cut.gate if isinstance(cut, TruncateAux) else None
         if gate is not None and step.blocks is gate.blocks and cut.modes == (off, off + 3):
             terms = _gate(terms, gate, pos[off : off + 6], owed, step.label)
-            i += 1
+            i, k = i + 1, k + 1
             continue
         mixed = False
         for device, sa, sb in _mixing(step, pos, owed):
@@ -926,9 +930,7 @@ def run_certified(
             if key >> p & 1 == v:
                 amp *= f
         rows.append(([key >> p & 1 ^ v ^ 1 for p, v in reads], amp))
-    # occupation order: rail 0 occupied sorts after rail 1 occupied
-    rows.sort(key=lambda row: row[0], reverse=True)
-    probability = float(sum(abs(amp) ** 2 for _, amp in rows))
+    probability = float(sum(abs(amp) ** 2 for _, amp in rows)) * 9.0**-k
     return _decode(rows, positions, flips), probability
 
 

@@ -217,23 +217,40 @@ def ghz_chain_file(tmp_path, n):
     })
 
 
-def test_empty_projection_raises_and_exits_4(tmp_path):
-    # The absolute PRUNE_THRESHOLD (ROADMAP item 1: a cut relative to the
-    # state is still open) drops both GHZ terms at n = 31, about 3.4e-15
-    # each after one prune per post-selected gate, so decoding raises.
-    # n = 31 is the smallest chain whose projection is empty (n = 30 keeps
-    # both terms, see below).  Guard: if the fold ever keeps terms here,
-    # stop and rewrite this test as a regression test of relative pruning.
-    n = 31
+def test_ghz_chain_of_40_keeps_both_terms(tmp_path):
+    # A regression test of the certified fold's unit scale: it counts each
+    # post-selected gate's 1/9 instead of multiplying 1/3 into every
+    # amplitude, so no amplitude nears the absolute cut.  Multiplied in,
+    # both terms fell below it from n = 31 on and decoding raised.
+    n = 40
     circuit = compiler.ghz_chain_circuit(n)
     result = compiler.compile_circuit(circuit, compiler.CompileOptions(place=False))
     assert result.forest
-    with pytest.raises(ValueError, match="no qubit-structure amplitude"):
-        fock.run_certified(result.program, "0" * n, result.positions, result.flips)
+    amps, p = fock.run_certified(result.program, "0" * n, result.positions, result.flips)
+    assert list(amps) == [0, 2**n - 1]
+    for amp in amps.values():
+        assert amp == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+    assert abs(p * 9.0 ** (n - 1) - 1) < 1e-12
+
+
+def test_empty_projection_raises_and_exits_4(tmp_path):
+    # The GHZ-31 chain, then a SWAP and a CZ that repeat a photon pair, so
+    # the circuit is uncertified and takes the light-cone path.  Its
+    # absolute PRUNE_THRESHOLD drops every term (the light-cone half of
+    # ROADMAP item 1, still open), so decoding raises.  Guard: if the
+    # light-cone fold ever keeps terms here, stop and rewrite this test as
+    # a regression test of its relative cut.
+    n = 31
+    gates = [{"g": "H", "q": 0}] + [{"g": "CNOT", "c": q, "t": q + 1} for q in range(n - 1)]
+    gates += [{"g": "SWAP", "a": 29, "b": 28}, {"g": "CZ", "c": 30, "t": 28}]
+    payload = {"qubits": n, "gates": gates}
+    circuit = compiler.parse_circuit(payload)
+    result = compiler.compile_circuit(circuit, compiler.CompileOptions(place=False))
+    assert not result.forest
     start = time.perf_counter()
     with pytest.raises(ValueError, match="no qubit-structure amplitude"):
         compiler.simulate_circuit(circuit)
-    proc = run_cli("simulate", ghz_chain_file(tmp_path, n))
+    proc = run_cli("simulate", write_circuit(tmp_path, payload))
     assert proc.returncode == 4
     assert proc.stdout == ""
     assert "no qubit-structure amplitude" in proc.stderr
@@ -241,9 +258,8 @@ def test_empty_projection_raises_and_exits_4(tmp_path):
 
 
 def test_ghz_chain_of_30_keeps_both_terms(tmp_path):
-    # Each term is about 1.03e-14 at the end, just above the absolute cut:
-    # the certified fold prunes once per post-selected gate, after its rule,
-    # and never in between.  One qubit more and both fall below it (above).
+    # Each term holds 1/sqrt(2) throughout the certified fold, which keeps
+    # its amplitudes at unit scale and counts the gates' 1/9 apart.
     n = 30
     proc = run_cli("simulate", ghz_chain_file(tmp_path, n), "--format", "json")
     assert (proc.returncode, proc.stderr) == (0, "")
@@ -444,6 +460,17 @@ def test_analyze_ghz_scan(tmp_path):
     assert "n=2" in human.stdout
 
 
+def test_analyze_ghz_scan_reaches_40_qubits():
+    # Each row is exact to rounding past n = 30, where the absolute cut once
+    # emptied the projection and the scan printed only that error.
+    proc = run_cli("analyze", "ghz-scan", "--max-n", "40", "--format", "json")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    points = json.loads(proc.stdout)["points"]
+    assert [row["n"] for row in points] == list(range(2, 41))
+    for row in points:
+        assert abs(row["probability"] / row["expected"] - 1) < 1e-12, row["n"]
+
+
 def test_analyze_cz4x4_small_run():
     proc = run_cli(
         "analyze", "cz4x4", "--restarts", "2", "--seed", "5", "--format", "json"
@@ -510,10 +537,14 @@ def test_simulate_prints_the_pinned_bytes(tmp_path):
     # forests over both cz_forms and both restore_swaps values (half with an
     # --input), the uncertified triangle and a repeated photon pair.  The
     # file holds each circuit and flags with the bytes these same calls
-    # printed at commit b3131e1; the 21 certified records were written
-    # again when the certified fold began to apply each post-selected gate
-    # as one rule (same keys, amplitudes within 5.6e-16, success within
-    # 1e-15 relative), and the 3 uncertified ones kept their bytes.
+    # printed at commit b3131e1.  The 21 certified records were written
+    # again twice, and the 3 uncertified ones kept their bytes: when the
+    # certified fold began to apply each post-selected gate as one rule
+    # (same keys, amplitudes within 5.6e-16, success within 1e-15
+    # relative), and when it began to keep its amplitudes at unit scale and
+    # count each gate's 1/9, summing the success probability in insertion
+    # order (same keys and order, amplitudes within 3.4e-16, success within
+    # 1.3e-15 relative).
     with open(GOLDEN, encoding="utf-8") as fh:
         cases = json.load(fh)["cases"]
     assert len(cases) == 24

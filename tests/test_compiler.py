@@ -602,11 +602,6 @@ def test_random_circuits_match_dense_oracle():
     assert total_ps >= 6  # the envelope filter must not starve the generator
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: the absolute 1e-14 prune drops certified amplitudes "
-    "from 16 qubits on; a cut relative to the state must keep them",
-)
 def test_certified_16_qubit_forests_keep_every_amplitude():
     # Both circuits are certified forests, so every amplitude of the ideal
     # circuit above 1e-12 must come back and each post-selected gate must
@@ -1092,22 +1087,20 @@ def test_fused_gates_fold_like_the_unfused_fold_on_the_golden_circuits(monkeypat
 def test_fused_gates_fold_the_20_qubit_forest_like_the_dense_oracle():
     # The 20-qubit forest of ROADMAP item 1, random_forest(Random(7), 20,
     # 80, 19, 2) of benchmarks/workloads.py, against the dense oracle; the
-    # unpruned fold is out of reach.  The fold is off the oracle: the
-    # absolute prune (item 1, still open) drops eight amplitudes below
-    # 2e-5 and addends of up to about 1.1e-5 in the decoded amplitudes.
+    # unpruned fold is out of reach.  With each gate's 1/3 multiplied into
+    # every amplitude, the absolute cut dropped eight amplitudes below 2e-5
+    # and addends of up to about 1.1e-5; at unit scale every key comes back.
     circuit = parse_circuit(json.loads((DATA / "forest20.json").read_text(encoding="utf-8")))
     n, k = circuit.qubit_count, _post_selections(circuit)
     result = compile_circuit(circuit, CompileOptions(place=False))
-    assert n == 20 and result.forest
+    assert n == 20 and k == 19 and result.forest
     oracle = fock.canonical_global_phase(dense_circuit_state(circuit, "0" * n))
     keys = np.flatnonzero(np.abs(oracle) > 1e-12).tolist()
     amps, p = fock.run_certified(result.program, "0" * n, result.positions, result.flips)
-    lost = sorted(set(keys) - set(amps))
-    assert len(keys) == 8192 and set(amps) <= set(keys)
-    assert len(lost) == 8 and max(abs(oracle[i]) for i in lost) < 2e-5
+    assert len(keys) == 8192 and list(amps) == keys
     for index, amp in amps.items():
-        assert abs(amp - oracle[index]) < 2e-5
-    assert abs(p * 9.0**k - 1) < 2e-8
+        assert abs(amp - oracle[index]) < 1e-14
+    assert abs(p * 9.0**k - 1) < 1e-12
 
 
 # Each form of a fused gate: (cz_form, the CNOT target's window rail top or
