@@ -20,7 +20,10 @@ one line; ``tsv`` and ``human`` print lines rendered from that record
 alone.  Only ``compile`` takes ``--output``; the others print to stdout.
 
 Exit codes: 0 success; 2 illegal gate cascade; 3 mesh placement overflow;
-4 malformed input (circuit file, CLI usage, unknown ``gates list --name``).
+4 malformed input (circuit file, CLI usage, unknown ``gates list --name``)
+or a ``simulate`` that cannot answer: "projection left no qubit-structure
+amplitude", "certified fold lost its unit norm: ..." and "success
+probability 9**-k of k post-selected gates underflows a float".
 
 Circuit files are JSON objects like::
 

@@ -233,6 +233,21 @@ def test_ghz_chain_of_40_keeps_both_terms(tmp_path):
     assert abs(p * 9.0 ** (n - 1) - 1) < 1e-12
 
 
+def test_an_underflowing_success_probability_raises_and_exits_4(tmp_path):
+    # 9.0**-k is subnormal from k = 323 on, so a GHZ chain of 324 qubits or
+    # more would print a success probability that lost its precision (about
+    # 1.1e-314 at n = 330).  The last chain in the normal range still runs.
+    n = 323
+    sim = compiler.simulate_circuit(compiler.ghz_chain_circuit(n))
+    assert abs(sim.success_probability * 9.0 ** (n - 1) - 1) < 1e-12
+    n = 330
+    message = "success probability 9**-329 of 329 post-selected gates underflows a float"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        compiler.simulate_circuit(compiler.ghz_chain_circuit(n))
+    proc = run_cli("simulate", ghz_chain_file(tmp_path, n))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", f"photonmesh: error: {message}\n")
+
+
 def test_empty_projection_raises_and_exits_4(tmp_path):
     # The GHZ-31 chain, then a SWAP and a CZ that repeat a photon pair, so
     # the circuit is uncertified and takes the light-cone path.  Its

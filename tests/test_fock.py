@@ -556,6 +556,22 @@ def test_the_certified_fold_reads_crossed_rails_and_a_bare_gate():
         assert p == pytest.approx(q, rel=1e-15) and p == pytest.approx(1 / 9, rel=1e-14)
 
 
+def test_the_certified_fold_checks_its_unit_norm(monkeypatch):
+    # Every certified gate succeeds with exactly 1/9, so the fold's
+    # unit-scale state must keep a squared norm of 1.  A rule that loses
+    # norm, here every coefficient of the Bell CNOT's form times 0.99, is
+    # refused rather than reported as a success probability.
+    result = compile_circuit(bell_circuit(), CompileOptions(place=False))
+    (gate,) = [step.gate for step in result.program.steps if isinstance(step, TruncateAux)]
+    rule = {ij: (out, 0.99 * c) for ij, (out, c) in gate.rule.items()}
+    monkeypatch.setitem(gate.__dict__, "rule", rule)
+    with pytest.raises(ValueError, match=r"squared norm - 1 = -1\.990e-02 after 1 post-selected"):
+        run_certified(result.program, "00", result.positions, result.flips)
+    monkeypatch.undo()
+    _, p = run_certified(result.program, "00", result.positions, result.flips)
+    assert abs(p * 9 - 1) < 1e-15
+
+
 def test_a_bit_map_keeps_the_packed_folds_terms_and_order():
     # The certified fold's 2x2 map on one bit (_turn) must give the packed
     # fold's mixing step (_mix) term for term: the same amplitudes, owed
