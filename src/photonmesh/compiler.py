@@ -65,6 +65,7 @@ import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,8 +98,7 @@ class PlacementOverflow(RuntimeError):
     """Raised when a program does not fit the requested mesh."""
 
 
-@dataclass(frozen=True)
-class GateOp:
+class GateOp(NamedTuple):
     name: str
     qubits: tuple[int, ...]
     angle: float | None = None
@@ -153,16 +153,14 @@ class CascadeLedger:
         self._recorded.add(pair)
 
 
-@dataclass(frozen=True)
-class PlacedBlock:
+class PlacedBlock(NamedTuple):
     column: int
     top_mode: int
     setting: MziSetting
     role: str
 
 
-@dataclass(frozen=True)
-class TruncationMark:
+class TruncationMark(NamedTuple):
     """Truncation of ``modes`` between mesh columns ``after_column`` and
     ``after_column + 1`` (-1 means before the first column)."""
 
@@ -201,10 +199,14 @@ class MeshAssignment:
         """JSON-ready phase table of the placed slots, sorted by
         ``(column, top_mode)``.  Every other slot of ``columns`` is parked at
         ``idle``, the identity setting, and is not listed, so the table
-        still fixes every slot's phases (:meth:`slots` is the full walk)."""
+        still fixes every slot's phases (:meth:`slots` is the full walk).
+
+        The placements sort as tuples: :func:`place_in_mesh` gives each
+        ``(column, top_mode)`` slot at most one block, so no two placements
+        tie there and their settings are never compared."""
         idle = IDENTITY_SETTING
         slots = []
-        for p in sorted(self.placements, key=lambda p: (p.column, p.top_mode)):
+        for p in sorted(self.placements):
             setting = p.setting
             entry = {
                 "column": p.column,

@@ -58,6 +58,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -148,8 +149,7 @@ class MeshBlock:
         return _Device(self.setting)
 
 
-@dataclass(frozen=True)
-class LinearLayer:
+class LinearLayer(NamedTuple):
     """Program step: the 2x2 devices of one gate network on ``mode_count``
     modes, applied in order (see :func:`apply_linear`).  The compiler emits
     each network, all of its mesh layers, as one step; a step may equally

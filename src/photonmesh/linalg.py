@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +41,7 @@ PERMANENT_MAX_DIM = 14
 _SOLVE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class MziSetting:
+class MziSetting(NamedTuple):
     """Phase-shifter settings of one (possibly extended) MZI.
 
     ``phi3``/``phi4`` are the output phase shifters of the extended MZI and
@@ -287,11 +287,4 @@ def solve_mzi_settings(u) -> MziSetting:
     phi4 = _angle(-u11)
     r3, r4 = _expi(-phi3), _expi(-phi4)
     inner = _solve_plain(r3 * u00, r3 * u01, r4 * u10, r4 * u11, real_ratio=True)
-    return MziSetting(
-        theta1=inner.theta1,
-        theta2=inner.theta2,
-        phi1=inner.phi1,
-        phi2=inner.phi2,
-        phi3=phi3,
-        phi4=phi4,
-    )
+    return inner._replace(phi3=phi3, phi4=phi4)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import itertools
 import json
 import os
 import pathlib
@@ -24,7 +25,9 @@ from photonmesh.compiler import (
     GateOp,
     IllegalCascade,
     MeshAssignment,
+    PlacedBlock,
     PlacementOverflow,
+    TruncationMark,
     assignment_program,
     bell_circuit,
     column_count,
@@ -40,7 +43,7 @@ from photonmesh.compiler import (
     top_span,
 )
 from photonmesh import compiler
-from photonmesh.linalg import IDENTITY_SETTING
+from photonmesh.linalg import IDENTITY_SETTING, MziSetting
 
 from helpers import (
     brickwork,
@@ -1512,6 +1515,77 @@ def test_place_in_mesh_matches_the_column_scan(scheme, restore):
         assert (assignment.placements, assignment.truncations) == expected
     # both outcomes are exercised
     assert outcomes["placed"] >= 5 and outcomes["overflow"] >= 5, outcomes
+
+
+def _slot_programs():
+    """``(label, program, scheme)`` of the pinned compile circuits, their
+    overflows included, and of a seeded brickwork pool, each compiled
+    under both cz_forms and with and without restore swaps."""
+    golden = json.loads((DATA / "compile_golden.json").read_text(encoding="utf-8"))
+    circuits = [
+        (case["name"], parse_circuit(case["circuit"]))
+        for case in golden["cases"] + golden["overflows"]
+    ]
+    rng = np.random.default_rng(29)
+    sizes = [(int(rng.integers(3, 17)), int(rng.integers(1, 4))) for _ in range(24)]
+    circuits += [
+        (f"brickwork n={n} rounds={rounds}", parse_circuit(brickwork(rng, n, rounds)))
+        for n, rounds in sizes
+    ]
+    for label, circuit in circuits:
+        for cz_form, restore in itertools.product(("compressed", "swap-sandwich"), (True, False)):
+            options = CompileOptions(cz_form=cz_form, restore_swaps=restore, place=False)
+            program = compile_circuit(circuit, options).program
+            for scheme in ("clements", "reck"):
+                yield f"{label} {cz_form} restore={restore} {scheme}", program, scheme
+
+
+def test_place_in_mesh_puts_at_most_one_block_in_a_slot():
+    # phase_table sorts the placements as tuples, with no key: that orders
+    # them by (column, top_mode) only while no two share that slot, since
+    # two settings that differ in phi3 alone (None against a float) do
+    # not compare.
+    outcomes = collections.Counter()
+    for label, program, scheme in _slot_programs():
+        try:
+            assignment = place_in_mesh(program, scheme, program.mode_count)
+        except PlacementOverflow:
+            outcomes[scheme, "overflow"] += 1
+            continue
+        outcomes[scheme, "placed"] += 1
+        slots = [(p.column, p.top_mode) for p in assignment.placements]
+        assert len(set(slots)) == len(slots), label
+        table = assignment.phase_table()
+        assert [(s["column"], s["top_mode"]) for s in table["slots"]] == sorted(slots), label
+    assert min(outcomes.values()) >= 10 and len(outcomes) == 4, outcomes
+
+
+def test_records_are_immutable_named_tuples():
+    setting = MziSetting(0.1, 0.2, 0.3, 0.4)
+    records = [
+        GateOp("RZ", (2,), 0.5),
+        PlacedBlock(3, 4, setting, "H"),
+        TruncationMark(-1, (0, 3)),
+        fock.LinearLayer(6, (fock.MeshBlock(0, setting, "H"),), "H q0", 1),
+        setting,
+    ]
+    for record in records:
+        name = type(record).__name__
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], record[0])
+        # equal values compare and hash equal, in a new object
+        twin = type(record)(*record)
+        assert twin is not record and twin == record and hash(twin) == hash(record), name
+        assert record._replace() == record
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(record._fields, record))
+        assert repr(record) == f"{name}({fields})"
+    assert repr(records[2]) == "TruncationMark(after_column=-1, modes=(0, 3))"
+    assert GateOp("H", (0,)).angle is None
+    layer = fock.LinearLayer(3, ())
+    assert (layer.label, layer.offset) == ("", 0)
+    assert (setting.phi3, setting.phi4, setting.is_extended) == (None, None, False)
+    extended = setting._replace(phi3=0.5, phi4=-1.0)
+    assert extended.is_extended and extended[:4] == setting[:4]
 
 
 def test_place_single_block_and_identity_slots():

@@ -814,7 +814,7 @@ def test_each_block_builds_one_device_and_changes_nothing(monkeypatch):
     mesh = random_mesh(m, rng)
     # the same block objects again, then equal settings in new objects
     fresh = tuple(
-        tuple(replace(blk, setting=replace(blk.setting)) for blk in blocks) for blocks in mesh
+        tuple(replace(blk, setting=blk.setting._replace()) for blk in blocks) for blocks in mesh
     )
     layers = mesh + mesh + fresh
     program = NetworkProgram(m, tuple(LinearLayer(m, blocks) for blocks in layers))
