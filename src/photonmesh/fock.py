@@ -65,7 +65,7 @@ import numpy as np
 from .linalg import MziSetting, _setting_entries, permanent
 
 Occupation = tuple[int, ...]
-# A light-cone check: a term must hold exactly ``count`` photons in ``modes``.
+# A photon-count check: a term passes when it holds exactly ``count`` photons in ``modes``.
 Check = tuple[tuple[int, ...], int]
 
 # Amplitudes at or below this threshold are dropped after each layer that
@@ -286,24 +286,32 @@ def _pair_transform(
     The coefficient of ``x^p y^q`` in ``(t00 x + t01 y)^na (t10 x + t11 y)^nb``,
     times the bosonic normalization ``sqrt(p! q! / (na! nb!))``.
 
+    One photon's outputs are its row of ``t``, read directly.  They are
+    bit for bit what the sum gives, which starts from ``0j`` and so makes
+    every zero part positive, as ``+ 0j`` does here.
+
     Outputs of magnitude at most :data:`PRUNE_THRESHOLD` are left out.  In
     exact arithmetic they are zeros, such as the Hong-Ou-Mandel residue of
     about 1e-16 of two photons on a 50:50 device.  The outputs' squared
     magnitudes add up to 1, so the cut never drops more than the
     end-of-layer prune drops from a term of amplitude 1.
     """
-    (t00, t01), (t10, t11) = t
     n = na + nb
-    coeffs = [0j] * (n + 1)
-    for i in range(na + 1):
-        top = math.comb(na, i) * t00**i * t01 ** (na - i)
-        for j in range(nb + 1):
-            coeffs[i + j] += top * math.comb(nb, j) * t10**j * t11 ** (nb - j)
-    norm = math.factorial(na) * math.factorial(nb)
-    outputs = (
-        (p, c * math.sqrt(math.factorial(p) * math.factorial(n - p) / norm))
-        for p, c in enumerate(coeffs)
-    )
+    if n == 1:
+        to_top, to_bottom = t[nb]
+        outputs = ((0, to_bottom + 0j), (1, to_top + 0j))
+    else:
+        (t00, t01), (t10, t11) = t
+        coeffs = [0j] * (n + 1)
+        for i in range(na + 1):
+            top = math.comb(na, i) * t00**i * t01 ** (na - i)
+            for j in range(nb + 1):
+                coeffs[i + j] += top * math.comb(nb, j) * t10**j * t11 ** (nb - j)
+        norm = math.factorial(na) * math.factorial(nb)
+        outputs = (
+            (p, c * math.sqrt(math.factorial(p) * math.factorial(n - p) / norm))
+            for p, c in enumerate(coeffs)
+        )
     return tuple((p, c) for p, c in outputs if abs(c) > PRUNE_THRESHOLD)
 
 
@@ -415,55 +423,42 @@ def amplitude_via_permanent(
     return permanent(u[np.ix_(rows, cols)]) / math.sqrt(norm)
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Mode blocks, each with the photon count it must hold for a term to
-    pass :func:`project_qubit_structure`.  ``labels[mode]`` is the mode's
-    block.  :func:`light_cone` starts from :func:`qubit_structure` and
-    joins its blocks step by step."""
-
-    labels: tuple[int, ...]
-    required: tuple[int, ...]
-
-    def restrict(self, state: PhotonicState) -> PhotonicState:
-        """Keep the terms whose block photon counts match ``required``."""
-        kept = {}
-        for occ, amp in state.terms.items():
-            counts = [0] * len(self.required)
-            for mode, n in enumerate(occ):
-                if n:
-                    counts[self.labels[mode]] += n
-            if tuple(counts) == self.required:
-                kept[occ] = amp
-        return PhotonicState(state.mode_count, kept)
+def qubit_structure(layout: QubitLayout) -> tuple[Check, ...]:
+    """The final projection, stated once, as checks in qubit order: aux
+    mode ``3q`` holds no photon and rail pair ``(3q + 1, 3q + 2)`` one.
+    :func:`project_qubit_structure` filters by them and :func:`light_cone`
+    seeds its union-find from them."""
+    qubits = range(layout.qubit_count)
+    return tuple(c for q in qubits for c in (((3 * q,), 0), ((3 * q + 1, 3 * q + 2), 1)))
 
 
-def qubit_structure(layout: QubitLayout) -> Partition:
-    """The final projection as a partition: each rail pair is one block that
-    must hold one photon, each aux mode a block that must hold none."""
-    labels = [0] * layout.mode_count
-    for q in range(layout.qubit_count):
-        labels[layout.aux_mode(q)] = 2 * q
-        labels[layout.zero_mode(q)] = labels[layout.one_mode(q)] = 2 * q + 1
-    return Partition(tuple(labels), (0, 1) * layout.qubit_count)
+def _restrict(state: PhotonicState, checks: tuple[Check, ...]) -> PhotonicState:
+    """The terms of ``state``, in insertion order, that pass every check
+    ``(modes, count)``: the one filter of tuple-keyed states."""
+    kept = {}
+    for occ, amp in state.terms.items():
+        for modes, count in checks:
+            n = 0
+            for mode in modes:
+                n += occ[mode]
+            if n != count:
+                break
+        else:
+            kept[occ] = amp
+    return PhotonicState(state.mode_count, kept)
 
 
 def truncate_aux(state: PhotonicState, aux_modes) -> PhotonicState:
-    """Drop terms with any photon in ``aux_modes``; no renormalization."""
-    aux = tuple(aux_modes)
-    kept = {
-        occ: amp
-        for occ, amp in state.terms.items()
-        if all(occ[m] == 0 for m in aux)
-    }
-    return PhotonicState(state.mode_count, kept)
+    """Drop terms with any photon in ``aux_modes``, by one zero check per
+    mode (see :func:`_restrict`); no renormalization."""
+    return _restrict(state, tuple(((mode,), 0) for mode in aux_modes))
 
 
 def project_qubit_structure(
     state: PhotonicState, layout: QubitLayout
 ) -> PostSelectionResult:
-    """Keep exactly the terms with one photon per rail pair and empty aux
-    (the blocks of :func:`qubit_structure`).
+    """Keep exactly the terms with one photon per rail pair and empty aux:
+    :func:`_restrict` by the checks of :func:`qubit_structure`.
 
     The squared norm of the kept part is the cumulative success probability
     of all post-selections (truncations included) so far, assuming a unit
@@ -473,7 +468,7 @@ def project_qubit_structure(
         raise ValueError(
             f"state has {state.mode_count} modes, layout needs {layout.mode_count}"
         )
-    projected = qubit_structure(layout).restrict(state)
+    projected = _restrict(state, qubit_structure(layout))
     return PostSelectionResult(projected, projected.squared_norm())
 
 
@@ -555,12 +550,14 @@ def light_cone(program: NetworkProgram, layout: QubitLayout) -> tuple[tuple[Chec
     after every step, from step 0 on, the checks keep exactly the terms
     that restricting by the whole partition in force would keep.
 
-    A backward union-find pass: it starts from the final projection,
-    :func:`qubit_structure`, and, walking the steps in reverse, joins the
-    two modes of every block of a layer, adding the blocks' required
-    counts.  Layers after step ``i`` move photons only inside the blocks of
-    the partition in force after step ``i``, so a term whose count differs
-    from the requirement in any block can never pass the projection.
+    A backward union-find pass: it starts from the final projection, one
+    block per check of :func:`qubit_structure`, and, walking the steps in
+    reverse, joins the two modes of every block of a layer, adding the
+    blocks' required counts.  Layers after step ``i`` move photons only
+    inside the blocks of the partition in force after step ``i``, so a term
+    whose count differs from the requirement in any block can never pass
+    the projection.  So for a program whose later steps join nothing, the
+    entry after step 0 is :func:`qubit_structure` itself.
 
     Only the checks a term can newly fail are listed: after step 0 every
     block, and after a layer that joins blocks the joined blocks but the
@@ -572,12 +569,14 @@ def light_cone(program: NetworkProgram, layout: QubitLayout) -> tuple[tuple[Chec
         raise ValueError(
             f"program has {program.mode_count} modes, layout needs {layout.mode_count}"
         )
-    seed = qubit_structure(layout)
-    block = list(seed.labels)  # block[mode]: the block holding ``mode``
-    required = list(seed.required)
+    block = [0] * layout.mode_count  # block[mode]: the block holding ``mode``
+    required: list[int] = []
     members: dict[int, list[int]] = {}
-    for mode, label in enumerate(block):
-        members.setdefault(label, []).append(mode)
+    for label, (modes, count) in enumerate(qubit_structure(layout)):
+        required.append(count)
+        members[label] = list(modes)
+        for mode in modes:
+            block[mode] = label
 
     after: list[tuple[Check, ...]] = []
     for i in reversed(range(len(program.steps))):
@@ -804,16 +803,16 @@ def _photon(top: int, bottom: int) -> int | None:
     return p if bottom // 3 == p and top % 3 and bottom % 3 else None
 
 
-def _turn(terms, t, photon: int, top: int, owed_top: complex, owed_bottom: complex):
-    """Bit-keyed ``terms`` after the mixing substitution ``t`` on the rails
-    of ``photon``, its top mode on the rail of bit value ``top``: the
-    steps of :func:`_mix` for one photon, owed phases paid, outputs listed
-    and cut as :func:`_pair_transform` lists and cuts them."""
-    (t00, t01), (t10, t11) = t
+def _turn(terms, device: _Device, photon: int, top: int, owed_top: complex, owed_bottom: complex):
+    """Bit-keyed ``terms`` after the mixing ``device`` on the rails of
+    ``photon``, its top mode on the rail of bit value ``top``: the steps of
+    :func:`_mix` for one photon, owed phases paid, by the device's own pair
+    rules for a photon on top, ``rule(1, 0)``, and on the bottom,
+    ``rule(0, 1)``.  A photon that changes rail flips its bit."""
     flip = 1 << photon
-    rules, cut = [(), ()], PRUNE_THRESHOLD
-    rules[top] = [(m, c * owed_top) for m, c in ((flip, t01), (0, t00)) if abs(c) > cut]
-    rules[1 - top] = [(m, c * owed_bottom) for m, c in ((0, t11), (flip, t10)) if abs(c) > cut]
+    rules = [(), ()]
+    rules[top] = [(0 if p else flip, c * owed_top) for p, c in device.rule(1, 0)]
+    rules[1 - top] = [(flip if p else 0, c * owed_bottom) for p, c in device.rule(0, 1)]
     accum: dict[int, complex] = {}
     get = accum.get
     for key, amp in terms.items():
@@ -910,7 +909,7 @@ def run_certified(
                     f"step {i - 1} ({step.label!r}) mixes slots {sa} and {sb} outside "
                     "the steps of a post-selected gate, not the two rails of one photon"
                 )
-            terms = _turn(terms, device.t, p, sa % 3 - 1, owed[sa], owed[sb])
+            terms = _turn(terms, device, p, sa % 3 - 1, owed[sa], owed[sb])
             mixed = True
         if mixed:
             terms = {k: amp for k, amp in terms.items() if abs(amp) > PRUNE_THRESHOLD}

@@ -8,7 +8,12 @@ with their own blocks at absolute modes, the oracle for layers that share
 blocks at an offset.  ``per_layer_program`` cuts each gate-network step
 into one step per mesh layer, the oracle for one step per network.
 ``reference_light_cone`` is the full-partition light cone that
-:func:`photonmesh.fock.light_cone`'s checks must agree with.
+:func:`photonmesh.fock.light_cone`'s checks must agree with; it and
+``split_partition`` write a partition as the checks of all its blocks,
+``(modes, count)`` in the order of each block's first mode, the form
+:func:`photonmesh.fock.qubit_structure` returns.  ``keep_checked`` is the
+filter by such checks that the projection, the truncation and the fold's
+light-cone checks must reproduce.
 ``fused_fold_problems`` holds the certified fold
 (:func:`photonmesh.fock.run_certified`), which applies each post-selected
 gate as one rule on one bit per photon, to the unfused fold's decoded
@@ -31,10 +36,10 @@ import itertools
 import numpy as np
 
 from photonmesh.fock import (
+    Check,
     LinearLayer,
     MeshBlock,
     NetworkProgram,
-    Partition,
     PhotonicState,
     PostSelectionResult,
     QubitLayout,
@@ -270,41 +275,48 @@ def fused_fold_problems(result, bits: str, unfused: PhotonicState | None = None)
     return problems
 
 
-def split_partition(partition: Partition, modes: tuple[int, ...], count: int) -> Partition:
-    """``partition`` with ``modes``, which lie in one block, split out as a
-    new block that must hold ``count``; the rest of their block must then
-    hold ``count`` fewer."""
-    labels, required = list(partition.labels), list(partition.required)
-    required[labels[modes[0]]] -= count
-    for mode in modes:
-        labels[mode] = len(required)
-    return Partition(tuple(labels), (*required, count))
+def split_partition(
+    partition: tuple[Check, ...], modes: tuple[int, ...], count: int
+) -> tuple[Check, ...]:
+    """``partition``, as checks, with ``modes``, which lie in one block,
+    split out as a new block that must hold ``count``; the rest of their
+    block, if any, must then hold ``count`` fewer."""
+    split = []
+    for block, required in partition:
+        if modes[0] in block:
+            rest = tuple(mode for mode in block if mode not in modes)
+            if rest:
+                split.append((rest, required - count))
+            split.append((tuple(modes), count))
+        else:
+            split.append((block, required))
+    return tuple(sorted(split))
 
 
 def reference_light_cone(
     program: NetworkProgram, layout: QubitLayout, forest: bool = False
-) -> tuple[Partition | None, ...]:
-    """The full partition in force after each program step, or ``None``
-    after a step where restricting by it can drop no term: the reference
-    for :func:`photonmesh.fock.light_cone`'s checks.
+) -> tuple[tuple[Check, ...] | None, ...]:
+    """The full partition in force after each program step, as the checks
+    of all its blocks, or ``None`` after a step where restricting by it can
+    drop no term: the reference for :func:`photonmesh.fock.light_cone`'s
+    checks.
 
-    A backward union-find pass from :func:`qubit_structure` that joins the
-    two modes of every block of a layer and builds the whole partition
-    again after every layer that joins blocks.  The entry is given after
-    step 0, after every joining layer and, with ``forest``, after every
-    truncation, with each truncated aux mode's rail pair split out as a
-    block that must hold one photon: the terms the certified fold keeps
-    after each post-selected gate's rule, and at the end of a compiled
-    program.
+    A backward union-find pass from the checks of :func:`qubit_structure`
+    that joins the two modes of every block of a layer and builds the whole
+    partition again after every layer that joins blocks.  The entry is
+    given after step 0, after every joining layer and, with ``forest``,
+    after every truncation, with each truncated aux mode's rail pair split
+    out as a block that must hold one photon: the terms the certified fold
+    keeps after each post-selected gate's rule, and at the end of a
+    compiled program.
     """
     m = layout.mode_count
     seed = qubit_structure(layout)
-    first: dict[int, int] = {}
-    parent = [first.setdefault(label, mode) for mode, label in enumerate(seed.labels)]
-    required = [
-        seed.required[label] if parent[mode] == mode else 0
-        for mode, label in enumerate(seed.labels)
-    ]
+    parent, required = list(range(m)), [0] * m
+    for modes, count in seed:
+        required[modes[0]] = count
+        for mode in modes:
+            parent[mode] = modes[0]
 
     def root(mode: int) -> int:
         while parent[mode] != mode:
@@ -312,13 +324,14 @@ def reference_light_cone(
             mode = parent[mode]
         return mode
 
-    def snapshot() -> Partition:
-        roots = [root(mode) for mode in range(m)]
-        index = {r: i for i, r in enumerate(dict.fromkeys(roots))}
-        return Partition(tuple(index[r] for r in roots), tuple(required[r] for r in index))
+    def snapshot() -> tuple[Check, ...]:
+        blocks: dict[int, list[int]] = {}
+        for mode in range(m):
+            blocks.setdefault(root(mode), []).append(mode)
+        return tuple((tuple(modes), required[r]) for r, modes in blocks.items())
 
     current = seed
-    after: list[Partition | None] = []
+    after: list[tuple[Check, ...] | None] = []
     for i in reversed(range(len(program.steps))):
         step, entry, drops = program.steps[i], current, i == 0
         if forest and isinstance(step, TruncateAux):
@@ -339,17 +352,6 @@ def reference_light_cone(
                 drops = True
         after.append(entry if drops else None)
     return tuple(reversed(after))
-
-
-def partition_checks(partition: Partition) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Every block of ``partition`` as a ``(modes, count)`` check, in the
-    order of each block's first mode."""
-    blocks: dict[int, list[int]] = {}
-    for mode, label in enumerate(partition.labels):
-        blocks.setdefault(label, []).append(mode)
-    return tuple(
-        sorted((tuple(modes), partition.required[label]) for label, modes in blocks.items())
-    )
 
 
 def keep_checked(state: PhotonicState, checks) -> PhotonicState:

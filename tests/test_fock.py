@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import replace
 
@@ -24,7 +25,6 @@ from photonmesh.fock import (
     LinearLayer,
     MeshBlock,
     NetworkProgram,
-    Partition,
     PhotonicState,
     PostSelectionResult,
     QubitLayout,
@@ -55,7 +55,6 @@ from photonmesh.linalg import (
 
 from helpers import (
     keep_checked,
-    partition_checks,
     random_mesh,
     random_setting,
     reference_light_cone,
@@ -287,6 +286,47 @@ def test_project_qubit_structure_keeps_one_photon_per_rail_pair():
     assert result.success_probability == pytest.approx(0.5, abs=1e-12)
 
 
+def test_projection_and_truncation_filter_as_their_checks_do():
+    # project_qubit_structure and truncate_aux share one filter; on random
+    # sparse states with multi-photon modes, photons in aux and doubled or
+    # empty rail pairs, each keeps what the oracle keeps by its checks:
+    # qubit_structure's, and one zero check per truncated mode.
+    rng = np.random.default_rng(29)
+    seen = {"kept": 0, "multi": 0, "aux": 0, "doubled": 0, "empty": 0}
+    for case in range(60):
+        layout = QubitLayout(1 + case % 4)
+        m = layout.mode_count
+        terms = {}
+        for _ in range(int(rng.integers(1, 40))):
+            occ = [0] * m
+            for q in range(layout.qubit_count):
+                occ[3 * q + 1 + int(rng.integers(0, 2))] = 1
+            for _ in range(int(rng.integers(0, 3))):  # misplace or add photons
+                mode = int(rng.integers(0, m))
+                occ[mode] = max(0, occ[mode] + int(rng.integers(-1, 3)))
+            terms[tuple(occ)] = complex(rng.normal(), rng.normal())
+        state = PhotonicState(m, terms)
+        for occ in terms:
+            pairs = [occ[3 * q + 1] + occ[3 * q + 2] for q in range(layout.qubit_count)]
+            seen["multi"] += max(occ) > 1
+            seen["aux"] += any(occ[0::3])
+            seen["doubled"] += max(pairs) > 1
+            seen["empty"] += min(pairs) == 0
+
+        result = project_qubit_structure(state, layout)
+        want = keep_checked(state, qubit_structure(layout))
+        assert list(result.projected_state.terms.items()) == list(want.terms.items())
+        assert result.success_probability == want.squared_norm()
+        seen["kept"] += len(want.terms)
+
+        modes = layout.aux_modes if case % 2 else tuple(rng.choice(m, size=2, replace=True))
+        got = truncate_aux(state, modes)
+        want = keep_checked(state, tuple(((int(mode),), 0) for mode in modes))
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert got.squared_norm() == want.squared_norm()
+    assert min(seen.values()) >= 30, seen
+
+
 def test_decode_qubits_msb_first_and_canonical_phase():
     layout = QubitLayout(2)
     state = PhotonicState(
@@ -390,10 +430,7 @@ def test_light_cone_of_identity_layers_merges_nothing():
     assert cone[1:] == ((), ())
     # aux singletons holding 0 photons, rail pairs holding 1
     assert cone[0] == (((0,), 0), ((1, 2), 1), ((3,), 0), ((4, 5), 1))
-    reference = reference_light_cone(program, layout)
-    assert reference[1:] == (None, None)
-    assert reference[0].labels == (0, 1, 1, 2, 3, 3)
-    assert reference[0].required == (0, 1, 0, 1)
+    assert reference_light_cone(program, layout) == (cone[0], None, None)
 
 
 def test_light_cone_merges_on_exact_nonzero_coupling():
@@ -409,9 +446,8 @@ def test_light_cone_merges_on_exact_nonzero_coupling():
     assert before == (((0,), 0), ((1, 2, 3), 1), ((4, 5), 1))
     assert last == (((3,), 0),)
     full_before, full_last = reference_light_cone(program, layout)
-    assert full_last.labels == (0, 1, 1, 2, 3, 3)
-    assert full_before.labels == (0, 1, 1, 1, 2, 2)
-    assert full_before.required == (0, 1, 1)
+    assert full_last == qubit_structure(layout)
+    assert full_before == (((0,), 0), ((1, 2, 3), 1), ((4, 5), 1))
     state = PhotonicState(
         6,
         {
@@ -424,9 +460,9 @@ def test_light_cone_merges_on_exact_nonzero_coupling():
     # shed a second one, and after the last layer aux 3 must be empty
     kept = keep_checked(state, before)
     assert list(kept.terms) == [(0, 0, 0, 1, 1, 0), (0, 1, 0, 0, 0, 1)]
-    assert list(kept.terms) == list(full_before.restrict(state).terms)
+    assert list(kept.terms) == list(keep_checked(state, full_before).terms)
     assert list(keep_checked(kept, last).terms) == [(0, 1, 0, 0, 0, 1)]
-    assert list(full_last.restrict(state).terms) == [(0, 1, 0, 0, 0, 1)]
+    assert list(keep_checked(state, full_last).terms) == [(0, 1, 0, 0, 0, 1)]
 
 
 def test_block_kernel_matches_permanent_of_layer_matrix():
@@ -572,6 +608,26 @@ def test_the_certified_fold_checks_its_unit_norm(monkeypatch):
     assert abs(p * 9 - 1) < 1e-15
 
 
+def test_one_photons_rule_is_the_binomial_sums_bit_for_bit():
+    # _pair_transform reads one photon's outputs off its row of t.  The
+    # binomial sum it skips, written out below, must give the same bits,
+    # zero signs included, or the folds' amplitudes would move.
+    parts = (0.0, -0.0, 0.5, -0.5, 5e-324, -5e-324, 1e-15, -1.0)
+    values = [complex(a, b) for a in parts for b in parts]
+    for first, second in itertools.product(values, repeat=2):
+        t = ((first, second), (second, first))
+        for na, nb in ((1, 0), (0, 1)):
+            coeffs = [0j, 0j]
+            for i in range(na + 1):
+                top = math.comb(na, i) * t[0][0] ** i * t[0][1] ** (na - i)
+                for j in range(nb + 1):
+                    coeffs[i + j] += top * math.comb(nb, j) * t[1][0] ** j * t[1][1] ** (nb - j)
+            want = [(p, c * math.sqrt(1.0)) for p, c in enumerate(coeffs)]
+            want = [(p, c.real.hex(), c.imag.hex()) for p, c in want if abs(c) > PRUNE_THRESHOLD]
+            got = [(p, c.real.hex(), c.imag.hex()) for p, c in fock._pair_transform(t, na, nb)]
+            assert got == want, (t, na)
+
+
 def test_a_bit_map_keeps_the_packed_folds_terms_and_order():
     # The certified fold's 2x2 map on one bit (_turn) must give the packed
     # fold's mixing step (_mix) term for term: the same amplitudes, owed
@@ -588,7 +644,7 @@ def test_a_bit_map_keeps_the_packed_folds_terms_and_order():
                 return 0b10 if bit == top else 0b01
 
             for terms in ({0: 0.6}, {1: 0.8j}, {0: 0.6, 1: 0.8j}, {1: 0.8j, 0: 0.6}):
-                got = fock._turn(terms, device.t, 0, top, owed_top, owed_bottom)
+                got = fock._turn(terms, device, 0, top, owed_top, owed_bottom)
                 want = fock._mix(
                     {packed(b): a for b, a in terms.items()}, device, 1, 0, 1, owed_top, owed_bottom
                 )
@@ -600,10 +656,10 @@ def test_light_cone_starts_from_the_qubit_structure():
     program = NetworkProgram(6, (splitter_layer(6, 2), TruncateAux((0, 3))))
     cone = light_cone(program, layout)
     # the truncation merges nothing, so the splitter's entry is the projection
-    assert cone == (partition_checks(qubit_structure(layout)), ())
-    assert cone[0] == (((0,), 0), ((1, 2), 1), ((3,), 0), ((4, 5), 1))
+    assert cone[0] == qubit_structure(layout)
+    assert cone == (qubit_structure(layout), ())
+    assert qubit_structure(layout) == (((0,), 0), ((1, 2), 1), ((3,), 0), ((4, 5), 1))
     assert reference_light_cone(program, layout) == (qubit_structure(layout), None)
-    assert qubit_structure(layout) == Partition((0, 1, 1, 2, 3, 3), (0, 1, 0, 1))
 
 
 def test_light_cone_seeds_its_union_find_in_one_pass():
@@ -616,7 +672,7 @@ def test_light_cone_seeds_its_union_find_in_one_pass():
     start = time.perf_counter()
     cone = light_cone(program, layout)
     elapsed = time.perf_counter() - start
-    assert cone == (partition_checks(qubit_structure(layout)),)
+    assert cone == (qubit_structure(layout),)
     assert elapsed < 0.5
 
 
@@ -662,14 +718,16 @@ def test_pruned_final_state_equals_its_projection(gates):
 
 
 def test_partition_split_moves_modes_into_a_new_block():
-    whole = Partition((0, 0, 0, 0), (2,))
+    whole = (((0, 1, 2, 3), 2),)
     pair = split_partition(whole, (1, 2), 1)
-    assert pair == Partition((0, 1, 1, 0), (1, 1))
+    assert pair == (((0, 3), 1), ((1, 2), 1))
+    # a block that is exactly the split modes leaves no empty rest behind
+    assert split_partition(pair, (1, 2), 1) == pair
     state = PhotonicState(
         4, {(1, 1, 0, 0): 1.0 + 0.0j, (0, 1, 1, 0): 0.5 + 0.0j, (0, 0, 0, 2): 0.5j}
     )
-    assert list(pair.restrict(state).terms) == [(1, 1, 0, 0)]
-    assert list(whole.restrict(state).terms) == list(state.terms)
+    assert list(keep_checked(state, pair).terms) == [(1, 1, 0, 0)]
+    assert list(keep_checked(state, whole).terms) == list(state.terms)
 
 
 def test_forest_light_cone_splits_the_rail_pairs_at_each_truncation():
@@ -697,8 +755,7 @@ def test_forest_light_cone_splits_the_rail_pairs_at_each_truncation():
             expected = split_partition(expected, (aux + 1, aux + 2), 1)
         assert full_after == expected
         for aux in step.modes:
-            label = full_after.labels[aux + 1]
-            assert full_after.labels.count(label) == 2 and full_after.required[label] == 1
+            assert ((aux + 1, aux + 2), 1) in full_after
     assert truncations == 2
 
 
@@ -766,7 +823,7 @@ def test_skipped_restricts_drop_nothing(forest):
                 state = apply_linear(state, step)
             else:
                 state = truncate_aux(state, step.modes)
-            state = (cut or held).restrict(state)
+            state = keep_checked(state, cut or held)
             skipped_after_cut += cut is None and after_cut
             after_cut = forest and isinstance(step, TruncateAux)
         # the stepwise reference materializes and sorts every layer, so its
