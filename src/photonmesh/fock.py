@@ -286,32 +286,24 @@ def _pair_transform(
     The coefficient of ``x^p y^q`` in ``(t00 x + t01 y)^na (t10 x + t11 y)^nb``,
     times the bosonic normalization ``sqrt(p! q! / (na! nb!))``.
 
-    One photon's outputs are its row of ``t``, read directly.  They are
-    bit for bit what the sum gives, which starts from ``0j`` and so makes
-    every zero part positive, as ``+ 0j`` does here.
-
     Outputs of magnitude at most :data:`PRUNE_THRESHOLD` are left out.  In
     exact arithmetic they are zeros, such as the Hong-Ou-Mandel residue of
     about 1e-16 of two photons on a 50:50 device.  The outputs' squared
     magnitudes add up to 1, so the cut never drops more than the
     end-of-layer prune drops from a term of amplitude 1.
     """
+    (t00, t01), (t10, t11) = t
     n = na + nb
-    if n == 1:
-        to_top, to_bottom = t[nb]
-        outputs = ((0, to_bottom + 0j), (1, to_top + 0j))
-    else:
-        (t00, t01), (t10, t11) = t
-        coeffs = [0j] * (n + 1)
-        for i in range(na + 1):
-            top = math.comb(na, i) * t00**i * t01 ** (na - i)
-            for j in range(nb + 1):
-                coeffs[i + j] += top * math.comb(nb, j) * t10**j * t11 ** (nb - j)
-        norm = math.factorial(na) * math.factorial(nb)
-        outputs = (
-            (p, c * math.sqrt(math.factorial(p) * math.factorial(n - p) / norm))
-            for p, c in enumerate(coeffs)
-        )
+    coeffs = [0j] * (n + 1)
+    for i in range(na + 1):
+        top = math.comb(na, i) * t00**i * t01 ** (na - i)
+        for j in range(nb + 1):
+            coeffs[i + j] += top * math.comb(nb, j) * t10**j * t11 ** (nb - j)
+    norm = math.factorial(na) * math.factorial(nb)
+    outputs = (
+        (p, c * math.sqrt(math.factorial(p) * math.factorial(n - p) / norm))
+        for p, c in enumerate(coeffs)
+    )
     return tuple((p, c) for p, c in outputs if abs(c) > PRUNE_THRESHOLD)
 
 
@@ -424,12 +416,18 @@ def amplitude_via_permanent(
 
 
 def qubit_structure(layout: QubitLayout) -> tuple[Check, ...]:
-    """The final projection, stated once, as checks in qubit order: aux
-    mode ``3q`` holds no photon and rail pair ``(3q + 1, 3q + 2)`` one.
+    """The final projection, stated once, as checks in qubit order: each
+    qubit's aux mode holds no photon and its rail pair one.
     :func:`project_qubit_structure` filters by them and :func:`light_cone`
     seeds its union-find from them."""
-    qubits = range(layout.qubit_count)
-    return tuple(c for q in qubits for c in (((3 * q,), 0), ((3 * q + 1, 3 * q + 2), 1)))
+    return tuple(
+        check
+        for q in range(layout.qubit_count)
+        for check in (
+            ((layout.aux_mode(q),), 0),
+            ((layout.zero_mode(q), layout.one_mode(q)), 1),
+        )
+    )
 
 
 def _restrict(state: PhotonicState, checks: tuple[Check, ...]) -> PhotonicState:
@@ -803,16 +801,16 @@ def _photon(top: int, bottom: int) -> int | None:
     return p if bottom // 3 == p and top % 3 and bottom % 3 else None
 
 
-def _turn(terms, device: _Device, photon: int, top: int, owed_top: complex, owed_bottom: complex):
-    """Bit-keyed ``terms`` after the mixing ``device`` on the rails of
-    ``photon``, its top mode on the rail of bit value ``top``: the steps of
-    :func:`_mix` for one photon, owed phases paid, by the device's own pair
-    rules for a photon on top, ``rule(1, 0)``, and on the bottom,
-    ``rule(0, 1)``.  A photon that changes rail flips its bit."""
+def _turn(terms, t, photon: int, top: int, owed_top: complex, owed_bottom: complex):
+    """Bit-keyed ``terms`` after the mixing substitution ``t`` on the rails
+    of ``photon``, its top mode on the rail of bit value ``top``: the
+    steps of :func:`_mix` for one photon, owed phases paid, outputs listed
+    and cut as :func:`_pair_transform` lists and cuts them."""
+    (t00, t01), (t10, t11) = t
     flip = 1 << photon
-    rules = [(), ()]
-    rules[top] = [(0 if p else flip, c * owed_top) for p, c in device.rule(1, 0)]
-    rules[1 - top] = [(flip if p else 0, c * owed_bottom) for p, c in device.rule(0, 1)]
+    rules, cut = [(), ()], PRUNE_THRESHOLD
+    rules[top] = [(m, c * owed_top) for m, c in ((flip, t01), (0, t00)) if abs(c) > cut]
+    rules[1 - top] = [(m, c * owed_bottom) for m, c in ((0, t11), (flip, t10)) if abs(c) > cut]
     accum: dict[int, complex] = {}
     get = accum.get
     for key, amp in terms.items():
@@ -909,7 +907,7 @@ def run_certified(
                     f"step {i - 1} ({step.label!r}) mixes slots {sa} and {sb} outside "
                     "the steps of a post-selected gate, not the two rails of one photon"
                 )
-            terms = _turn(terms, device, p, sa % 3 - 1, owed[sa], owed[sb])
+            terms = _turn(terms, device.t, p, sa % 3 - 1, owed[sa], owed[sb])
             mixed = True
         if mixed:
             terms = {k: amp for k, amp in terms.items() if abs(amp) > PRUNE_THRESHOLD}

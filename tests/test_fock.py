@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import replace
 
@@ -608,26 +607,6 @@ def test_the_certified_fold_checks_its_unit_norm(monkeypatch):
     assert abs(p * 9 - 1) < 1e-15
 
 
-def test_one_photons_rule_is_the_binomial_sums_bit_for_bit():
-    # _pair_transform reads one photon's outputs off its row of t.  The
-    # binomial sum it skips, written out below, must give the same bits,
-    # zero signs included, or the folds' amplitudes would move.
-    parts = (0.0, -0.0, 0.5, -0.5, 5e-324, -5e-324, 1e-15, -1.0)
-    values = [complex(a, b) for a in parts for b in parts]
-    for first, second in itertools.product(values, repeat=2):
-        t = ((first, second), (second, first))
-        for na, nb in ((1, 0), (0, 1)):
-            coeffs = [0j, 0j]
-            for i in range(na + 1):
-                top = math.comb(na, i) * t[0][0] ** i * t[0][1] ** (na - i)
-                for j in range(nb + 1):
-                    coeffs[i + j] += top * math.comb(nb, j) * t[1][0] ** j * t[1][1] ** (nb - j)
-            want = [(p, c * math.sqrt(1.0)) for p, c in enumerate(coeffs)]
-            want = [(p, c.real.hex(), c.imag.hex()) for p, c in want if abs(c) > PRUNE_THRESHOLD]
-            got = [(p, c.real.hex(), c.imag.hex()) for p, c in fock._pair_transform(t, na, nb)]
-            assert got == want, (t, na)
-
-
 def test_a_bit_map_keeps_the_packed_folds_terms_and_order():
     # The certified fold's 2x2 map on one bit (_turn) must give the packed
     # fold's mixing step (_mix) term for term: the same amplitudes, owed
@@ -644,7 +623,7 @@ def test_a_bit_map_keeps_the_packed_folds_terms_and_order():
                 return 0b10 if bit == top else 0b01
 
             for terms in ({0: 0.6}, {1: 0.8j}, {0: 0.6, 1: 0.8j}, {1: 0.8j, 0: 0.6}):
-                got = fock._turn(terms, device, 0, top, owed_top, owed_bottom)
+                got = fock._turn(terms, device.t, 0, top, owed_top, owed_bottom)
                 want = fock._mix(
                     {packed(b): a for b, a in terms.items()}, device, 1, 0, 1, owed_top, owed_bottom
                 )
