@@ -139,7 +139,7 @@ class CascadeLedger:
     a set beside it, so a check costs O(1) however many gates came before."""
 
     pairs: list[frozenset[int]] = field(default_factory=list)
-    _recorded: set[frozenset[int]] = field(init=False, repr=False, compare=False)
+    _recorded: set[frozenset[int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._recorded = set(self.pairs)
@@ -546,7 +546,7 @@ def _fixed_gate_layers(name: str, flipped: bool) -> tuple[MeshBlock, ...]:
 
 @functools.cache
 def _post_selected_form(cz_form: str, h_top: int | None) -> fock.PostSelectedGate:
-    """The gate object of a CZ (``h_top`` None) or of a CNOT whose target's
+    """The gate form of a CZ (``h_top`` None) or of a CNOT whose target's
     rails start at window mode ``h_top``: the CZ network, for a CNOT between
     two H blocks on those rails, as one block tuple.  Built once per form,
     so a certified fold builds each form's rule once per process."""
@@ -563,9 +563,9 @@ class _Emitter:
     It also certifies forest-ness: a union-find over photons, each tracked
     by the triplet that holds it.  Every ``SWAP2`` emission (:meth:`swap2`)
     moves the two photons it exchanges, and every post-selected gate
-    (:meth:`post_select`) joins the two photons in its window.  A gate whose
-    photons already share a root closes a cycle, or repeats a photon pair,
-    and clears ``forest``.
+    (:meth:`post_selected_gate`) joins the two photons in its window.  A
+    gate whose photons already share a root closes a cycle, or repeats a
+    photon pair, and clears ``forest``.
     """
 
     def __init__(self, qubit_count: int, options: CompileOptions):
@@ -595,15 +595,6 @@ class _Emitter:
         while self.component[photon] != photon:
             photon = self.component[photon]
         return photon
-
-    def post_select(self, p: int, gate: fock.PostSelectedGate) -> None:
-        """Truncate the aux modes of the post-selected ``gate`` on triplets
-        ``p`` and ``p+1``, and join the gate's two photons."""
-        ra, rb = self._root(self.photon_at[p]), self._root(self.photon_at[p + 1])
-        if ra == rb:
-            self.forest = False
-        self.component[ra] = rb
-        self.steps.append(TruncateAux((3 * p, 3 * p + 3), gate))
 
     def physical_swap(self, p: int, label: str) -> None:
         """SWAP2 between triplets ``p`` and ``p+1``; both photons rail-flip."""
@@ -645,16 +636,20 @@ class _Emitter:
 
     def post_selected_gate(self, name: str, a: int, b: int) -> None:
         """Emit ``CZ`` or ``CNOT`` (target ``b``) on the adjacent qubits ``a``
-        and ``b`` as they stand: the cached gate form's whole network, a
-        CNOT's two H blocks included, as one step at the pair's window, then
-        its post-selection.  The step holds the form's own block tuple and
-        the truncation carries the form, so a certified fold applies the
-        gate as one rule (:class:`fock.PostSelectedGate`)."""
+        and ``b`` as they stand: the cached gate form, its whole network with
+        a CNOT's two H blocks, as one step's blocks at the pair's window,
+        then the truncation of the window's aux modes, and join the gate's
+        two photons.  A certified fold applies such a step and its
+        truncation as one rule (:class:`fock.PostSelectedGate`)."""
         lo = min(self.positions[a], self.positions[b])
         h_top = 1 if self.positions[b] == lo else 4  # the target's rails
         gate = _post_selected_form(self.options.cz_form, h_top if name == "CNOT" else None)
-        self.emit(gate.blocks, 3 * lo, f"{name} q{a}-q{b}")
-        self.post_select(lo, gate)
+        self.emit(gate, 3 * lo, f"{name} q{a}-q{b}")
+        self.steps.append(TruncateAux((3 * lo, 3 * lo + 3)))
+        ra, rb = self._root(self.photon_at[lo]), self._root(self.photon_at[lo + 1])
+        if ra == rb:
+            self.forest = False
+        self.component[ra] = rb
 
     def two_qubit_gate(self, op: GateOp) -> None:
         a, b = op.qubits
@@ -719,10 +714,6 @@ def compile_circuit(
         else:
             raise CircuitParseError(f"unknown gate {op.name!r}")
     return em.result()
-
-
-# compile() is the natural name at the package level; keep the builtin alias.
-compile = compile_circuit
 
 
 def compile_ghz_swap_variant(

@@ -353,15 +353,13 @@ def test_ghz_swap_variant_emits_two_cnots_around_one_route(cz_form):
     gate = compiler._post_selected_form(cz_form, 4)  # both targets sit at triplet 1
     (h,) = compiler._fixed_gate_layers("H", False)
     cz = compiler._cz_layers(cz_form)
-    assert gate.blocks[0] is gate.blocks[-1] and len(gate.blocks) == len(cz) + 2
-    assert (gate.blocks[0].top_mode, gate.blocks[0].setting, gate.blocks[0].role) == (4, h.setting, "H")
-    assert all(mine is theirs for mine, theirs in zip(gate.blocks[1:-1], cz))
-    networks = {"CNOT q": gate.blocks, "route ": compiler._swap2_layers()}
+    assert gate[0] is gate[-1] and len(gate) == len(cz) + 2
+    assert (gate[0].top_mode, gate[0].setting, gate[0].role) == (4, h.setting, "H")
+    assert all(mine is theirs for mine, theirs in zip(gate[1:-1], cz))
+    networks = {"CNOT q": gate, "route ": compiler._swap2_layers()}
     for step in program.steps:
         if isinstance(step, fock.LinearLayer) and step.label[:6] in networks:
             assert step.blocks is networks[step.label[:6]], step.label
-        elif isinstance(step, fock.TruncateAux):
-            assert step.gate is gate
 
 
 def test_nonadjacent_gate_routes_and_restores():
@@ -815,7 +813,7 @@ def test_network_layers_share_the_cached_blocks(options):
     networks = _cached_networks()
     cached = {
         "swap": (networks["SWAP2"],),
-        "cz": tuple(compiler._post_selected_form(options.cz_form, h).blocks for h in (None, 1, 4)),
+        "cz": tuple(compiler._post_selected_form(options.cz_form, h) for h in (None, 1, 4)),
         "fixed": tuple(b for name, b in networks.items() if name not in NETWORK_LAYER_TOPS),
     }
     kinds = collections.Counter()
@@ -1061,7 +1059,7 @@ def count_fused_gates(monkeypatch) -> list:
     rule = fock.PostSelectedGate.rule
 
     def counted(gate):
-        kinds.append("CNOT" if gate.blocks[0].role == "H" else "CZ")
+        kinds.append("CNOT" if gate[0].role == "H" else "CZ")
         return rule.__get__(gate, fock.PostSelectedGate)
 
     monkeypatch.setattr(fock.PostSelectedGate, "rule", property(counted))
@@ -1190,7 +1188,7 @@ def test_a_rule_built_without_the_projection_raises(monkeypatch, form, h_top):
     # terms, so an input has more than one output, which the monomial
     # rule refuses, naming the input by its two photons' window modes.
     gate = compiler._post_selected_form(form, h_top)
-    assert fock.PostSelectedGate(gate.blocks).rule == gate.rule
+    assert fock.PostSelectedGate(gate).rule == gate.rule
     monkeypatch.setattr(
         fock,
         "project_qubit_structure",
@@ -1198,35 +1196,16 @@ def test_a_rule_built_without_the_projection_raises(monkeypatch, form, h_top):
     )
     refused = r"input \(1, 4\) has \d+ outputs that pass the projection, not one"
     with pytest.raises(ValueError, match=refused):
-        fock.PostSelectedGate(gate.blocks).rule  # noqa: B018
+        fock.PostSelectedGate(gate).rule  # noqa: B018
 
 
 def _strip_gates(program):
-    """``program`` with every truncation rebuilt without its gate."""
+    """``program`` with each network step's blocks copied into a plain tuple."""
     return fock.NetworkProgram(
         program.mode_count,
         tuple(
-            fock.TruncateAux(step.modes) if isinstance(step, fock.TruncateAux) else step
-            for step in program.steps
-        ),
-    )
-
-
-def _swap_gate_forms(program):
-    """``program`` with each truncation carrying another form of its gate
-    than its network step holds: a CZ the CNOT form of its cz_form, a CNOT
-    the CZ form."""
-    forms = {compiler._post_selected_form(form, h): (form, h) for form, h in GATE_FORMS}
-
-    def other(gate):
-        form, h_top = forms[gate]
-        return compiler._post_selected_form(form, 4 if h_top is None else None)
-
-    return fock.NetworkProgram(
-        program.mode_count,
-        tuple(
-            fock.TruncateAux(step.modes, other(step.gate))
-            if isinstance(step, fock.TruncateAux)
+            step._replace(blocks=tuple(step.blocks))
+            if isinstance(step, fock.LinearLayer)
             else step
             for step in program.steps
         ),
@@ -1235,7 +1214,7 @@ def _swap_gate_forms(program):
 
 def _shift_truncations(program):
     """``program`` with each truncation moved one window up, or down where
-    its window is the last, its gate kept."""
+    its window is the last."""
 
     def moved(modes):
         by = 3 if modes[1] + 3 < program.mode_count else -3
@@ -1244,7 +1223,7 @@ def _shift_truncations(program):
     return fock.NetworkProgram(
         program.mode_count,
         tuple(
-            fock.TruncateAux(moved(step.modes), step.gate)
+            fock.TruncateAux(moved(step.modes))
             if isinstance(step, fock.TruncateAux)
             else step
             for step in program.steps
@@ -1287,7 +1266,7 @@ def _truncate_one_aux(program):
     return fock.NetworkProgram(
         program.mode_count,
         tuple(
-            fock.TruncateAux(step.modes[:1], step.gate)
+            fock.TruncateAux(step.modes[:1])
             if isinstance(step, fock.TruncateAux)
             else step
             for step in program.steps
@@ -1296,11 +1275,11 @@ def _truncate_one_aux(program):
 
 
 def _truncate_no_aux(program):
-    """``program`` with each truncation emptied of modes, its gate kept."""
+    """``program`` with each truncation emptied of modes."""
     return fock.NetworkProgram(
         program.mode_count,
         tuple(
-            fock.TruncateAux((), step.gate) if isinstance(step, fock.TruncateAux) else step
+            fock.TruncateAux(()) if isinstance(step, fock.TruncateAux) else step
             for step in program.steps
         ),
     )
@@ -1313,25 +1292,24 @@ def _truncate_no_aux(program):
         flat_program,
         _copy_blocks,
         _strip_gates,
-        _swap_gate_forms,
         _shift_truncations,
         _double_truncations,
         _truncate_one_aux,
         _truncate_no_aux,
     ],
     ids=[
-        "split", "flat", "copied", "stripped", "other-form", "off-window", "doubled",
+        "split", "flat", "copied", "stripped", "off-window", "doubled",
         "one-aux", "no-aux",
     ],
 )
 @pytest.mark.parametrize("options", ALL_OPTIONS, ids=lambda o: f"{o.cz_form}-{o.restore_swaps}")
 def test_a_certified_fold_refuses_split_rebuilt_and_hand_built_gates(rebuild, options):
     # A certified fold applies every post-selected gate as its rule, so
-    # each truncation must carry its gate and directly follow the step that
-    # holds the gate's cached block tuple, truncating that step's window;
-    # any other program is refused, even one whose copied blocks equal the
-    # cached ones at the same offsets.  The light-cone path folds it like the projected unpruned
-    # fold.
+    # each truncation must directly follow a step whose blocks are a gate
+    # form, truncating that step's window; any other program is refused,
+    # even one whose blocks equal a form's, as a plain tuple or as copied
+    # blocks at the same offsets.  The light-cone path folds it like the
+    # projected unpruned fold.
     rng = np.random.default_rng(97)
     circuits = [ghz_chain_circuit(4)] + [_random_circuit(rng, n, 16, forest=True) for n in (3, 5)]
     for circuit in circuits:
@@ -1350,10 +1328,10 @@ def test_a_certified_fold_refuses_split_rebuilt_and_hand_built_gates(rebuild, op
 @pytest.mark.parametrize("options", ALL_OPTIONS, ids=lambda o: f"{o.cz_form}-{o.restore_swaps}")
 def test_every_truncation_directly_follows_its_gate_network(options):
     # The precondition of the certified fold's eager cuts
-    # (fock.run_certified): each post-selected gate is two steps, the
-    # whole network of its cached form (a CNOT's H blocks included) and
-    # then the truncation of its window's two aux modes, which carries
-    # that form; no other step holds a form's blocks.
+    # (fock.run_certified): each post-selected gate is two steps, its
+    # cached form as the blocks of its whole network (a CNOT's H blocks
+    # included) and then the truncation of its window's two aux modes; no
+    # other step holds a form.
     rng = np.random.default_rng(83)
     circuits = [_random_circuit(rng, n, 16, forest=n % 2 == 0) for n in (3, 4, 5, 6, 7) * 2]
     circuits += [ghz_chain_circuit(n) for n in (2, 5)]
@@ -1362,21 +1340,21 @@ def test_every_truncation_directly_follows_its_gate_network(options):
     programs.append(compile_ghz_swap_variant(options).program)
     forms = {"CZ": [compiler._post_selected_form(options.cz_form, None)]}
     forms["CNOT"] = [compiler._post_selected_form(options.cz_form, h) for h in (1, 4)]
-    blocks = {id(gate.blocks) for kind in forms.values() for gate in kind}
     labels = collections.Counter()
     for program in programs:
         steps = program.steps
         for i, step in enumerate(steps):
-            if isinstance(step, fock.LinearLayer):
-                labels[step.label.split()[0]] += 1
             if isinstance(step, fock.TruncateAux):
                 network = steps[i - 1]
                 assert i > 0 and isinstance(network, fock.LinearLayer), i
-                assert any(step.gate is gate for gate in forms[network.label.split()[0]])
-                assert network.blocks is step.gate.blocks, network.label
-                assert step.modes == (network.offset, network.offset + 3)
-            elif isinstance(step, fock.LinearLayer) and id(step.blocks) in blocks:
-                assert isinstance(steps[i + 1], fock.TruncateAux), step.label
+                assert any(network.blocks is gate for gate in forms[network.label.split()[0]])
+                assert step.modes == (network.offset, network.offset + 3), network.label
+                continue
+            labels[step.label.split()[0]] += 1
+            if isinstance(step.blocks, fock.PostSelectedGate):
+                cut = steps[i + 1]
+                assert isinstance(cut, fock.TruncateAux), step.label
+                assert cut.modes == (step.offset, step.offset + 3), step.label
     # every kind of step occurs: CNOTs, CZs, routing and logical SWAPs
     assert min(labels[kind] for kind in ("CNOT", "CZ", "route", "SWAP")) >= 3, labels
 
@@ -1567,6 +1545,7 @@ def test_records_are_immutable_named_tuples():
         PlacedBlock(3, 4, setting, "H"),
         TruncationMark(-1, (0, 3)),
         fock.LinearLayer(6, (fock.MeshBlock(0, setting, "H"),), "H q0", 1),
+        fock.TruncateAux((0, 3)),
         setting,
     ]
     for record in records:
@@ -1580,12 +1559,28 @@ def test_records_are_immutable_named_tuples():
         fields = ", ".join(f"{f}={v!r}" for f, v in zip(record._fields, record))
         assert repr(record) == f"{name}({fields})"
     assert repr(records[2]) == "TruncationMark(after_column=-1, modes=(0, 3))"
+    assert repr(records[4]) == "TruncateAux(modes=(0, 3))"
     assert GateOp("H", (0,)).angle is None
     layer = fock.LinearLayer(3, ())
     assert (layer.label, layer.offset) == ("", 0)
     assert (setting.phi3, setting.phi4, setting.is_extended) == (None, None, False)
     extended = setting._replace(phi3=0.5, phi4=-1.0)
     assert extended.is_extended and extended[:4] == setting[:4]
+    # A post-selected gate form equals and hashes like its plain block
+    # tuple and builds its rule once per object, but only a step whose
+    # blocks are the form itself is taken as the gate.
+    gate = compiler._post_selected_form("compressed", None)
+    blocks = tuple(gate)
+    assert type(blocks) is tuple and gate == blocks and hash(gate) == hash(blocks)
+    fresh = fock.PostSelectedGate(blocks)
+    assert fresh == gate and fresh is not gate and "rule" not in fresh.__dict__
+    assert fresh.rule is fresh.rule is fresh.__dict__["rule"] and fresh.rule == gate.rule
+    cut = fock.TruncateAux((0, 3))
+    gated = fock.NetworkProgram(6, (fock.LinearLayer(6, gate), cut))
+    assert fock.run_certified(gated, "00", (0, 1), (0, 0))[1] == pytest.approx(1 / 9, rel=1e-14)
+    plain = fock.NetworkProgram(6, (fock.LinearLayer(6, blocks), cut))
+    with pytest.raises(ValueError, match="outside the steps of a post-selected gate"):
+        fock.run_certified(plain, "00", (0, 1), (0, 0))
 
 
 def test_place_single_block_and_identity_slots():
@@ -1685,10 +1680,6 @@ def test_swap_networks_mesh_compatibility():
     place_in_mesh(fock.NetworkProgram(6, (step,)), "clements", 6)
     with pytest.raises(PlacementOverflow):
         place_in_mesh(fock.NetworkProgram(6, (step,)), "reck", 6)
-
-
-def test_compile_alias_exists():
-    assert compiler.compile is compile_circuit
 
 
 def test_compile_result_carries_program_not_amplitudes():

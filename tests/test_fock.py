@@ -547,7 +547,7 @@ def _crossed(top: int) -> LinearLayer:
 def _bare_cz() -> tuple[LinearLayer, TruncateAux]:
     """The two steps of a CZ on triplets 0 and 1, as the compiler emits them."""
     gate = _post_selected_form("compressed", None)
-    return LinearLayer(6, gate.blocks, "CZ q0-q1"), TruncateAux((0, 3), gate)
+    return LinearLayer(6, gate, "CZ q0-q1"), TruncateAux((0, 3))
 
 
 @pytest.mark.parametrize(
@@ -597,7 +597,11 @@ def test_the_certified_fold_checks_its_unit_norm(monkeypatch):
     # norm, here every coefficient of the Bell CNOT's form times 0.99, is
     # refused rather than reported as a success probability.
     result = compile_circuit(bell_circuit(), CompileOptions(place=False))
-    (gate,) = [step.gate for step in result.program.steps if isinstance(step, TruncateAux)]
+    (gate,) = [
+        step.blocks
+        for step in result.program.steps
+        if isinstance(step, LinearLayer) and step.label.startswith("CNOT")
+    ]
     rule = {ij: (out, 0.99 * c) for ij, (out, c) in gate.rule.items()}
     monkeypatch.setitem(gate.__dict__, "rule", rule)
     with pytest.raises(ValueError, match=r"squared norm - 1 = -1\.990e-02 after 1 post-selected"):
