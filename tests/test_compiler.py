@@ -1261,6 +1261,15 @@ def _copy_blocks(program):
     )
 
 
+def _drop_truncations(program):
+    """``program`` with every truncation removed, so no gate form is
+    directly followed by its truncation."""
+    return fock.NetworkProgram(
+        program.mode_count,
+        tuple(step for step in program.steps if not isinstance(step, fock.TruncateAux)),
+    )
+
+
 def _truncate_one_aux(program):
     """``program`` with each truncation cut down to its first aux mode."""
     return fock.NetworkProgram(
@@ -1294,12 +1303,13 @@ def _truncate_no_aux(program):
         _strip_gates,
         _shift_truncations,
         _double_truncations,
+        _drop_truncations,
         _truncate_one_aux,
         _truncate_no_aux,
     ],
     ids=[
         "split", "flat", "copied", "stripped", "off-window", "doubled",
-        "one-aux", "no-aux",
+        "dropped", "one-aux", "no-aux",
     ],
 )
 @pytest.mark.parametrize("options", ALL_OPTIONS, ids=lambda o: f"{o.cz_form}-{o.restore_swaps}")
@@ -1323,6 +1333,35 @@ def test_a_certified_fold_refuses_split_rebuilt_and_hand_built_gates(rebuild, op
         full = fock.project_qubit_structure(fock.run_program(program, state), layout)
         pruned = fock.run_program_pruned(program, state, layout)
         assert list(pruned.terms.items()) == list(full.projected_state.terms.items())
+
+
+@pytest.mark.parametrize("options", ALL_OPTIONS, ids=lambda o: f"{o.cz_form}-{o.restore_swaps}")
+def test_a_certified_fold_applies_a_hand_built_gate_form(options):
+    # A gate form compares by content, so a step whose blocks are a form
+    # built afresh from copied blocks, directly followed by its window's
+    # truncation, is applied as the gate, with the same amplitudes and
+    # success probability as the compiler's cached form.
+    def rebuilt(step):
+        copies = tuple(fock.MeshBlock(blk.top_mode, blk.setting, blk.role) for blk in step.blocks)
+        return step._replace(blocks=fock.PostSelectedGate(copies))
+
+    rng = np.random.default_rng(59)
+    circuits = [ghz_chain_circuit(4)] + [_random_circuit(rng, n, 16, forest=True) for n in (3, 5)]
+    for circuit in circuits:
+        result = compile_circuit(circuit, options)
+        steps = result.program.steps
+        gates = [i for i, step in enumerate(steps) if isinstance(step, fock.TruncateAux)]
+        assert gates, circuit
+        program = fock.NetworkProgram(
+            result.program.mode_count,
+            tuple(rebuilt(step) if i + 1 in gates else step for i, step in enumerate(steps)),
+        )
+        for i in gates:
+            fresh, cached = program.steps[i - 1].blocks, steps[i - 1].blocks
+            assert fresh == cached and fresh is not cached and "rule" not in fresh.__dict__
+        bits = "0" * circuit.qubit_count
+        want = fock.run_certified(result.program, bits, result.positions, result.flips)
+        assert fock.run_certified(program, bits, result.positions, result.flips) == want
 
 
 @pytest.mark.parametrize("options", ALL_OPTIONS, ids=lambda o: f"{o.cz_form}-{o.restore_swaps}")
