@@ -25,13 +25,14 @@ two ``pos`` entries and multiplies two owed phases; a pure-phase block
 costs O(1), touches no term and loses no probability: its photons pick up
 the unit phases ``t/|t|`` of its nonzero entries.  A mixing block acts on
 the slots ``(pos[a], pos[a+1])``, which need not be adjacent, and first
-pays their owed phases into the terms it rewrites.  Truncations and
-light-cone checks map their modes through ``pos`` once per step.  Inside
-the fold each key is one packed int (see :func:`_fold`); the result is
-materialized once, as a :class:`PhotonicState` with owed phases paid and
-occupation tuples sorted.  Terms are never sorted in between, so
-accumulation follows dict insertion order, which the input state and the
-program determine.
+pays their owed phases into the terms it rewrites.  One walk,
+:func:`_lower`, carries the frame and lowers each step to the slots its
+mixing blocks and truncation act on; the fold, the certified fold and the
+light cone read those slots and the final frame.  Inside the fold each key
+is one packed int (see :func:`_fold`); the result is materialized once, as
+a :class:`PhotonicState` with owed phases paid and occupation tuples
+sorted.  Terms are never sorted in between, so accumulation follows dict
+insertion order, which the input state and the program determine.
 
 The compiler emits each post-selected gate as two steps: its whole network
 (for a CNOT, with an H block before and after the CZ network), whose block
@@ -376,7 +377,7 @@ def apply_linear(state: PhotonicState, layer: LinearLayer) -> PhotonicState:
     m = state.mode_count
     if layer.mode_count != m:
         raise ValueError(f"layer has {layer.mode_count} modes, state has {m}")
-    return _fold(NetworkProgram(m, (layer,)), state, None)
+    return _fold(state, _lower(NetworkProgram(m, (layer,)), False), None)
 
 
 def amplitude_via_permanent(
@@ -532,66 +533,55 @@ def dense_amplitudes(amplitudes: dict[int, complex], qubit_count: int) -> np.nda
 
 
 def light_cone(program: NetworkProgram, layout: QubitLayout) -> tuple[tuple[Check, ...], ...]:
-    """The checks to filter the state by after each program step: a term
-    passes a check ``(modes, count)`` when it holds exactly ``count``
-    photons in ``modes``.  A step with no checks can drop no term.  Applied
-    after every step, from step 0 on, the checks keep exactly the terms
-    that restricting by the whole partition in force would keep.
+    """The checks to filter the fold's state by after each program step: a
+    term passes a check ``(slots, count)`` when it holds exactly ``count``
+    photons in ``slots``, slots of the fold's frame (see :func:`_lower`).
+    A step with no checks can drop no term.  Applied after every step, from
+    step 0 on, the checks keep exactly the terms that restricting by the
+    whole partition in force would keep.
 
-    A backward union-find pass: it starts from the final projection, one
-    block per check of :func:`qubit_structure`, and, walking the steps in
-    reverse, joins the two modes of every block of a layer, adding the
-    blocks' required counts.  Layers after step ``i`` move photons only
-    inside the blocks of the partition in force after step ``i``, so a term
-    whose count differs from the requirement in any block can never pass
-    the projection.  So for a program whose later steps join nothing, the
-    entry after step 0 is :func:`qubit_structure` itself.
-
+    A backward union-find pass over slots from the final projection, one
+    block per check of :func:`qubit_structure` at the final frame's slots.
+    Photons change slots only at mixing blocks, so, walking the lowered
+    steps in reverse, it joins the two slots of each mix and adds the
+    blocks' required counts; a crossing or a pure phase joins nothing.
+    After step ``i`` photons move only inside the blocks in force, so a
+    term whose count differs in any block can never pass the projection.
     Only the checks a term can newly fail are listed: after step 0 every
-    block, and after a layer that joins blocks the joined blocks but the
+    block, and after a step that joins blocks the joined blocks but the
     largest of each group, whose count the others fix.  A join moves the
-    smaller member lists into the largest, so a mode moves at most
-    ``log2(m)`` times for ``m`` modes.
+    smaller member lists into the largest, so a slot moves at most
+    ``log2(m)`` times for ``m`` slots.
     """
-    if program.mode_count != layout.mode_count:
-        raise ValueError(
-            f"program has {program.mode_count} modes, layout needs {layout.mode_count}"
-        )
-    block = [0] * layout.mode_count  # block[mode]: the block holding ``mode``
+    return _cone(_lower(program, False), layout)
+
+
+def _cone(lowering, layout: QubitLayout) -> tuple[tuple[Check, ...], ...]:
+    """:func:`light_cone` of a program lowered by ``_lower(program, False)``."""
+    lowered, pos, _ = lowering
+    if len(pos) != layout.mode_count:
+        raise ValueError(f"program has {len(pos)} modes, layout needs {layout.mode_count}")
+    block = [0] * len(pos)  # block[slot]: the block holding ``slot``
     required: list[int] = []
     members: dict[int, list[int]] = {}
     for label, (modes, count) in enumerate(qubit_structure(layout)):
         required.append(count)
-        members[label] = list(modes)
+        members[label] = [pos[mode] for mode in modes]
         for mode in modes:
-            block[mode] = label
+            block[pos[mode]] = label
 
-    after: list[tuple[Check, ...]] = []
-    for i in reversed(range(len(program.steps))):
-        step, checks = program.steps[i], ()
-        if i == 0:
-            checks = tuple(
-                sorted((tuple(sorted(modes)), required[label]) for label, modes in members.items())
-            )
-        elif isinstance(step, LinearLayer):
-            off = step.offset
-            for blk in step.blocks:
-                if block[blk.top_mode + off] != block[blk.top_mode + off + 1]:
-                    checks = _join(step, block, required, members)
-                    break
-        after.append(checks)
-    return tuple(reversed(after))
+    later = [_join(mixes, block, required, members) for _, mixes, _, _ in reversed(lowered[1:])]
+    first = sorted((tuple(sorted(slots)), required[label]) for label, slots in members.items())
+    return (tuple(first), *reversed(later)) if lowered else ()
 
 
 def _join(
-    layer: LinearLayer,
-    block: list[int],
-    required: list[int],
-    members: dict[int, list[int]],
+    mixes, block: list[int], required: list[int], members: dict[int, list[int]]
 ) -> tuple[Check, ...]:
-    """Join, in place, the blocks in force that ``layer``'s blocks couple,
-    and return the checks of the join: every joined block but the largest
-    of its group.  The smaller member lists move into the largest."""
+    """Join, in place, the blocks in force that the lowered ``mixes`` (see
+    :func:`_lower`) couple, and return the checks of the join, none if they
+    join nothing: every joined block but the largest of its group.  The
+    smaller member lists move into the largest."""
     link: dict[int, int] = {}
 
     def find(label: int) -> int:
@@ -599,10 +589,8 @@ def _join(
             label = link[label]
         return label
 
-    off = layer.offset
-    for blk in layer.blocks:
-        top = blk.top_mode + off
-        a, b = find(block[top]), find(block[top + 1])
+    for _, top, bottom, _, _ in mixes:
+        a, b = find(block[top]), find(block[bottom])
         if a != b:
             link[b] = a
     groups: dict[int, list[int]] = {}
@@ -616,12 +604,12 @@ def _join(
         for label in group:
             if label == big:
                 continue
-            modes = members.pop(label)
-            checks.append((tuple(sorted(modes)), required[label]))
+            slots = members.pop(label)
+            checks.append((tuple(sorted(slots)), required[label]))
             required[big] += required[label]
-            into.extend(modes)
-            for mode in modes:
-                block[mode] = big
+            into.extend(slots)
+            for slot in slots:
+                block[slot] = big
     return tuple(checks)
 
 
@@ -659,46 +647,78 @@ def _keep(
     return kept
 
 
-def _mixing(step: LinearLayer, pos: list[int], owed: list[complex]):
-    """The frame's walk over ``step``'s blocks (see the module docstring):
-    it carries each crossing and pure phase in ``pos`` and ``owed`` and
-    yields each mixing block as ``(device, top slot, bottom slot)``, whose
-    owed phases the caller pays into the terms it rewrites; on the next
-    block both slots owe nothing."""
-    for blk in step.blocks:
-        device, a = blk._device, blk.top_mode + step.offset
-        sa, sb = pos[a], pos[a + 1]
-        if device.units is None:
-            yield device, sa, sb
-            owed[sa] = owed[sb] = 1.0 + 0.0j
+def _lower(program: NetworkProgram, gates: bool):
+    """The one walk of the fold's frame (see the module docstring): each
+    step ``i`` of ``program`` lowered to ``(i, mixes, cut, gate)``, and the
+    final frame: ``(lowered, pos, owed)``.  A mix is ``(device, top slot,
+    bottom slot, owed top, owed bottom)``, whose owed phases the reader
+    pays into the terms it rewrites; crossings and pure phases go into the
+    frame and leave no mix.  ``cut`` is a truncation's slots, else ``None``.
+    With ``gates``, a step whose blocks are a :class:`PostSelectedGate`,
+    directly followed by the truncation of its window's aux modes, lowers
+    with that truncation to one entry, ``gate = (form, window slots, their
+    owed phases)``: the rule absorbs the network's crossings, so the frame
+    does not move, and the gate's rail slots then owe nothing."""
+    steps, m = program.steps, program.mode_count
+    pos, owed = list(range(m)), [1.0 + 0.0j] * m
+    lowered, taken = [], -1
+    for i, step in enumerate(steps):
+        if i == taken:
             continue
-        owed[sa] *= device.units[0]
-        owed[sb] *= device.units[1]
-        if device.swaps:
-            pos[a], pos[a + 1] = sb, sa
+        if isinstance(step, TruncateAux):
+            lowered.append((i, (), tuple([pos[mode] for mode in step.modes]), None))
+            continue
+        if not isinstance(step, LinearLayer):
+            raise TypeError(f"unknown program step {type(step).__name__}")
+        off, cut = step.offset, steps[i + 1] if i + 1 < len(steps) else None
+        if (
+            gates
+            and isinstance(step.blocks, PostSelectedGate)
+            and isinstance(cut, TruncateAux)
+            and cut.modes == (off, off + 3)
+        ):
+            slots = pos[off : off + 6]
+            lowered.append((i, (), None, (step.blocks, slots, [owed[s] for s in slots])))
+            owed[slots[1]] = owed[slots[2]] = owed[slots[4]] = owed[slots[5]] = 1.0 + 0.0j
+            taken = i + 1
+            continue
+        mixes = []
+        for blk in step.blocks:
+            device, a = blk._device, blk.top_mode + off
+            sa, sb = pos[a], pos[a + 1]
+            if device.units is None:
+                mixes.append((device, sa, sb, owed[sa], owed[sb]))
+                owed[sa] = owed[sb] = 1.0 + 0.0j
+                continue
+            owed[sa] *= device.units[0]
+            owed[sb] *= device.units[1]
+            if device.swaps:
+                pos[a], pos[a + 1] = sb, sa
+        lowered.append((i, mixes, None, None))
+    return lowered, pos, owed
 
 
 def _fold(
-    program: NetworkProgram,
-    state: PhotonicState,
-    cone: tuple[tuple[Check, ...], ...] | None,
+    state: PhotonicState, lowering, cone: tuple[tuple[Check, ...], ...] | None
 ) -> PhotonicState:
     """The fold behind :func:`run_program`, :func:`run_program_pruned` and
-    :func:`apply_linear`: every step in order, then, if ``cone`` is given,
-    its checks after each step.
+    :func:`apply_linear`: every step of a program lowered by
+    ``_lower(program, False)``, in order, then, if ``cone`` is given, its
+    checks after each step.
 
     Inside the fold a term's key is one int: slot ``s`` is a digit of
     ``width`` bits, the bit length of the input's largest photon count, at
     offset ``shift[s]``, slot 0 most significant.  A mixing block reads its
     pair with one AND and adds a precomputed delta per output; a truncation
-    and the zero-count checks of a step are one AND against a mask.
+    and the zero-count checks of a step are one AND against a mask.  Mixes,
+    truncations and checks all name slots; only the final read-back goes
+    through the frame.
     """
-    m = program.mode_count
+    lowered, pos, owed = lowering
+    m = len(pos)
     if state.mode_count != m:
-        raise ValueError(
-            f"state has {state.mode_count} modes, program needs {m}"
-        )
-    cuts = cone or ((),) * len(program.steps)
+        raise ValueError(f"state has {state.mode_count} modes, program needs {m}")
+    cuts = cone or ((),) * len(lowered)
     width = max((sum(occ) for occ in state.terms), default=0).bit_length()
     digit = (1 << width) - 1
     shift = [width * (m - 1 - slot) for slot in range(m)]
@@ -708,38 +728,29 @@ def _fold(
         for n in occ:
             key = key << width | int(n)
         terms[key] = amp
-    # The frame: pos[mode] is the slot that holds logical mode ``mode``,
-    # and each photon in ``slot`` still owes the unit phase owed[slot].
-    pos = list(range(m))
-    owed = [1.0 + 0.0j] * m
-    for step, checks in zip(program.steps, cuts):
-        mixed, empty = False, 0
-        if isinstance(step, LinearLayer):
-            for device, sa, sb in _mixing(step, pos, owed):
-                terms = _mix(terms, device, shift[sa], shift[sb], digit, owed[sa], owed[sb])
-                mixed = True
-        elif isinstance(step, TruncateAux):
-            for mode in step.modes:
-                empty |= digit << shift[pos[mode]]
-        else:
-            raise TypeError(f"unknown program step {type(step).__name__}")
+    for (_, mixes, cut, _), checks in zip(lowered, cuts):
+        empty = 0
+        for device, sa, sb, owed_a, owed_b in mixes:
+            terms = _mix(terms, device, shift[sa], shift[sb], digit, owed_a, owed_b)
+        for slot in cut or ():
+            empty |= digit << shift[slot]
         counted = [
-            (tuple([shift[pos[mode]] for mode in modes]), count)
-            for modes, count in checks
+            (tuple([shift[slot] for slot in slots]), count)
+            for slots, count in checks
             if count
         ]
-        for modes, count in checks:
+        for slots, count in checks:
             if not count:
-                for mode in modes:
-                    empty |= digit << shift[pos[mode]]
+                for slot in slots:
+                    empty |= digit << shift[slot]
         # Two filters on purpose: all through _keep, or an uncached _keep, folded 4-10% slower.
         if counted:
-            terms = _keep(terms, empty, mixed, counted, digit)
-        elif mixed or empty:
+            terms = _keep(terms, empty, bool(mixes), counted, digit)
+        elif mixes or empty:
             terms = {
                 key: amp
                 for key, amp in terms.items()
-                if not key & empty and (not mixed or abs(amp) > PRUNE_THRESHOLD)
+                if not key & empty and (not mixes or abs(amp) > PRUNE_THRESHOLD)
             }
     # Pay the owed phases, read each key in logical order and sort once;
     # the prune catches input terms that no mixing layer has rewritten.
@@ -763,7 +774,7 @@ def run_program(program: NetworkProgram, state: PhotonicState) -> PhotonicState:
     Crossings and pure-phase blocks are carried in the fold's frame (see
     the module docstring), every block is classified and its rules built
     once, on its first fold, and the result is sorted once, at the end."""
-    return _fold(program, state, None)
+    return _fold(state, _lower(program, False), None)
 
 
 def run_program_pruned(
@@ -774,16 +785,17 @@ def run_program_pruned(
     """:func:`run_program` that drops, after each step, every term that can
     never pass :func:`project_qubit_structure` (see :func:`light_cone`).
 
-    Each step's checks are mapped through the fold's frame once, not per
-    term.  The projection of the result equals that of the unpruned fold
-    bit for bit, key order included: both folds carry the same frame, keep
-    their terms in insertion order, and a dropped term's descendants never
-    share an occupation with a kept term's.  The test is only a necessary
-    condition, so circuits outside the forest envelope keep their
-    deviating output.  A ``layout`` of another mode count raises
-    ``ValueError`` (see :func:`light_cone`).
+    The program is lowered once (:func:`_lower`) for the cone and the fold,
+    so each step's checks name the slots the fold keys its terms by.  The
+    projection of the result equals that of the unpruned fold bit for bit,
+    key order included: both folds carry the same frame, keep their terms
+    in insertion order, and a dropped term's descendants never share an
+    occupation with a kept term's.  The test is only a necessary condition,
+    so circuits outside the forest envelope keep their deviating output.  A
+    ``layout`` of another mode count raises ``ValueError``.
     """
-    return _fold(program, state, light_cone(program, layout))
+    lowering = _lower(program, False)
+    return _fold(state, lowering, _cone(lowering, layout))
 
 
 def _photon(top: int, bottom: int) -> int | None:
@@ -812,10 +824,10 @@ def _turn(terms, t, photon: int, top: int, owed_top: complex, owed_bottom: compl
 
 def _gate(terms, gate: PostSelectedGate, slots: list[int], owed: list[complex], label: str):
     """Bit-keyed ``terms`` after ``gate`` and its eager cut, ``slots[k]``
-    holding window mode ``k``: its :attr:`~PostSelectedGate.rule` times 3,
-    a unit-modulus bijection on the two photons' bits that merges and
-    shrinks no term, as a table of XOR masks and coefficients times the
-    owed phases of their input slots, which then owe nothing."""
+    holding window mode ``k`` and owing ``owed[k]`` (see :func:`_lower`):
+    its :attr:`~PostSelectedGate.rule` times 3, a unit-modulus bijection on
+    the two photons' bits that merges and shrinks no term, as a table of
+    XOR masks and coefficients times the owed phases of their input slots."""
     q, r = _photon(slots[1], slots[2]), _photon(slots[4], slots[5])
     if q is None or r is None or slots[0] % 3 or slots[3] % 3:
         raise ValueError(
@@ -826,13 +838,11 @@ def _gate(terms, gate: PostSelectedGate, slots: list[int], owed: list[complex], 
     table = [(0, 0j)] * 4
     for (i, j), ((o, p), c) in gate.rule.items():
         mask = (bit[i] ^ bit[o]) << q | (bit[j] ^ bit[p]) << r
-        table[bit[i] | bit[j] << 1] = (mask, 3 * c * (owed[slots[i]] * owed[slots[j]]))
+        table[bit[i] | bit[j] << 1] = (mask, 3 * c * (owed[i] * owed[j]))
     kept = {}
     for key, amp in terms.items():
         mask, c = table[key >> q & 1 | (key >> r & 1) << 1]
         kept[key ^ mask] = amp * c
-    for k in (1, 2, 4, 5):
-        owed[slots[k]] = 1.0 + 0.0j
     return kept
 
 
@@ -844,12 +854,10 @@ def run_certified(
     and ``flips``, with each post-selected gate applied as its rule.
 
     A term is an int whose bit ``p`` puts photon ``p`` in slot ``3p + 1``
-    (0) or ``3p + 2`` (1).  The fold carries :func:`_fold`'s frame.  A
-    mixing block is a 2x2 map on one bit (:func:`_turn`), pruned at
-    :data:`PRUNE_THRESHOLD` after its step.  A linear step whose blocks
-    are a :class:`PostSelectedGate`, directly followed by the truncation of
-    its window's aux modes, is that gate: a table on two bits
-    (:func:`_gate`).  The fold counts the gates it applies, ``k``, and
+    (0) or ``3p + 2`` (1).  The fold reads the program lowered with its
+    gates (:func:`_lower`).  A mix is a 2x2 map on one bit (:func:`_turn`),
+    pruned at :data:`PRUNE_THRESHOLD` after its step, and a gate a table
+    on two bits (:func:`_gate`).  The fold counts its gates, ``k``, and
     each succeeds with exactly 1/9 on every input, so the state stays at
     unit norm and the success probability is its squared norm, summed in
     insertion order, times ``9.0**-k``.  The decoded rows go to
@@ -872,39 +880,28 @@ def run_certified(
     if program.mode_count != 3 * n:
         raise ValueError(f"program has {program.mode_count} modes, layout needs {3 * n}")
     terms = {sum(occ[3 * p + 2] << p for p in range(n)): 1.0 + 0.0j}
-    pos, owed = list(range(3 * n)), [1.0 + 0.0j] * (3 * n)
-    steps = program.steps
-    i = k = 0
-    while i < len(steps):
-        step, i = steps[i], i + 1
-        if isinstance(step, TruncateAux):
+    lowered, pos, owed = _lower(program, True)
+    k = 0
+    for i, mixes, cut, gate in lowered:
+        if cut is not None:
             raise ValueError(
-                f"step {i - 1} truncates {step.modes} outside the steps of a "
+                f"step {i} truncates {program.steps[i].modes} outside the steps of a "
                 "post-selected gate the compiler emitted; a certified fold "
                 "needs each gate's truncation directly after its network"
             )
-        if not isinstance(step, LinearLayer):
-            raise TypeError(f"unknown program step {type(step).__name__}")
-        off, cut = step.offset, steps[i] if i < len(steps) else None
-        if (
-            isinstance(step.blocks, PostSelectedGate)
-            and isinstance(cut, TruncateAux)
-            and cut.modes == (off, off + 3)
-        ):
-            terms = _gate(terms, step.blocks, pos[off : off + 6], owed, step.label)
-            i, k = i + 1, k + 1
+        if gate is not None:
+            terms = _gate(terms, *gate, program.steps[i].label)
+            k += 1
             continue
-        mixed = False
-        for device, sa, sb in _mixing(step, pos, owed):
+        for device, sa, sb, owed_a, owed_b in mixes:
             p = _photon(sa, sb)
             if p is None:
                 raise ValueError(
-                    f"step {i - 1} ({step.label!r}) mixes slots {sa} and {sb} outside "
+                    f"step {i} ({program.steps[i].label!r}) mixes slots {sa} and {sb} outside "
                     "the steps of a post-selected gate, not the two rails of one photon"
                 )
-            terms = _turn(terms, device.t, p, sa % 3 - 1, owed[sa], owed[sb])
-            mixed = True
-        if mixed:
+            terms = _turn(terms, device.t, p, sa % 3 - 1, owed_a, owed_b)
+        if mixes:
             terms = {k: amp for k, amp in terms.items() if abs(amp) > PRUNE_THRESHOLD}
     # reads[t]: the photon of logical rail pair t, and its bit when in mode 3t + 2
     reads = []

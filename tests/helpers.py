@@ -8,7 +8,10 @@ with their own blocks at absolute modes, the oracle for layers that share
 blocks at an offset.  ``per_layer_program`` cuts each gate-network step
 into one step per mesh layer, the oracle for one step per network.
 ``reference_light_cone`` is the full-partition light cone that
-:func:`photonmesh.fock.light_cone`'s checks must agree with; it and
+:func:`photonmesh.fock.light_cone`'s checks must agree with, over the
+slots of the fold's frame, which it walks itself; ``reference_frames``
+gives that frame after each step and ``logical_checks`` reads slot checks
+on the logical modes of a state materialized there.  It and
 ``split_partition`` write a partition as the checks of all its blocks,
 ``(modes, count)`` in the order of each block's first mode, the form
 :func:`photonmesh.fock.qubit_structure` returns.  ``keep_checked`` is the
@@ -54,7 +57,7 @@ from photonmesh.fock import (
 )
 from photonmesh.analysis import constrained_family
 from photonmesh.compiler import PlacedBlock, PlacementOverflow, TruncationMark
-from photonmesh.linalg import MziSetting
+from photonmesh.linalg import MziSetting, setting_unitary
 
 _SQ = 1.0 / np.sqrt(2.0)
 
@@ -293,63 +296,101 @@ def split_partition(
     return tuple(sorted(split))
 
 
+def _reference_walk(program: NetworkProgram):
+    """The fold's frame, walked block by block: per program step, the slot
+    pairs its mixing blocks act on and the frame after it, ``pos[mode]``
+    the slot holding logical mode ``mode``.  A block whose device diagonal
+    is at most 1e-14 is a crossing and swaps its two modes' slots; one
+    whose off-diagonal is at most 1e-14 is a pure phase and moves nothing;
+    any other mixes its two slots."""
+    pos = list(range(program.mode_count))
+    walk = []
+    for step in program.steps:
+        pairs = []
+        if isinstance(step, LinearLayer):
+            for blk in step.blocks:
+                a = blk.top_mode + step.offset
+                u = np.abs(setting_unitary(blk.setting))
+                if u[0, 0] <= 1e-14 and u[1, 1] <= 1e-14:
+                    pos[a], pos[a + 1] = pos[a + 1], pos[a]
+                elif u[0, 1] > 1e-14 or u[1, 0] > 1e-14:
+                    pairs.append((pos[a], pos[a + 1]))
+        walk.append((pairs, tuple(pos)))
+    return walk
+
+
+def reference_frames(program: NetworkProgram) -> list[tuple[int, ...]]:
+    """The fold's frame after each program step: ``pos[mode]`` is the slot
+    that holds logical mode ``mode``."""
+    return [pos for _, pos in _reference_walk(program)]
+
+
+def logical_checks(checks, pos: tuple[int, ...]) -> tuple[Check, ...]:
+    """Slot ``checks`` as checks on the logical modes that the frame ``pos``
+    puts in those slots, the modes of a state materialized at that step."""
+    mode_of = {slot: mode for mode, slot in enumerate(pos)}
+    return tuple((tuple(sorted(mode_of[s] for s in slots)), count) for slots, count in checks)
+
+
 def reference_light_cone(
     program: NetworkProgram, layout: QubitLayout, forest: bool = False
 ) -> tuple[tuple[Check, ...] | None, ...]:
-    """The full partition in force after each program step, as the checks
-    of all its blocks, or ``None`` after a step where restricting by it can
-    drop no term: the reference for :func:`photonmesh.fock.light_cone`'s
-    checks.
+    """The full partition of the fold's slots in force after each program
+    step, as the checks of all its blocks, or ``None`` after a step where
+    restricting by it can drop no term: the reference for
+    :func:`photonmesh.fock.light_cone`'s checks.
 
-    A backward union-find pass from the checks of :func:`qubit_structure`
-    that joins the two modes of every block of a layer and builds the whole
-    partition again after every layer that joins blocks.  The entry is
-    given after step 0, after every joining layer and, with ``forest``,
-    after every truncation, with each truncated aux mode's rail pair split
-    out as a block that must hold one photon: the terms the certified fold
-    keeps after each post-selected gate's rule, and at the end of a
-    compiled program.
+    A backward union-find pass over slots, from the checks of
+    :func:`qubit_structure` at the final frame's slots, that joins the two
+    slots of every mixing block of a layer (see ``_reference_walk``) and
+    builds the whole partition again after every layer that joins blocks.
+    The entry is given after step 0, after every joining layer and, with
+    ``forest``, after every truncation, with the slots of each truncated
+    aux mode's rail pair split out as a block that must hold one photon:
+    the terms the certified fold keeps after each post-selected gate's
+    rule, and at the end of a compiled program.  ``logical_checks`` reads
+    an entry on a state materialized at its step.
     """
     m = layout.mode_count
-    seed = qubit_structure(layout)
+    walk = _reference_walk(program)
+    final = walk[-1][1] if walk else tuple(range(m))
     parent, required = list(range(m)), [0] * m
-    for modes, count in seed:
-        required[modes[0]] = count
-        for mode in modes:
-            parent[mode] = modes[0]
+    for modes, count in qubit_structure(layout):
+        slots = sorted(final[mode] for mode in modes)
+        required[slots[0]] = count
+        for slot in slots:
+            parent[slot] = slots[0]
 
-    def root(mode: int) -> int:
-        while parent[mode] != mode:
-            parent[mode] = parent[parent[mode]]
-            mode = parent[mode]
-        return mode
+    def root(slot: int) -> int:
+        while parent[slot] != slot:
+            parent[slot] = parent[parent[slot]]
+            slot = parent[slot]
+        return slot
 
     def snapshot() -> tuple[Check, ...]:
         blocks: dict[int, list[int]] = {}
-        for mode in range(m):
-            blocks.setdefault(root(mode), []).append(mode)
-        return tuple((tuple(modes), required[r]) for r, modes in blocks.items())
+        for slot in range(m):
+            blocks.setdefault(root(slot), []).append(slot)
+        return tuple((tuple(slots), required[r]) for r, slots in blocks.items())
 
-    current = seed
+    current = snapshot()
     after: list[tuple[Check, ...] | None] = []
     for i in reversed(range(len(program.steps))):
-        step, entry, drops = program.steps[i], current, i == 0
+        step, (pairs, pos), entry, drops = program.steps[i], walk[i], current, i == 0
         if forest and isinstance(step, TruncateAux):
             for aux in step.modes:
-                entry = split_partition(entry, (aux + 1, aux + 2), 1)
+                entry = split_partition(entry, tuple(sorted((pos[aux + 1], pos[aux + 2]))), 1)
             drops = True
-        elif isinstance(step, LinearLayer):
-            merged = False
-            for blk in step.blocks:
-                top = blk.top_mode + step.offset
-                rj, rk = root(top), root(top + 1)
-                if rj != rk:
-                    parent[rk] = rj
-                    required[rj] += required[rk]
-                    merged = True
-            if merged:
-                current = snapshot()
-                drops = True
+        merged = False
+        for top, bottom in pairs:
+            rj, rk = root(top), root(bottom)
+            if rj != rk:
+                parent[rk] = rj
+                required[rj] += required[rk]
+                merged = True
+        if merged:
+            current = snapshot()
+            drops = True
         after.append(entry if drops else None)
     return tuple(reversed(after))
 

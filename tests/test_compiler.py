@@ -51,8 +51,10 @@ from helpers import (
     flat_program,
     fused_fold_problems,
     keep_checked,
+    logical_checks,
     mesh_layers,
     per_layer_program,
+    reference_frames,
     reference_light_cone,
     reference_mesh_columns,
     reference_place_in_mesh,
@@ -653,11 +655,54 @@ def test_pruned_fold_projects_exactly_like_unpruned_fold():
 
 
 
+@pytest.mark.parametrize(
+    "n, gates, most",
+    [
+        # a GHZ-12 chain closed by H(11) and CZ(0, 11), routed across the register
+        (
+            12,
+            [{"g": "H", "q": 0}]
+            + [{"g": "CNOT", "c": q, "t": q + 1} for q in range(11)]
+            + [{"g": "H", "q": 11}, {"g": "CZ", "c": 0, "t": 11}],
+            5_000,
+        ),
+        # an H-then-CZ ring of 8
+        (
+            8,
+            [{"g": "H", "q": q} for q in range(8)]
+            + [{"g": "CZ", "c": q, "t": (q + 1) % 8} for q in range(8)],
+            30_000,
+        ),
+    ],
+    ids=["closed-ghz-12", "ring-8"],
+)
+def test_the_light_cone_prunes_through_routing(monkeypatch, n, gates, most):
+    # Routing and rail flips are crossings, which move no photon between
+    # slots, so the cone joins nothing there and cuts failure terms long
+    # before the last steps.  A cone that joined at every block entered
+    # _mix with 579,566 and 242,649 terms here, as many as the unpruned fold.
+    circuit = parse_circuit({"qubits": n, "gates": gates})
+    result = compile_circuit(circuit, CompileOptions(place=False))
+    assert not result.forest
+    layout = fock.QubitLayout(n)
+    state = fock.prepare_computational_basis("0" * n, layout)
+    entered = []
+    mix = fock._mix
+    monkeypatch.setattr(fock, "_mix", lambda terms, *a: entered.append(len(terms)) or mix(terms, *a))
+    final = fock.run_program_pruned(result.program, state, layout)
+    assert sum(entered) <= most
+    pruned = fock.project_qubit_structure(final, layout)
+    full = fock.project_qubit_structure(fock.run_program(result.program, state), layout)
+    assert pruned == full
+    assert list(pruned.projected_state.terms) == list(full.projected_state.terms)
+
+
 def test_light_cone_checks_keep_what_the_full_partition_keeps():
     # Replayed step by step, each entry's checks keep exactly the keys, in
     # the same order, that the full partition in force keeps, on routed
     # forest circuits and on cycle-closing ones; so does the fold, run to
-    # that entry.
+    # that entry.  Both name slots of the fold's frame, which the oracle's
+    # own walk of the frame maps onto the replayed state's logical modes.
     rng = np.random.default_rng(31)
     cyclic = dropped = checked_modes = full_modes = 0
     for case in range(24):
@@ -676,14 +721,15 @@ def test_light_cone_checks_keep_what_the_full_partition_keeps():
         reference = reference_light_cone(program, layout)
         assert [bool(checks) for checks in cone] == [p is not None for p in reference]
         state = start
-        for i, (step, checks, partition) in enumerate(zip(program.steps, cone, reference)):
+        entries = zip(program.steps, cone, reference, reference_frames(program))
+        for i, (step, checks, partition, pos) in enumerate(entries):
             if isinstance(step, fock.LinearLayer):
                 state = fock.apply_linear(state, step)
             else:
                 state = fock.truncate_aux(state, step.modes)
-            kept = keep_checked(state, checks)
+            kept = keep_checked(state, logical_checks(checks, pos))
             if partition is not None:
-                full = keep_checked(state, partition)
+                full = keep_checked(state, logical_checks(partition, pos))
                 assert list(kept.terms) == list(full.terms)
                 dropped += len(state.terms) - len(full.terms)
                 if i:
@@ -693,7 +739,7 @@ def test_light_cone_checks_keep_what_the_full_partition_keeps():
             state = kept
             if checks:  # the fold's own filter, on this prefix of the program
                 prefix = fock.NetworkProgram(3 * n, program.steps[: i + 1])
-                folded = fock._fold(prefix, start, cone[: i + 1])
+                folded = fock._fold(start, fock._lower(prefix, False), cone[: i + 1])
                 assert list(folded.terms) == list(state.terms)
         pruned = fock.run_program_pruned(program, start, layout)
         assert list(pruned.terms) == list(state.terms)

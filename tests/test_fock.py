@@ -54,8 +54,10 @@ from photonmesh.linalg import (
 
 from helpers import (
     keep_checked,
+    logical_checks,
     random_mesh,
     random_setting,
+    reference_frames,
     reference_light_cone,
     run_layers,
     split_partition,
@@ -432,13 +434,21 @@ def test_light_cone_of_identity_layers_merges_nothing():
     assert reference_light_cone(program, layout) == (cone[0], None, None)
 
 
-def test_light_cone_merges_on_exact_nonzero_coupling():
+def test_light_cone_joins_only_where_a_block_mixes():
     layout = QubitLayout(2)
-    # IDENTITY_SETTING's off-diagonal is not exactly zero, and any block
-    # joins its pair, however weakly it couples it
+    # IDENTITY_SETTING's off-diagonal is not exactly zero, but under 1e-14:
+    # the fold carries the parked block as a pure phase, which moves no
+    # photon between slots, so the cone joins nothing there
     assert 0 < abs(setting_unitary(IDENTITY_SETTING)[0, 1]) < 1e-15
     parked = LinearLayer(6, (MeshBlock(2, IDENTITY_SETTING, "ID"),))
     program = NetworkProgram(6, (LinearLayer(6, ()), parked))
+    assert light_cone(program, layout) == (qubit_structure(layout), ())
+    assert reference_light_cone(program, layout) == (qubit_structure(layout), None)
+    # an off-diagonal just above 1e-14 mixes, and joins its pair
+    weak = MziSetting(np.pi - 1e-13, 0.0, np.pi, 0.0)
+    assert 1e-14 < abs(setting_unitary(weak)[0, 1]) < 1e-13
+    coupled = LinearLayer(6, (MeshBlock(2, weak, "U"),))
+    program = NetworkProgram(6, (LinearLayer(6, ()), coupled))
     before, last = light_cone(program, layout)
     # the input is checked against every block; the layer joins rail pair
     # (1, 2) and aux 3, so after it only the smaller, aux 3, is checked
@@ -725,8 +735,8 @@ def test_forest_light_cone_splits_the_rail_pairs_at_each_truncation():
     full_eager = reference_light_cone(program, layout, forest=True)
     truncations = 0
     held = None  # the plain partition in force: an entry of None keeps it
-    entries = zip(program.steps, plain, full_plain, full_eager)
-    for step, before, full_before, full_after in entries:
+    entries = zip(program.steps, plain, full_plain, full_eager, reference_frames(program))
+    for step, before, full_before, full_after, pos in entries:
         held = full_before or held
         if not isinstance(step, TruncateAux):
             assert full_after == full_before
@@ -735,10 +745,10 @@ def test_forest_light_cone_splits_the_rail_pairs_at_each_truncation():
         truncations += 1
         expected = held
         for aux in step.modes:
-            expected = split_partition(expected, (aux + 1, aux + 2), 1)
+            rails = tuple(sorted((pos[aux + 1], pos[aux + 2])))
+            expected = split_partition(expected, rails, 1)
+            assert (rails, 1) in full_after
         assert full_after == expected
-        for aux in step.modes:
-            assert ((aux + 1, aux + 2), 1) in full_after
     assert truncations == 2
 
 
@@ -800,13 +810,13 @@ def test_skipped_restricts_drop_nothing(forest):
         plain = reference_light_cone(program, layout)
         cone = reference_light_cone(program, layout, forest)
         state, held, after_cut = start, None, False
-        for step, before, cut in zip(program.steps, plain, cone):
+        for step, before, cut, pos in zip(program.steps, plain, cone, reference_frames(program)):
             held = before or held  # a plain entry of None keeps the partition
             if isinstance(step, LinearLayer):
                 state = apply_linear(state, step)
             else:
                 state = truncate_aux(state, step.modes)
-            state = keep_checked(state, cut or held)
+            state = keep_checked(state, logical_checks(cut or held, pos))
             skipped_after_cut += cut is None and after_cut
             after_cut = forest and isinstance(step, TruncateAux)
         # the stepwise reference materializes and sorts every layer, so its
