@@ -131,9 +131,13 @@ def _emit(args, record, tsv, human) -> int:
     """Print a command's record: ``--format json`` dumps it as is on one
     line (no ``indent``, so CPython's C encoder renders it), ``tsv`` and
     ``human`` print the lines their renderer makes of it.  The text goes to
-    ``--output`` where the command has that option, else to stdout."""
+    ``--output`` where the command has that option, else to stdout.
+
+    The dump skips the encoder's cycle check: every command builds its
+    record as a fresh tree of dicts and lists, none holding itself, and the
+    check changes no byte of a tree without a cycle."""
     if args.format == "json":
-        text = json.dumps(record) + "\n"
+        text = json.dumps(record, check_circular=False) + "\n"
     else:
         text = "\n".join((tsv if args.format == "tsv" else human)(record)) + "\n"
     output = getattr(args, "output", None)

@@ -84,6 +84,10 @@ from .linalg import IDENTITY_SETTING, MziSetting, embed_block, setting_unitary
 SINGLE_QUBIT_GATES = ("I", "X", "Y", "Z", "H", "T", "RZ", "RX", "RY")
 ROTATION_GATES = ("RZ", "RX", "RY")
 TWO_QUBIT_GATES = ("CZ", "CNOT", "SWAP")
+# Membership tests on the hot paths ask these sets, not the public tuples.
+_SINGLE_QUBIT = frozenset(SINGLE_QUBIT_GATES)
+_ROTATIONS = frozenset(ROTATION_GATES)
+_TWO_QUBIT = frozenset(TWO_QUBIT_GATES)
 
 
 class CircuitParseError(ValueError):
@@ -203,24 +207,27 @@ class MeshAssignment:
 
         The placements sort as tuples: :func:`place_in_mesh` gives each
         ``(column, top_mode)`` slot at most one block, so no two placements
-        tie there and their settings are never compared."""
+        tie there and their settings are never compared.  Each placement
+        and its setting are unpacked once; an extended setting (``phi3``
+        set) adds ``phi3`` and ``phi4`` after ``role``."""
         idle = IDENTITY_SETTING
         slots = []
-        for p in sorted(self.placements):
-            setting = p.setting
+        append = slots.append
+        for column, top, setting, role in sorted(self.placements):
+            theta1, theta2, phi1, phi2, phi3, phi4 = setting
             entry = {
-                "column": p.column,
-                "top_mode": p.top_mode,
-                "theta1": setting.theta1,
-                "theta2": setting.theta2,
-                "phi1": setting.phi1,
-                "phi2": setting.phi2,
-                "role": p.role,
+                "column": column,
+                "top_mode": top,
+                "theta1": theta1,
+                "theta2": theta2,
+                "phi1": phi1,
+                "phi2": phi2,
+                "role": role,
             }
-            if setting.is_extended:
-                entry["phi3"] = setting.phi3
-                entry["phi4"] = setting.phi4
-            slots.append(entry)
+            if phi3 is not None:
+                entry["phi3"] = phi3
+                entry["phi4"] = phi4
+            append(entry)
         return {
             "scheme": self.scheme,
             "mode_count": self.mode_count,
@@ -298,14 +305,15 @@ def parse_circuit(data) -> CircuitIR:
         return v
 
     ops: list[GateOp] = []
+    op = tuple.__new__  # what GateOp._make calls, without the call
     for entry in raw_gates:
         if not isinstance(entry, dict) or "g" not in entry:
             raise CircuitParseError(f"gate entry must be an object with 'g': {entry!r}")
         name = str(entry["g"]).upper()
-        if name in SINGLE_QUBIT_GATES:
+        if name in _SINGLE_QUBIT:
             q = index(entry, "q")
             angle = entry.get("angle")
-            if name in ROTATION_GATES:
+            if name in _ROTATIONS:
                 if not isinstance(angle, (int, float)) or isinstance(angle, bool):
                     raise CircuitParseError(f"{name} needs a numeric 'angle'")
                 try:
@@ -314,19 +322,17 @@ def parse_circuit(data) -> CircuitIR:
                     angle = math.inf
                 if not math.isfinite(angle):  # json.load reads NaN and Infinity
                     raise CircuitParseError(f"{name} needs a finite 'angle'")
-                ops.append(GateOp(name, (q,), angle))
-            else:
-                if angle is not None:
-                    raise CircuitParseError(f"{name} takes no 'angle'")
-                ops.append(GateOp(name, (q,)))
-        elif name in TWO_QUBIT_GATES:
+            elif angle is not None:
+                raise CircuitParseError(f"{name} takes no 'angle'")
+            ops.append(op(GateOp, (name, (q,), angle)))
+        elif name in _TWO_QUBIT:
             keys = ("a", "b") if name == "SWAP" else ("c", "t")
             a, b = index(entry, keys[0]), index(entry, keys[1])
             if a == b:
                 raise CircuitParseError(f"{name} needs two distinct qubits")
             if entry.get("angle") is not None:
                 raise CircuitParseError(f"{name} takes no 'angle'")
-            ops.append(GateOp(name, (a, b)))
+            ops.append(op(GateOp, (name, (a, b), None)))
         else:
             raise CircuitParseError(f"unknown gate {entry['g']!r}")
     return CircuitIR(qubits, tuple(ops))
@@ -388,6 +394,11 @@ def place_in_mesh(
     Truncation steps become column markers and act as barriers on their
     modes.  A block finds its column in O(1) from its top's :func:`top_span`,
     so placement costs O(placements + m).
+
+    :class:`PlacementOverflow` is raised for a block that finds no column
+    and, before any span is read, for a block or truncation with a mode
+    outside ``0 .. mode_count - 1``: a block above mode 0 or below the last
+    mode has no slot, and a truncation there has no waveguide.
     """
     if program.mode_count != mode_count:
         raise ValueError(
@@ -395,15 +406,24 @@ def place_in_mesh(
         )
     column_count(scheme, mode_count)  # validate the scheme
     spans = [top_span(scheme, mode_count, top) for top in range(mode_count - 1)]
+    tops = len(spans)  # a block's top is in range(tops)
     free = [0] * mode_count
     placements: list[PlacedBlock] = []
     truncations: list[TruncationMark] = []
+    place = placements.append
+    new = tuple.__new__  # what PlacedBlock._make calls, without the call
     for step in program.steps:
         if isinstance(step, TruncateAux):
-            after = max(free[m] for m in step.modes) - 1
-            truncations.append(TruncationMark(after, tuple(step.modes)))
-            for m in step.modes:
-                free[m] = max(free[m], after + 1)
+            modes = tuple(step.modes)
+            if not all(0 <= m < mode_count for m in modes):
+                raise PlacementOverflow(
+                    f"truncation at modes ({', '.join(map(str, modes))}) does "
+                    f"not fit the {scheme} mesh on {mode_count} modes"
+                )
+            barrier = max(free[m] for m in modes)  # no later block on modes
+            truncations.append(TruncationMark(barrier - 1, modes))
+            for m in modes:
+                free[m] = barrier
             continue
         if not isinstance(step, LinearLayer):
             raise TypeError(f"unknown program step {type(step).__name__}")
@@ -411,17 +431,23 @@ def place_in_mesh(
         for blk in step.blocks:
             lo = blk.top_mode + off
             hi = lo + 1
-            first, last = spans[lo]
-            col = max(free[lo], free[hi], first)
-            col += (col - first) % 2  # the next column with a slot at lo
-            if col > last or lo < 0:  # a top above mode 0 has no slot
-                raise PlacementOverflow(
-                    f"block at modes ({lo}, {hi})"
-                    + (f" [{step.label}]" if step.label else "")
-                    + f" does not fit the {scheme} mesh on {mode_count} modes"
-                )
-            placements.append(PlacedBlock(col, lo, blk.setting, blk.role))
-            free[lo] = free[hi] = col + 1
+            if 0 <= lo < tops:
+                first, last = spans[lo]
+                col = free[lo]
+                if free[hi] > col:
+                    col = free[hi]
+                if first > col:
+                    col = first
+                col += (col - first) % 2  # the next column with a slot at lo
+                if col <= last:
+                    place(new(PlacedBlock, (col, lo, blk.setting, blk.role)))
+                    free[lo] = free[hi] = col + 1
+                    continue
+            raise PlacementOverflow(
+                f"block at modes ({lo}, {hi})"
+                + (f" [{step.label}]" if step.label else "")
+                + f" does not fit the {scheme} mesh on {mode_count} modes"
+            )
     return MeshAssignment(
         scheme=scheme,
         mode_count=mode_count,
@@ -707,9 +733,9 @@ def compile_circuit(
     _cz_layers(options.cz_form)
     em = _Emitter(circuit.qubit_count, options)
     for op in circuit.gates:
-        if op.name in SINGLE_QUBIT_GATES:
+        if op.name in _SINGLE_QUBIT:
             em.single_gate(op)
-        elif op.name in TWO_QUBIT_GATES:
+        elif op.name in _TWO_QUBIT:
             em.two_qubit_gate(op)
         else:
             raise CircuitParseError(f"unknown gate {op.name!r}")

@@ -219,7 +219,7 @@ def layers_to_steps(
     rebuilt: every emission of a network the compiler caches shares that
     network's one tuple.  This is the compiler's one emission call.
     """
-    return LinearLayer(mode_count, blocks, label, offset)
+    return tuple.__new__(LinearLayer, (mode_count, blocks, label, offset))
 
 
 def device_block(top: int, device, role: str) -> MeshBlock:

@@ -251,11 +251,9 @@ def _solve_plain(
     else:
         dphi = _angle(u10 / (g * c))
     sigma = 2.0 * _angle(g) - math.pi
-    return MziSetting(
-        theta1=(sigma + dtheta) / 2.0,
-        theta2=(sigma - dtheta) / 2.0,
-        phi1=dphi,
-        phi2=0.0,
+    # (theta1, theta2, phi1, phi2), as MziSetting._make builds it
+    return tuple.__new__(
+        MziSetting, ((sigma + dtheta) / 2.0, (sigma - dtheta) / 2.0, dphi, 0.0, None, None)
     )
 
 
@@ -287,4 +285,5 @@ def solve_mzi_settings(u) -> MziSetting:
     phi4 = _angle(-u11)
     r3, r4 = _expi(-phi3), _expi(-phi4)
     inner = _solve_plain(r3 * u00, r3 * u01, r4 * u10, r4 * u11, real_ratio=True)
-    return inner._replace(phi3=phi3, phi4=phi4)
+    theta1, theta2, phi1, phi2, _, _ = inner
+    return tuple.__new__(MziSetting, (theta1, theta2, phi1, phi2, phi3, phi4))

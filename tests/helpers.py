@@ -488,13 +488,19 @@ def reference_place_in_mesh(program: NetworkProgram, scheme: str, mode_count: in
     """``(placements, truncations)`` of the greedy earliest-column placement
     of every step's blocks in the order the step holds them, scanning the
     stored column grid one column at a time; raises
-    :class:`PlacementOverflow` with the compiler's message."""
+    :class:`PlacementOverflow` with the compiler's message, also for a
+    block or truncation with a mode off either edge of the mesh."""
     columns = reference_mesh_columns(scheme, mode_count)
     col_sets = [frozenset(c) for c in columns]
     free = [0] * mode_count
     placements, truncations = [], []
     for step in program.steps:
         if isinstance(step, TruncateAux):
+            if any(m < 0 or m >= mode_count for m in step.modes):
+                raise PlacementOverflow(
+                    f"truncation at modes ({', '.join(str(m) for m in step.modes)}) "
+                    f"does not fit the {scheme} mesh on {mode_count} modes"
+                )
             after = max(free[m] for m in step.modes) - 1
             truncations.append(TruncationMark(after, tuple(step.modes)))
             for m in step.modes:
@@ -503,7 +509,9 @@ def reference_place_in_mesh(program: NetworkProgram, scheme: str, mode_count: in
         for blk in step.blocks:
             lo = blk.top_mode + step.offset
             hi = lo + 1
-            col = max(free[lo], free[hi])
+            # a block off either edge of the mesh has no slot in any column
+            off_mesh = lo < 0 or hi >= mode_count
+            col = len(columns) if off_mesh else max(free[lo], free[hi])
             while col < len(columns) and lo not in col_sets[col]:
                 col += 1
             if col >= len(columns):

@@ -662,23 +662,52 @@ def test_compile_and_simulate_do_not_depend_on_the_blas_kernel(tmp_path):
     assert proc.stdout == expected
 
 
+# A brickwork with rotations, so its table holds extended settings too.
+BRICKWORK = brickwork(np.random.default_rng(14), 6, 2)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ("compile", BELL),
+        ("compile", BRICKWORK),
+        ("compile", BRICKWORK, "--scheme", "reck"),
         ("simulate", BELL),
+        ("simulate", STAR),
         ("gates", "list"),
         ("analyze", "ghz-scan"),
+        ("analyze", "cz4x4", "--restarts", "1"),
         ("analyze", "cz4x4", "--restarts", "2"),
     ],
-    ids=["compile", "simulate", "gates-list", "ghz-scan", "cz4x4"],
+    ids=[
+        "compile",
+        "compile-brickwork",
+        "compile-brickwork-reck",
+        "simulate",
+        "simulate-star",
+        "gates-list",
+        "ghz-scan",
+        "cz4x4-1",
+        "cz4x4",
+    ],
 )
 def test_json_is_one_compact_line(tmp_path, argv):
+    """The json render changes no byte of the default ``json.dumps``:
+    its separators, ASCII escaping and the record's key order."""
     argv = [write_circuit(tmp_path, a) if isinstance(a, dict) else a for a in argv]
     proc = run_cli(*argv, "--format", "json")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("\n") == 1
     assert proc.stdout == json.dumps(json.loads(proc.stdout)) + "\n"
+
+
+def test_json_render_escapes_non_ascii(capsys):
+    # no command's record holds a non-ASCII string yet; the render escapes one
+    record = {"role": "R\u00e9", "phases": [0.5, -0.0, 1e-20], "nested": {"b": 1, "a": None}}
+    assert cli._emit(SimpleNamespace(format="json"), record, None, None) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert out == json.dumps(record) + "\n"
+    assert out == '{"role": "R\\u00e9", "phases": [0.5, -0.0, 1e-20], "nested": {"b": 1, "a": null}}\n'
 
 
 @pytest.mark.parametrize("fmt", ["json", "tsv", "human"])

@@ -1557,10 +1557,18 @@ def test_place_in_mesh_matches_the_column_scan(scheme, restore):
         _random_circuit(rng, int(rng.integers(2, 7)), int(rng.integers(4, 16)), forest=True)
         for _ in range(16)
     ]
+    # brickworks at the benchmark's sizes, three rounds deep
+    circuits += [parse_circuit(brickwork(rng, n, 3)) for n in range(16, 33)]
     programs = [compile_circuit(circuit, options).program for circuit in circuits]
-    # a library-built block above mode 0 has no slot
-    outside = fock.LinearLayer(6, (fock.MeshBlock(-1, IDENTITY_SETTING, "U"),))
-    programs.append(fock.NetworkProgram(6, (outside,)))
+    # library-built steps off either edge: a block above mode 0 or below the
+    # last mode has no slot, and a truncation there has no waveguide
+    for step in (
+        fock.LinearLayer(6, (fock.MeshBlock(-1, IDENTITY_SETTING, "U"),)),
+        fock.LinearLayer(6, (fock.MeshBlock(5, IDENTITY_SETTING, "U"),), "bottom"),
+        fock.TruncateAux((6,)),
+        fock.TruncateAux((-1,)),
+    ):
+        programs.append(fock.NetworkProgram(6, (step,)))
     outcomes = collections.Counter()
     for program in programs:
         m = program.mode_count
