@@ -207,9 +207,9 @@ class MeshAssignment:
 
         The placements sort as tuples: :func:`place_in_mesh` gives each
         ``(column, top_mode)`` slot at most one block, so no two placements
-        tie there and their settings are never compared.  Each placement
-        and its setting are unpacked once; an extended setting (``phi3``
-        set) adds ``phi3`` and ``phi4`` after ``role``."""
+        tie there and their settings are never compared.  A slot of an
+        extended setting (``phi3`` set) lists ``phi3`` and ``phi4`` after
+        ``role``."""
         idle = IDENTITY_SETTING
         slots = []
         append = slots.append

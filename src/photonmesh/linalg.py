@@ -251,7 +251,7 @@ def _solve_plain(
     else:
         dphi = _angle(u10 / (g * c))
     sigma = 2.0 * _angle(g) - math.pi
-    # (theta1, theta2, phi1, phi2), as MziSetting._make builds it
+    # a plain setting (no phi3, phi4), built as MziSetting._make builds it
     return tuple.__new__(
         MziSetting, ((sigma + dtheta) / 2.0, (sigma - dtheta) / 2.0, dphi, 0.0, None, None)
     )
