@@ -1584,8 +1584,11 @@ def test_place_in_mesh_matches_the_column_scan(scheme, restore):
         outcomes["placed"] += 1
         assignment = place_in_mesh(program, scheme, m)
         assert (assignment.placements, assignment.truncations) == expected
-    # both outcomes are exercised
+    # both outcomes are exercised, and every off-edge step is refused
     assert outcomes["placed"] >= 5 and outcomes["overflow"] >= 5, outcomes
+    for program in programs[-4:]:
+        with pytest.raises(PlacementOverflow, match="does not fit the"):
+            place_in_mesh(program, scheme, 6)
 
 
 def _slot_programs():
