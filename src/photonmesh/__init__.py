@@ -29,7 +29,6 @@ from .fock import (
     NetworkProgram,
     PhotonicState,
     PostSelectionResult,
-    QubitLayout,
     amplitude_via_permanent,
     apply_linear,
     canonical_global_phase,
@@ -55,7 +54,6 @@ from .gates import (
     swap_networks,
 )
 from .compiler import (
-    CascadeLedger,
     CircuitIR,
     CircuitParseError,
     CompileOptions,
@@ -94,7 +92,6 @@ __all__ = [
     "NetworkProgram",
     "PhotonicState",
     "PostSelectionResult",
-    "QubitLayout",
     "amplitude_via_permanent",
     "apply_linear",
     "canonical_global_phase",
@@ -116,7 +113,6 @@ __all__ = [
     "single_qubit_matrix",
     "single_qubit_setting",
     "swap_networks",
-    "CascadeLedger",
     "CircuitIR",
     "CircuitParseError",
     "CompileOptions",

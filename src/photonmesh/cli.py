@@ -185,11 +185,11 @@ def _compile_tsv(table: dict) -> list[str]:
 
 
 def _compile_human(table: dict) -> list[str]:
-    slot_count = sum(len(column) for column in table["columns"])
+    total_slots = sum(len(column) for column in table["columns"])
     lines = [
         f"scheme {table['scheme']}, {table['mode_count']} modes, "
         f"{len(table['columns'])} columns, "
-        f"{table['slots_used']}/{slot_count} slots used",
+        f"{table['slots_used']}/{total_slots} slots used",
         f"qubit positions {table['positions']}, rail flips {table['flips']}",
     ]
     for slot in table["slots"]:
@@ -252,9 +252,8 @@ def cmd_simulate(args) -> int:
     n = circuit.qubit_count
     if args.dump_state:
         # the simulation keeps no Fock state; the dump is the full one.
-        layout = fock.QubitLayout(n)
         full = fock.run_program(
-            sim.compile_result.program, fock.prepare_computational_basis(bits, layout)
+            sim.compile_result.program, fock.prepare_computational_basis(bits, n)
         )
         with open(args.dump_state, "w", encoding="utf-8") as fh:
             fh.write(fock.format_state_dump(full))

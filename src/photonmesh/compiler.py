@@ -10,11 +10,14 @@ qubit's rails in the process, so every routed photon comes out with its
 rails flipped.  Rather than spending extra crossings to undo this, the
 compiler tracks a waveguide relabeling per logical qubit: ``positions[q]``
 is the triplet currently holding qubit ``q`` and ``flips[q]`` records
-whether its rails are exchanged.  Rail flips on the operands of an
-entangling gate are discharged with an explicit X block beforehand
-(a flipped target of a plain SWAP or CNOT would otherwise change the
-gate); the final relabeling is applied when decoding measurement
-amplitudes.
+whether its rails are exchanged.  A single-qubit gate on a flipped qubit
+is emitted conjugated by X.  Before a CZ or CNOT, each flipped operand is
+unflipped with an explicit X block: a flipped CZ operand or CNOT control
+would change the gate.  A flipped CNOT target would not, since X on the
+target commutes through a CNOT (:func:`compile_ghz_swap_variant` relies on
+this), but it is unflipped too.  A logical SWAP unflips nothing: its
+operands' flips cross over and each toggles.  The final relabeling is
+applied when decoding measurement amplitudes.
 
 Every post-selected gate is two program steps: its whole network, then the
 truncation of the two auxiliary modes it used.  A CNOT's network holds the
@@ -64,7 +67,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -74,7 +77,6 @@ from .fock import (
     LinearLayer,
     MeshBlock,
     NetworkProgram,
-    QubitLayout,
     TruncateAux,
     decode_logical,
 )
@@ -135,28 +137,6 @@ class CompileOptions:
     place: bool = True
 
 
-@dataclass
-class CascadeLedger:
-    """Record of qubit pairs that have consumed a post-selected gate.
-
-    ``pairs`` lists them in the order they were recorded; :meth:`seen` asks
-    a set beside it, so a check costs O(1) however many gates came before."""
-
-    pairs: list[frozenset[int]] = field(default_factory=list)
-    _recorded: set[frozenset[int]] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._recorded = set(self.pairs)
-
-    def seen(self, a: int, b: int) -> bool:
-        return frozenset((a, b)) in self._recorded
-
-    def record(self, a: int, b: int) -> None:
-        pair = frozenset((a, b))
-        self.pairs.append(pair)
-        self._recorded.add(pair)
-
-
 class PlacedBlock(NamedTuple):
     column: int
     top_mode: int
@@ -186,10 +166,6 @@ class MeshAssignment:
         """Each column's block tops (:func:`column_tops`), one per column."""
         m = self.mode_count
         return [column_tops(self.scheme, m, c) for c in range(column_count(self.scheme, m))]
-
-    @property
-    def slot_count(self) -> int:
-        return sum(map(len, self.tops_by_column()))
 
     def slots(self) -> Iterator[tuple[int, int, MziSetting, str]]:
         """``(column, top_mode, setting, role)`` of every slot, column by
@@ -250,7 +226,6 @@ class MeshAssignment:
 class CompileResult:
     program: NetworkProgram
     assignment: MeshAssignment | None
-    ledger: CascadeLedger
     positions: tuple[int, ...]
     flips: tuple[int, ...]
     qubit_count: int
@@ -398,7 +373,8 @@ def place_in_mesh(
     :class:`PlacementOverflow` is raised for a block that finds no column
     and, before any span is read, for a block or truncation with a mode
     outside ``0 .. mode_count - 1``: a block above mode 0 or below the last
-    mode has no slot, and a truncation there has no waveguide.
+    mode has no slot, and a truncation there has no waveguide.  A truncation
+    of no modes marks nothing and raises ``ValueError``.
     """
     if program.mode_count != mode_count:
         raise ValueError(
@@ -412,9 +388,14 @@ def place_in_mesh(
     truncations: list[TruncationMark] = []
     place = placements.append
     new = tuple.__new__  # what PlacedBlock._make calls, without the call
-    for step in program.steps:
+    for i, step in enumerate(program.steps):
         if isinstance(step, TruncateAux):
             modes = tuple(step.modes)
+            if not modes:
+                raise ValueError(
+                    f"step {i} truncates no modes, which marks nothing on the "
+                    f"{scheme} mesh on {mode_count} modes"
+                )
             if not all(0 <= m < mode_count for m in modes):
                 raise PlacementOverflow(
                     f"truncation at modes ({', '.join(map(str, modes))}) does "
@@ -602,7 +583,7 @@ class _Emitter:
         self.positions = list(range(qubit_count))
         self.qubit_at = list(range(qubit_count))
         self.flips = [0] * qubit_count
-        self.ledger = CascadeLedger()
+        self._entangled: set[frozenset[int]] = set()  # qubit pairs that had a CZ or CNOT
         self.photon_at = list(range(qubit_count))
         self.component = list(range(qubit_count))
         self.forest = True
@@ -681,12 +662,13 @@ class _Emitter:
         a, b = op.qubits
         post_selected = op.name in ("CZ", "CNOT")
         if post_selected:
-            if self.ledger.seen(a, b):
+            pair = frozenset((a, b))
+            if pair in self._entangled:
                 raise IllegalCascade(
                     f"qubits {a} and {b} already shared a post-selected gate; "
                     "cascading a second one breaks the success accounting"
                 )
-            self.ledger.record(a, b)
+            self._entangled.add(pair)
         swaps = self.route_adjacent(a, b)
         if post_selected:
             self.unflip(a)
@@ -710,7 +692,6 @@ class _Emitter:
         return CompileResult(
             program=program,
             assignment=assignment,
-            ledger=self.ledger,
             positions=tuple(self.positions),
             flips=tuple(self.flips),
             qubit_count=self.n,
@@ -762,12 +743,10 @@ def compile_ghz_swap_variant(
     em = _Emitter(3, options)
     em.single_gate(GateOp("H", (0,)))
     # CNOT(0, 1) on triplets 0-1
-    em.ledger.record(0, 1)
     em.post_selected_gate("CNOT", 0, 1)
     # route qubit 2 next to qubit 0; stays there
     em.physical_swap(1, "route q2")
     # CNOT(0, 2): target q2 now at triplet 1, rail-flipped - no correction
-    em.ledger.record(0, 2)
     em.post_selected_gate("CNOT", 0, 2)
     return em.result()
 
@@ -794,11 +773,10 @@ def simulate_circuit(
     if result.forest:
         amps, prob = fock.run_certified(result.program, input_bits, result.positions, result.flips)
     else:
-        layout = QubitLayout(circuit.qubit_count)
-        state = fock.prepare_computational_basis(input_bits, layout)
-        final = fock.run_program_pruned(result.program, state, layout)
-        projected = fock.project_qubit_structure(final, layout)
-        amps, prob = decode_logical(projected, layout, result.positions, result.flips)
+        state = fock.prepare_computational_basis(input_bits, circuit.qubit_count)
+        final = fock.run_program_pruned(result.program, state)
+        projected = fock.project_qubit_structure(final)
+        amps, prob = decode_logical(projected, result.positions, result.flips)
     return SimulationResult(
         sparse_amplitudes=amps, success_probability=prob, compile_result=result
     )

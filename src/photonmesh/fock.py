@@ -47,10 +47,14 @@ amplitudes differ from the light-cone path's by rounding only.
 
 Path encoding: qubit ``q`` of an n-qubit register owns the mode triplet
 ``(3q, 3q+1, 3q+2)`` = (auxiliary, rail 0, rail 1); logical ``|0>`` is a
-photon in rail 0 and logical ``|1>`` a photon in rail 1.  Post-selected
-two-qubit gates leave amplitude in the auxiliary modes, which is removed
-(without renormalizing) by truncation; the squared norm lost this way is
-exactly the post-selection failure probability.
+photon in rail 0 and logical ``|1>`` a photon in rail 1.  This numbering is
+fixed, so no function takes a layout: each reads the qubit count from what
+it is given, ``mode_count // 3`` of a state or program or ``len(positions)``
+of a relabeling; the projection and the light cone refuse a mode count that
+is not 3 per qubit.  Post-selected two-qubit gates leave amplitude in the
+auxiliary modes, which is removed (without renormalizing) by truncation; the
+squared norm lost this way is exactly the post-selection failure
+probability.
 """
 
 from __future__ import annotations
@@ -94,33 +98,6 @@ class PhotonicState:
 
     def squared_norm(self) -> float:
         return float(sum(abs(a) ** 2 for a in self.terms.values()))
-
-    def amplitude(self, occupation: Occupation) -> complex:
-        return self.terms.get(tuple(occupation), 0.0 + 0.0j)
-
-
-@dataclass(frozen=True)
-class QubitLayout:
-    """Mode bookkeeping for the aux/rail0/rail1 triplet per qubit."""
-
-    qubit_count: int
-
-    @property
-    def mode_count(self) -> int:
-        return 3 * self.qubit_count
-
-    def aux_mode(self, q: int) -> int:
-        return 3 * q
-
-    def zero_mode(self, q: int) -> int:
-        return 3 * q + 1
-
-    def one_mode(self, q: int) -> int:
-        return 3 * q + 2
-
-    @property
-    def aux_modes(self) -> tuple[int, ...]:
-        return tuple(3 * q for q in range(self.qubit_count))
 
 
 @dataclass(frozen=True)
@@ -214,13 +191,13 @@ class PostSelectedGate(tuple):
         moduli apart by up to two ulps, which a chain of gates would
         compound into a drift between its branches, so each coefficient
         keeps its phase and takes the mean of the four moduli."""
-        layout, network = QubitLayout(2), LinearLayer(6, self)
+        network = LinearLayer(6, self)
         rule = {}
         for i, j in ((1, 4), (1, 5), (2, 4), (2, 5)):
             occ = [0] * 6
             occ[i] = occ[j] = 1
             state = apply_linear(PhotonicState(6, {tuple(occ): 1.0 + 0.0j}), network)
-            outputs = project_qubit_structure(state, layout).projected_state.terms
+            outputs = project_qubit_structure(state).projected_state.terms
             if len(outputs) != 1:
                 raise ValueError(
                     f"post-selected gate: input {(i, j)} has {len(outputs)} outputs "
@@ -240,12 +217,10 @@ class NetworkProgram:
     mode_count: int
     steps: tuple[LinearLayer | TruncateAux, ...] = field(default_factory=tuple)
 
-    def extended(self, *more: LinearLayer | TruncateAux) -> "NetworkProgram":
-        return NetworkProgram(self.mode_count, self.steps + tuple(more))
 
-
-def prepare_computational_basis(bits, layout: QubitLayout) -> PhotonicState:
-    """One photon per qubit in the rail selected by ``bits``.
+def prepare_computational_basis(bits, qubit_count: int) -> PhotonicState:
+    """One photon per qubit of a ``qubit_count``-qubit register in the rail
+    selected by ``bits``.
 
     ``bits`` is a string like ``"010"`` or a sequence of 0/1, qubit 0 first.
     """
@@ -257,14 +232,12 @@ def prepare_computational_basis(bits, layout: QubitLayout) -> PhotonicState:
         values = [int(b) for b in bits]
         if any(v not in (0, 1) for v in values):
             raise ValueError(f"bits must be 0/1, got {values}")
-    if len(values) != layout.qubit_count:
-        raise ValueError(
-            f"{len(values)} bits for {layout.qubit_count}-qubit layout"
-        )
-    occ = [0] * layout.mode_count
+    if len(values) != qubit_count:
+        raise ValueError(f"{len(values)} bits for {qubit_count}-qubit layout")
+    occ = [0] * (3 * qubit_count)
     for q, v in enumerate(values):
-        occ[layout.one_mode(q) if v else layout.zero_mode(q)] = 1
-    return PhotonicState(layout.mode_count, {tuple(occ): 1.0 + 0.0j})
+        occ[3 * q + 1 + v] = 1
+    return PhotonicState(3 * qubit_count, {tuple(occ): 1.0 + 0.0j})
 
 
 def _pair_transform(
@@ -406,19 +379,24 @@ def amplitude_via_permanent(
     return permanent(u[np.ix_(rows, cols)]) / math.sqrt(norm)
 
 
-def qubit_structure(layout: QubitLayout) -> tuple[Check, ...]:
+def qubit_structure(qubit_count: int) -> tuple[Check, ...]:
     """The final projection, stated once, as checks in qubit order: each
     qubit's aux mode holds no photon and its rail pair one.
     :func:`project_qubit_structure` filters by them and :func:`light_cone`
     seeds its union-find from them."""
     return tuple(
         check
-        for q in range(layout.qubit_count)
-        for check in (
-            ((layout.aux_mode(q),), 0),
-            ((layout.zero_mode(q), layout.one_mode(q)), 1),
-        )
+        for q in range(qubit_count)
+        for check in (((3 * q,), 0), ((3 * q + 1, 3 * q + 2), 1))
     )
+
+
+def _qubit_count(mode_count: int, what: str) -> int:
+    """The qubits of a register on ``mode_count`` modes, three per qubit;
+    another mode count raises ``ValueError`` naming ``what`` has them."""
+    if mode_count % 3:
+        raise ValueError(f"{what} has {mode_count} modes, not 3 per qubit")
+    return mode_count // 3
 
 
 def _restrict(state: PhotonicState, checks: tuple[Check, ...]) -> PhotonicState:
@@ -437,27 +415,23 @@ def _restrict(state: PhotonicState, checks: tuple[Check, ...]) -> PhotonicState:
     return PhotonicState(state.mode_count, kept)
 
 
-def truncate_aux(state: PhotonicState, aux_modes) -> PhotonicState:
-    """Drop terms with any photon in ``aux_modes``, by one zero check per
-    mode (see :func:`_restrict`); no renormalization."""
-    return _restrict(state, tuple(((mode,), 0) for mode in aux_modes))
+def truncate_aux(state: PhotonicState, modes) -> PhotonicState:
+    """Drop terms with any photon in ``modes``, by one zero check per mode
+    (see :func:`_restrict`); no renormalization."""
+    return _restrict(state, tuple(((mode,), 0) for mode in modes))
 
 
-def project_qubit_structure(
-    state: PhotonicState, layout: QubitLayout
-) -> PostSelectionResult:
+def project_qubit_structure(state: PhotonicState) -> PostSelectionResult:
     """Keep exactly the terms with one photon per rail pair and empty aux:
-    :func:`_restrict` by the checks of :func:`qubit_structure`.
+    :func:`_restrict` by the checks of :func:`qubit_structure` for the
+    ``mode_count // 3`` qubits of ``state``.
 
     The squared norm of the kept part is the cumulative success probability
     of all post-selections (truncations included) so far, assuming a unit
     norm input to the overall program.
     """
-    if state.mode_count != layout.mode_count:
-        raise ValueError(
-            f"state has {state.mode_count} modes, layout needs {layout.mode_count}"
-        )
-    projected = _restrict(state, qubit_structure(layout))
+    checks = qubit_structure(_qubit_count(state.mode_count, "state"))
+    projected = _restrict(state, checks)
     return PostSelectionResult(projected, projected.squared_norm())
 
 
@@ -477,10 +451,7 @@ def canonical_global_phase(amps: np.ndarray) -> np.ndarray:
 
 
 def decode_logical(
-    result: PostSelectionResult,
-    layout: QubitLayout,
-    positions: tuple[int, ...] | None = None,
-    flips: tuple[int, ...] | None = None,
+    result: PostSelectionResult, positions: tuple[int, ...], flips: tuple[int, ...]
 ) -> tuple[dict[int, complex], float]:
     """Qubit amplitudes read through a waveguide relabeling, and the success
     probability of the projection.
@@ -489,13 +460,10 @@ def decode_logical(
     entry per projected term, in ascending index order; basis states the
     projection does not reach are absent and have amplitude 0, so nothing
     of size ``2**n`` is allocated (:func:`dense_amplitudes` builds the
-    vector).  Logical qubit ``q``, the most significant bit for ``q = 0``,
-    is read from triplet ``positions[q]`` and XORed with ``flips[q]``, by
-    default the identity relabeling (see :func:`_decode`).
+    vector).  Logical qubit ``q`` of the ``len(positions)`` qubits, the
+    most significant bit for ``q = 0``, is read from triplet
+    ``positions[q]`` and XORed with ``flips[q]`` (see :func:`_decode`).
     """
-    n = layout.qubit_count
-    positions = tuple(range(n)) if positions is None else positions
-    flips = (0,) * n if flips is None else flips
     rows = [(occ[2::3], amp) for occ, amp in result.projected_state.terms.items()]
     return _decode(rows, positions, flips), result.success_probability
 
@@ -532,7 +500,7 @@ def dense_amplitudes(amplitudes: dict[int, complex], qubit_count: int) -> np.nda
     return dense
 
 
-def light_cone(program: NetworkProgram, layout: QubitLayout) -> tuple[tuple[Check, ...], ...]:
+def light_cone(program: NetworkProgram) -> tuple[tuple[Check, ...], ...]:
     """The checks to filter the fold's state by after each program step: a
     term passes a check ``(slots, count)`` when it holds exactly ``count``
     photons in ``slots``, slots of the fold's frame (see :func:`_lower`).
@@ -541,7 +509,8 @@ def light_cone(program: NetworkProgram, layout: QubitLayout) -> tuple[tuple[Chec
     whole partition in force would keep.
 
     A backward union-find pass over slots from the final projection, one
-    block per check of :func:`qubit_structure` at the final frame's slots.
+    block per check of :func:`qubit_structure`, for the program's
+    ``mode_count // 3`` qubits, at the final frame's slots.
     Photons change slots only at mixing blocks, so, walking the lowered
     steps in reverse, it joins the two slots of each mix and adds the
     blocks' required counts; a crossing or a pure phase joins nothing.
@@ -553,18 +522,17 @@ def light_cone(program: NetworkProgram, layout: QubitLayout) -> tuple[tuple[Chec
     smaller member lists into the largest, so a slot moves at most
     ``log2(m)`` times for ``m`` slots.
     """
-    return _cone(_lower(program, False), layout)
+    return _cone(_lower(program, False))
 
 
-def _cone(lowering, layout: QubitLayout) -> tuple[tuple[Check, ...], ...]:
+def _cone(lowering) -> tuple[tuple[Check, ...], ...]:
     """:func:`light_cone` of a program lowered by ``_lower(program, False)``."""
     lowered, pos, _ = lowering
-    if len(pos) != layout.mode_count:
-        raise ValueError(f"program has {len(pos)} modes, layout needs {layout.mode_count}")
+    checks = qubit_structure(_qubit_count(len(pos), "program"))
     block = [0] * len(pos)  # block[slot]: the block holding ``slot``
     required: list[int] = []
     members: dict[int, list[int]] = {}
-    for label, (modes, count) in enumerate(qubit_structure(layout)):
+    for label, (modes, count) in enumerate(checks):
         required.append(count)
         members[label] = [pos[mode] for mode in modes]
         for mode in modes:
@@ -777,11 +745,7 @@ def run_program(program: NetworkProgram, state: PhotonicState) -> PhotonicState:
     return _fold(state, _lower(program, False), None)
 
 
-def run_program_pruned(
-    program: NetworkProgram,
-    state: PhotonicState,
-    layout: QubitLayout,
-) -> PhotonicState:
+def run_program_pruned(program: NetworkProgram, state: PhotonicState) -> PhotonicState:
     """:func:`run_program` that drops, after each step, every term that can
     never pass :func:`project_qubit_structure` (see :func:`light_cone`).
 
@@ -792,10 +756,10 @@ def run_program_pruned(
     in insertion order, and a dropped term's descendants never share an
     occupation with a kept term's.  The test is only a necessary condition,
     so circuits outside the forest envelope keep their deviating output.  A
-    ``layout`` of another mode count raises ``ValueError``.
+    program whose mode count is not 3 per qubit raises ``ValueError``.
     """
     lowering = _lower(program, False)
-    return _fold(state, lowering, _cone(lowering, layout))
+    return _fold(state, lowering, _cone(lowering))
 
 
 def _photon(top: int, bottom: int) -> int | None:
@@ -876,7 +840,7 @@ def run_certified(
     a rail pair.  :func:`run_program_pruned` folds such programs.
     """
     n = len(positions)
-    (occ,) = prepare_computational_basis(bits, QubitLayout(n)).terms
+    (occ,) = prepare_computational_basis(bits, n).terms
     if program.mode_count != 3 * n:
         raise ValueError(f"program has {program.mode_count} modes, layout needs {3 * n}")
     terms = {sum(occ[3 * p + 2] << p for p in range(n)): 1.0 + 0.0j}

@@ -45,7 +45,6 @@ from photonmesh.fock import (
     NetworkProgram,
     PhotonicState,
     PostSelectionResult,
-    QubitLayout,
     TruncateAux,
     apply_linear,
     decode_logical,
@@ -258,13 +257,12 @@ def fused_fold_problems(result, bits: str, unfused: PhotonicState | None = None)
     :data:`FUSED_AMPLITUDE_TOL` and the success probability within
     :data:`FUSED_PROBABILITY_RTOL_PER_GATE` relative times the number of
     post-selected gates.  Returns the broken clauses."""
-    layout = QubitLayout(result.qubit_count)
     if unfused is None:
-        state = prepare_computational_basis(bits, layout)
-        unfused = project_qubit_structure(run_program(result.program, state), layout).projected_state
+        state = prepare_computational_basis(bits, result.qubit_count)
+        unfused = project_qubit_structure(run_program(result.program, state)).projected_state
     got, p = run_certified(result.program, bits, result.positions, result.flips)
     want, q = decode_logical(
-        PostSelectionResult(unfused, unfused.squared_norm()), layout, result.positions, result.flips
+        PostSelectionResult(unfused, unfused.squared_norm()), result.positions, result.flips
     )
     if list(got) != list(want):
         return ["basis indices or their order differ"]
@@ -333,7 +331,7 @@ def logical_checks(checks, pos: tuple[int, ...]) -> tuple[Check, ...]:
 
 
 def reference_light_cone(
-    program: NetworkProgram, layout: QubitLayout, forest: bool = False
+    program: NetworkProgram, forest: bool = False
 ) -> tuple[tuple[Check, ...] | None, ...]:
     """The full partition of the fold's slots in force after each program
     step, as the checks of all its blocks, or ``None`` after a step where
@@ -341,9 +339,10 @@ def reference_light_cone(
     :func:`photonmesh.fock.light_cone`'s checks.
 
     A backward union-find pass over slots, from the checks of
-    :func:`qubit_structure` at the final frame's slots, that joins the two
-    slots of every mixing block of a layer (see ``_reference_walk``) and
-    builds the whole partition again after every layer that joins blocks.
+    :func:`qubit_structure`, for the program's ``mode_count // 3`` qubits,
+    at the final frame's slots, that joins the two slots of every mixing
+    block of a layer (see ``_reference_walk``) and builds the whole
+    partition again after every layer that joins blocks.
     The entry is given after step 0, after every joining layer and, with
     ``forest``, after every truncation, with the slots of each truncated
     aux mode's rail pair split out as a block that must hold one photon:
@@ -351,11 +350,11 @@ def reference_light_cone(
     rule, and at the end of a compiled program.  ``logical_checks`` reads
     an entry on a state materialized at its step.
     """
-    m = layout.mode_count
+    m = program.mode_count
     walk = _reference_walk(program)
     final = walk[-1][1] if walk else tuple(range(m))
     parent, required = list(range(m)), [0] * m
-    for modes, count in qubit_structure(layout):
+    for modes, count in qubit_structure(m // 3):
         slots = sorted(final[mode] for mode in modes)
         required[slots[0]] = count
         for slot in slots:
@@ -489,13 +488,20 @@ def reference_place_in_mesh(program: NetworkProgram, scheme: str, mode_count: in
     of every step's blocks in the order the step holds them, scanning the
     stored column grid one column at a time; raises
     :class:`PlacementOverflow` with the compiler's message, also for a
-    block or truncation with a mode off either edge of the mesh."""
+    block or truncation with a mode off either edge of the mesh, and
+    ``ValueError`` with the compiler's message for a truncation of no
+    modes."""
     columns = reference_mesh_columns(scheme, mode_count)
     col_sets = [frozenset(c) for c in columns]
     free = [0] * mode_count
     placements, truncations = [], []
-    for step in program.steps:
+    for i, step in enumerate(program.steps):
         if isinstance(step, TruncateAux):
+            if not step.modes:
+                raise ValueError(
+                    f"step {i} truncates no modes, which marks nothing on the "
+                    f"{scheme} mesh on {mode_count} modes"
+                )
             if any(m < 0 or m >= mode_count for m in step.modes):
                 raise PlacementOverflow(
                     f"truncation at modes ({', '.join(str(m) for m in step.modes)}) "

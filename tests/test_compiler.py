@@ -18,7 +18,6 @@ import pytest
 
 from photonmesh import fock, gates
 from photonmesh.compiler import (
-    CascadeLedger,
     CircuitIR,
     CircuitParseError,
     CompileOptions,
@@ -320,18 +319,21 @@ def test_ghz_swap_variant_relabeling_and_state():
     assert result.assignment is None
     assert result.positions == (0, 2, 1)
     assert result.flips == (0, 1, 1)
-    assert [tuple(sorted(p)) for p in result.ledger.pairs] == [(0, 1), (0, 2)]
-    layout = fock.QubitLayout(3)
-    state = fock.prepare_computational_basis("000", layout)
+    gate_labels = [
+        step.label for step in result.program.steps
+        if isinstance(step, fock.LinearLayer) and isinstance(step.blocks, fock.PostSelectedGate)
+    ]
+    assert gate_labels == ["CNOT q0-q1", "CNOT q0-q2"]
+    state = fock.prepare_computational_basis("000", 3)
     final = fock.run_program(result.program, state)
-    projected = fock.project_qubit_structure(final, layout)
-    amps, prob = decode_logical(projected, layout, result.positions, result.flips)
+    projected = fock.project_qubit_structure(final)
+    amps, prob = decode_logical(projected, result.positions, result.flips)
     expected = np.zeros(8, dtype=complex)
     expected[0b000] = expected[0b111] = 1 / np.sqrt(2)
     assert state_fidelity(fock.dense_amplitudes(amps, 3), expected) > 1 - 1e-10
     assert prob == pytest.approx(1 / 81, abs=1e-10)
     # read positionally (no relabeling) the photons sit in (|011> + |100>)/sqrt(2)
-    raw, _ = decode_logical(projected, layout, (0, 1, 2), (0, 0, 0))
+    raw, _ = decode_logical(projected, (0, 1, 2), (0, 0, 0))
     raw = fock.dense_amplitudes(raw, 3)
     assert abs(raw[0b011]) == pytest.approx(1 / np.sqrt(2), abs=1e-10)
     assert abs(raw[0b100]) == pytest.approx(1 / np.sqrt(2), abs=1e-10)
@@ -452,7 +454,7 @@ def test_illegal_cascade_detection():
         compile_circuit(circuit, CompileOptions(place=False))
 
 
-def test_cascade_ledger_is_orientation_blind_and_swap_proof():
+def test_cascade_refusal_is_orientation_blind_and_swap_proof():
     circuit = parse_circuit(
         {
             "qubits": 2,
@@ -468,11 +470,7 @@ def test_cascade_ledger_is_orientation_blind_and_swap_proof():
 
 
 @pytest.mark.parametrize("again", [(0, 3), (3, 0)], ids=["same", "reversed"])
-def test_cascade_ledger_rejects_a_repeated_pair_in_either_orientation(again):
-    ledger = CascadeLedger()
-    ledger.record(0, 3)
-    assert ledger.seen(*again)
-    assert not ledger.seen(0, 2) and not ledger.seen(3, 1)
+def test_cascade_refusal_catches_a_routed_pair_in_either_orientation(again):
     # a routed pair, after other gates, is still refused
     ops = [
         {"g": "CZ", "c": 0, "t": 3},
@@ -481,27 +479,6 @@ def test_cascade_ledger_rejects_a_repeated_pair_in_either_orientation(again):
     ]
     with pytest.raises(IllegalCascade):
         compile_circuit(parse_circuit({"qubits": 4, "gates": ops}), CompileOptions(place=False))
-
-
-def test_cascade_ledger_checks_a_set_not_the_pair_list():
-    # seen() must not scan ``pairs``, or compile time grows quadratically
-    # with the number of post-selected gates
-    class Unscannable(list):
-        def __iter__(self):
-            raise AssertionError("seen() scanned the pair list")
-
-        def __contains__(self, item):
-            raise AssertionError("seen() scanned the pair list")
-
-    ledger = CascadeLedger()
-    ledger.record(2, 5)
-    ledger.pairs = Unscannable(ledger.pairs)
-    ledger.record(4, 1)
-    assert ledger.seen(5, 2) and ledger.seen(1, 4)
-    assert not ledger.seen(1, 2)
-    assert list.__eq__(ledger.pairs, [frozenset((2, 5)), frozenset((1, 4))])
-    # a ledger built from recorded pairs knows them
-    assert CascadeLedger([frozenset((2, 5))]).seen(5, 2)
 
 
 def test_distinct_pairs_do_not_cascade():
@@ -638,13 +615,10 @@ def test_pruned_fold_projects_exactly_like_unpruned_fold():
         n = 3 + case % 3 // 2
         circuit = _random_circuit(rng, n, 14, forest)
         program = compile_circuit(circuit, options).program
-        layout = fock.QubitLayout(n)
         bits = "".join(str(int(rng.integers(0, 2))) for _ in range(n))
-        state = fock.prepare_computational_basis(bits, layout)
-        full = fock.project_qubit_structure(fock.run_program(program, state), layout)
-        pruned = fock.project_qubit_structure(
-            fock.run_program_pruned(program, state, layout), layout
-        )
+        state = fock.prepare_computational_basis(bits, n)
+        full = fock.project_qubit_structure(fock.run_program(program, state))
+        pruned = fock.project_qubit_structure(fock.run_program_pruned(program, state))
         assert list(pruned.projected_state.terms.items()) == list(
             full.projected_state.terms.items()
         )
@@ -684,15 +658,14 @@ def test_the_light_cone_prunes_through_routing(monkeypatch, n, gates, most):
     circuit = parse_circuit({"qubits": n, "gates": gates})
     result = compile_circuit(circuit, CompileOptions(place=False))
     assert not result.forest
-    layout = fock.QubitLayout(n)
-    state = fock.prepare_computational_basis("0" * n, layout)
+    state = fock.prepare_computational_basis("0" * n, n)
     entered = []
     mix = fock._mix
     monkeypatch.setattr(fock, "_mix", lambda terms, *a: entered.append(len(terms)) or mix(terms, *a))
-    final = fock.run_program_pruned(result.program, state, layout)
+    final = fock.run_program_pruned(result.program, state)
     assert sum(entered) <= most
-    pruned = fock.project_qubit_structure(final, layout)
-    full = fock.project_qubit_structure(fock.run_program(result.program, state), layout)
+    pruned = fock.project_qubit_structure(final)
+    full = fock.project_qubit_structure(fock.run_program(result.program, state))
     assert pruned == full
     assert list(pruned.projected_state.terms) == list(full.projected_state.terms)
 
@@ -714,11 +687,10 @@ def test_light_cone_checks_keep_what_the_full_partition_keeps():
         n = 3 + case % 3
         circuit = _random_circuit(rng, n, 14, forest=case % 2 == 0)
         program = compile_circuit(circuit, options).program
-        layout = fock.QubitLayout(n)
         bits = "".join(str(int(rng.integers(0, 2))) for _ in range(n))
-        start = fock.prepare_computational_basis(bits, layout)
-        cone = fock.light_cone(program, layout)
-        reference = reference_light_cone(program, layout)
+        start = fock.prepare_computational_basis(bits, n)
+        cone = fock.light_cone(program)
+        reference = reference_light_cone(program)
         assert [bool(checks) for checks in cone] == [p is not None for p in reference]
         state = start
         entries = zip(program.steps, cone, reference, reference_frames(program))
@@ -741,9 +713,9 @@ def test_light_cone_checks_keep_what_the_full_partition_keeps():
                 prefix = fock.NetworkProgram(3 * n, program.steps[: i + 1])
                 folded = fock._fold(start, fock._lower(prefix, False), cone[: i + 1])
                 assert list(folded.terms) == list(state.terms)
-        pruned = fock.run_program_pruned(program, start, layout)
+        pruned = fock.run_program_pruned(program, start)
         assert list(pruned.terms) == list(state.terms)
-        final = keep_checked(state, fock.qubit_structure(layout))
+        final = keep_checked(state, fock.qubit_structure(n))
         assert list(final.terms) == list(state.terms)
         entanglers = [op.qubits for op in circuit.gates if op.name in ("CZ", "CNOT")]
         cyclic += len(entanglers) >= n
@@ -805,12 +777,11 @@ def test_shared_blocks_act_like_absolute_blocks(options):
         shifted += sum(layer.offset != 0 for layer in layers)
         assert all(layer.offset == 0 for layer in flat.steps if isinstance(layer, fock.LinearLayer))
         n = circuit.qubit_count
-        layout = fock.QubitLayout(n)
-        assert fock.light_cone(program, layout) == fock.light_cone(flat, layout)
+        assert fock.light_cone(program) == fock.light_cone(flat)
         bits = "".join(str(int(rng.integers(0, 2))) for _ in range(n))
-        state = fock.prepare_computational_basis(bits, layout)
-        shared = fock.run_program_pruned(program, state, layout)
-        absolute = fock.run_program_pruned(flat, state, layout)
+        state = fock.prepare_computational_basis(bits, n)
+        shared = fock.run_program_pruned(program, state)
+        absolute = fock.run_program_pruned(flat, state)
         assert list(shared.terms.items()) == list(absolute.terms.items())
         try:
             expected = place_in_mesh(flat, "clements", 3 * n)
@@ -963,12 +934,11 @@ def test_network_steps_act_like_per_layer_steps(options):
             assert outcome == _placement(layered, scheme)
             outcomes["overflow" if isinstance(outcome, str) else "placed"] += 1
         n = circuit.qubit_count
-        layout = fock.QubitLayout(n)
         for _ in range(2):
             bits = "".join(str(int(rng.integers(0, 2))) for _ in range(n))
-            state = fock.prepare_computational_basis(bits, layout)
-            network = fock.run_program_pruned(program, state, layout)
-            per_layer = fock.run_program_pruned(layered, state, layout)
+            state = fock.prepare_computational_basis(bits, n)
+            network = fock.run_program_pruned(program, state)
+            per_layer = fock.run_program_pruned(layered, state)
             assert list(network.terms.items()) == list(per_layer.terms.items())
             if n <= 9:  # the unpruned fold carries every failure term
                 full = fock.run_program(program, state)
@@ -1061,14 +1031,13 @@ def test_certified_runs_match_the_light_cone_path(monkeypatch):
             result = compile_ghz_swap_variant(options)
         else:
             result = compile_circuit(circuit, options)
-        layout = fock.QubitLayout(result.qubit_count)
-        state = fock.prepare_computational_basis(bits, layout)
-        cone = fock.run_program_pruned(result.program, state, layout)
-        projected = fock.project_qubit_structure(cone, layout)
+        state = fock.prepare_computational_basis(bits, result.qubit_count)
+        cone = fock.run_program_pruned(result.program, state)
+        projected = fock.project_qubit_structure(cone)
         seen[result.forest].add(options)
         if not result.forest:
             sim = simulate_circuit(circuit, bits, options)
-            amps, p = decode_logical(projected, layout, result.positions, result.flips)
+            amps, p = decode_logical(projected, result.positions, result.flips)
             assert list(sim.sparse_amplitudes.items()) == list(amps.items())
             assert sim.success_probability == p
             continue
@@ -1238,7 +1207,7 @@ def test_a_rule_built_without_the_projection_raises(monkeypatch, form, h_top):
     monkeypatch.setattr(
         fock,
         "project_qubit_structure",
-        lambda state, layout: fock.PostSelectionResult(state, state.squared_norm()),
+        lambda state: fock.PostSelectionResult(state, state.squared_norm()),
     )
     refused = r"input \(1, 4\) has \d+ outputs that pass the projection, not one"
     with pytest.raises(ValueError, match=refused):
@@ -1372,12 +1341,11 @@ def test_a_certified_fold_refuses_split_rebuilt_and_hand_built_gates(rebuild, op
         result = compile_circuit(circuit, options)
         program = rebuild(result.program)
         bits = "0" * circuit.qubit_count
-        layout = fock.QubitLayout(circuit.qubit_count)
-        state = fock.prepare_computational_basis(bits, layout)
+        state = fock.prepare_computational_basis(bits, circuit.qubit_count)
         with pytest.raises(ValueError, match="outside the steps of a post-selected gate"):
             fock.run_certified(program, bits, result.positions, result.flips)
-        full = fock.project_qubit_structure(fock.run_program(program, state), layout)
-        pruned = fock.run_program_pruned(program, state, layout)
+        full = fock.project_qubit_structure(fock.run_program(program, state))
+        pruned = fock.run_program_pruned(program, state)
         assert list(pruned.terms.items()) == list(full.projected_state.terms.items())
 
 
@@ -1447,15 +1415,14 @@ def test_every_truncation_directly_follows_its_gate_network(options):
 def test_simulate_decodes_a_certified_circuit_like_the_projected_full_fold():
     circuit = bell_circuit()
     sim = simulate_circuit(circuit)
-    layout = fock.QubitLayout(2)
-    state = fock.prepare_computational_basis("00", layout)
+    state = fock.prepare_computational_basis("00", 2)
     full = fock.run_program(sim.compile_result.program, state)
-    projected = fock.project_qubit_structure(full, layout)
+    projected = fock.project_qubit_structure(full)
     assert len(full.terms) > len(projected.projected_state.terms)
     # the certified fold fuses each gate: the same basis indices, amplitudes
     # within the fused rule's contract
     result = sim.compile_result
-    amps, p = decode_logical(projected, layout, result.positions, result.flips)
+    amps, p = decode_logical(projected, result.positions, result.flips)
     assert list(sim.sparse_amplitudes) == list(amps) == [0b00, 0b11]
     assert sim.success_probability == pytest.approx(p, rel=1e-15)
     assert fused_fold_problems(result, "00") == []
@@ -1528,7 +1495,7 @@ def test_mesh_geometry_matches_the_column_grid(scheme):
             assert slots == list(range(first, last + 1, 2))
         assignment = MeshAssignment(scheme, m, (), ())
         assert list(map(tuple, assignment.tops_by_column())) == list(grid)
-        assert assignment.slot_count == sum(map(len, grid))
+        assert sum(map(len, assignment.tops_by_column())) == sum(map(len, grid))
         assert [(c, t) for c, t, _, _ in assignment.slots()] == [
             (c, t) for c, tops in enumerate(grid) for t in tops
         ]
@@ -1569,25 +1536,36 @@ def test_place_in_mesh_matches_the_column_scan(scheme, restore):
         fock.TruncateAux((-1,)),
     ):
         programs.append(fock.NetworkProgram(6, (step,)))
+    # a truncation of no modes marks nothing, wherever it stands
+    empty = fock.TruncateAux(())
+    programs.append(fock.NetworkProgram(6, (empty,)))
+    programs.append(fock.NetworkProgram(6, (fock.TruncateAux((0,)), empty)))
     outcomes = collections.Counter()
     for program in programs:
         m = program.mode_count
         try:
             expected = reference_place_in_mesh(program, scheme, m)
-        except PlacementOverflow as overflow:
-            outcomes["overflow"] += 1
-            with pytest.raises(PlacementOverflow) as info:
+        except (PlacementOverflow, ValueError) as refusal:
+            outcomes["overflow" if isinstance(refusal, PlacementOverflow) else "empty"] += 1
+            with pytest.raises(type(refusal)) as info:
                 place_in_mesh(program, scheme, m)
-            assert type(info.value) is type(overflow)
-            assert str(info.value) == str(overflow)
+            assert type(info.value) is type(refusal)
+            assert str(info.value) == str(refusal)
             continue
         outcomes["placed"] += 1
         assignment = place_in_mesh(program, scheme, m)
         assert (assignment.placements, assignment.truncations) == expected
-    # both outcomes are exercised, and every off-edge step is refused
+    # both outcomes are exercised, every off-edge step is refused, and so
+    # is each empty truncation, by its step index
     assert outcomes["placed"] >= 5 and outcomes["overflow"] >= 5, outcomes
-    for program in programs[-4:]:
+    assert outcomes["empty"] == 2, outcomes
+    for program in programs[-6:-2]:
         with pytest.raises(PlacementOverflow, match="does not fit the"):
+            place_in_mesh(program, scheme, 6)
+    for index, program in enumerate(programs[-2:]):
+        with pytest.raises(
+            ValueError, match=f"^step {index} truncates no modes, .* {scheme} mesh on 6 modes$"
+        ):
             place_in_mesh(program, scheme, 6)
 
 
@@ -1693,8 +1671,8 @@ def test_place_single_block_and_identity_slots():
     assert table["mode_count"] == 3
     assert len(table["slots"]) == len(assignment.placements)
     assert [(s["column"], s["top_mode"], s["role"]) for s in table["slots"]] == [(0, 0, "H")]
-    # the other slot_count - 1 slots are parked at the exact identity quadruple
-    assert assignment.slot_count - len(table["slots"]) == 2
+    # the other two slots are parked at the exact identity quadruple
+    assert sum(map(len, assignment.tops_by_column())) - len(table["slots"]) == 2
     assert table["idle"] == {"theta1": np.pi, "theta2": 0.0, "phi1": np.pi, "phi2": 0.0}
 
 
@@ -1735,11 +1713,10 @@ def test_truncation_marks_recorded_in_assignment():
 def test_mesh_phase_table_reproduces_bell_state():
     result = compile_circuit(bell_circuit())
     rebuilt = assignment_program(result.assignment)
-    layout = fock.QubitLayout(2)
-    state = fock.prepare_computational_basis("00", layout)
+    state = fock.prepare_computational_basis("00", 2)
     final = fock.run_program(rebuilt, state)
-    projected = fock.project_qubit_structure(final, layout)
-    amps, prob = decode_logical(projected, layout, result.positions, result.flips)
+    projected = fock.project_qubit_structure(final)
+    amps, prob = decode_logical(projected, result.positions, result.flips)
     sim = simulate_circuit(bell_circuit())
     assert np.max(np.abs(fock.dense_amplitudes(amps, 2) - sim.amplitudes)) < 1e-10
     assert prob == pytest.approx(sim.success_probability, abs=1e-12)
@@ -1749,11 +1726,10 @@ def test_mesh_phase_table_reproduces_bell_state_on_reck():
     result = compile_circuit(bell_circuit(), CompileOptions(scheme="reck"))
     assert result.assignment.scheme == "reck"
     rebuilt = assignment_program(result.assignment)
-    layout = fock.QubitLayout(2)
-    state = fock.prepare_computational_basis("00", layout)
+    state = fock.prepare_computational_basis("00", 2)
     final = fock.run_program(rebuilt, state)
-    projected = fock.project_qubit_structure(final, layout)
-    amps, prob = decode_logical(projected, layout, result.positions, result.flips)
+    projected = fock.project_qubit_structure(final)
+    amps, prob = decode_logical(projected, result.positions, result.flips)
     sim = simulate_circuit(bell_circuit())
     assert np.max(np.abs(fock.dense_amplitudes(amps, 2) - sim.amplitudes)) < 1e-10
 

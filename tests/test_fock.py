@@ -26,7 +26,6 @@ from photonmesh.fock import (
     NetworkProgram,
     PhotonicState,
     PostSelectionResult,
-    QubitLayout,
     TruncateAux,
     amplitude_via_permanent,
     apply_linear,
@@ -72,23 +71,24 @@ def splitter_layer(m: int, top: int) -> LinearLayer:
     return LinearLayer(m, (MeshBlock(top, BS_SETTING, "BS"),))
 
 
-def test_layout_mode_roles():
-    layout = QubitLayout(3)
-    assert layout.mode_count == 9
-    assert (layout.aux_mode(1), layout.zero_mode(1), layout.one_mode(1)) == (3, 4, 5)
-    assert layout.aux_modes == (0, 3, 6)
+def test_qubit_q_owns_modes_3q_to_3q_plus_2():
+    # aux 3q, rail 0 at 3q + 1 and rail 1 at 3q + 2, read from the count alone
+    assert qubit_structure(3) == (
+        ((0,), 0), ((1, 2), 1), ((3,), 0), ((4, 5), 1), ((6,), 0), ((7, 8), 1)
+    )
+    (occ,) = prepare_computational_basis("010", 3).terms
+    assert [mode for mode, n in enumerate(occ) if n] == [1, 5, 7]
 
 
 def test_prepare_computational_basis_occupations():
-    layout = QubitLayout(2)
-    state = prepare_computational_basis("01", layout)
+    state = prepare_computational_basis("01", 2)
     assert state.terms == {(0, 1, 0, 0, 0, 1): 1.0 + 0.0j}
-    same = prepare_computational_basis([0, 1], layout)
+    same = prepare_computational_basis([0, 1], 2)
     assert same.terms == state.terms
     with pytest.raises(ValueError):
-        prepare_computational_basis("0x", layout)
+        prepare_computational_basis("0x", 2)
     with pytest.raises(ValueError):
-        prepare_computational_basis("0", layout)
+        prepare_computational_basis("0", 2)
 
 
 def test_single_photon_amplitudes_follow_matrix_row():
@@ -99,7 +99,7 @@ def test_single_photon_amplitudes_follow_matrix_row():
     out = run_layers(state, mesh)
     for k in range(4):
         occ = tuple(1 if j == k else 0 for j in range(4))
-        assert abs(out.amplitude(occ) - t[1, k]) < 1e-12
+        assert abs(out.terms.get(occ, 0j) - t[1, k]) < 1e-12
 
 
 def test_apply_linear_preserves_norm():
@@ -149,15 +149,15 @@ def test_apply_linear_matches_permanent_formula():
         for combo in itertools.combinations_with_replacement(range(m), sum(occ)):
             target = tuple(combo.count(mode) for mode in range(m))
             ref = amplitude_via_permanent(t, occ, target)
-            assert abs(out.amplitude(target) - ref) < 1e-11
+            assert abs(out.terms.get(target, 0j) - ref) < 1e-11
 
 
 def test_hong_ou_mandel_bunching():
     state = PhotonicState(2, {(1, 1): 1.0 + 0.0j})
     out = apply_linear(state, splitter_layer(2, 0))
-    assert abs(out.amplitude((1, 1))) < 1e-12
-    assert abs(out.amplitude((2, 0)) - 1j / np.sqrt(2)) < 1e-12
-    assert abs(out.amplitude((0, 2)) - 1j / np.sqrt(2)) < 1e-12
+    assert abs(out.terms.get((1, 1), 0j)) < 1e-12
+    assert abs(out.terms.get((2, 0), 0j) - 1j / np.sqrt(2)) < 1e-12
+    assert abs(out.terms.get((0, 2), 0j) - 1j / np.sqrt(2)) < 1e-12
     assert out.squared_norm() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -224,7 +224,7 @@ def test_packed_keys_hold_every_photon_of_the_largest_term():
     assert set(out.terms) == {(4, 0), (2, 2), (0, 4)}
     for p in range(5):
         ref = amplitude_via_permanent(u, (2, 2), (p, 4 - p))
-        assert abs(out.amplitude((p, 4 - p)) - ref) < 1e-12
+        assert abs(out.terms.get((p, 4 - p), 0j) - ref) < 1e-12
     # a 1-photon term first and a 4-photon term after it: the width comes
     # from the largest term, not the first
     rng = np.random.default_rng(83)
@@ -243,7 +243,7 @@ def test_packed_keys_hold_every_photon_of_the_largest_term():
                 for occ, amp in inputs.items()
                 if sum(occ) == photons
             )
-            assert abs(out.amplitude(target) - ref) < 1e-12
+            assert abs(out.terms.get(target, 0j) - ref) < 1e-12
 
 
 def test_amplitude_via_permanent_validates_inputs():
@@ -258,7 +258,7 @@ def test_prune_threshold_drops_dust():
     state = PhotonicState(2, {(1, 0): 1.0 + 0.0j, (0, 1): 1e-20 + 0.0j})
     out = apply_linear(state, LinearLayer(2, ()))
     assert (0, 1) not in out.terms
-    assert out.amplitude((1, 0)) == 1.0 + 0.0j
+    assert out.terms.get((1, 0), 0j) == 1.0 + 0.0j
     assert PRUNE_THRESHOLD == 1e-14
 
 
@@ -272,7 +272,6 @@ def test_truncate_aux_drops_photonful_terms_without_renormalizing():
 
 
 def test_project_qubit_structure_keeps_one_photon_per_rail_pair():
-    layout = QubitLayout(1)
     state = PhotonicState(
         3,
         {
@@ -282,7 +281,7 @@ def test_project_qubit_structure_keeps_one_photon_per_rail_pair():
             (0, 2, 0): 0.5 + 0.0j,  # doubly occupied rail
         },
     )
-    result = project_qubit_structure(state, layout)
+    result = project_qubit_structure(state)
     assert set(result.projected_state.terms) == {(0, 1, 0), (0, 0, 1)}
     assert result.success_probability == pytest.approx(0.5, abs=1e-12)
 
@@ -295,12 +294,12 @@ def test_projection_and_truncation_filter_as_their_checks_do():
     rng = np.random.default_rng(29)
     seen = {"kept": 0, "multi": 0, "aux": 0, "doubled": 0, "empty": 0}
     for case in range(60):
-        layout = QubitLayout(1 + case % 4)
-        m = layout.mode_count
+        n = 1 + case % 4
+        m = 3 * n
         terms = {}
         for _ in range(int(rng.integers(1, 40))):
             occ = [0] * m
-            for q in range(layout.qubit_count):
+            for q in range(n):
                 occ[3 * q + 1 + int(rng.integers(0, 2))] = 1
             for _ in range(int(rng.integers(0, 3))):  # misplace or add photons
                 mode = int(rng.integers(0, m))
@@ -308,19 +307,19 @@ def test_projection_and_truncation_filter_as_their_checks_do():
             terms[tuple(occ)] = complex(rng.normal(), rng.normal())
         state = PhotonicState(m, terms)
         for occ in terms:
-            pairs = [occ[3 * q + 1] + occ[3 * q + 2] for q in range(layout.qubit_count)]
+            pairs = [occ[3 * q + 1] + occ[3 * q + 2] for q in range(n)]
             seen["multi"] += max(occ) > 1
             seen["aux"] += any(occ[0::3])
             seen["doubled"] += max(pairs) > 1
             seen["empty"] += min(pairs) == 0
 
-        result = project_qubit_structure(state, layout)
-        want = keep_checked(state, qubit_structure(layout))
+        result = project_qubit_structure(state)
+        want = keep_checked(state, qubit_structure(n))
         assert list(result.projected_state.terms.items()) == list(want.terms.items())
         assert result.success_probability == want.squared_norm()
         seen["kept"] += len(want.terms)
 
-        modes = layout.aux_modes if case % 2 else tuple(rng.choice(m, size=2, replace=True))
+        modes = tuple(range(0, m, 3)) if case % 2 else tuple(rng.choice(m, size=2, replace=True))
         got = truncate_aux(state, modes)
         want = keep_checked(state, tuple(((int(mode),), 0) for mode in modes))
         assert list(got.terms.items()) == list(want.terms.items())
@@ -329,7 +328,6 @@ def test_projection_and_truncation_filter_as_their_checks_do():
 
 
 def test_decode_qubits_msb_first_and_canonical_phase():
-    layout = QubitLayout(2)
     state = PhotonicState(
         6,
         {
@@ -337,7 +335,7 @@ def test_decode_qubits_msb_first_and_canonical_phase():
             (0, 0, 1, 0, 0, 1): -1.0 / np.sqrt(2),  # |11>
         },
     )
-    amps, prob = decode_logical(project_qubit_structure(state, layout), layout)
+    amps, prob = decode_logical(project_qubit_structure(state), (0, 1), (0, 0))
     assert prob == pytest.approx(1.0, abs=1e-12)
     # sparse, in ascending index order, though |11> sorts first as an occupation
     assert list(amps) == [0b00, 0b11]
@@ -347,32 +345,16 @@ def test_decode_qubits_msb_first_and_canonical_phase():
 
 
 def test_decode_qubits_raises_when_nothing_survives():
-    layout = QubitLayout(1)
     state = PhotonicState(3, {(1, 0, 0): 1.0 + 0.0j})
     with pytest.raises(ValueError):
-        decode_logical(project_qubit_structure(state, layout), layout)
+        decode_logical(project_qubit_structure(state), (0,), (0,))
 
 
 def test_decode_logical_raises_before_the_dense_vector():
     # decoding allocates nothing of size 2**40 (16 TiB as a dense vector)
-    layout = QubitLayout(40)
     empty = PostSelectionResult(PhotonicState(120, {}), 0.0)
     with pytest.raises(ValueError, match="no qubit-structure amplitude"):
-        decode_logical(empty, layout)
-
-
-def test_decode_logical_defaults_to_identity_relabeling():
-    layout = QubitLayout(3)
-    rng = np.random.default_rng(7)
-    terms = {}
-    for bits in ("000", "011", "101", "110"):
-        occ = prepare_computational_basis(bits, layout).terms.popitem()[0]
-        terms[occ] = complex(rng.normal(), rng.normal())
-    result = project_qubit_structure(PhotonicState(9, terms), layout)
-    amps, prob = decode_logical(result, layout)
-    ref, ref_prob = decode_logical(result, layout, (0, 1, 2), (0, 0, 0))
-    assert list(amps.items()) == list(ref.items())
-    assert prob == ref_prob
+        decode_logical(empty, tuple(range(40)), (0,) * 40)
 
 
 def test_canonical_global_phase_anchor():
@@ -384,7 +366,6 @@ def test_canonical_global_phase_anchor():
 
 
 def test_run_program_matches_manual_steps():
-    layout = QubitLayout(1)
     state = PhotonicState(3, {(1, 1, 0): 1.0 + 0.0j})
     layer = splitter_layer(3, 1)
     program = NetworkProgram(3, (layer, TruncateAux((0,))))
@@ -395,20 +376,12 @@ def test_run_program_matches_manual_steps():
         assert abs(out.terms[occ] - manual.terms[occ]) < 1e-14
     # the photon in the aux mode kills every term
     assert out.squared_norm() == pytest.approx(0.0, abs=1e-14)
-    assert layout.aux_modes == (0,)
 
 
 def test_run_program_validates_mode_count():
     program = NetworkProgram(3, ())
     with pytest.raises(ValueError):
         run_program(program, PhotonicState(2, {(1, 0): 1.0 + 0.0j}))
-
-
-def test_network_program_extended():
-    base = NetworkProgram(2, (LinearLayer(2, ()),))
-    longer = base.extended(TruncateAux((0,)))
-    assert len(base.steps) == 1
-    assert len(longer.steps) == 2
 
 
 def test_format_state_dump_stable_text():
@@ -422,40 +395,38 @@ def test_format_state_dump_stable_text():
 
 
 def test_light_cone_of_identity_layers_merges_nothing():
-    layout = QubitLayout(2)
     empty = LinearLayer(6, ())
     program = NetworkProgram(6, (empty, TruncateAux((0, 3)), empty))
-    cone = light_cone(program, layout)
+    cone = light_cone(program)
     assert len(cone) == 3
     # only the input is checked: nothing later can change a block count
     assert cone[1:] == ((), ())
     # aux singletons holding 0 photons, rail pairs holding 1
     assert cone[0] == (((0,), 0), ((1, 2), 1), ((3,), 0), ((4, 5), 1))
-    assert reference_light_cone(program, layout) == (cone[0], None, None)
+    assert reference_light_cone(program) == (cone[0], None, None)
 
 
 def test_light_cone_joins_only_where_a_block_mixes():
-    layout = QubitLayout(2)
     # IDENTITY_SETTING's off-diagonal is not exactly zero, but under 1e-14:
     # the fold carries the parked block as a pure phase, which moves no
     # photon between slots, so the cone joins nothing there
     assert 0 < abs(setting_unitary(IDENTITY_SETTING)[0, 1]) < 1e-15
     parked = LinearLayer(6, (MeshBlock(2, IDENTITY_SETTING, "ID"),))
     program = NetworkProgram(6, (LinearLayer(6, ()), parked))
-    assert light_cone(program, layout) == (qubit_structure(layout), ())
-    assert reference_light_cone(program, layout) == (qubit_structure(layout), None)
+    assert light_cone(program) == (qubit_structure(2), ())
+    assert reference_light_cone(program) == (qubit_structure(2), None)
     # an off-diagonal just above 1e-14 mixes, and joins its pair
     weak = MziSetting(np.pi - 1e-13, 0.0, np.pi, 0.0)
     assert 1e-14 < abs(setting_unitary(weak)[0, 1]) < 1e-13
     coupled = LinearLayer(6, (MeshBlock(2, weak, "U"),))
     program = NetworkProgram(6, (LinearLayer(6, ()), coupled))
-    before, last = light_cone(program, layout)
+    before, last = light_cone(program)
     # the input is checked against every block; the layer joins rail pair
     # (1, 2) and aux 3, so after it only the smaller, aux 3, is checked
     assert before == (((0,), 0), ((1, 2, 3), 1), ((4, 5), 1))
     assert last == (((3,), 0),)
-    full_before, full_last = reference_light_cone(program, layout)
-    assert full_last == qubit_structure(layout)
+    full_before, full_last = reference_light_cone(program)
+    assert full_last == qubit_structure(2)
     assert full_before == (((0,), 0), ((1, 2, 3), 1), ((4, 5), 1))
     state = PhotonicState(
         6,
@@ -513,40 +484,57 @@ def test_block_kernel_matches_permanent_of_layer_matrix():
                 amp * amplitude_via_permanent(u, occ, target)
                 for occ, amp in inputs.items()
             )
-            assert abs(out.amplitude(target) - ref) < 1e-11
+            assert abs(out.terms.get(target, 0j) - ref) < 1e-11
 
 
 def test_run_program_pruned_drops_terms_that_cannot_pass():
-    layout = QubitLayout(1)
     # the splitter mixes the aux mode into rail 0
     program = NetworkProgram(3, (LinearLayer(3, ()), splitter_layer(3, 0)))
     state = PhotonicState(3, {(1, 1, 0): 1.0 + 0.0j})
     full = run_program(program, state)
-    pruned = run_program_pruned(program, state, layout)
+    pruned = run_program_pruned(program, state)
     # two photons where one must come out: dropped before the mixing layer
     assert len(full.terms) == 2
     assert pruned.terms == {}
-    assert project_qubit_structure(full, layout).projected_state.terms == {}
+    assert project_qubit_structure(full).projected_state.terms == {}
 
 
 @pytest.mark.parametrize("forest", [False, True], ids=["light-cone", "certified"])
-def test_run_program_pruned_refuses_a_layout_of_other_modes(forest):
+def test_both_folds_refuse_an_input_of_other_qubits(forest):
     # Both paths check the qubit count against the program: the certified
     # fold reads no light cone, so without the check five bits given with
     # the 2-qubit Bell program would fold it and return its terms silently.
     result = compile_circuit(bell_circuit(), CompileOptions(place=False))
     program, relabel = result.program, (result.positions, result.flips)
     if not forest:
-        state = prepare_computational_basis("00", QubitLayout(2))
-        with pytest.raises(ValueError, match="program has 6 modes, layout needs 15"):
-            run_program_pruned(program, state, QubitLayout(5))
-        assert len(run_program_pruned(program, state, QubitLayout(2)).terms) == 2
+        state = prepare_computational_basis("00000", 5)
+        with pytest.raises(ValueError, match="state has 15 modes, program needs 6"):
+            run_program_pruned(program, state)
+        state = prepare_computational_basis("00", 2)
+        assert len(run_program_pruned(program, state).terms) == 2
         return
     with pytest.raises(ValueError, match="5 bits for 2-qubit layout"):
         run_certified(program, "00000", *relabel)
     with pytest.raises(ValueError, match="program has 6 modes, layout needs 15"):
         run_certified(program, "00000", tuple(range(5)), (0,) * 5)
     assert len(run_certified(program, "00", *relabel)[0]) == 2
+
+
+@pytest.mark.parametrize(
+    "call, refused",
+    [
+        (lambda state, program: project_qubit_structure(state), "state has 4 modes"),
+        (lambda state, program: light_cone(program), "program has 4 modes"),
+        (lambda state, program: run_program_pruned(program, state), "program has 4 modes"),
+    ],
+    ids=["project", "light-cone", "pruned"],
+)
+def test_a_mode_count_not_3_per_qubit_is_refused(call, refused):
+    # the qubit count is read from the data, so 4 modes hold no register
+    state = PhotonicState(4, {(0, 1, 0, 1): 1.0 + 0.0j})
+    program = NetworkProgram(4, (splitter_layer(4, 1),))
+    with pytest.raises(ValueError, match=f"^{refused}, not 3 per qubit$"):
+        call(state, program)
 
 
 def _crossed(top: int) -> LinearLayer:
@@ -581,8 +569,8 @@ def test_the_certified_fold_refuses_a_frame_its_bits_cannot_hold(steps, refused)
     program = NetworkProgram(6, steps)
     with pytest.raises(ValueError, match=refused):
         run_certified(program, "01", (0, 1), (0, 0))
-    state = prepare_computational_basis("01", QubitLayout(2))
-    run_program_pruned(program, state, QubitLayout(2))
+    state = prepare_computational_basis("01", 2)
+    run_program_pruned(program, state)
 
 
 def test_the_certified_fold_reads_crossed_rails_and_a_bare_gate():
@@ -591,11 +579,10 @@ def test_the_certified_fold_reads_crossed_rails_and_a_bare_gate():
     # like the light-cone path.
     steps = (_crossed(1), splitter_layer(6, 1), _crossed(4), *_bare_cz())
     program = NetworkProgram(6, steps)
-    layout = QubitLayout(2)
     for bits in ("00", "01", "10", "11"):
         got, p = run_certified(program, bits, (0, 1), (0, 1))
-        pruned = run_program_pruned(program, prepare_computational_basis(bits, layout), layout)
-        want, q = decode_logical(project_qubit_structure(pruned, layout), layout, (0, 1), (0, 1))
+        pruned = run_program_pruned(program, prepare_computational_basis(bits, 2))
+        want, q = decode_logical(project_qubit_structure(pruned), (0, 1), (0, 1))
         assert list(got) == list(want) and len(got) == 2, bits
         assert max(abs(got[i] - want[i]) for i in want) < 1e-15
         assert p == pytest.approx(q, rel=1e-15) and p == pytest.approx(1 / 9, rel=1e-14)
@@ -645,27 +632,25 @@ def test_a_bit_map_keeps_the_packed_folds_terms_and_order():
 
 
 def test_light_cone_starts_from_the_qubit_structure():
-    layout = QubitLayout(2)
     program = NetworkProgram(6, (splitter_layer(6, 2), TruncateAux((0, 3))))
-    cone = light_cone(program, layout)
+    cone = light_cone(program)
     # the truncation merges nothing, so the splitter's entry is the projection
-    assert cone[0] == qubit_structure(layout)
-    assert cone == (qubit_structure(layout), ())
-    assert qubit_structure(layout) == (((0,), 0), ((1, 2), 1), ((3,), 0), ((4, 5), 1))
-    assert reference_light_cone(program, layout) == (qubit_structure(layout), None)
+    assert cone[0] == qubit_structure(2)
+    assert cone == (qubit_structure(2), ())
+    assert qubit_structure(2) == (((0,), 0), ((1, 2), 1), ((3,), 0), ((4, 5), 1))
+    assert reference_light_cone(program) == (qubit_structure(2), None)
 
 
 def test_light_cone_seeds_its_union_find_in_one_pass():
     # 18,000 modes: a linear label scan per mode (O(m**2)) took about 2.5 s
     # on a 2-vCPU x86-64 host; one pass takes under 0.01 s.
     n = 6000
-    layout = QubitLayout(n)
     circuit = parse_circuit({"qubits": n, "gates": [{"g": "H", "q": 0}]})
     program = compile_circuit(circuit, CompileOptions(place=False)).program
     start = time.perf_counter()
-    cone = light_cone(program, layout)
+    cone = light_cone(program)
     elapsed = time.perf_counter() - start
-    assert cone == (qubit_structure(layout),)
+    assert cone == (qubit_structure(n),)
     assert elapsed < 0.5
 
 
@@ -675,10 +660,9 @@ def test_light_cone_of_a_long_chain_moves_small_blocks_into_large():
     # small one, is O(m**2): 5 to 10 s and about 1.0 s on a 2-vCPU x86-64
     # host, where moving the small block takes about 0.05 s.
     n = 3000
-    layout = QubitLayout(n)
     program = compile_circuit(ghz_chain_circuit(n), CompileOptions(place=False)).program
     start = time.perf_counter()
-    cone = light_cone(program, layout)
+    cone = light_cone(program)
     elapsed = time.perf_counter() - start
     assert len(cone) == len(program.steps)
     # after the input, only the blocks joined to the chain are checked,
@@ -702,10 +686,9 @@ def test_light_cone_of_a_long_chain_moves_small_blocks_into_large():
 )
 def test_pruned_final_state_equals_its_projection(gates):
     circuit = parse_circuit({"qubits": 3, "gates": gates})
-    layout = QubitLayout(3)
     program = compile_circuit(circuit, CompileOptions(place=False)).program
-    final = run_program_pruned(program, prepare_computational_basis("000", layout), layout)
-    projected = project_qubit_structure(final, layout).projected_state
+    final = run_program_pruned(program, prepare_computational_basis("000", 3))
+    projected = project_qubit_structure(final).projected_state
     assert final.terms
     assert list(final.terms.items()) == list(projected.terms.items())
 
@@ -727,12 +710,11 @@ def test_forest_light_cone_splits_the_rail_pairs_at_each_truncation():
     # The reference forest cone is the plain partition in force with each
     # truncated aux mode's rail pair split out as a block that must hold
     # one photon: the eager cut each post-selected gate's rule applies.
-    layout = QubitLayout(3)
     circuit = ghz_chain_circuit(3)
     program = compile_circuit(circuit, CompileOptions(place=False)).program
-    plain = light_cone(program, layout)
-    full_plain = reference_light_cone(program, layout)
-    full_eager = reference_light_cone(program, layout, forest=True)
+    plain = light_cone(program)
+    full_plain = reference_light_cone(program)
+    full_eager = reference_light_cone(program, forest=True)
     truncations = 0
     held = None  # the plain partition in force: an entry of None keeps it
     entries = zip(program.steps, plain, full_plain, full_eager, reference_frames(program))
@@ -771,8 +753,7 @@ def test_certified_fold_keeps_one_ninth_per_truncation():
         )
         result = compile_circuit(circuit, options)
         assert result.forest
-        layout = QubitLayout(n)
-        state = prepare_computational_basis("0" * n, layout)
+        state = prepare_computational_basis("0" * n, n)
         k = 0
         for step in result.program.steps:
             if isinstance(step, LinearLayer):
@@ -805,10 +786,9 @@ def test_skipped_restricts_drop_nothing(forest):
         options = CompileOptions(place=False, restore_swaps=case % 4 < 2)
         result = compile_circuit(circuit, options)
         program = result.program
-        layout = QubitLayout(n)
-        start = prepare_computational_basis("0" * n, layout)
-        plain = reference_light_cone(program, layout)
-        cone = reference_light_cone(program, layout, forest)
+        start = prepare_computational_basis("0" * n, n)
+        plain = reference_light_cone(program)
+        cone = reference_light_cone(program, forest)
         state, held, after_cut = start, None, False
         for step, before, cut, pos in zip(program.steps, plain, cone, reference_frames(program)):
             held = before or held  # a plain entry of None keeps the partition
@@ -824,12 +804,12 @@ def test_skipped_restricts_drop_nothing(forest):
         if forest:
             relabel = (result.positions, result.flips)
             got, p = run_certified(program, "0" * n, *relabel)
-            want, q = decode_logical(project_qubit_structure(state, layout), layout, *relabel)
+            want, q = decode_logical(project_qubit_structure(state), *relabel)
             assert list(got) == list(want)
             assert max(abs(got[i] - want[i]) for i in want) < 1e-14
             assert p == pytest.approx(q, rel=1e-14)
         else:
-            pruned = run_program_pruned(program, start, layout)
+            pruned = run_program_pruned(program, start)
             assert list(state.terms) == list(pruned.terms)
             for occ, amp in pruned.terms.items():
                 assert abs(state.terms[occ] - amp) < 1e-14

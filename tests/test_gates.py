@@ -7,7 +7,6 @@ import pytest
 
 from photonmesh.fock import (
     PhotonicState,
-    QubitLayout,
     decode_logical,
     dense_amplitudes,
     project_qubit_structure,
@@ -211,10 +210,9 @@ def test_swap2_is_an_involution_and_rail_flips():
     m = swap2.matrix
     assert np.allclose(m @ m, np.eye(6), atol=1e-12)
     # photon in qubit 0's zero rail (mode 1) lands in qubit 1's one rail
-    layout = QubitLayout(2)
     state = PhotonicState(6, {(0, 1, 0, 0, 1, 0): 1.0 + 0.0j})  # |00>
     out_state = run_layers(state, swap2.mzi_layers)
-    amps, prob = decode_logical(project_qubit_structure(out_state, layout), layout)
+    amps, prob = decode_logical(project_qubit_structure(out_state), (0, 1), (0, 0))
     assert prob == pytest.approx(1.0, abs=1e-12)
     assert abs(dense_amplitudes(amps, 2)[0b11]) == pytest.approx(1.0, abs=1e-12)
 
@@ -248,17 +246,15 @@ def test_entangled_state_from_direct_network_run():
     # state when both qubits start in |+>-ish superpositions; check via a
     # hand-built two-photon input on the regular labeling.
     desc = cz_ps_regular()
-    layout = QubitLayout(2)
     plus = 1.0 / np.sqrt(2.0)
     terms = {}
     for b0 in (0, 1):
         for b1 in (0, 1):
             occ = [0] * 6
-            occ[layout.one_mode(0) if b0 else layout.zero_mode(0)] = 1
-            occ[layout.one_mode(1) if b1 else layout.zero_mode(1)] = 1
+            occ[1 + b0] = occ[4 + b1] = 1
             terms[tuple(occ)] = plus * plus
     state = run_layers(PhotonicState(6, terms), desc.mzi_layers)
-    amps, prob = decode_logical(project_qubit_structure(state, layout), layout)
+    amps, prob = decode_logical(project_qubit_structure(state), (0, 1), (0, 0))
     expected = np.array([0.5, 0.5, 0.5, -0.5])
     assert state_fidelity(dense_amplitudes(amps, 2), expected) == pytest.approx(1.0, abs=1e-10)
     assert prob == pytest.approx(1.0 / 9.0, abs=1e-10)

@@ -116,14 +116,13 @@ def test_sparse_amplitudes_are_the_nonzero_entries_of_the_dense_view(drawn, opts
     assert list(sim.sparse_amplitudes) == nonzero
     assert list(sim.sparse_amplitudes.values()) == dense[nonzero].tolist()
     # a dense decode of the unpruned fold's projection, written out here
-    layout = fock.QubitLayout(n)
     result = sim.compile_result
-    state = fock.prepare_computational_basis(bits, layout)
+    state = fock.prepare_computational_basis(bits, n)
     full = fock.run_program(result.program, state)
-    projected = fock.project_qubit_structure(full, layout).projected_state
+    projected = fock.project_qubit_structure(full).projected_state
     oracle = np.zeros(2**n, dtype=complex)
     for occ, amp in projected.terms.items():
-        bits = [occ[layout.one_mode(result.positions[q])] ^ result.flips[q] for q in range(n)]
+        bits = [occ[3 * result.positions[q] + 2] ^ result.flips[q] for q in range(n)]
         oracle[int("".join(map(str, bits)), 2)] += amp
     oracle = fock.canonical_global_phase(oracle / np.linalg.norm(oracle))
     assert np.flatnonzero(oracle).tolist() == nonzero
@@ -139,11 +138,10 @@ def test_any_circuit_projects_like_the_unpruned_fold(drawn, opts, data):
     bits = data.draw(basis_input(n))
     sim = simulate_circuit(circuit, bits, opts)
     assert sim.compile_result.forest == acyclic
-    layout = fock.QubitLayout(n)
-    state = fock.prepare_computational_basis(bits, layout)
+    state = fock.prepare_computational_basis(bits, n)
     result = sim.compile_result
-    full = fock.project_qubit_structure(fock.run_program(result.program, state), layout)
-    amps, p = fock.decode_logical(full, layout, result.positions, result.flips)
+    full = fock.project_qubit_structure(fock.run_program(result.program, state))
+    amps, p = fock.decode_logical(full, result.positions, result.flips)
     if not acyclic:  # the light cone alone: bit for bit
         assert list(sim.sparse_amplitudes.items()) == list(amps.items())
         assert sim.success_probability == p
@@ -164,12 +162,11 @@ def test_projecting_the_pruned_fold_keeps_every_term(forest_circuit, opts, data)
     payload, _ = data.draw(circuits(forest=forest_circuit))
     circuit = parse_circuit(payload)
     n = circuit.qubit_count
-    layout = fock.QubitLayout(n)
     bits = data.draw(basis_input(n))
-    state = fock.prepare_computational_basis(bits, layout)
+    state = fock.prepare_computational_basis(bits, n)
     result = compile_circuit(circuit, opts)
-    pruned = fock.run_program_pruned(result.program, state, layout)
-    projected = fock.project_qubit_structure(pruned, layout).projected_state
+    pruned = fock.run_program_pruned(result.program, state)
+    projected = fock.project_qubit_structure(pruned).projected_state
     assert list(projected.terms.items()) == list(pruned.terms.items())
     amps, p = fock.run_certified(result.program, bits, result.positions, result.flips)
     assert 0 < len(amps) <= 2**n and 0 < p <= 1
