@@ -17,12 +17,10 @@ from .linalg import (
     IDENTITY_SETTING,
     MziSetting,
     UnitarityReport,
-    bs_general,
     check_unitary,
     embed_block,
     equal_mod_global_phase,
     permanent,
-    phase_shifter,
     solve_mzi_settings,
 )
 from .fock import (
@@ -82,12 +80,10 @@ __all__ = [
     "IDENTITY_SETTING",
     "MziSetting",
     "UnitarityReport",
-    "bs_general",
     "check_unitary",
     "embed_block",
     "equal_mod_global_phase",
     "permanent",
-    "phase_shifter",
     "solve_mzi_settings",
     "NetworkProgram",
     "PhotonicState",

@@ -261,12 +261,6 @@ def _evaluate_parts(
     return process_fidelity(maps, target, power=power), power / 4.0
 
 
-def _evaluate(params: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Process fidelity and mean success probability per row of a
-    ``(K, 16)`` parameter stack, every block and phase computed anew."""
-    return _evaluate_parts(*_mesh_parts(params), target)
-
-
 def _candidate_parts(blocks, phases, points, owner, coords, values):
     """:func:`_mesh_parts` of K candidates, each one coordinate away from
     a cached point: candidate ``j`` is ``points[owner[j]]`` with

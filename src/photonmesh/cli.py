@@ -92,6 +92,8 @@ def _load_circuit(path: str) -> compiler.CircuitIR:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise compiler.CircuitParseError(f"{path}: invalid JSON: {exc}") from exc
+        except RecursionError as exc:  # the decoder recurses once per nesting level
+            raise compiler.CircuitParseError(f"{path}: JSON nested too deeply: {exc}") from exc
     return compiler.parse_circuit(data)
 
 
@@ -210,7 +212,7 @@ def cmd_compile(args) -> int:
     circuit = _load_circuit(args.circuit)
     result = compiler.compile_circuit(circuit, _options(args, scheme=args.scheme))
     table = result.assignment.phase_table()
-    table["qubit_count"] = result.qubit_count
+    table["qubit_count"] = len(result.positions)
     table["positions"] = list(result.positions)
     table["flips"] = list(result.flips)
     table["slots_used"] = len(result.assignment.placements)

@@ -44,22 +44,23 @@ ideal circuit.  The simulator reports that outcome faithfully rather than
 rejecting such circuits.
 
 The compiler proves forest-ness as it emits: a union-find over photons,
-each tracked by its triplet through every ``SWAP2`` (routing, restore and
-logical SWAPs alike), joined by every post-selected gate.  A gate whose two
-photons already share a root, which a second gate on the same photon pair
-does too, leaves the circuit uncertified; ``CompileResult.forest`` is the
-certificate.  Inside a forest no failure term a truncation keeps can reach a
-passing configuration: the gate's two sides are joined by that gate alone,
-so no later layer can move a photon from the doubled side to the empty one.
-For a certified circuit the simulator therefore applies each
-post-selected gate, its network and its truncation, as one rule that
-keeps only the gate's successful outputs (``fock.PostSelectedGate``), and
-that eager cut is its whole filter: every other mixing block acts inside
-one rail pair, so every term is one bit per photon, the rail it is in
-(``fock.run_certified``), and no light cone is computed.  The decoded
-basis states stay those of the light-cone path, and amplitudes move by
-rounding only.  Uncertified circuits take the light-cone path
-(``fock.run_program_pruned``) alone.
+each tracked by the qubit label that holds it, joined by every
+post-selected gate.  Routing and restore swaps move a label with its
+photon; only a logical SWAP changes which photon a label holds.  A gate
+whose two photons already share a root, which a second gate on the same
+photon pair does too, leaves the circuit uncertified;
+``CompileResult.forest`` is the certificate.  Inside a forest no failure
+term a truncation keeps can reach a passing configuration: the gate's two
+sides are joined by that gate alone, so no later layer can move a photon
+from the doubled side to the empty one.  For a certified circuit the
+simulator therefore applies each post-selected gate, its network and its
+truncation, as one rule that keeps only the gate's successful outputs
+(``fock.PostSelectedGate``), and that eager cut is its whole filter: every
+other mixing block acts inside one rail pair, so every term is one bit per
+photon, the rail it is in (``fock.run_certified``), and no light cone is
+computed.  The decoded basis states stay those of the light-cone path, and
+amplitudes move by rounding only.  Uncertified circuits take the
+light-cone path (``fock.run_program_pruned``) alone.
 """
 
 from __future__ import annotations
@@ -228,7 +229,6 @@ class CompileResult:
     assignment: MeshAssignment | None
     positions: tuple[int, ...]
     flips: tuple[int, ...]
-    qubit_count: int
     forest: bool  # the forest certificate; see the module docstring
 
 
@@ -250,7 +250,7 @@ class SimulationResult:
         """Dense state vector, qubit 0 the most significant bit; built on
         each access, so it costs ``2**n`` memory only for a caller who asks."""
         return fock.dense_amplitudes(
-            self.sparse_amplitudes, self.compile_result.qubit_count
+            self.sparse_amplitudes, len(self.compile_result.positions)
         )
 
 
@@ -354,10 +354,9 @@ def top_span(scheme: str, mode_count: int, top: int) -> tuple[int, int]:
     return m - 2 - top, m - 2 + top
 
 
-def place_in_mesh(
-    program: NetworkProgram, scheme: str, mode_count: int
-) -> MeshAssignment:
-    """Greedy earliest-column placement of a program's blocks in a mesh.
+def place_in_mesh(program: NetworkProgram, scheme: str) -> MeshAssignment:
+    """Greedy earliest-column placement of a program's blocks in the
+    ``scheme`` mesh on the program's ``mode_count`` modes.
 
     Blocks are placed in program order, each step's in the order it holds
     them, and ``placements`` lists them in that order.  Each block goes into
@@ -376,10 +375,7 @@ def place_in_mesh(
     mode has no slot, and a truncation there has no waveguide.  A truncation
     of no modes marks nothing and raises ``ValueError``.
     """
-    if program.mode_count != mode_count:
-        raise ValueError(
-            f"program has {program.mode_count} modes, mesh has {mode_count}"
-        )
+    mode_count = program.mode_count
     column_count(scheme, mode_count)  # validate the scheme
     spans = [top_span(scheme, mode_count, top) for top in range(mode_count - 1)]
     tops = len(spans)  # a block's top is in range(tops)
@@ -568,15 +564,16 @@ class _Emitter:
     """Accumulates program steps while tracking qubit positions and flips.
 
     It also certifies forest-ness: a union-find over photons, each tracked
-    by the triplet that holds it.  Every ``SWAP2`` emission (:meth:`swap2`)
-    moves the two photons it exchanges, and every post-selected gate
-    (:meth:`post_selected_gate`) joins the two photons in its window.  A
+    by the qubit label that holds it, ``photon_of[q]``.  A routing or
+    restore swap moves a label together with its photon, so it leaves
+    ``photon_of`` alone; a logical SWAP moves the photons but not the
+    labels, so it exchanges its operands' entries.  Every post-selected
+    gate (:meth:`post_selected_gate`) joins its two operands' photons.  A
     gate whose photons already share a root closes a cycle, or repeats a
     photon pair, and clears ``forest``.
     """
 
     def __init__(self, qubit_count: int, options: CompileOptions):
-        self.n = qubit_count
         self.m = 3 * qubit_count
         self.options = options
         self.steps: list[LinearLayer | TruncateAux] = []
@@ -584,19 +581,13 @@ class _Emitter:
         self.qubit_at = list(range(qubit_count))
         self.flips = [0] * qubit_count
         self._entangled: set[frozenset[int]] = set()  # qubit pairs that had a CZ or CNOT
-        self.photon_at = list(range(qubit_count))
+        self.photon_of = list(range(qubit_count))
         self.component = list(range(qubit_count))
         self.forest = True
 
     def emit(self, blocks: tuple[MeshBlock, ...], offset: int, label: str) -> None:
         """Append one network, ``blocks`` at ``offset``, as one program step."""
         self.steps.append(gates.layers_to_steps(blocks, self.m, offset, label))
-
-    def swap2(self, p: int, label: str) -> None:
-        """Emit ``SWAP2`` on triplets ``p`` and ``p+1``; their photons trade triplets."""
-        self.emit(_swap2_layers(), 3 * p, label)
-        at = self.photon_at
-        at[p], at[p + 1] = at[p + 1], at[p]
 
     def _root(self, photon: int) -> int:
         while self.component[photon] != photon:
@@ -605,7 +596,7 @@ class _Emitter:
 
     def physical_swap(self, p: int, label: str) -> None:
         """SWAP2 between triplets ``p`` and ``p+1``; both photons rail-flip."""
-        self.swap2(p, label)
+        self.emit(_swap2_layers(), 3 * p, label)
         qa, qb = self.qubit_at[p], self.qubit_at[p + 1]
         self.qubit_at[p], self.qubit_at[p + 1] = qb, qa
         self.positions[qa], self.positions[qb] = p + 1, p
@@ -653,7 +644,7 @@ class _Emitter:
         gate = _post_selected_form(self.options.cz_form, h_top if name == "CNOT" else None)
         self.emit(gate, 3 * lo, f"{name} q{a}-q{b}")
         self.steps.append(TruncateAux((3 * lo, 3 * lo + 3)))
-        ra, rb = self._root(self.photon_at[lo]), self._root(self.photon_at[lo + 1])
+        ra, rb = self._root(self.photon_of[a]), self._root(self.photon_of[b])
         if ra == rb:
             self.forest = False
         self.component[ra] = rb
@@ -675,11 +666,14 @@ class _Emitter:
             self.unflip(b)
             self.post_selected_gate(op.name, a, b)
         else:  # logical SWAP
-            self.swap2(min(self.positions[a], self.positions[b]), f"SWAP q{a}-q{b}")
+            lo = min(self.positions[a], self.positions[b])
+            self.emit(_swap2_layers(), 3 * lo, f"SWAP q{a}-q{b}")
             # The photons exchange carriers and rail-flip; the logical labels
-            # stay with their positions, so the flips cross over.
+            # stay with their positions, so the photons and flips cross over.
             fa, fb = self.flips[a], self.flips[b]
             self.flips[a], self.flips[b] = fb ^ 1, fa ^ 1
+            of = self.photon_of
+            of[a], of[b] = of[b], of[a]
         if self.options.restore_swaps:
             for p in reversed(swaps):
                 self.physical_swap(p, f"restore q{a}-q{b}")
@@ -688,13 +682,12 @@ class _Emitter:
         program = NetworkProgram(self.m, tuple(self.steps))
         assignment = None
         if self.options.place:
-            assignment = place_in_mesh(program, self.options.scheme, self.m)
+            assignment = place_in_mesh(program, self.options.scheme)
         return CompileResult(
             program=program,
             assignment=assignment,
             positions=tuple(self.positions),
             flips=tuple(self.flips),
-            qubit_count=self.n,
             forest=self.forest,
         )
 

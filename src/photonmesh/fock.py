@@ -842,7 +842,7 @@ def run_certified(
     n = len(positions)
     (occ,) = prepare_computational_basis(bits, n).terms
     if program.mode_count != 3 * n:
-        raise ValueError(f"program has {program.mode_count} modes, layout needs {3 * n}")
+        raise ValueError(f"program has {program.mode_count} modes, {n} qubits need {3 * n}")
     terms = {sum(occ[3 * p + 2] << p for p in range(n)): 1.0 + 0.0j}
     lowered, pos, owed = _lower(program, True)
     k = 0

@@ -253,13 +253,6 @@ def _descriptor(
     return desc
 
 
-def single_qubit_descriptor(gate: str, angle: float | None = None) -> GateDescriptor:
-    """One-MZI descriptor of a named gate acting on a rail pair."""
-    g = single_qubit_matrix(gate, angle)
-    layers = ((device_block(0, g, gate.upper()),),)
-    return _descriptor(gate.upper(), 1, g.T.copy(), "regular", layers)
-
-
 def cz_ps_nonregular() -> GateDescriptor:
     """Post-selected CZ on modes ``(aux0, r00, r01, r10, r11, aux1)``.
 

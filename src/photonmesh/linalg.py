@@ -1,8 +1,9 @@
 """Matrix building blocks for Mach-Zehnder-interferometer (MZI) meshes.
 
-This module provides the 2x2 device matrices (beam splitters, phase
-shifters, MZIs), embedding of 2x2 blocks into larger mode spaces, matrix
-permanents, and small comparison utilities used throughout the package.
+This module provides MZI settings and their 2x2 device unitaries, the solve
+of a 2x2 unitary back into MZI phases, embedding of 2x2 blocks into larger
+mode spaces, matrix permanents, and small comparison utilities used
+throughout the package.
 
 An MZI's unitary and the solve of a 2x2 unitary back into MZI phases are
 computed in Python scalars with :mod:`math`, entry by entry: no numpy call
@@ -59,10 +60,6 @@ class MziSetting(NamedTuple):
     def is_extended(self) -> bool:
         return self.phi3 is not None
 
-    def relative_phases(self) -> tuple[float, float]:
-        """Return ``(theta1 - theta2, phi1 - phi2)``."""
-        return (self.theta1 - self.theta2, self.phi1 - self.phi2)
-
 
 @dataclass(frozen=True)
 class UnitarityReport:
@@ -77,18 +74,6 @@ class UnitarityReport:
 # off-diagonal never reaches a Fock state: the Fock fold carries a block
 # whose off-diagonal is that small as a pure phase.
 IDENTITY_SETTING = MziSetting(np.pi, 0.0, np.pi, 0.0)
-
-
-def bs_general(t: float, r: float) -> np.ndarray:
-    """Beam splitter ``[[t, i*r], [i*r, t]]`` with ``t^2 + r^2 = 1``."""
-    if abs(t * t + r * r - 1.0) > 1e-12:
-        raise ValueError(f"t^2 + r^2 = {t * t + r * r} != 1")
-    return np.array([[t, 1j * r], [1j * r, t]], dtype=complex)
-
-
-def phase_shifter(theta1: float, theta2: float) -> np.ndarray:
-    """Diagonal phase pair ``diag(exp(i*theta1), exp(i*theta2))``."""
-    return np.diag([np.exp(1j * theta1), np.exp(1j * theta2)]).astype(complex)
 
 
 def _expi(x: float) -> complex:

@@ -21,8 +21,9 @@ light-cone checks must reproduce.
 (:func:`photonmesh.fock.run_certified`), which applies each post-selected
 gate as one rule on one bit per photon, to the unfused fold's decoded
 result.
-``reference_mzi_unitary`` is the product form of one MZI that the scalar
-device entries of :mod:`photonmesh.linalg` must reproduce.
+``reference_mzi_unitary`` is the product form of one MZI, built from the
+balanced beam splitter ``BS``, that the scalar device entries of
+:mod:`photonmesh.linalg` must reproduce.
 ``reference_mesh_unitary`` and ``reference_constraint_residual`` are the
 dense 4-mode mesh product and the full-length ternary search that
 :mod:`photonmesh.analysis` must reproduce.
@@ -258,7 +259,7 @@ def fused_fold_problems(result, bits: str, unfused: PhotonicState | None = None)
     :data:`FUSED_PROBABILITY_RTOL_PER_GATE` relative times the number of
     post-selected gates.  Returns the broken clauses."""
     if unfused is None:
-        state = prepare_computational_basis(bits, result.qubit_count)
+        state = prepare_computational_basis(bits, len(result.positions))
         unfused = project_qubit_structure(run_program(result.program, state)).projected_state
     got, p = run_certified(result.program, bits, result.positions, result.flips)
     want, q = decode_logical(
@@ -405,17 +406,20 @@ def keep_checked(state: PhotonicState, checks) -> PhotonicState:
     return PhotonicState(state.mode_count, kept)
 
 
+# The balanced (50:50) beam splitter.
+BS = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) / np.sqrt(2.0)
+
+
 def reference_mzi_unitary(setting: MziSetting) -> np.ndarray:
     """The device unitary of ``setting`` as the product of its parts,
-    ``BS . PS(theta1, theta2) . BS . PS(phi1, phi2)`` with a balanced
-    ``BS = [[1, i], [i, 1]] / sqrt(2)``, and ``PS(phi3, phi4)`` in front
-    for an extended setting (a missing ``phi4`` reads as 0)."""
-    bs = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) / np.sqrt(2.0)
+    ``BS . PS(theta1, theta2) . BS . PS(phi1, phi2)`` with the balanced
+    ``BS``, and ``PS(phi3, phi4)`` in front for an extended setting (a
+    missing ``phi4`` reads as 0)."""
 
     def ps(a: float, b: float) -> np.ndarray:
         return np.diag([np.exp(1j * a), np.exp(1j * b)])
 
-    u = bs @ ps(setting.theta1, setting.theta2) @ bs @ ps(setting.phi1, setting.phi2)
+    u = BS @ ps(setting.theta1, setting.theta2) @ BS @ ps(setting.phi1, setting.phi2)
     if setting.is_extended:
         u = ps(setting.phi3, 0.0 if setting.phi4 is None else setting.phi4) @ u
     return u
@@ -483,14 +487,15 @@ def reference_mesh_columns(scheme: str, mode_count: int) -> tuple[tuple[int, ...
     return builders[scheme](mode_count)
 
 
-def reference_place_in_mesh(program: NetworkProgram, scheme: str, mode_count: int):
+def reference_place_in_mesh(program: NetworkProgram, scheme: str):
     """``(placements, truncations)`` of the greedy earliest-column placement
     of every step's blocks in the order the step holds them, scanning the
-    stored column grid one column at a time; raises
+    stored column grid of the program's modes one column at a time; raises
     :class:`PlacementOverflow` with the compiler's message, also for a
     block or truncation with a mode off either edge of the mesh, and
     ``ValueError`` with the compiler's message for a truncation of no
     modes."""
+    mode_count = program.mode_count
     columns = reference_mesh_columns(scheme, mode_count)
     col_sets = [frozenset(c) for c in columns]
     free = [0] * mode_count

@@ -44,13 +44,12 @@ from photonmesh.fock import (
     run_program,
 )
 from photonmesh.linalg import (
-    bs_general,
     equal_mod_global_phase,
     setting_unitary,
     solve_mzi_settings,
 )
 
-from helpers import random_mesh, run_layers, state_fidelity
+from helpers import BS, random_mesh, run_layers, state_fidelity
 
 CZ_DIAG = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
@@ -212,10 +211,10 @@ def test_criterion_08_embedding_counts():
     nets = gates.swap_networks()
     for scheme in ("clements", "reck"):
         step = gates.layers_to_steps(nets["SWAP2"].blocks, 6)
-        place_in_mesh(NetworkProgram(6, (step,)), scheme, 6)
+        place_in_mesh(NetworkProgram(6, (step,)), scheme)
     step = gates.layers_to_steps(nets["SWAP2A"].blocks, 6)
     with pytest.raises(PlacementOverflow):
-        place_in_mesh(NetworkProgram(6, (step,)), "reck", 6)
+        place_in_mesh(NetworkProgram(6, (step,)), "reck")
 
 
 @criterion(9, "every tabulated MZI setting reproduces its gate matrix", 1.0)
@@ -259,21 +258,20 @@ def test_criterion_11_mesh_faithfulness():
         for scheme in ("clements", "reck"):
             result = compile_circuit(circuit, CompileOptions(scheme=scheme))
             rebuilt = assignment_program(result.assignment)
-            state = prepare_computational_basis(bits, result.qubit_count)
+            state = prepare_computational_basis(bits, len(result.positions))
             final = run_program(rebuilt, state)
             projected = project_qubit_structure(final)
             amps, prob = decode_logical(
                 projected, result.positions, result.flips
             )
-            dense = dense_amplitudes(amps, result.qubit_count)
+            dense = dense_amplitudes(amps, len(result.positions))
             assert np.allclose(dense, reference.amplitudes, atol=1e-10)
             assert abs(prob - reference.success_probability) < 1e-10
 
 
 @criterion(12, "two photons never exit a 50:50 splitter separately", 1.0)
 def test_criterion_12_hong_ou_mandel():
-    splitter = bs_general(1 / np.sqrt(2), 1 / np.sqrt(2))
-    block = MeshBlock(0, solve_mzi_settings(splitter), "BS")
+    block = MeshBlock(0, solve_mzi_settings(BS), "BS")
     out = apply_linear(PhotonicState(2, {(1, 1): 1.0 + 0.0j}), LinearLayer(2, (block,)))
     assert abs(out.terms.get((1, 1), 0j)) < 1e-12
     assert abs(out.terms.get((2, 0), 0j) - 1j / np.sqrt(2)) < 1e-12

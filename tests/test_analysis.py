@@ -201,9 +201,12 @@ def test_process_fidelity_stack_equals_slices():
             stacked = process_fidelity(stack, target)
             assert stacked.shape == (40,)
             assert stacked.tolist() == [process_fidelity(m, target) for m in stack]
-    fid, succ = analysis._evaluate(params, CZ_TARGET)
+    def evaluate(rows):
+        return analysis._evaluate_parts(*analysis._mesh_parts(rows), CZ_TARGET)
+
+    fid, succ = evaluate(params)
     for k in range(len(params)):
-        assert (fid[k], succ[k]) == analysis._evaluate(params[k : k + 1], CZ_TARGET)
+        assert (fid[k], succ[k]) == evaluate(params[k : k + 1])
 
 
 def test_evaluate_computes_the_power_once(monkeypatch):
@@ -223,7 +226,7 @@ def test_evaluate_computes_the_power_once(monkeypatch):
 
     for name in ("_power", "process_fidelity"):
         monkeypatch.setattr(analysis, name, counted(name, getattr(analysis, name)))
-    got_fid, got_succ = analysis._evaluate(params, CZ_TARGET)
+    got_fid, got_succ = analysis._evaluate_parts(*analysis._mesh_parts(params), CZ_TARGET)
     assert sorted(calls) == ["_power", "process_fidelity"]
     assert got_fid.tolist() == fid.tolist()
     assert got_succ.tolist() == (power / 4.0).tolist()
@@ -245,7 +248,7 @@ def test_cached_parts_score_like_a_full_recompute():
         full = analysis._mesh_parts(cands)
         assert all(np.array_equal(a, b) for a, b in zip(parts, full))
         fid, succ = analysis._evaluate_parts(*parts, CZ_TARGET)
-        want_fid, want_succ = analysis._evaluate(cands, CZ_TARGET)
+        want_fid, want_succ = analysis._evaluate_parts(*analysis._mesh_parts(cands), CZ_TARGET)
         assert fid.tolist() == want_fid.tolist()
         assert succ.tolist() == want_succ.tolist()
 
@@ -312,7 +315,8 @@ def _sequential_descent(restarts, seed, target, max_sweeps, skips=None):
 
     def visit(params):
         nonlocal best
-        fid, succ = (float(x[0]) for x in analysis._evaluate(params[None], target))
+        parts = analysis._mesh_parts(params[None])
+        fid, succ = (float(x[0]) for x in analysis._evaluate_parts(*parts, target))
         if succ > floor and fid > best[0]:
             best = (fid, succ, tuple(float(x) for x in params))
         return fid if succ > floor else fid * (succ / floor)

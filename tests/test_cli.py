@@ -184,6 +184,17 @@ def test_malformed_circuit_json(tmp_path):
     assert "invalid JSON" in proc.stderr
 
 
+def test_deeply_nested_circuit_json_is_a_circuit_error(tmp_path):
+    # the JSON decoder recurses once per bracket and gives up long before this
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    for command in ("simulate", "compile"):
+        proc = run_cli(command, str(path))
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"photonmesh: circuit error: {path}: ")
+
+
 @pytest.mark.parametrize("angle", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_angle_is_a_circuit_error(tmp_path, angle):
     path = tmp_path / "angle.json"

@@ -784,12 +784,12 @@ def test_shared_blocks_act_like_absolute_blocks(options):
         absolute = fock.run_program_pruned(flat, state)
         assert list(shared.terms.items()) == list(absolute.terms.items())
         try:
-            expected = place_in_mesh(flat, "clements", 3 * n)
+            expected = place_in_mesh(flat, "clements")
         except PlacementOverflow as overflow:
             with pytest.raises(PlacementOverflow, match=re.escape(str(overflow))):
-                place_in_mesh(program, "clements", 3 * n)
+                place_in_mesh(program, "clements")
         else:
-            assert place_in_mesh(program, "clements", 3 * n) == expected
+            assert place_in_mesh(program, "clements") == expected
             placed += 1
         for layer, own in zip(program.steps, flat.steps):
             if isinstance(layer, fock.LinearLayer):
@@ -855,7 +855,7 @@ def test_network_layers_share_the_cached_blocks(options):
 
 def _placement(program, scheme):
     try:
-        assignment = place_in_mesh(program, scheme, program.mode_count)
+        assignment = place_in_mesh(program, scheme)
     except PlacementOverflow as overflow:
         return str(overflow)
     return assignment.placements, assignment.truncations
@@ -1031,7 +1031,7 @@ def test_certified_runs_match_the_light_cone_path(monkeypatch):
             result = compile_ghz_swap_variant(options)
         else:
             result = compile_circuit(circuit, options)
-        state = fock.prepare_computational_basis(bits, result.qubit_count)
+        state = fock.prepare_computational_basis(bits, len(result.positions))
         cone = fock.run_program_pruned(result.program, state)
         projected = fock.project_qubit_structure(cone)
         seen[result.forest].add(options)
@@ -1479,7 +1479,7 @@ def test_mesh_column_grids():
     with pytest.raises(ValueError):
         column_count("hex", 4)
     with pytest.raises(ValueError, match="unknown mesh scheme 'hex'"):
-        place_in_mesh(fock.NetworkProgram(4, ()), "hex", 4)
+        place_in_mesh(fock.NetworkProgram(4, ()), "hex")
 
 
 @pytest.mark.parametrize("scheme", ["clements", "reck"])
@@ -1542,18 +1542,17 @@ def test_place_in_mesh_matches_the_column_scan(scheme, restore):
     programs.append(fock.NetworkProgram(6, (fock.TruncateAux((0,)), empty)))
     outcomes = collections.Counter()
     for program in programs:
-        m = program.mode_count
         try:
-            expected = reference_place_in_mesh(program, scheme, m)
+            expected = reference_place_in_mesh(program, scheme)
         except (PlacementOverflow, ValueError) as refusal:
             outcomes["overflow" if isinstance(refusal, PlacementOverflow) else "empty"] += 1
             with pytest.raises(type(refusal)) as info:
-                place_in_mesh(program, scheme, m)
+                place_in_mesh(program, scheme)
             assert type(info.value) is type(refusal)
             assert str(info.value) == str(refusal)
             continue
         outcomes["placed"] += 1
-        assignment = place_in_mesh(program, scheme, m)
+        assignment = place_in_mesh(program, scheme)
         assert (assignment.placements, assignment.truncations) == expected
     # both outcomes are exercised, every off-edge step is refused, and so
     # is each empty truncation, by its step index
@@ -1561,12 +1560,12 @@ def test_place_in_mesh_matches_the_column_scan(scheme, restore):
     assert outcomes["empty"] == 2, outcomes
     for program in programs[-6:-2]:
         with pytest.raises(PlacementOverflow, match="does not fit the"):
-            place_in_mesh(program, scheme, 6)
+            place_in_mesh(program, scheme)
     for index, program in enumerate(programs[-2:]):
         with pytest.raises(
             ValueError, match=f"^step {index} truncates no modes, .* {scheme} mesh on 6 modes$"
         ):
-            place_in_mesh(program, scheme, 6)
+            place_in_mesh(program, scheme)
 
 
 def _slot_programs():
@@ -1600,7 +1599,7 @@ def test_place_in_mesh_puts_at_most_one_block_in_a_slot():
     outcomes = collections.Counter()
     for label, program, scheme in _slot_programs():
         try:
-            assignment = place_in_mesh(program, scheme, program.mode_count)
+            assignment = place_in_mesh(program, scheme)
         except PlacementOverflow:
             outcomes[scheme, "overflow"] += 1
             continue
@@ -1662,7 +1661,7 @@ def test_place_single_block_and_identity_slots():
         (gates.device_block(0, gates.single_qubit_matrix("H"), "H"),), 3
     )
     program = fock.NetworkProgram(3, (step,))
-    assignment = place_in_mesh(program, "clements", 3)
+    assignment = place_in_mesh(program, "clements")
     assert len(assignment.placements) == 1
     placed = assignment.placements[0]
     assert (placed.column, placed.top_mode, placed.role) == (0, 0, "H")
@@ -1674,12 +1673,6 @@ def test_place_single_block_and_identity_slots():
     # the other two slots are parked at the exact identity quadruple
     assert sum(map(len, assignment.tops_by_column())) - len(table["slots"]) == 2
     assert table["idle"] == {"theta1": np.pi, "theta2": 0.0, "phi1": np.pi, "phi2": 0.0}
-
-
-def test_place_rejects_wrong_mode_count():
-    program = fock.NetworkProgram(3, ())
-    with pytest.raises(ValueError):
-        place_in_mesh(program, "clements", 4)
 
 
 def test_placement_overflow_raises():
@@ -1747,17 +1740,17 @@ def test_swap_networks_mesh_compatibility():
     nets = gates.swap_networks()
     for scheme in ("clements", "reck"):
         step = gates.layers_to_steps(nets["SWAP2"].blocks, 6)
-        place_in_mesh(fock.NetworkProgram(6, (step,)), scheme, 6)
+        place_in_mesh(fock.NetworkProgram(6, (step,)), scheme)
     step = gates.layers_to_steps(nets["SWAP2A"].blocks, 6)
-    place_in_mesh(fock.NetworkProgram(6, (step,)), "clements", 6)
+    place_in_mesh(fock.NetworkProgram(6, (step,)), "clements")
     with pytest.raises(PlacementOverflow):
-        place_in_mesh(fock.NetworkProgram(6, (step,)), "reck", 6)
+        place_in_mesh(fock.NetworkProgram(6, (step,)), "reck")
 
 
 def test_compile_result_carries_program_not_amplitudes():
     result = compile_circuit(bell_circuit(), CompileOptions(place=False))
     assert result.assignment is None
-    assert result.qubit_count == 2
+    assert len(result.positions) == 2
     assert result.program.mode_count == 6
     assert any(isinstance(s, fock.TruncateAux) for s in result.program.steps)
 

@@ -46,12 +46,12 @@ from photonmesh.gates import PAULI_X, layer_matrix, swap_networks
 from photonmesh.linalg import (
     IDENTITY_SETTING,
     MziSetting,
-    bs_general,
     setting_unitary,
     solve_mzi_settings,
 )
 
 from helpers import (
+    BS,
     keep_checked,
     logical_checks,
     random_mesh,
@@ -62,7 +62,6 @@ from helpers import (
     split_partition,
 )
 
-BS = bs_general(1 / np.sqrt(2), 1 / np.sqrt(2))
 BS_SETTING = solve_mzi_settings(BS)
 
 
@@ -515,7 +514,7 @@ def test_both_folds_refuse_an_input_of_other_qubits(forest):
         return
     with pytest.raises(ValueError, match="5 bits for 2-qubit layout"):
         run_certified(program, "00000", *relabel)
-    with pytest.raises(ValueError, match="program has 6 modes, layout needs 15"):
+    with pytest.raises(ValueError, match="program has 6 modes, 5 qubits need 15"):
         run_certified(program, "00000", tuple(range(5)), (0,) * 5)
     assert len(run_certified(program, "00", *relabel)[0]) == 2
 

@@ -26,7 +26,6 @@ from photonmesh.gates import (
     layer_matrix,
     layers_to_steps,
     r13_matrices,
-    single_qubit_descriptor,
     single_qubit_matrix,
     single_qubit_setting,
     swap_networks,
@@ -73,7 +72,7 @@ def test_rotation_settings_realize_their_gates_up_to_phase():
 
 def test_t_gate_relative_phases():
     setting = single_qubit_setting("T")
-    theta, phi = setting.relative_phases()
+    theta, phi = setting.theta1 - setting.theta2, setting.phi1 - setting.phi2
     assert theta == pytest.approx(np.pi, abs=1e-12)
     assert phi == pytest.approx(3 * np.pi / 4, abs=1e-12)
 
@@ -98,12 +97,15 @@ def test_r13_settings_realize_their_matrices():
 
 
 def test_gate_descriptor_matrix_is_substitution_transpose():
-    desc = single_qubit_descriptor("H")
-    assert desc.mode_count == 2
-    assert desc.arity == 1
-    # the substitution matrix of a device G is its transpose
-    assert np.allclose(desc.matrix, H.T, atol=1e-12)
-    assert np.allclose(single_qubit_descriptor("T").matrix, T.T, atol=1e-12)
+    # the substitution matrix of a device G is its transpose, on its own
+    # rail pair and embedded at an offset in a wider mode space; Y and RY
+    # are not symmetric, so G and G^T differ
+    for g in (H, T, Y, ry(0.7)):
+        block = device_block(0, g, "G")
+        assert np.allclose(layer_matrix((block,), 2), g.T, atol=1e-12)
+        wide = np.eye(4, dtype=complex)
+        wide[1:3, 1:3] = g.T
+        assert np.allclose(layer_matrix((block,), 4, offset=1), wide, atol=1e-12)
 
 
 def test_layer_matrix_rebuilds_descriptors():

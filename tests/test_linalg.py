@@ -11,17 +11,16 @@ from photonmesh.linalg import (
     IDENTITY_SETTING,
     PERMANENT_MAX_DIM,
     MziSetting,
-    bs_general,
     check_unitary,
     embed_block,
     equal_mod_global_phase,
     permanent,
-    phase_shifter,
     setting_unitary,
     solve_mzi_settings,
 )
 
 from helpers import (
+    BS,
     naive_permanent,
     random_setting,
     random_unitary,
@@ -33,17 +32,15 @@ from helpers import (
 
 
 def test_balanced_beamsplitter_matrix():
-    bs = bs_general(1 / np.sqrt(2), 1 / np.sqrt(2))
-    expected = np.array([[1, 1j], [1j, 1]], dtype=complex) / np.sqrt(2)
-    assert np.allclose(bs, expected, atol=1e-15)
-    assert check_unitary(bs).is_unitary
+    # the 50:50 splitter the MZI is built from is unitary, splits each input
+    # evenly, and is itself one MZI setting; t = r = 1 is not a device
+    assert check_unitary(BS).is_unitary
+    assert np.allclose(np.abs(BS) ** 2, 0.5, atol=1e-15)
+    assert np.allclose(setting_unitary(solve_mzi_settings(BS)), BS, atol=1e-12)
+    lossy = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex)
+    assert not check_unitary(lossy).is_unitary
     with pytest.raises(ValueError):
-        bs_general(1.0, 1.0)
-
-
-def test_phase_shifter_is_diagonal():
-    ps = phase_shifter(0.3, -1.1)
-    assert np.allclose(ps, np.diag(np.exp(1j * np.array([0.3, -1.1]))), atol=1e-15)
+        solve_mzi_settings(lossy)
 
 
 def test_mzi_closed_form_theta2_phi2_zero():
@@ -74,7 +71,8 @@ def test_identity_setting_is_exactly_identity():
     # the relative-phase form (pi, pi) is identity only up to a phase
     rel = setting_unitary(MziSetting(np.pi, 0.0, np.pi, 0.0))
     assert equal_mod_global_phase(rel, np.eye(2), tol=1e-12)
-    assert IDENTITY_SETTING.relative_phases() == (np.pi, np.pi)
+    s = IDENTITY_SETTING
+    assert (s.theta1 - s.theta2, s.phi1 - s.phi2) == (np.pi, np.pi)
 
 
 def test_extended_mzi_prepends_output_phases():
@@ -82,7 +80,7 @@ def test_extended_mzi_prepends_output_phases():
     ext = MziSetting(0.8, 0.1, -0.4, 0.2, phi3=0.5, phi4=-1.2)
     assert not base.is_extended
     assert ext.is_extended
-    expected = phase_shifter(0.5, -1.2) @ setting_unitary(base)
+    expected = np.diag(np.exp(1j * np.array([0.5, -1.2]))) @ setting_unitary(base)
     assert np.allclose(setting_unitary(ext), expected, atol=1e-13)
 
 
