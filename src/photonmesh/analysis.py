@@ -6,7 +6,8 @@ Two results are probed here:
   (two rail pairs, nothing else) the two-photon conditional map can only
   be proportional to CZ if the single-photon matrix takes a constrained
   form, and no member of that family is proportional to a unitary -
-  :func:`cz_constraint_residual` measures the obstruction, and
+  :func:`cz_constraint_residual` measures the obstruction in closed form
+  (positive on sight), and
   :func:`search_cz_in_4x4` hunts for counterexamples over the full
   mesh parameter space and (deliberately) fails to find any.
 * The n-qubit GHZ chain built from post-selected CNOTs succeeds with
@@ -18,7 +19,7 @@ the MZI blocks, mesh unitaries and conditional maps are ``(2, 2, ...)`` or
 step from the blocks to the trace is an elementwise numpy product or sum.
 The functions still take and return ``(K, 16)`` parameters and
 ``(K, 4, 4)`` stacks, as views of that layout.  No matrix product is made
-on the walked path, so no BLAS kernel can change its rounding.
+anywhere in this module, so no BLAS kernel can change its rounding.
 
 The descent runs its restarts in lockstep ticks.  A tick scores, as one
 stack, both signs of the next ``_WINDOW`` coordinates of each active
@@ -96,44 +97,36 @@ def constrained_family(gamma11: complex, gamma23: complex, c: complex) -> np.nda
 
 
 def cz_constraint_residual(gamma11, gamma23, c) -> float | np.ndarray:
-    """Distance of the constrained family from (a multiple of) a unitary.
+    """Distance of the constrained family from (a multiple of) a unitary:
+    ``min over s > 0`` of ``max |s^2 M^dag M - I|`` for the family matrix
+    ``M``, in closed form.
 
-    Returns ``min over s > 0`` of ``max |s^2 M^dag M - I|`` for the family
-    matrix ``M``.  The inner expression is convex in ``s^2``, so a ternary
-    search is exact; a strictly positive residual means no scaling of
-    ``M`` is unitary, hence no post-selected CZ at any success probability
-    on a bare 4-mode network with these parameters.
+    With ``a, b, k = |g11|^2, |g23|^2, |c|^2``, the Gram matrix ``M^dag M``
+    has diagonal ``d = (a, a + 4k/b, b + k/a, k/a)`` and one off-diagonal
+    entry, ``G12 = 2 conj(c/g23) (c/g11) - conj(g11) g23``, of modulus
+    ``|2k - ab| / sqrt(ab)``.  The objective ``max(t hi - 1, 1 - t lo,
+    t |G12|)`` in ``t = s^2``, with ``lo, hi`` the extremes of ``d``, is
+    convex and piecewise linear, least at
+    ``max((hi - lo) / (hi + lo), |G12| / (lo + |G12|))``.  That is at least
+    ``(d[1] - d[0]) / (d[1] + d[0]) > 0``, as ``c != 0``: no scaling of
+    ``M`` is unitary, so no post-selected CZ exists at any success
+    probability on a bare 4-mode network.
 
-    The arguments broadcast: scalars give a float, arrays give an array of
-    their broadcast shape whose entries equal the scalar calls, as every
-    sample runs the same ternary search in one ``np.where`` step.  The
-    search stops at its fixed point, the first step that moves neither
-    end of any sample's bracket, or after 300 steps; every later step
-    would repeat that one, so the result is the 300-step result.
+    The arguments broadcast: scalars give a float, arrays an array of their
+    broadcast shape.  Each entry is ``+ - * /`` and ``sqrt`` on its own
+    real and imaginary parts, so it equals the scalar call bit for bit on
+    any host.  A parameter of modulus below ``1e-12`` raises ``ValueError``.
     """
     args = np.broadcast_arrays(
         *(np.asarray(x, dtype=complex) for x in (gamma11, gamma23, c))
     )
-    shape = args[0].shape
-    flat = zip(*(a.ravel() for a in args))
-    m = np.array([constrained_family(*p) for p in flat]).reshape(-1, 4, 4)
-    gram = np.matmul(m.conj().swapaxes(1, 2), m).reshape(-1, 16)
-    eye = np.eye(4).ravel()
-
-    def deviation(s2: np.ndarray) -> np.ndarray:
-        return np.abs(s2[:, None] * gram - eye).max(axis=1)
-
-    lo, hi = np.full(len(m), 1e-9), np.full(len(m), 1e9)
-    for _ in range(300):
-        a = lo + (hi - lo) / 3.0
-        b = hi - (hi - lo) / 3.0
-        left = deviation(a) <= deviation(b)
-        next_lo, next_hi = np.where(left, lo, a), np.where(left, b, hi)
-        # A step that moves neither end repeats itself from here on.
-        if np.array_equal(next_lo, lo) and np.array_equal(next_hi, hi):
-            break
-        lo, hi = next_lo, next_hi
-    out = deviation(0.5 * (lo + hi)).reshape(shape)
+    a, b, k = (z.real * z.real + z.imag * z.imag for z in args)
+    if (np.sqrt(np.minimum(np.minimum(a, b), k)) < 1e-12).any():
+        raise ValueError("family parameters must be nonzero")
+    d = np.array([a, a + 4.0 * k / b, b + k / a, k / a])
+    lo, hi = d.min(axis=0), d.max(axis=0)
+    off = np.abs(2.0 * k - a * b) / np.sqrt(a * b)
+    out = np.maximum((hi - lo) / (hi + lo), off / (lo + off))
     return float(out) if out.ndim == 0 else out
 
 
@@ -345,10 +338,10 @@ def search_cz_in_4x4(
 
     The descent makes no BLAS call: each stack goes through the
     elementwise kernel (:func:`_mesh_product`, :func:`_conditional_map`,
-    :func:`process_fidelity`), so the report does not depend on the BLAS
-    kernel the host picks.  Only the residual takes one stacked Gram
-    product.  The tests pin the walked path (``best_parameters``) and
-    ``constraint_residual`` exactly; the last bits of the fidelity and
+    :func:`process_fidelity`), and the residual is a closed form, so the
+    report does not depend on the BLAS kernel the host picks.  The tests
+    pin the walked path (``best_parameters``) and ``constraint_residual``
+    exactly; the last bits of the fidelity and
     success probability follow numpy's own SIMD loops, and are pinned to
     1e-15 relative.
     """

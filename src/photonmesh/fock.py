@@ -233,7 +233,7 @@ def prepare_computational_basis(bits, qubit_count: int) -> PhotonicState:
         if any(v not in (0, 1) for v in values):
             raise ValueError(f"bits must be 0/1, got {values}")
     if len(values) != qubit_count:
-        raise ValueError(f"{len(values)} bits for {qubit_count}-qubit layout")
+        raise ValueError(f"{len(values)} bits for {qubit_count} qubits")
     occ = [0] * (3 * qubit_count)
     for q, v in enumerate(values):
         occ[3 * q + 1 + v] = 1

@@ -321,8 +321,12 @@ def cnot_ps(labeling: str = "regular") -> GateDescriptor:
         h_top = 3
     else:
         raise ValueError(f"unknown labeling {labeling!r}")
-    h_embedded = embed_block(h, h_top + 1, 6)
-    matrix = h_embedded @ cz.matrix @ h_embedded
+    # H's rows, then its columns, combined elementwise into the CZ matrix:
+    # no matrix product, so no BLAS kernel can change its rounding.
+    t0, t1 = h_top, h_top + 1
+    matrix = cz.matrix.copy()
+    matrix[t0 : t1 + 1] = h[:, :1] * matrix[t0] + h[:, 1:] * matrix[t1]
+    matrix[:, t0 : t1 + 1] = matrix[:, t0, None] * h[0] + matrix[:, t1, None] * h[1]
     layers = (
         ((device_block(h_top, h, "H"),),)
         + cz.mzi_layers

@@ -24,9 +24,10 @@ result.
 ``reference_mzi_unitary`` is the product form of one MZI, built from the
 balanced beam splitter ``BS``, that the scalar device entries of
 :mod:`photonmesh.linalg` must reproduce.
-``reference_mesh_unitary`` and ``reference_constraint_residual`` are the
-dense 4-mode mesh product and the full-length ternary search that
-:mod:`photonmesh.analysis` must reproduce.
+``reference_mesh_unitary`` is the dense 4-mode mesh product that
+:mod:`photonmesh.analysis` must reproduce, and
+``reference_constraint_residual`` the full-length ternary search over
+stacked Gram matrices that its closed-form residual must agree with.
 ``reference_mesh_columns`` and ``reference_place_in_mesh`` are the stored
 column grid and the column-by-column placement scan that the compiler's
 mesh arithmetic must reproduce.  ``brickwork`` draws seeded circuits to

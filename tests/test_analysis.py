@@ -1,6 +1,7 @@
 """Tests for the 4-mode feasibility analysis and GHZ probability scan."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -23,7 +24,9 @@ from photonmesh.linalg import MziSetting, setting_unitary
 from helpers import numpy_blas_name, reference_constraint_residual, reference_mesh_unitary
 
 # Reports of the one-restart-at-a-time descent that the lockstep descent
-# replaced, recorded from it: (restarts, seed, target, report).
+# replaced, recorded from it: (restarts, seed, target, report).  The
+# constraint residuals were recorded again from the closed form of
+# ``cz_constraint_residual``.
 PINNED_REPORTS = [
     (20, 0, None, FeasibilityReport(
         restarts=20,
@@ -51,7 +54,7 @@ PINNED_REPORTS = [
             5.818785164300026, 0.41469450260973595, 1.5984410047463131,
             4.147221158987992,
         ),
-        constraint_residual=0.5382420969599013,
+        constraint_residual=0.5382420969599012,
     )),
     (2, 5, None, FeasibilityReport(
         restarts=2,
@@ -79,7 +82,7 @@ PINNED_REPORTS = [
             5.449617429360144, 0.8090208744161077, 3.7440825099551582,
             1.7413527167276366,
         ),
-        constraint_residual=0.5450332859165801,
+        constraint_residual=0.54503328591658,
     )),
     (3, 1, np.eye(4), FeasibilityReport(
         restarts=3,
@@ -93,7 +96,7 @@ PINNED_REPORTS = [
             1.0094063411047631, 6.094221105379693, 2.9734139292113904,
             0.7280051138837079,
         ),
-        constraint_residual=0.5301803361559757,
+        constraint_residual=0.5301803361559756,
     )),
 ]
 
@@ -122,9 +125,38 @@ def test_constrained_family_rejects_zero_parameters():
 
 
 def test_known_constraint_residual():
-    assert cz_constraint_residual(1.0, 1.0, 1.0 / 3.0) == pytest.approx(
-        0.875, abs=1e-6
-    )
+    # (1, 1, 1/3): d = (1, 13/9, 10/9, 1/9) and |G12| = 7/9, so the
+    # off-diagonal term wins with 7/8 over the diagonal's 6/7.
+    # (1, 1, 1): d = (1, 5, 2, 1) and |G12| = 1, so the diagonal's 2/3 wins.
+    for params, expected in (((1.0, 1.0, 1.0 / 3.0), 7.0 / 8.0), ((1.0, 1.0, 1.0), 2.0 / 3.0)):
+        assert abs(cz_constraint_residual(*params) - expected) <= 2 * math.ulp(expected)
+
+
+def test_constraint_residual_is_at_least_its_analytic_witness():
+    # Columns 0 and 1 of the family have squared norms |g11|^2 and
+    # |g11|^2 + 4|c|^2/|g23|^2, so no scaling equalizes them: the residual
+    # is at least (d1 - d0) / (d1 + d0) > 0.  The norms are taken from
+    # ``constrained_family`` itself, so the two sides round apart by ulps.
+    rng = np.random.default_rng(12)
+    vals = rng.uniform(-2.0, 2.0, size=(6, 50))
+    g11, g23, c = vals[0] + 1j * vals[1], vals[2] + 1j * vals[3], vals[4] + 1j * vals[5]
+    residual = cz_constraint_residual(g11, g23, c)
+    for k in range(50):
+        d = (np.abs(constrained_family(g11[k], g23[k], c[k])) ** 2).sum(axis=0)
+        witness = (d[1] - d[0]) / (d[1] + d[0])
+        assert witness > 0.0
+        assert residual[k] >= witness * (1.0 - 2e-15)
+
+
+def test_constraint_residual_rejects_zero_parameters():
+    for bad in ((0.0, 1.0, 1.0), (1.0, 1e-13j, 1.0), (1.0, 1.0, 0.0)):
+        with pytest.raises(ValueError, match="nonzero"):
+            cz_constraint_residual(*bad)
+    # one bad sample refuses the whole array
+    g11 = np.array([1.0, 0.5 + 0.5j, 1.0])
+    c = np.array([0.3, 0.3, 1e-13])
+    with pytest.raises(ValueError, match="nonzero"):
+        cz_constraint_residual(g11, 1.0, c)
 
 
 def test_constraint_residual_positive_for_seeded_samples():
@@ -283,24 +315,33 @@ def test_constraint_residual_broadcasts_like_scalar_calls():
     ] * 2
 
 
-def test_constraint_residual_stops_at_the_fixed_point():
-    # Stopping once a step moves no bracket end gives the 300-step result.
+def test_constraint_residual_agrees_with_the_ternary_search():
+    # The closed form and the reference's 300-step ternary search over
+    # stacked Gram matrices are two algorithms, so they agree to rounding,
+    # not bit for bit.
     rng = np.random.default_rng(10)
-    vals = rng.uniform(-2.0, 2.0, size=(6, 4, 5))
-    g11, g23, c = vals[0] + 1j * vals[1], vals[2] + 1j * vals[3], vals[4] + 1j * vals[5]
-    stacked = cz_constraint_residual(g11, g23, c)
-    assert stacked.tolist() == reference_constraint_residual(g11, g23, c).tolist()
-    for k in [(0, 0), (2, 3), (3, 4)]:
-        assert cz_constraint_residual(g11[k], g23[k], c[k]) == (
-            reference_constraint_residual(g11[k], g23[k], c[k])
-        )
-    assert cz_constraint_residual(1.0, 1.0, 1.0 / 3.0) == (
-        reference_constraint_residual(1.0, 1.0, 1.0 / 3.0)
-    )
-    # a scalar broadcasts against an array
-    assert cz_constraint_residual(1.0, g23[0], 0.5).tolist() == (
-        reference_constraint_residual(1.0, g23[0], 0.5).tolist()
-    )
+
+    def draw(*shape):
+        vals = rng.uniform(-2.0, 2.0, size=(2,) + shape)
+        return vals[0] + 1j * vals[1]
+
+    cases = [
+        (draw(4, 5), draw(4, 5), draw(4, 5)),
+        (draw(4, 1), draw(5), draw(1, 5)),
+        (draw(7), 1.0, draw(7)),
+        (1.0, draw(3, 2), 0.5),
+        (1.0, 1.0, 1.0 / 3.0),
+        (draw(), draw(), draw()),
+    ]
+    for args in cases:
+        closed = np.asarray(cz_constraint_residual(*args))
+        reference = np.asarray(reference_constraint_residual(*args))
+        assert closed.shape == reference.shape
+        np.testing.assert_allclose(closed, reference, rtol=2e-15, atol=0.0)
+    assert isinstance(cz_constraint_residual(*cases[-1]), float)
+    # an empty sample gives an empty result of its broadcast shape
+    empty = cz_constraint_residual(np.empty((0, 3)), 1.0, np.ones(3))
+    assert empty.shape == (0, 3) and empty.dtype == float
 
 
 def _sequential_descent(restarts, seed, target, max_sweeps, skips=None):
@@ -394,7 +435,8 @@ def test_lockstep_descent_walks_past_windows_without_a_move(restarts, seed, max_
     ids=[f"restarts{r}-seed{s}" for r, s, _, _ in PINNED_REPORTS],
 )
 def test_search_reproduces_pinned_reports(restarts, seed, target, expected):
-    # The walked path is pinned exactly.  The last bits of the fidelity and
+    # The walked path and the residual, which is real arithmetic only, are
+    # pinned exactly.  The last bits of the fidelity and
     # the success probability follow the host's numpy complex loops, so
     # those two are pinned to 1e-15 relative.
     report = search_cz_in_4x4(restarts=restarts, seed=seed, target=target)
@@ -415,8 +457,9 @@ def test_search_reproduces_pinned_reports(restarts, seed, target, expected):
     "openblas" not in numpy_blas_name().lower(), reason="numpy is not built on OpenBLAS"
 )
 def test_search_does_not_depend_on_the_blas_kernel():
-    # Another OpenBLAS kernel rounds matrix products differently; the
-    # search makes none on its walked path, so its report stays the same.
+    # Another OpenBLAS kernel rounds matrix products differently; neither
+    # the descent nor the closed-form residual makes one, so the whole
+    # report stays the same.
     code = (
         "import dataclasses, json\n"
         "from photonmesh.analysis import search_cz_in_4x4\n"

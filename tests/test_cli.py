@@ -617,9 +617,9 @@ def test_compile_prints_the_pinned_bytes(tmp_path):
 @pytest.mark.skipif(
     "openblas" not in numpy_blas_name().lower(), reason="numpy is not built on OpenBLAS"
 )
-def test_compile_and_simulate_do_not_depend_on_the_blas_kernel(tmp_path):
-    # Another OpenBLAS kernel rounds matrix products differently; compile
-    # and simulate make none, so their output bytes stay the same.
+def test_commands_do_not_depend_on_the_blas_kernel(tmp_path):
+    # Another OpenBLAS kernel rounds matrix products differently; no
+    # command makes one on its output path, so its bytes stay the same.
     forest = blas_forest(14)
     result = compiler.compile_circuit(compiler.parse_circuit(forest))
     placed = result.assignment.placements
@@ -643,6 +643,8 @@ def test_compile_and_simulate_do_not_depend_on_the_blas_kernel(tmp_path):
     ]
     runs = [["simulate", path, "--format", "json"] for path in paths]
     runs.append(["compile", paths[-1], "--format", "json"])
+    runs.append(["gates", "list", "--format", "json"])
+    runs.append(["analyze", "cz4x4", "--restarts", "2", "--seed", "5", "--format", "json"])
     expected = ""
     for argv in runs:
         proc = run_cli(*argv)

@@ -990,9 +990,9 @@ def test_simulate_refuses_bad_input_bits_on_either_path(certified):
     for bits in ("02", "0a", "2" * n, [0, 2]):
         with pytest.raises(ValueError, match="bits must be 0/1"):
             simulate_circuit(circuit, bits)
-    with pytest.raises(ValueError, match=f"{n + 1} bits for {n}-qubit layout"):
+    with pytest.raises(ValueError, match=f"{n + 1} bits for {n} qubits"):
         simulate_circuit(circuit, "0" * (n + 1))
-    with pytest.raises(ValueError, match="3 bits for 2-qubit layout"):
+    with pytest.raises(ValueError, match="3 bits for 2 qubits"):
         simulate_circuit(bell_circuit(), "000")
 
 

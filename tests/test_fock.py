@@ -512,7 +512,7 @@ def test_both_folds_refuse_an_input_of_other_qubits(forest):
         state = prepare_computational_basis("00", 2)
         assert len(run_program_pruned(program, state).terms) == 2
         return
-    with pytest.raises(ValueError, match="5 bits for 2-qubit layout"):
+    with pytest.raises(ValueError, match="5 bits for 2 qubits"):
         run_certified(program, "00000", *relabel)
     with pytest.raises(ValueError, match="program has 6 modes, 5 qubits need 15"):
         run_certified(program, "00000", tuple(range(5)), (0,) * 5)
