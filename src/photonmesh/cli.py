@@ -109,9 +109,9 @@ def _add_compile_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--cz-form",
         dest="cz_form",
-        choices=("compressed", "swap-sandwich"),
-        default="compressed",
-        help="CZ realization (default: compressed)",
+        choices=compiler.CZ_FORMS,
+        default=compiler.CZ_FORMS[0],
+        help="CZ realization (default: %(default)s)",
     )
     p.add_argument(
         "--no-restore-swaps",
@@ -282,11 +282,11 @@ def _gate_sections(name_filter: str | None) -> dict:
                 "matrix": _matrix_json(gates.single_qubit_matrix(name)),
                 "setting": _setting_json(gates.single_qubit_setting(name)),
             }
-            for name in ("I", "X", "Y", "Z", "H", "T")
+            for name in gates.FIXED_GATES
         ],
         "r13_family": [
             {"name": name, "matrix": _matrix_json(matrix), "setting": _setting_json(setting)}
-            for name, (matrix, setting) in zip(("R13", "R13p", "R13d"), gates.r13_matrices())
+            for name, (matrix, setting) in zip(gates.R13_FAMILY, gates.r13_matrices())
         ],
         "networks": [
             {
@@ -321,10 +321,8 @@ def _gate_sections(name_filter: str | None) -> dict:
 
 def _gates_tsv(sections: dict) -> list[str]:
     lines = ["section\tname\tarity\tmode_count\tlayers\ttruncate_after"]
-    for entry in sections["single_qubit"]:
-        lines.append(f"single_qubit\t{entry['name']}\t1\t2\t1\tfalse")
-    for entry in sections["r13_family"]:
-        lines.append(f"r13_family\t{entry['name']}\t1\t2\t1\tfalse")
+    for section in ("single_qubit", "r13_family"):
+        lines += [f"{section}\t{entry['name']}\t1\t2\t1\tfalse" for entry in sections[section]]
     for entry in sections["networks"]:
         lines.append(
             f"network\t{entry['name']}\t{entry['arity']}\t{entry['mode_count']}"
@@ -430,9 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile.add_argument("--output", help="write the table here instead of stdout")
     p_compile.add_argument(
         "--scheme",
-        choices=("clements", "reck"),
-        default="clements",
-        help="mesh geometry (default: clements)",
+        choices=compiler.MESH_SCHEMES,
+        default=compiler.MESH_SCHEMES[0],
+        help="mesh geometry (default: %(default)s)",
     )
     _add_compile_flags(p_compile)
     _add_format_flag(p_compile)

@@ -84,9 +84,12 @@ from .fock import (
 # embed_block and setting_unitary are unused; benchmarks/spans.py wraps them here.
 from .linalg import IDENTITY_SETTING, MziSetting, embed_block, setting_unitary
 
-SINGLE_QUBIT_GATES = ("I", "X", "Y", "Z", "H", "T", "RZ", "RX", "RY")
-ROTATION_GATES = ("RZ", "RX", "RY")
+SINGLE_QUBIT_GATES = gates.FIXED_GATES + gates.ROTATION_GATES
+ROTATION_GATES = gates.ROTATION_GATES
 TWO_QUBIT_GATES = ("CZ", "CNOT", "SWAP")
+# The values CompileOptions.scheme and .cz_form accept, the default first.
+MESH_SCHEMES = ("clements", "reck")
+CZ_FORMS = ("compressed", "swap-sandwich")
 # Membership tests on the hot paths ask these sets, not the public tuples.
 _SINGLE_QUBIT = frozenset(SINGLE_QUBIT_GATES)
 _ROTATIONS = frozenset(ROTATION_GATES)
@@ -132,8 +135,8 @@ class CompileOptions:
     placement when only the program is needed (simulation does this).
     """
 
-    scheme: str = "clements"
-    cz_form: str = "compressed"
+    scheme: str = MESH_SCHEMES[0]
+    cz_form: str = CZ_FORMS[0]
     restore_swaps: bool = True
     place: bool = True
 

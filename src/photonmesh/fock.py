@@ -73,13 +73,13 @@ Occupation = tuple[int, ...]
 # A photon-count check: a term passes when it holds exactly ``count`` photons in ``modes``.
 Check = tuple[tuple[int, ...], int]
 
-# Amplitudes at or below this threshold are dropped after each layer that
-# rewrites terms, and pair-rule outputs (relative to their input term, see
-# _pair_transform) at or below it are never produced; keeps rounding residue
-# out of the state.  The cut is relative in the certified fold, whose state
-# has unit norm, and absolute in the light-cone fold, whose truncations
-# shrink it.  A block whose diagonal or off-diagonal is at most this is a
-# crossing or a pure phase, which the fold carries without a rule.
+# Amplitudes at or below this threshold times the state's norm are dropped
+# after each layer that rewrites terms, and pair-rule outputs (relative to
+# their input term, see _pair_transform) at or below it are never produced;
+# keeps rounding residue out of the state.  The certified fold's state has
+# unit norm; the other folds scale the cut by the norm they keep (see _fold).
+# A block whose diagonal or off-diagonal is at most this is a crossing or a
+# pure phase, which the fold carries without a rule.
 PRUNE_THRESHOLD = 1e-14
 
 
@@ -582,11 +582,11 @@ def _join(
 
 
 def _keep(
-    terms: dict[int, complex], empty: int, prune: bool,
+    terms: dict[int, complex], empty: int, cut: float | None,
     counted: list[tuple[tuple[int, ...], int]], digit: int,
 ) -> dict[int, complex]:
     """The packed ``terms`` with no photon under the mask ``empty``, above
-    :data:`PRUNE_THRESHOLD` if ``prune``, and with exactly ``count`` photons
+    ``cut`` unless it is None, and with exactly ``count`` photons
     in the digits at ``shifts`` for each ``(shifts, count)`` in ``counted``.
     Those digits' values are judged once per distinct combination."""
     watched = 0
@@ -596,7 +596,7 @@ def _keep(
     judged: dict[int, bool] = {}
     kept = {}
     for key, amp in terms.items():
-        if key & empty or prune and abs(amp) <= PRUNE_THRESHOLD:
+        if key & empty or cut is not None and abs(amp) <= cut:
             continue
         bits = key & watched
         ok = judged.get(bits)
@@ -681,6 +681,10 @@ def _fold(
     and the zero-count checks of a step are one AND against a mask.  Mixes,
     truncations and checks all name slots; only the final read-back goes
     through the frame.
+
+    The cut of each mixing step's filter and of the read-back starts at
+    :data:`PRUNE_THRESHOLD`; after each step that truncates or checks, it is
+    that threshold times the norm of the kept terms.
     """
     lowered, pos, owed = lowering
     m = len(pos)
@@ -696,11 +700,12 @@ def _fold(
         for n in occ:
             key = key << width | int(n)
         terms[key] = amp
-    for (_, mixes, cut, _), checks in zip(lowered, cuts):
+    cut = PRUNE_THRESHOLD
+    for (_, mixes, truncated, _), checks in zip(lowered, cuts):
         empty = 0
         for device, sa, sb, owed_a, owed_b in mixes:
             terms = _mix(terms, device, shift[sa], shift[sb], digit, owed_a, owed_b)
-        for slot in cut or ():
+        for slot in truncated or ():
             empty |= digit << shift[slot]
         counted = [
             (tuple([shift[slot] for slot in slots]), count)
@@ -713,20 +718,22 @@ def _fold(
                     empty |= digit << shift[slot]
         # Two filters on purpose: all through _keep, or an uncached _keep, folded 4-10% slower.
         if counted:
-            terms = _keep(terms, empty, bool(mixes), counted, digit)
+            terms = _keep(terms, empty, cut if mixes else None, counted, digit)
         elif mixes or empty:
             terms = {
                 key: amp
                 for key, amp in terms.items()
-                if not key & empty and (not mixes or abs(amp) > PRUNE_THRESHOLD)
+                if not key & empty and (not mixes or abs(amp) > cut)
             }
+        if truncated or checks:
+            cut = PRUNE_THRESHOLD * math.sqrt(sum([abs(amp) ** 2 for amp in terms.values()]))
     # Pay the owed phases, read each key in logical order and sort once;
     # the prune catches input terms that no mixing layer has rewritten.
     debts = [(shift[slot], f) for slot, f in enumerate(owed) if f != 1.0]
     order = [shift[slot] for slot in pos]
     final = {}
     for key, amp in terms.items():
-        if abs(amp) <= PRUNE_THRESHOLD:
+        if abs(amp) <= cut:
             continue
         for s, f in debts:
             n = key >> s & digit

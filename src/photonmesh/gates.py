@@ -46,42 +46,46 @@ R13_PRIME = np.array(
 ) / np.sqrt(3.0)
 R13_DAGGER = R13.T.copy()
 
-_SQ = 1.0 / np.sqrt(2.0)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_FIXED_GATES: dict[str, np.ndarray] = {
-    "I": np.eye(2, dtype=complex),
-    "X": PAULI_X,
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "H": np.array([[_SQ, _SQ], [_SQ, -_SQ]], dtype=complex),
-    "T": np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex),
-}
-
-# Canonical relative phases (theta1 - theta2, phi1 - phi2) realizing the
-# fixed gates up to a global phase, with theta2 = phi2 = 0.
-_FIXED_SETTINGS: dict[str, tuple[float, float]] = {
-    "I": (np.pi, np.pi),
-    "X": (0.0, 0.0),
-    "Y": (0.0, np.pi),
-    "Z": (np.pi, 0.0),
-    "H": (np.pi / 2.0, 0.0),
-    "T": (np.pi, 3.0 * np.pi / 4.0),
-}
-
 SUCCESS_CZ = 1.0 / 9.0
 
 
 # Entries of a 2x2 matrix as nested Python tuples, rows first.
 Entries = tuple[tuple[complex, complex], tuple[complex, complex]]
 
-# Zeros are stored as +0.0: Y's literal ``-1j`` has a real part of -0.0, and
+_SQ = 1.0 / math.sqrt(2.0)
+_T = complex(math.cos(math.pi / 4.0), math.sin(math.pi / 4.0))
+
+# The fixed single-qubit gates, in ``gates list`` order: each gate's entries
+# and its canonical relative phases (theta1 - theta2, phi1 - phi2), which
+# realize it up to a global phase with theta2 = phi2 = 0.  Zeros are +0.0:
 # the sign of a zero can pick between +pi and -pi in a solved phase.
-_FIXED_ENTRIES: dict[str, Entries] = {
-    name: tuple(
-        tuple(complex(z.real + 0.0, z.imag + 0.0) for z in row) for row in g.tolist()
-    )
-    for name, g in _FIXED_GATES.items()
+_FIXED: dict[str, tuple[Entries, tuple[float, float]]] = {
+    "I": (((1 + 0j, 0j), (0j, 1 + 0j)), (math.pi, math.pi)),
+    "X": (((0j, 1 + 0j), (1 + 0j, 0j)), (0.0, 0.0)),
+    "Y": (((0j, complex(0.0, -1.0)), (1j, 0j)), (0.0, math.pi)),
+    "Z": (((1 + 0j, 0j), (0j, -1 + 0j)), (math.pi, 0.0)),
+    "H": (((_SQ + 0j, _SQ + 0j), (_SQ + 0j, -_SQ + 0j)), (math.pi / 2.0, 0.0)),
+    "T": (((1 + 0j, 0j), (0j, _T)), (math.pi, 3.0 * math.pi / 4.0)),
 }
+FIXED_GATES = tuple(_FIXED)
+ROTATION_GATES = ("RZ", "RX", "RY")
+# Names of the :func:`r13_matrices` entries, in order.
+R13_FAMILY = ("R13", "R13p", "R13d")
+
+
+def _gate_name(gate: str, angle: float | None) -> str:
+    """``gate`` upper-cased, once it is a fixed gate without an angle or a
+    rotation with one; raises ``ValueError`` otherwise."""
+    name = gate.upper()
+    if name in _FIXED:
+        if angle is not None:
+            raise ValueError(f"{name} takes no angle")
+    elif name in ROTATION_GATES:
+        if angle is None:
+            raise ValueError(f"{name} needs an angle")
+    else:
+        raise ValueError(f"unknown single-qubit gate {gate!r}")
+    return name
 
 
 def single_qubit_entries(gate: str, angle: float | None = None) -> Entries:
@@ -91,27 +95,24 @@ def single_qubit_entries(gate: str, angle: float | None = None) -> Entries:
     ``RX(d) = exp(-i d X / 2)``, ``RY(d) = exp(+i d Y / 2)`` (the y-axis
     sign follows the MZI recipe used by :func:`single_qubit_setting`).
     """
-    name = gate.upper()
-    if name in _FIXED_ENTRIES:
-        if angle is not None:
-            raise ValueError(f"{name} takes no angle")
-        return _FIXED_ENTRIES[name]
-    if name in ("RZ", "RX", "RY"):
-        if angle is None:
-            raise ValueError(f"{name} needs an angle")
-        c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-        if name == "RZ":
-            return ((complex(c, -s), 0j), (0j, complex(c, s)))
-        if name == "RX":
-            return ((complex(c), -1j * s), (-1j * s, complex(c)))
-        return ((complex(c), complex(s)), (complex(-s), complex(c)))
-    raise ValueError(f"unknown single-qubit gate {gate!r}")
+    name = _gate_name(gate, angle)
+    if angle is None:
+        return _FIXED[name][0]
+    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+    if name == "RZ":
+        return ((complex(c, -s), 0j), (0j, complex(c, s)))
+    if name == "RX":
+        return ((complex(c), -1j * s), (-1j * s, complex(c)))
+    return ((complex(c), complex(s)), (complex(-s), complex(c)))
 
 
 def single_qubit_matrix(gate: str, angle: float | None = None) -> np.ndarray:
     """Textbook 2x2 matrix of a named gate: :func:`single_qubit_entries`
     as an array."""
     return np.array(single_qubit_entries(gate, angle), dtype=complex)
+
+
+PAULI_X = single_qubit_matrix("X")
 
 
 def single_qubit_setting(gate: str, angle: float | None = None) -> MziSetting:
@@ -121,27 +122,17 @@ def single_qubit_setting(gate: str, angle: float | None = None) -> MziSetting:
     ``RY`` need the extended MZI (output phases ``phi3``/``phi4``); all
     other gates fit the plain four-phase form.
     """
-    name = gate.upper()
-    if name in _FIXED_SETTINGS:
-        if angle is not None:
-            raise ValueError(f"{name} takes no angle")
-        dtheta, dphi = _FIXED_SETTINGS[name]
+    name = _gate_name(gate, angle)
+    if angle is None:
+        dtheta, dphi = _FIXED[name][1]
         return MziSetting(dtheta, 0.0, dphi, 0.0)
     if name == "RZ":
-        if angle is None:
-            raise ValueError("RZ needs an angle")
         return MziSetting(np.pi, 0.0, np.pi - angle, 0.0)
     if name == "RX":
-        if angle is None:
-            raise ValueError("RX needs an angle")
         return MziSetting(
             np.pi - angle, 0.0, np.pi / 2.0, 0.0, phi3=np.pi / 2.0, phi4=0.0
         )
-    if name == "RY":
-        if angle is None:
-            raise ValueError("RY needs an angle")
-        return MziSetting(np.pi - angle, 0.0, 0.0, 0.0, phi3=np.pi, phi4=0.0)
-    raise ValueError(f"unknown single-qubit gate {gate!r}")
+    return MziSetting(np.pi - angle, 0.0, 0.0, 0.0, phi3=np.pi, phi4=0.0)
 
 
 def r13_matrices() -> tuple[tuple[np.ndarray, MziSetting], ...]:
@@ -312,7 +303,7 @@ def cnot_ps(labeling: str = "regular") -> GateDescriptor:
     The control is the first qubit of the labeling, the target the second.
     Success probability is 1/9, as for the CZ.
     """
-    h = _FIXED_GATES["H"]
+    h = single_qubit_matrix("H")
     if labeling == "regular":
         cz = cz_ps_regular()
         h_top = 4

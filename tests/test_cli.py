@@ -27,6 +27,15 @@ from photonmesh.cli import fmt_float
 from helpers import brickwork, numpy_blas_name
 
 BELL = {"qubits": 2, "gates": [{"g": "H", "q": 0}, {"g": "CNOT", "c": 0, "t": 1}]}
+# the solved RX device is an extended MZI, so its slot lists phi3 and phi4
+ROTATED = {
+    "qubits": 2,
+    "gates": [
+        {"g": "RX", "q": 0, "angle": 0.3},
+        {"g": "RY", "q": 1, "angle": -1.2},
+        {"g": "CZ", "c": 0, "t": 1},
+    ],
+}
 CASCADE = {
     "qubits": 2,
     "gates": [{"g": "CNOT", "c": 0, "t": 1}, {"g": "CNOT", "c": 0, "t": 1}],
@@ -259,27 +268,43 @@ def test_an_underflowing_success_probability_raises_and_exits_4(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", f"photonmesh: error: {message}\n")
 
 
-def test_empty_projection_raises_and_exits_4(tmp_path):
-    # The GHZ-31 chain, then a SWAP and a CZ that repeat a photon pair, so
-    # the circuit is uncertified and takes the light-cone path.  Its
-    # absolute PRUNE_THRESHOLD drops every term (the light-cone half of
-    # ROADMAP item 1, still open), so decoding raises.  Guard: if the
-    # light-cone fold ever keeps terms here, stop and rewrite this test as
-    # a regression test of its relative cut.
-    n = 31
+def _swapped_ghz(n):
+    """The GHZ-n chain, then a SWAP and a CZ that repeat a photon pair, so
+    the circuit is uncertified and takes the light-cone path."""
     gates = [{"g": "H", "q": 0}] + [{"g": "CNOT", "c": q, "t": q + 1} for q in range(n - 1)]
-    gates += [{"g": "SWAP", "a": 29, "b": 28}, {"g": "CZ", "c": 30, "t": 28}]
-    payload = {"qubits": n, "gates": gates}
-    circuit = compiler.parse_circuit(payload)
-    result = compiler.compile_circuit(circuit, compiler.CompileOptions(place=False))
-    assert not result.forest
+    gates += [{"g": "SWAP", "a": n - 2, "b": n - 3}, {"g": "CZ", "c": n - 1, "t": n - 3}]
+    return {"qubits": n, "gates": gates}
+
+
+def test_ghz31_with_a_repeated_photon_pair_keeps_its_three_terms(tmp_path):
+    # The light-cone fold cuts relative to the kept norm.  With an absolute
+    # cut of 1e-14 every term of the n = 31 input fell below it, so decoding
+    # found no qubit-structure amplitude and the command exited 4.  Oracle:
+    # the unpruned fold at n = 5; the three moduli and p * 9**n do not move
+    # with n.
+    m = 5
+    result = compiler.compile_circuit(
+        compiler.parse_circuit(_swapped_ghz(m)), compiler.CompileOptions(place=False)
+    )
+    full = fock.run_program(result.program, fock.prepare_computational_basis("0" * m, m))
+    oracle, p_oracle = fock.decode_logical(
+        fock.project_qubit_structure(full), result.positions, result.flips
+    )
+    assert [format(k, "05b") for k in oracle] == ["00000", "11110", "11111"]
+    n = 31
+    payload = _swapped_ghz(n)
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="no qubit-structure amplitude"):
-        compiler.simulate_circuit(circuit)
-    proc = run_cli("simulate", write_circuit(tmp_path, payload))
-    assert proc.returncode == 4
-    assert proc.stdout == ""
-    assert "no qubit-structure amplitude" in proc.stderr
+    sim = compiler.simulate_circuit(compiler.parse_circuit(payload))
+    assert not sim.compile_result.forest
+    assert list(sim.sparse_amplitudes) == [0, 2**n - 2, 2**n - 1]
+    for amp, expected in zip(sim.sparse_amplitudes.values(), oracle.values()):
+        assert abs(amp) == pytest.approx(abs(expected), rel=1e-9)
+    assert sim.success_probability * 9.0**n == pytest.approx(p_oracle * 9.0**m, rel=1e-9)
+    proc = run_cli("simulate", write_circuit(tmp_path, payload), "--format", "json")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    record = json.loads(proc.stdout)
+    assert list(record["amplitudes"]) == ["0" * n, "1" * (n - 1) + "0", "1" * n]
+    assert record["forest"] is False
     assert time.perf_counter() - start < 5.0
 
 
@@ -791,8 +816,9 @@ def test_simulate_formats_agree(tmp_path, circuit):
     ]
 
 
-def test_compile_formats_agree(tmp_path):
-    table, tsv, human = run_formats("compile", write_circuit(tmp_path, BELL))
+@pytest.mark.parametrize("circuit", [BELL, ROTATED], ids=["bell", "rotated"])
+def test_compile_formats_agree(tmp_path, circuit):
+    table, tsv, human = run_formats("compile", write_circuit(tmp_path, circuit))
     slots, truncs = table["slots"], table["truncations"]
     phase_keys = ("theta1", "theta2", "phi1", "phi2", "phi3", "phi4")
     assert tsv[0].split("\t") == ["kind", "column", "top_mode", *phase_keys, "role"]
@@ -824,13 +850,21 @@ def test_compile_formats_agree(tmp_path):
         for v in (table["mode_count"], len(table["columns"]), table["slots_used"], slot_count)
     ]
     assert numbers(human[1]) == [fmt_float(v) for v in table["positions"] + table["flips"]]
+    extended = 0
     for line, slot in zip(human[2:], slots):
         assert f": {slot['role']} " in line
-        assert numbers(line) == [
+        # a rotation's role holds its angle, which is not a phase
+        assert numbers(line.replace(slot["role"], "")) == [
             fmt_float(v)
             for v in (slot["column"], slot["top_mode"], slot["top_mode"] + 1)
             + tuple(slot[k] for k in phase_keys if k in slot)
         ]
+        if "phi3" in slot:
+            extended += 1
+            assert line.endswith(f" out=({fmt_float(slot['phi3'])}, {fmt_float(slot['phi4'])})")
+        else:
+            assert "out=" not in line
+    assert (extended > 0) == (circuit is ROTATED)
     for line, trunc in zip(human[2 + len(slots) :], truncs):
         assert numbers(line) == [fmt_float(v) for v in trunc["modes"] + [trunc["after_column"]]]
 
@@ -859,6 +893,20 @@ def test_gates_list_formats_agree():
     assert line.startswith("CZ ")
     assert f"labeling {cz['labeling']}" in line
     assert numbers(line) == [fmt_float(cz["mode_count"]), fmt_float(len(cz["layers"]))]
+
+
+def test_gates_list_tsv_rows_follow_the_record():
+    sections, tsv, _ = run_formats("gates", "list")
+    single = [entry["name"] for entry in sections["single_qubit"]]
+    family = [entry["name"] for entry in sections["r13_family"]]
+    assert single == ["I", "X", "Y", "Z", "H", "T"]
+    assert family == ["R13", "R13p", "R13d"]
+    assert tsv[0] == "section\tname\tarity\tmode_count\tlayers\ttruncate_after"
+    rows = [f"single_qubit\t{name}\t1\t2\t1\tfalse" for name in single]
+    rows += [f"r13_family\t{name}\t1\t2\t1\tfalse" for name in family]
+    assert tsv[1 : 1 + len(rows)] == rows
+    assert len(tsv) == 1 + len(rows) + len(sections["networks"])
+    assert all(line.startswith("network\t") for line in tsv[1 + len(rows) :])
 
 
 def test_analyze_cz4x4_formats_agree():

@@ -1101,11 +1101,12 @@ def test_fused_gates_fold_like_the_unfused_fold_on_the_golden_circuits(monkeypat
 
 
 def test_fused_gates_fold_the_20_qubit_forest_like_the_dense_oracle():
-    # The 20-qubit forest of ROADMAP item 1, random_forest(Random(7), 20,
-    # 80, 19, 2) of benchmarks/workloads.py, against the dense oracle; the
-    # unpruned fold is out of reach.  With each gate's 1/3 multiplied into
-    # every amplitude, the absolute cut dropped eight amplitudes below 2e-5
-    # and addends of up to about 1.1e-5; at unit scale every key comes back.
+    # The 20-qubit forest that showed the certified fold's old absolute cut,
+    # random_forest(Random(7), 20, 80, 19, 2) of benchmarks/workloads.py,
+    # against the dense oracle; the unpruned fold is out of reach.  With
+    # each gate's 1/3 multiplied into every amplitude, the absolute cut
+    # dropped eight amplitudes below 2e-5 and addends of up to about
+    # 1.1e-5; at unit scale every key comes back.
     circuit = parse_circuit(json.loads((DATA / "forest20.json").read_text(encoding="utf-8")))
     n, k = circuit.qubit_count, _post_selections(circuit)
     result = compile_circuit(circuit, CompileOptions(place=False))
@@ -1443,6 +1444,42 @@ def test_ghz_chain_20_qubits():
     assert elapsed < 30.0
 
 
+def _closed_chain(n):
+    """The GHZ-n chain closed by H(n-1) and CZ(0, n-1): uncertified."""
+    gates = [GateOp("H", (0,))] + [GateOp("CNOT", (q, q + 1)) for q in range(n - 1)]
+    return CircuitIR(n, tuple(gates) + (GateOp("H", (n - 1,)), GateOp("CZ", (0, n - 1))))
+
+
+def _closed_chain_terms(amps, n):
+    """Each decoded key as its two first and two last bits, and the moduli
+    in key order; every key's interior bits are all equal."""
+    keys = [format(index, f"0{n}b") for index in amps]
+    assert all(len(set(bits[1:-1])) == 1 for bits in keys)
+    return [bits[:2] + bits[-2:] for bits in keys], [abs(a) for a in amps.values()]
+
+
+@pytest.mark.parametrize("n", [21, 29])
+def test_closed_chain_keeps_its_seven_terms(n):
+    # The light-cone fold cuts relative to the kept norm, which each
+    # truncation shrinks by about 9.  With an absolute cut of 1e-14 the
+    # chain kept 5 terms at n = 21 and 2 at n = 29.  Oracle: the unpruned
+    # fold at n = 12, whose 7 keys have the same ends; the smallest modulus
+    # falls by 3 per qubit and the two largest tend to 1/sqrt(5), 2/sqrt(5).
+    m = 12
+    result = compile_circuit(_closed_chain(m), CompileOptions(place=False))
+    full = fock.run_program(result.program, fock.prepare_computational_basis("0" * m, m))
+    oracle, _ = decode_logical(fock.project_qubit_structure(full), result.positions, result.flips)
+    ends, moduli = _closed_chain_terms(oracle, m)
+    start = time.perf_counter()
+    sim = simulate_circuit(_closed_chain(n))
+    assert time.perf_counter() - start < 5.0
+    assert not sim.compile_result.forest
+    got_ends, got_moduli = _closed_chain_terms(sim.sparse_amplitudes, n)
+    assert got_ends == ends and len(ends) == 7
+    assert min(got_moduli) * 3.0**n == pytest.approx(min(moduli) * 3.0**m, rel=2e-3)
+    assert sorted(got_moduli)[-2:] == pytest.approx([5**-0.5, 2 * 5**-0.5], abs=1e-5)
+
+
 def test_long_routing_loses_no_probability_at_crossings():
     # 400 logical SWAPs of the chain's end qubits, routed by SWAP2 networks:
     # about 20,000 solved crossings, each of which leaked about 4.4e-16 of
@@ -1758,3 +1795,33 @@ def test_compile_result_carries_program_not_amplitudes():
 def test_simulate_rejects_bad_bits():
     with pytest.raises(ValueError):
         simulate_circuit(bell_circuit(), "0")
+
+
+def test_placement_refuses_an_unknown_program_step():
+    program = fock.NetworkProgram(6, (fock.TruncateAux((0, 3)), "bogus"))
+    with pytest.raises(TypeError, match="^unknown program step str$"):
+        place_in_mesh(program, "clements")
+
+
+def test_compile_refuses_an_unknown_gate_in_a_hand_built_circuit():
+    # parse_circuit refuses the name first; a hand-built CircuitIR skips it
+    circuit = CircuitIR(2, (GateOp("H", (0,)), GateOp("CCX", (0, 1))))
+    with pytest.raises(CircuitParseError, match="^unknown gate 'CCX'$"):
+        compile_circuit(circuit)
+
+
+def test_assignment_program_keeps_a_leading_truncation():
+    # A truncation before any block marks after_column -1, and the rebuilt
+    # program truncates before its first column, as the original does.
+    cz = gates.cz_ps_regular().blocks
+    program = fock.NetworkProgram(6, (fock.TruncateAux((0, 3)), gates.layers_to_steps(cz, 6)))
+    assignment = place_in_mesh(program, "clements")
+    assert assignment.truncations == (TruncationMark(-1, (0, 3)),)
+    rebuilt = assignment_program(assignment)
+    assert rebuilt.steps[0] == fock.TruncateAux((0, 3))
+    assert [type(step) for step in rebuilt.steps[1:]] == [fock.LinearLayer] * 6
+    state = fock.PhotonicState(6, {(1, 0, 0, 0, 1, 0): 1.0 + 0j, (0, 1, 0, 0, 1, 0): 1.0 + 0j})
+    want = fock.run_program(program, state).terms
+    got = fock.run_program(rebuilt, state).terms
+    assert set(got) == set(want) and len(want) > 0
+    assert all(abs(got[k] - want[k]) < 1e-12 for k in want)

@@ -884,3 +884,19 @@ def test_compiled_programs_build_a_device_per_rotation_only(monkeypatch, cz_form
     assert calls == []
     simulate_circuit(rotated, options=options)
     assert len(calls) == 3
+
+
+def test_apply_linear_refuses_a_layer_of_another_width():
+    state = prepare_computational_basis("0", 1)
+    with pytest.raises(ValueError, match="^layer has 6 modes, state has 3$"):
+        apply_linear(state, LinearLayer(6, ()))
+
+
+def test_the_folds_refuse_an_unknown_program_step():
+    program = NetworkProgram(3, (TruncateAux((0,)), "bogus"))
+    state = prepare_computational_basis("0", 1)
+    for fold in (run_program, run_program_pruned):
+        with pytest.raises(TypeError, match="^unknown program step str$"):
+            fold(program, state)
+    with pytest.raises(TypeError, match="^unknown program step str$"):
+        run_certified(program, "0", (0,), (0,))

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,7 @@ from photonmesh.gates import (
     layer_matrix,
     layers_to_steps,
     r13_matrices,
+    single_qubit_entries,
     single_qubit_matrix,
     single_qubit_setting,
     swap_networks,
@@ -68,6 +72,25 @@ def test_rotation_settings_realize_their_gates_up_to_phase():
             assert equal_mod_global_phase(
                 u, single_qubit_matrix(name, delta), tol=1e-9
             )
+
+
+@pytest.mark.parametrize("lookup", [single_qubit_entries, single_qubit_setting])
+@pytest.mark.parametrize(
+    "gate, angle, message",
+    [
+        ("h", 0.5, "H takes no angle"),
+        ("T", 0.0, "T takes no angle"),
+        ("rz", None, "RZ needs an angle"),
+        ("RX", None, "RX needs an angle"),
+        ("RY", None, "RY needs an angle"),
+        ("Q", None, "unknown single-qubit gate 'Q'"),
+        ("cz", 0.5, "unknown single-qubit gate 'cz'"),
+    ],
+)
+def test_named_gate_lookups_refuse_the_same_inputs(lookup, gate, angle, message):
+    # one validator serves both lookups, so both refuse with one message
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        lookup(gate, angle)
 
 
 def test_t_gate_relative_phases():
@@ -222,6 +245,14 @@ def test_swap2_is_an_involution_and_rail_flips():
 def test_conditional_map_rejects_single_qubit_networks():
     with pytest.raises(ValueError):
         conditional_qubit_map(swap_networks()["X"])
+
+
+def test_unknown_labelings_are_refused():
+    with pytest.raises(ValueError, match="^unknown labeling 'diagonal'$"):
+        cnot_ps("diagonal")
+    diagonal = replace(cz_ps_regular(), native_labeling="diagonal")
+    with pytest.raises(ValueError, match="^unknown labeling 'diagonal'$"):
+        conditional_qubit_map(diagonal)
 
 
 def test_cnot_applies_hadamards_on_target_rails():
